@@ -31,7 +31,6 @@ from .openbook import (
     OpenBookError,
     RationalOpenBook,
     normalize_to_window,
-    page_euler_char,
     positive_stabilize,
     reframe,
     validate,
@@ -47,7 +46,6 @@ from .classify import (
     classify_cable,
     hopf_delta,
     induced_open_book_from_surgery,
-    lutz_cable_description,
     resolve,
     stabilization_count_pq_from_p1,
     surgery_admissible,
@@ -58,7 +56,6 @@ from .curves import (
     algebraic_length,
     chain_model,
     mod10_class,
-    word_to_symplectic,
     words_equal_on_homology,
 )
 from .rewrite import RelationRegistry, ReplayResult, RewriteScript, Step, replay

@@ -170,14 +170,6 @@ def r22_braid(g: int) -> BraidWord:
     return half * d1.power(-2) * d2.power(-2)
 
 
-def r22_nested_bands(g: int) -> BraidWord:
-    """The conjugated band form of the same rotation braid: the product of
-    half twists about nested bands pairing strand 2g+2-i with 2g+1+i."""
-    n = 4 * g + 2
-    letters = [BraidLetter(2 * g + 2 - i, 2 * g + 1 + i, 1) for i in range(1, 2 * g + 2)]
-    return BraidWord(n, tuple(letters))
-
-
 def lift_through_double_cover(braid: BraidWord, chain: Sequence[str]) -> TwistWord:
     """Lift letterwise through the 2-fold cover branched at the strand points.
 

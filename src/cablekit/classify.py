@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import lens
 from .openbook import BindingComponent, OpenBookError, RationalOpenBook, normalize_to_window
-from .slopes import Slope, exceptional_slopes, farey_neighbors
+from .slopes import Slope, exceptional_slopes, ext_gcd, farey_neighbors
 from .words import Generator, TwistWord
 
 
@@ -181,7 +181,8 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
         comp = book.components[i]
         r, s = comp.order, comp.seifert_numerator
         if r * q - p * s == -1:
-            assert farey_neighbors(Slope(q, p), Slope(s, r))
+            if not farey_neighbors(Slope(q, p), Slope(s, r)):
+                raise CableError(f"{q}/{p} and {s}/{r} are not Farey neighbors")
             return CableVerdict(
                 VerdictKind.RATIONAL_UNKNOT_CABLE,
                 signs,
@@ -222,12 +223,6 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
     return CableVerdict(
         VerdictKind.OVERTWISTED, signs, hopf_delta=delta, lutz_recipe=recipe
     )
-
-
-def lutz_cable_description(book: RationalOpenBook, coeffs: CableCoefficients) -> str:
-    """Recipe text when the verdict is Overtwisted; empty string otherwise."""
-    verdict = classify_cable(book, coeffs)
-    return verdict.lutz_recipe or ""
 
 
 def lutz_cable_description_for(
@@ -427,8 +422,9 @@ def induced_open_book_from_surgery(
         )
     # unimodular completion a*d - b*c = 1; page curve = (ar - bs) lambda' +
     # (ds - cr) mu' in the new basis (lambda', mu' = c*mu + d*lambda, a*mu + b*lambda)
-    g, d, c = _ext_euclid(a, -b)
-    assert a * d - b * c == 1
+    g, d, c = ext_gcd(a, -b)
+    if a * d - b * c != 1:
+        raise CableError(f"no unimodular completion of {a}/{b}")
     s_new = d * s - c * r
     if order_new < 0:
         order_new, s_new = -order_new, -s_new
@@ -460,17 +456,3 @@ def induced_open_book_from_surgery(
         out = out.with_metadata(contact="admissible-surgery supported")
     return out
 
-
-def _ext_euclid(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g."""
-    old_r, rr = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while rr:
-        qq = old_r // rr
-        old_r, rr = rr, old_r - qq * rr
-        old_x, x = x, old_x - qq * x
-        old_y, y = y, old_y - qq * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y

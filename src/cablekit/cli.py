@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import library
 from .classify import (
     CableCoefficients,
-    CableError,
     cabled_page,
     classify_cable,
     induced_open_book_from_surgery,
@@ -26,7 +24,6 @@ from .classify import (
 from .curves import words_equal_on_homology
 from .lens import (
     LensTorusKnot,
-    TrivialTorusKnotError,
     boundary_count,
     boundary_wrap,
     euler_characteristic,
@@ -35,19 +32,15 @@ from .lens import (
     is_trivial,
 )
 from .monodromy import (
-    MonodromyError,
     compose_cobordism_word,
     monodromy_22_connected,
-    monodromy_p1_connected,
-    monodromy_p1_disconnected,
     monodromy_pq,
     negative_cable_word,
     stein_obstruction_Lppm1,
 )
-from .openbook import OpenBookError, RationalOpenBook
+from .openbook import OpenBookError, RationalOpenBook, validate
 from .slopes import (
     Slope,
-    SlopeDomainError,
     eval_cont_frac,
     exceptional_slopes,
     farey_shortest_path,
@@ -69,7 +62,11 @@ def _emit(args, payload: dict, pretty: str) -> None:
 
 def _load_book(path: str) -> RationalOpenBook:
     with open(path, "r", encoding="utf-8") as fh:
-        return RationalOpenBook.from_json(json.load(fh))
+        book = RationalOpenBook.from_json(json.load(fh))
+    problems = validate(book)
+    if problems:
+        raise OpenBookError(f"invalid book {path}: " + "; ".join(problems))
+    return book
 
 
 def _load_word(path: str) -> TwistWord:
@@ -89,8 +86,8 @@ def cmd_slopes(args) -> None:
     elif args.op == "ncf":
         s = Slope.parse(args.slope)
         cf = neg_cont_frac(s)
-        back = eval_cont_frac(cf)
-        assert back == s
+        if eval_cont_frac(cf) != s:
+            raise UsageError(f"expansion {list(cf.terms)} does not evaluate to {s}")
         _emit(args, {"terms": list(cf.terms)}, str(list(cf.terms)))
     else:
         raise UsageError(f"unknown slopes op {args.op!r}")
@@ -172,12 +169,6 @@ def cmd_monodromy(args) -> None:
         cw = negative_cable_word(book)
     elif (p, q) == (2, 2) and book.has_connected_binding:
         cw = monodromy_22_connected(book)
-    elif q == 1:
-        cw = (
-            monodromy_p1_connected(book, p)
-            if book.has_connected_binding
-            else monodromy_p1_disconnected(book, p)
-        )
     else:
         cw = monodromy_pq(book, p, q)
     payload = {
@@ -195,7 +186,6 @@ def cmd_obstruction(args) -> None:
 
 
 def cmd_verify_word(args) -> None:
-    bundles = library.shipped_scripts()
     systems = {
         "sigma22_g1": library.sigma22_script_system,
         "resolved_neg_cable_g1": library.resolved_system,
@@ -329,17 +319,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (
-        UsageError,
-        SlopeDomainError,
-        CableError,
-        OpenBookError,
-        MonodromyError,
-        TrivialTorusKnotError,
-        ValueError,
-        ZeroDivisionError,
-        FileNotFoundError,
-    ) as exc:
+    except (ValueError, ZeroDivisionError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - internal failure

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .words import BRAID_HALF, DEHN, FRACTIONAL, STAB, Generator, TwistWord
 
@@ -43,7 +43,6 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -62,15 +61,31 @@ def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
     return total
 
 
+def pairing_row(u: Sequence[int]) -> list[int]:
+    """Row vector so that row . x = symplectic_pairing(x, u)."""
+    row = [0] * len(u)
+    for i in range(0, len(u), 2):
+        row[i] = u[i + 1]
+        row[i + 1] = -u[i]
+    return row
+
+
 def transvection(cls: Sequence[int], sign: int, dim: int) -> Matrix:
     """Matrix of the (signed) twist x -> x + sign*<x, c>*c."""
-    cols = []
-    for j in range(dim):
-        e = [0] * dim
-        e[j] = 1
-        coeff = sign * symplectic_pairing(e, cls)
-        cols.append(tuple(e[i] + coeff * cls[i] for i in range(dim)))
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+    row = pairing_row(cls)
+    return tuple(
+        tuple((1 if i == j else 0) + sign * cls[i] * row[j] for j in range(dim))
+        for i in range(dim)
+    )
+
+
+def symplectic_inverse(m: Matrix) -> Matrix:
+    """Inverse of a symplectic matrix (every word matrix is one) by the
+    closed form -J m^T J, where J is the matrix of the pairing."""
+    n = len(m)
+    return tuple(
+        tuple((-1) ** (i + j) * m[j ^ 1][i ^ 1] for j in range(n)) for i in range(n)
+    )
 
 
 def extract_transvection_class(m: Matrix) -> tuple[tuple[int, ...], int]:
@@ -186,12 +201,6 @@ class CurveSystem:
     def record_intersection(self, a: str, b: str, value: int) -> None:
         self.intersections[_pair_key(a, b)] = value
 
-    def record_disjoint(self, names: Iterable[str]) -> None:
-        names = list(names)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                self.record_intersection(a, b, 0)
-
     def register_expansion(self, name: str, word: TwistWord) -> None:
         """Register a nonseparating-twist factorization of the positive twist
         about `name`, verified on homology."""
@@ -261,10 +270,6 @@ class CurveSystem:
         for gen in word:
             out = mat_mul(out, self.generator_matrix(gen))
         return out
-
-
-def word_to_symplectic(word: TwistWord, sys: CurveSystem) -> Matrix:
-    return sys.word_matrix(word)
 
 
 def words_equal_on_homology(w1: TwistWord, w2: TwistWord, sys: CurveSystem) -> bool:

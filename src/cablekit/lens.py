@@ -20,11 +20,6 @@ class TrivialTorusKnotError(ValueError):
     """The class bounds a disk, so the fiber formulas do not apply."""
 
 
-def _gcd0(a: int, b: int) -> int:
-    """gcd with gcd(0, n) = |n|, so the formulas degrade gracefully at k = 0."""
-    return gcd(abs(a), abs(b))
-
-
 @dataclass(frozen=True)
 class LensTorusKnot:
     """The (k, l)-curve on the Heegaard torus of the (r, s) lens space."""
@@ -46,7 +41,7 @@ class LensTorusKnot:
 
     @property
     def component_count(self) -> int:
-        return _gcd0(self.k, self.l)
+        return gcd(self.k, self.l)
 
     def reduced_class(self) -> tuple[int, int]:
         """The underlying knot class (k, l)/gcd(k, l)."""
@@ -95,8 +90,9 @@ def euler_characteristic(K: LensTorusKnot) -> int:
     k, l, r, s = K.k, K.l, K.r, K.s
     twist = k * s - l * r
     num = abs(k) + abs(twist) - abs(k * twist)
-    g = _gcd0(r, k)
-    assert num % g == 0
+    g = gcd(r, k)
+    if num % g:
+        raise ValueError(f"Euler characteristic {num}/{g} of {K} is not integral")
     return num // g
 
 
@@ -111,20 +107,21 @@ def boundary_count(K: LensTorusKnot) -> int:
     c = K.component_count
     k = K.k // c
     r = K.r
-    b = _gcd0(r, k * k)
-    g = _gcd0(r, k)
-    assert b % g == 0
+    b = gcd(r, k * k)
+    g = gcd(r, k)
+    if b % g:
+        raise ValueError(f"boundary count {b}/{g} of {K} is not integral")
     return c * (b // g)
 
 
 def homological_order(K: LensTorusKnot) -> int:
     """Order of the curve's total class in first homology of the lens space."""
     _require_fibered(K)
-    return K.r // _gcd0(K.r, K.k)
+    return K.r // gcd(K.r, K.k)
 
 
 def boundary_wrap(K: LensTorusKnot) -> int:
     """How many times each fiber boundary circle runs along its component."""
     _require_fibered(K)
     k = K.k // K.component_count
-    return K.r // _gcd0(K.r, k * k)
+    return K.r // gcd(K.r, k * k)

@@ -1,6 +1,6 @@
 """Shipped curve systems, relations, and replayable rewrite scripts.
 
-Three scripts are bundled:
+Four scripts are bundled:
 
 * stabilize_21_to_22 -- from the (2,1)-cable word of the genus-one open book
   with monodromy D_1 o D_2, plus one positive stabilization, through two
@@ -12,6 +12,8 @@ Three scripts are bundled:
 * negative_cable_positive_refactor -- from the resolved (2,-1)-cable of the
   (3,-1)-book (Sigma, delta_{1/3} o boundary^2) to an all-positive word, via
   the five-holed-sphere lantern and the Garside square.
+* genlantern_from_two_lanterns -- derives the five-holed-sphere lantern used
+  above from two classic lanterns on the resolved page.
 
 Homology classes of the figure-derived curves are bundled data
 (data/sigma22_g1.json, data/resolved_neg_cable_g1.json), loaded relative to
@@ -38,7 +40,7 @@ from .monodromy import (
     resolution_word_r0,
 )
 from .openbook import BindingComponent, RationalOpenBook, positive_stabilize
-from .rewrite import RelationRegistry, RewriteScript, Step, replay
+from .rewrite import RelationRegistry, RewriteError, RewriteScript, Step, replay
 from .words import Generator, TwistWord
 from fractions import Fraction
 
@@ -191,7 +193,8 @@ def stabilization_bundle() -> ScriptBundle:
     cable_book = cable.book.with_monodromy(cable.word)
     stabilized = positive_stabilize(cable_book, 0, mode="same", curve_name="gamma")
     start = stabilized.monodromy
-    assert start is not None
+    if start is None:
+        raise RewriteError("the stabilized cable book lost its monodromy word")
     expect = _tw("delta3", "delta2", "delta1", "n1_1", "n1_2")
     return ScriptBundle(
         stabilize_21_to_22_script(),

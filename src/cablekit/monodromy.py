@@ -44,11 +44,12 @@ from .curves import (
     chain_classes,
     extract_transvection_class,
     mat_mul,
+    pairing_row,
     solve_integer_system,
-    symplectic_pairing,
+    symplectic_inverse,
 )
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
-from .words import DEHN, FRACTIONAL, Generator, TwistWord
+from .words import FRACTIONAL, Generator, TwistWord
 
 
 class MonodromyError(ValueError):
@@ -76,11 +77,12 @@ def p1_layout(g: int, j: int) -> list[str]:
     """The chain of 4g+1 curves on the two-nodule sublayout between nodules
     j and j+1: nodule j's even chain, the crossing curve, then nodule j+1's
     even chain reversed."""
-    d = 2 * g + 1
     left = [f"n{j}_{k}" for k in range(1, 2 * g + 1)]
     right = [f"n{j + 1}_{k}" for k in range(2 * g, 0, -1)]
-    assert len(left) + 1 + len(right) == 2 * d - 1
-    return left + [f"x{j}"] + right
+    layout = left + [f"x{j}"] + right
+    if len(layout) != 4 * g + 1:
+        raise MonodromyError(f"layout of {len(layout)} curves, need {4 * g + 1}")
+    return layout
 
 
 def cable_p1_system(g: int, p: int) -> CurveSystem:
@@ -122,7 +124,7 @@ def _cable_p1_system_cached(g: int, p: int) -> CurveSystem:
         rows, rhs = [], []
         for name in spanning:
             u = sys.curve(name).homology
-            rows.append(_pairing_row(u))
+            rows.append(pairing_row(u))
             if name == f"n{j}_{2 * g}":
                 rhs.append(-1)
             elif name == f"n{j + 1}_{2 * g}":
@@ -163,15 +165,6 @@ def _cable_p1_system_cached(g: int, p: int) -> CurveSystem:
     return sys
 
 
-def _pairing_row(u: Sequence[int]) -> list[int]:
-    """Row vector so that row . x = symplectic_pairing(x, u)."""
-    row = [0] * len(u)
-    for i in range(0, len(u), 2):
-        row[i] = u[i + 1]
-        row[i + 1] = -u[i]
-    return row
-
-
 def garside_block(chain: Sequence[str]) -> TwistWord:
     """(D_m) o (D_{m-1} D_m) o ... o (D_1 ... D_m) over the chain curves."""
     names: list[str] = []
@@ -197,16 +190,15 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
     return TwistWord(tuple(gens))
 
 
-def lift_to_nodule(word: TwistWord, nodule: int = 1) -> TwistWord:
-    """Rename a monodromy word over the abstract page chain c1..c{2g+1} to
-    the nodule's curves.  Other generator kinds pass through unchanged."""
-    out = []
-    for gen in word:
-        if gen.kind == DEHN and gen.curve.startswith("c") and gen.curve[1:].isdigit():
-            out.append(Generator(DEHN, f"n{nodule}_{gen.curve[1:]}", gen.sign))
-        else:
-            out.append(gen)
-    return TwistWord(tuple(out))
+def _is_chain_curve(curve: str) -> bool:
+    """True for the abstract page chain names c1, c2, ..."""
+    return curve.startswith("c") and curve[1:].isdigit()
+
+
+def _on_nodule_1(curve: str) -> str:
+    """The lift of a page curve to nodule 1: chain curve c{k} becomes
+    n1_{k}; other names are kept."""
+    return f"n1_{curve[1:]}" if _is_chain_curve(curve) else curve
 
 
 @dataclass
@@ -232,7 +224,7 @@ def monodromy_p1_connected(book: RationalOpenBook, p: int) -> CableWord:
     g = book.genus
     if g < 1:
         raise MonodromyError("disk and annulus pages have no chain model here")
-    phi = lift_to_nodule(book.monodromy or TwistWord(()))
+    phi = (book.monodromy or TwistWord(())).map_curves(_on_nodule_1)
     if p == 1:
         return CableWord(phi, cable_p1_system(g, 1), book)
     word = rho_p1_rotation(g, p).compose(phi)
@@ -262,7 +254,7 @@ def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
     for row in range(1, p):
         for j in range(d, 0, -1):
             gens.append(Generator.dehn_twist(f"c{row}_{j}", +1))
-    phi = lift_to_nodule(book.monodromy or TwistWord(()))
+    phi = (book.monodromy or TwistWord(())).map_curves(_on_nodule_1)
     word = TwistWord(tuple(gens)).compose(phi)
     cp = cabled_page(book, CableCoefficients(tuple((p, 1) for _ in range(n))))
     bp = braid_Bp(d, p) if p >= 2 else BraidWord(d)
@@ -335,13 +327,8 @@ def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     rot = TwistWord.twists(*reversed(rho_names))
     if sys.word_matrix(rot) != m_half:
         raise MonodromyError("rotation word disagrees with its braid lift")
-    phi = TwistWord(
-        tuple(
-            Generator(DEHN, f"e{gen.curve[1:]}", gen.sign)
-            if gen.kind == DEHN and gen.curve.startswith("c") and int(gen.curve[1:]) <= 2 * g
-            else gen
-            for gen in (book.monodromy or TwistWord(()))
-        )
+    phi = (book.monodromy or TwistWord(())).map_curves(
+        lambda c: f"e{c[1:]}" if c.startswith("c") and int(c[1:]) <= 2 * g else c
     )
     word = rot.compose(phi)
     cp = cabled_page(book, CableCoefficients(((2, 2),)))
@@ -355,9 +342,10 @@ def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
 
 def monodromy_pq(book: RationalOpenBook, p: int, q: int) -> CableWord:
     """The (p, q)-cable word for positive q: the (p, sgn q) word plus
-    (|p|-1)(|q|-1) positive stabilization markers.  Negative q is the
-    negative-cable regime and is refused here."""
-    if q < 0 or p * q <= 0:
+    (|p|-1)(|q|-1) positive stabilization markers; for q = 1 the (p, 1)
+    word itself.  Negative q is the negative-cable regime and is refused
+    here."""
+    if q != 1 and (q < 0 or p * q <= 0):
         raise MonodromyError(
             "negative cables have no positive-stabilization route; "
             "see negative_cable_word"
@@ -366,7 +354,9 @@ def monodromy_pq(book: RationalOpenBook, p: int, q: int) -> CableWord:
         base = monodromy_p1_connected(book, p)
     else:
         base = monodromy_p1_disconnected(book, p)
-    count, kind = (0, "positive") if q == 1 else stabilization_count_pq_from_p1(p, q)
+    if q == 1:
+        return base
+    count, _ = stabilization_count_pq_from_p1(p, q)
     markers = tuple(
         Generator.stabilization_marker(f"cable_{p}_{q}_{i}") for i in range(count)
     )
@@ -390,8 +380,10 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
         raise MonodromyError("book must be in (r, -1) form with r >= 2")
     g = book.genus
     word_in = book.monodromy or TwistWord(())
-    phi = TwistWord(tuple(g_ for g_ in word_in if g_.kind != FRACTIONAL))
-    phi = _lift_boundary_twists(lift_to_nodule(phi))
+    # boundary twists of the pattern page lift to nodule-1 boundary twists
+    phi = TwistWord(tuple(g_ for g_ in word_in if g_.kind != FRACTIONAL)).map_curves(
+        lambda c: "partial1" if c.startswith("bdry_") else _on_nodule_1(c)
+    )
     p = r - 1
     rho_inv = rho_p1_rotation(g, p).inverse()
     gens: list[Generator] = [
@@ -407,17 +399,6 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
     )
     system = cable_p1_system(g, p) if p >= 2 else None
     return CableWord(TwistWord(tuple(gens)), system, new_book)
-
-
-def _lift_boundary_twists(word: TwistWord) -> TwistWord:
-    """Boundary twists of the pattern page lift to nodule-1 boundary twists."""
-    out = []
-    for gen in word:
-        if gen.kind == DEHN and gen.curve.startswith("bdry_"):
-            out.append(Generator(DEHN, "partial1", gen.sign))
-        else:
-            out.append(gen)
-    return TwistWord(tuple(out))
 
 
 def resolution_word_r0(book: RationalOpenBook) -> CableWord:
@@ -501,7 +482,8 @@ def stein_obstruction_Lppm1(p: int) -> ObstructionReport:
         monodromy=TwistWord.twists(*(["c1"] * p + ["c2"])),
     )
     cable = monodromy_p1_connected(base, 2)
-    assert cable.system is not None
+    if cable.system is None:
+        raise MonodromyError("the (2,1)-cable word came without its curve system")
     length = algebraic_length(cable.word, cable.system)
     mod10 = mod10_class(cable.word, cable.system)
     chi_filling = p
@@ -538,15 +520,31 @@ def compose_cobordism_word(
     if page.has_connected_binding:
         base = monodromy_22_connected(page.with_monodromy(TwistWord(())))
         sys = base.system
-        assert sys is not None
-        g = page.genus
-        lift1 = _rename_chain(phi1, prefix="e", limit=2 * g)
-        lift2 = _rename_chain(phi2, prefix="e", limit=2 * g, offset=2 * g + 1)
+        if sys is None:
+            raise MonodromyError("the (2,2)-cable word came without its curve system")
+        limit = 2 * page.genus
+
+        def chain_index(curve: str) -> int:
+            k = int(curve[1:])
+            if k > limit:
+                raise MonodromyError(f"curve c{k} has no nodule model (limit {limit})")
+            return k
+
+        # nodule 1 keeps the index k of c_k; the far nodule mirrors it to
+        # e_{2 limit + 2 - k}
+        def near(c: str) -> str:
+            return f"e{chain_index(c)}" if _is_chain_curve(c) else c
+
+        def far(c: str) -> str:
+            return f"e{2 * limit + 2 - chain_index(c)}" if _is_chain_curve(c) else c
+
+        lift1 = phi1.map_curves(near)
+        lift2 = phi2.map_curves(far)
         word = base.word.compose(lift2).compose(lift1)
         rot_m = sys.word_matrix(base.word)
         m2 = sys.word_matrix(lift2)
-        target = sys.word_matrix(_rename_chain(phi2, prefix="e", limit=2 * g))
-        conj = mat_mul(mat_mul(rot_m, m2), _inverse_matrix(rot_m))
+        target = sys.word_matrix(phi2.map_curves(near))
+        conj = mat_mul(mat_mul(rot_m, m2), symplectic_inverse(rot_m))
         certificate = {
             "conjugation_lands_on_nodule_1": conj == target,
             "rotation_positive": base.word.is_positive(),
@@ -554,60 +552,13 @@ def compose_cobordism_word(
         if not certificate["conjugation_lands_on_nodule_1"]:
             raise MonodromyError("destabilization certificate failed the oracle")
         return CableWord(word, sys, base.book, notes=certificate)
-    n = len(page.components)
     base = monodromy_p1_disconnected(page.with_monodromy(TwistWord(())), 2)
-    word = base.word.compose(_prefix_word(phi2, "n2_")).compose(_prefix_word(phi1, "n1_"))
+    word = base.word.compose(phi2.map_curves(lambda c: "n2_" + c)).compose(
+        phi1.map_curves(lambda c: "n1_" + c)
+    )
     return CableWord(
         word,
         None,
         base.book,
         notes={"rotation_positive": base.word.is_positive(), "nodules": 2},
     )
-
-
-def _rename_chain(word: TwistWord, prefix: str, limit: int, offset: int = 0) -> TwistWord:
-    """Map abstract chain twists c_k to the covering chain: nodule 1 keeps
-    index k; with an offset the index mirrors into the far nodule, sending
-    c_k to position offset + (limit + 1 - k)."""
-    out = []
-    for gen in word:
-        if gen.kind == DEHN and gen.curve.startswith("c") and gen.curve[1:].isdigit():
-            k = int(gen.curve[1:])
-            if k > limit:
-                raise MonodromyError(f"curve c{k} has no nodule model (limit {limit})")
-            idx = k if offset == 0 else offset + (limit + 1 - k)
-            out.append(Generator(DEHN, f"{prefix}{idx}", gen.sign))
-        else:
-            out.append(gen)
-    return TwistWord(tuple(out))
-
-
-def _prefix_word(word: TwistWord, prefix: str) -> TwistWord:
-    return TwistWord(
-        tuple(
-            Generator(gen.kind, prefix + gen.curve, gen.sign, gen.amount)
-            if gen.kind == DEHN
-            else gen
-            for gen in word
-        )
-    )
-
-
-def _inverse_matrix(m):
-    from fractions import Fraction
-
-    n = len(m)
-    a = [
-        [Fraction(m[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        a[col] = [x / a[col][col] for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(int(a[i][n + j]) for j in range(n)) for i in range(n))

@@ -137,17 +137,20 @@ class RationalOpenBook:
 
     @staticmethod
     def from_json(obj: dict) -> "RationalOpenBook":
-        word = None
-        if obj.get("monodromy") is not None:
-            word = TwistWord.from_json(obj["monodromy"])
-        return RationalOpenBook(
-            genus=obj["genus"],
-            components=tuple(BindingComponent.from_json(c) for c in obj["components"]),
-            boundary_count_of_page=obj.get("boundary_count_of_page", 0),
-            is_rational_unknot_book=obj.get("rational_unknot", False),
-            monodromy=word,
-            metadata=tuple(sorted(obj.get("metadata", {}).items())),
-        )
+        try:
+            word = None
+            if obj.get("monodromy") is not None:
+                word = TwistWord.from_json(obj["monodromy"])
+            return RationalOpenBook(
+                genus=obj["genus"],
+                components=tuple(BindingComponent.from_json(c) for c in obj["components"]),
+                boundary_count_of_page=obj.get("boundary_count_of_page", 0),
+                is_rational_unknot_book=obj.get("rational_unknot", False),
+                monodromy=word,
+                metadata=tuple(sorted(obj.get("metadata", {}).items())),
+            )
+        except KeyError as exc:
+            raise OpenBookError(f"book JSON is missing the required key {exc}") from None
 
 
 def validate(book: RationalOpenBook) -> list[str]:
@@ -175,10 +178,6 @@ def validate(book: RationalOpenBook) -> list[str]:
     ):
         problems.append("rational unknot flag requires a disk page")
     return problems
-
-
-def page_euler_char(book: RationalOpenBook) -> int:
-    return book.page_euler_char
 
 
 def positive_stabilize(

@@ -126,7 +126,7 @@ def _det(u: tuple[int, int], w: tuple[int, int]) -> int:
     return u[0] * w[1] - w[0] * u[1]
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
     old_r, r = a, b
     old_x, x = 1, 0
@@ -161,7 +161,7 @@ def _hull_chain(u: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int]]
         # Solve det(v, z) = -1, then slide z by multiples of v to the hull
         # member: the candidate closest to the w-edge of the cone from the
         # inside, i.e. with det(candidate, w) <= 0 maximal.
-        _, x, y = _ext_gcd(v[0], v[1])  # v_q*x + v_p*y = 1
+        _, x, y = ext_gcd(v[0], v[1])  # v_q*x + v_p*y = 1
         z = (y, -x)  # det(v, z) = -(v_q*x + v_p*y) = -1
         dzw = _det(z, w)
         t = -((-dzw) // (-d))  # ceil(dzw / |d|)
@@ -170,7 +170,8 @@ def _hull_chain(u: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int]]
         if dnext == 0:  # vnext is w itself (both primitive on one ray)
             chain.append(w)
             return chain
-        assert d < dnext < 0 and _det(v, vnext) == -1
+        if not (d < dnext < 0 and _det(v, vnext) == -1):
+            raise SlopeDomainError(f"hull walk from {u} to {w} left the cone at {vnext}")
         chain.append(vnext)
         v = vnext
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 DEHN = "dehn"
 FRACTIONAL = "fractional"
@@ -37,6 +37,8 @@ class Generator:
                 raise ValueError("fractional twist needs a nonzero amount")
         elif self.sign not in (1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
+        elif self.amount is not None:
+            raise ValueError(f"only fractional twists carry an amount, not {self.kind}")
 
     # -- constructors -------------------------------------------------------
 
@@ -145,6 +147,16 @@ class TwistWord:
     def inverse(self) -> "TwistWord":
         return TwistWord(tuple(g.inverse() for g in reversed(self.generators)))
 
+    def map_curves(self, fn: Callable[[str], str]) -> "TwistWord":
+        """Rename the curve of every Dehn twist by `fn`; other generator
+        kinds pass through unchanged."""
+        return TwistWord(
+            tuple(
+                Generator(DEHN, fn(g.curve), g.sign) if g.kind == DEHN else g
+                for g in self.generators
+            )
+        )
+
     def count(self, kind: Optional[str] = None, sign: Optional[int] = None) -> int:
         n = 0
         for g in self.generators:
@@ -171,6 +183,3 @@ class TwistWord:
     @staticmethod
     def from_json(obj: list) -> "TwistWord":
         return TwistWord(tuple(Generator.from_json(g) for g in obj))
-
-
-EMPTY_WORD = TwistWord(())

@@ -17,7 +17,6 @@ from cablekit.classify import (
     classify_cable,
     hopf_delta,
     induced_open_book_from_surgery,
-    lutz_cable_description,
     resolve,
     stabilization_count_pq_from_p1,
     surgery_admissible,
@@ -340,11 +339,11 @@ class TestSurgery:
 class TestLutz:
     def test_recipe_present_only_when_overtwisted(self):
         book = rational_book(3, -1)
-        text = lutz_cable_description(book, CableCoefficients(((3, -2),)))
+        text = classify_cable(book, CableCoefficients(((3, -2),))).lutz_recipe or ""
         assert "Lutz twist" in text and "(3,-2)" in text
-        assert lutz_cable_description(book, CableCoefficients(((2, 1),))) == ""
+        assert (classify_cable(book, CableCoefficients(((2, 1),))).lutz_recipe or "") == ""
 
     def test_negative_side(self):
         book = rational_book(3, -1)
-        text = lutz_cable_description(book, CableCoefficients(((-3, 2),)))
+        text = classify_cable(book, CableCoefficients(((-3, 2),))).lutz_recipe or ""
         assert "(-xi)" in text

@@ -176,6 +176,24 @@ class TestWordsAndScripts:
         assert json.loads(out)["certificate"]["conjugation_lands_on_nodule_1"]
 
 
+class TestBookBoundary:
+    def test_missing_genus_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps({"components": [{"order": 1, "seifert_numerator": 0}]}))
+        code, _, err = run_cli(["classify", "--book", str(path), "--cable", "2,1"], capsys)
+        assert code == 2 and err.startswith("error:") and "'genus'" in err
+
+    def test_negative_genus_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(
+            {"genus": -3, "components": [{"order": 1, "seifert_numerator": 0}]}
+        ))
+        code, out, err = run_cli(
+            ["--json", "cable-page", "--book", str(path), "--cable", "2,1"], capsys
+        )
+        assert (code, out) == (2, "") and err.startswith("error:") and "genus" in err
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self):
         cmd = [sys.executable, "-m", "cablekit.cli", "--json", "slopes",

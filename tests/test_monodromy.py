@@ -1,10 +1,18 @@
 """Cable monodromy words: counts, positivity, oracle coherence, obstruction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from cablekit.curves import algebraic_length, mat_mul, mod10_class
+from cablekit.curves import (
+    algebraic_length,
+    chain_model,
+    identity_matrix,
+    mat_mul,
+    mod10_class,
+    symplectic_inverse,
+)
 from cablekit.monodromy import (
     MonodromyError,
     branch_point_count,
@@ -20,7 +28,6 @@ from cablekit.monodromy import (
     resolution_word_r0,
     rho_p1_rotation,
     stein_obstruction_Lppm1,
-    _inverse_matrix,
 )
 from cablekit.classify import resolve
 from cablekit.library import shipped_scripts, sigma22_script_system
@@ -148,12 +155,33 @@ class TestOracleCoherence:
         m_b = sys_b.word_matrix(result.word)
 
         d = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
-        assert m_a == mat_mul(mat_mul(d, m_b), _inverse_matrix(d))
+        assert m_a == mat_mul(mat_mul(d, m_b), symplectic_inverse(d))
 
     def test_start_and_final_words_agree_on_homology(self):
         bundle = shipped_scripts()["stabilize_21_to_22"]
         sys_ = bundle.registry.system
         assert sys_.word_matrix(bundle.start) == sys_.word_matrix(bundle.expect)
+
+
+class TestSymplecticInverse:
+    def test_inverts_chain_model_words(self):
+        rng = random.Random(20101978)
+        for g in range(1, 5):
+            cm = chain_model(g)
+            names = [f"c{i}" for i in range(1, 2 * g + 2)]
+            for length in (0, 1, 5, 20):
+                w = TwistWord.twists(
+                    *[(rng.choice(names), rng.choice([1, -1])) for _ in range(length)]
+                )
+                m = cm.word_matrix(w)
+                assert mat_mul(m, symplectic_inverse(m)) == identity_matrix(2 * g)
+                assert symplectic_inverse(m) == cm.word_matrix(w.inverse())
+
+    def test_inverts_22_rotations(self):
+        for g in range(1, 5):
+            cw = monodromy_22_connected(connected_book(g, TwistWord(())))
+            m = cw.system.word_matrix(cw.word)
+            assert mat_mul(m, symplectic_inverse(m)) == identity_matrix(4 * g)
 
 
 class TestNegativeCable:

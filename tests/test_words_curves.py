@@ -16,7 +16,6 @@ from cablekit.curves import (
     identity_matrix,
     mod10_class,
     transvection,
-    word_to_symplectic,
     words_equal_on_homology,
 )
 from cablekit.library import lantern_genus3_model
@@ -46,6 +45,23 @@ class TestWordAlgebra:
     def test_fractional(self):
         g = Generator.fractional_boundary("1", Fraction(-2, 5))
         assert g.sign == -1 and g.inverse().amount == Fraction(2, 5)
+
+    def test_amount_only_on_fractional(self):
+        with pytest.raises(ValueError):
+            Generator.from_json({"kind": "dehn", "curve": "a", "amount": "1/2"})
+
+    def test_map_curves_renames_dehn_twists_only(self):
+        w = TwistWord.of(
+            Generator.dehn_twist("a", -1),
+            Generator.fractional_boundary("a", Fraction(1, 3)),
+            Generator.braid_half_twist("a"),
+            Generator.stabilization_marker("a"),
+            Generator.dehn_twist("b"),
+        )
+        out = w.map_curves(lambda c: c.upper())
+        assert out == TwistWord.of(
+            Generator.dehn_twist("A", -1), *w[1:4], Generator.dehn_twist("B")
+        )
 
     def test_json_round_trip(self):
         w = TwistWord.of(
