@@ -14,6 +14,12 @@ fractional twists act trivially on the capped surface, and stabilization
 markers are bookkeeping with trivial action.  Matrix equality of two words
 is a necessary condition for equality in the mapping class group; this
 module never claims more than that.
+
+The oracle never multiplies dense matrices: right-multiplying by a twist is
+a rank-one update of the rows, costing O(n * nnz(c)) for n = 2 * genus and
+nnz(c) nonzero entries of the class (at most two for chain curves).  The
+dense letter-by-letter product survives only as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -252,24 +258,33 @@ class CurveSystem:
     def dim(self) -> int:
         return 2 * self.genus
 
-    def generator_matrix(self, gen: Generator) -> Matrix:
-        if gen.kind == DEHN:
-            return transvection(self.curve(gen.curve).homology, gen.sign, self.dim)
-        if gen.kind == FRACTIONAL:
-            return identity_matrix(self.dim)
-        if gen.kind == STAB:
-            return identity_matrix(self.dim)
-        if gen.kind == BRAID_HALF:
-            raise UnresolvedCurveError(
-                "braid half twists act on a punctured disk; lift them before evaluating"
-            )
-        raise UnresolvedCurveError(f"cannot evaluate generator {gen}")
-
     def word_matrix(self, word: TwistWord) -> Matrix:
-        out = identity_matrix(self.dim)
+        """The matrix of `word`, a product of one transvection per Dehn twist.
+
+        Right-multiplying by the twist about c with sign s adds
+        s * (row . c) * pairing_row(c) to every row, so a twist costs
+        O(n * nnz(c)) with n = 2 * genus.  Zero classes, fractional twists
+        and stabilization markers act trivially.
+        """
+        n = self.dim
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
         for gen in word:
-            out = mat_mul(out, self.generator_matrix(gen))
-        return out
+            if gen.kind == DEHN:
+                cls = self.curve(gen.curve).homology
+                support = [(t, x) for t, x in enumerate(cls) if x]
+                update = [(t, gen.sign * x) for t, x in enumerate(pairing_row(cls)) if x]
+                for row in rows:
+                    v = sum(row[t] * x for t, x in support)
+                    if v:
+                        for t, x in update:
+                            row[t] += v * x
+            elif gen.kind == BRAID_HALF:
+                raise UnresolvedCurveError(
+                    "braid half twists act on a punctured disk; lift them before evaluating"
+                )
+            elif gen.kind not in (FRACTIONAL, STAB):
+                raise UnresolvedCurveError(f"cannot evaluate generator {gen}")
+        return tuple(map(tuple, rows))
 
 
 def words_equal_on_homology(w1: TwistWord, w2: TwistWord, sys: CurveSystem) -> bool:

@@ -192,7 +192,7 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
 
 def _is_chain_curve(curve: str) -> bool:
     """True for the abstract page chain names c1, c2, ..."""
-    return curve.startswith("c") and curve[1:].isdigit()
+    return curve.startswith("c") and curve[1:].isascii() and curve[1:].isdigit()
 
 
 def _on_nodule_1(curve: str) -> str:
@@ -328,7 +328,7 @@ def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     if sys.word_matrix(rot) != m_half:
         raise MonodromyError("rotation word disagrees with its braid lift")
     phi = (book.monodromy or TwistWord(())).map_curves(
-        lambda c: f"e{c[1:]}" if c.startswith("c") and int(c[1:]) <= 2 * g else c
+        lambda c: f"e{c[1:]}" if _is_chain_curve(c) and int(c[1:]) <= 2 * g else c
     )
     word = rot.compose(phi)
     cp = cabled_page(book, CableCoefficients(((2, 2),)))

@@ -24,6 +24,15 @@ class OpenBookError(ValueError):
     pass
 
 
+def _json_int(obj: dict, key: str, default: Optional[int] = None) -> int:
+    """The integer at obj[key] (or `default` when absent and given); a bool
+    or any other type raises OpenBookError, a missing key KeyError."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise OpenBookError(f"book field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BindingComponent:
     """One binding component: page meets it as an (order, seifert_numerator)-curve."""
@@ -58,10 +67,12 @@ class BindingComponent:
 
     @staticmethod
     def from_json(obj: dict) -> "BindingComponent":
+        if not isinstance(obj, dict):
+            raise OpenBookError(f"a binding component must be a JSON object, got {obj!r}")
         return BindingComponent(
-            order=obj["order"],
-            seifert_numerator=obj["seifert_numerator"],
-            multiplicity=obj.get("multiplicity", 0),
+            order=_json_int(obj, "order"),
+            seifert_numerator=_json_int(obj, "seifert_numerator"),
+            multiplicity=_json_int(obj, "multiplicity", 0),
         )
 
 
@@ -137,17 +148,25 @@ class RationalOpenBook:
 
     @staticmethod
     def from_json(obj: dict) -> "RationalOpenBook":
+        if not isinstance(obj, dict):
+            raise OpenBookError(f"a book must be a JSON object, got {type(obj).__name__}")
         try:
             word = None
             if obj.get("monodromy") is not None:
                 word = TwistWord.from_json(obj["monodromy"])
+            genus = _json_int(obj, "genus")
+            components, metadata = obj["components"], obj.get("metadata", {})
+            if not isinstance(components, list):
+                raise OpenBookError("book field 'components' must be a list")
+            if not isinstance(metadata, dict):
+                raise OpenBookError("book field 'metadata' must be an object")
             return RationalOpenBook(
-                genus=obj["genus"],
-                components=tuple(BindingComponent.from_json(c) for c in obj["components"]),
-                boundary_count_of_page=obj.get("boundary_count_of_page", 0),
+                genus=genus,
+                components=tuple(BindingComponent.from_json(c) for c in components),
+                boundary_count_of_page=_json_int(obj, "boundary_count_of_page", 0),
                 is_rational_unknot_book=obj.get("rational_unknot", False),
                 monodromy=word,
-                metadata=tuple(sorted(obj.get("metadata", {}).items())),
+                metadata=tuple(sorted(metadata.items())),
             )
         except KeyError as exc:
             raise OpenBookError(f"book JSON is missing the required key {exc}") from None

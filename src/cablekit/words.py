@@ -22,6 +22,10 @@ STAB = "stab"
 _KINDS = (DEHN, FRACTIONAL, BRAID_HALF, STAB)
 
 
+class WordError(ValueError):
+    """A word or generator JSON document of the wrong shape."""
+
+
 @dataclass(frozen=True)
 class Generator:
     kind: str
@@ -87,11 +91,21 @@ class Generator:
 
     @staticmethod
     def from_json(obj: dict) -> "Generator":
+        if not isinstance(obj, dict):
+            raise WordError(f"a word letter must be a JSON object, got {obj!r}")
+        for key in ("kind", "curve"):
+            if key not in obj:
+                raise WordError(f"word letter is missing the required key {key!r}")
+            if not isinstance(obj[key], str):
+                raise WordError(f"word letter {key!r} must be a string, got {obj[key]!r}")
+        sign = obj.get("sign", 1)
+        if isinstance(sign, bool) or not isinstance(sign, int):
+            raise WordError(f"word letter 'sign' must be an integer, got {sign!r}")
         amount = None
         if obj.get("amount") is not None:
             num, den = str(obj["amount"]).split("/")
             amount = Fraction(int(num), int(den))
-        return Generator(obj["kind"], obj["curve"], obj.get("sign", 1), amount)
+        return Generator(obj["kind"], obj["curve"], sign, amount)
 
 
 @dataclass(frozen=True)
@@ -182,4 +196,6 @@ class TwistWord:
 
     @staticmethod
     def from_json(obj: list) -> "TwistWord":
+        if not isinstance(obj, list):
+            raise WordError(f"a word must be a JSON list, got {type(obj).__name__}")
         return TwistWord(tuple(Generator.from_json(g) for g in obj))

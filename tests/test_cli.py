@@ -176,6 +176,9 @@ class TestWordsAndScripts:
         assert json.loads(out)["certificate"]["conjugation_lands_on_nodule_1"]
 
 
+_DISK = {"order": 1, "seifert_numerator": 0}
+
+
 class TestBookBoundary:
     def test_missing_genus_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "book.json"
@@ -192,6 +195,55 @@ class TestBookBoundary:
             ["--json", "cable-page", "--book", str(path), "--cable", "2,1"], capsys
         )
         assert (code, out) == (2, "") and err.startswith("error:") and "genus" in err
+
+    @pytest.mark.parametrize(
+        "argv, book",
+        [
+            (["classify", "--cable", "2,1"], [1, 2]),
+            (["cable-page", "--cable", "2,1"], {"genus": None, "components": [_DISK]}),
+            (["cable-page", "--cable", "2,1"], {"genus": True, "components": [_DISK]}),
+            (["classify", "--cable", "2,1"], {"genus": 1, "components": _DISK}),
+            (["classify", "--cable", "2,1"], {"genus": 1, "components": [[1, 0]]}),
+            (["cable-page", "--cable", "2,1"],
+             {"genus": 1, "components": [{"order": "1", "seifert_numerator": 0}]}),
+            (["classify", "--cable", "2,1"],
+             {"genus": 1, "components": [{"order": 1, "seifert_numerator": 0.5}]}),
+            (["monodromy", "--cable", "2,2"],
+             {"genus": 1, "components": [{"order": 1, "seifert_numerator": False}]}),
+        ],
+    )
+    def test_field_types_are_exit_2(self, tmp_path, capsys, argv, book):
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(book))
+        code, out, err = run_cli(["--json", *argv, "--book", str(path)], capsys)
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+
+class TestWordBoundary:
+    @pytest.mark.parametrize(
+        "word",
+        [
+            [{"kind": "dehn", "sign": 1}],
+            [{"curve": "c1", "sign": 1}],
+            [{"kind": "dehn", "curve": 1}],
+            [{"kind": "dehn", "curve": "c1", "sign": True}],
+            [["dehn", "c1", 1]],
+            {"kind": "dehn", "curve": "c1"},
+            7,
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify-word", "compose-cobordism"])
+    def test_malformed_word_is_exit_2(self, trefoil_path, tmp_path, capsys, word, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(word))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(TwistWord.twists("c1").to_json()))
+        context = ["--system", "sigma22_g1"] if command == "verify-word" else [
+            "--page", trefoil_path]
+        code, out, err = run_cli(
+            ["--json", command, *context, str(good), str(bad)], capsys
+        )
+        assert (code, out) == (2, "") and err.startswith("error:")
 
 
 class TestDeterminism:

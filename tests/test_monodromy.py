@@ -98,6 +98,14 @@ class TestConnected22:
         with pytest.raises(MonodromyError):
             monodromy_22_connected(disconnected_book(1, 2))
 
+    def test_lifts_keep_non_chain_names(self):
+        # only chain names c{k} with ASCII digits k are renamed; names like
+        # "cusp" or "c²" pass through the (2,1) and the (2,2) lift alike
+        book = connected_book(1, TwistWord.twists("c1", ("cusp", -1), "c²"))
+        for cw, c1 in ((monodromy_pq(book, 2, 1), "n1_1"), (monodromy_22_connected(book), "e1")):
+            assert [(x.curve, x.sign) for x in cw.word[-3:]] == [
+                (c1, 1), ("cusp", -1), ("c²", 1)]
+
 
 class TestConnectedP1:
     def test_counts(self):
@@ -389,15 +397,15 @@ class TestRotationOrder:
         # order p
         from cablekit.curves import identity_matrix, mat_mul, mat_vec
 
-        for g in (1, 2):
-            for p in (2, 3, 4):
-                cs = cable_p1_system(g, p)
-                m = cs.word_matrix(rho_p1_rotation(g, p))
-                acc = identity_matrix(2 * p * g)
-                for k in range(1, p):
-                    acc = mat_mul(acc, m)
-                    assert acc != identity_matrix(2 * p * g), (g, p, k)
-                assert mat_mul(acc, m) == identity_matrix(2 * p * g), (g, p)
+        cells = [(g, p) for g in (1, 2) for p in (2, 3, 4)] + [(5, 5)]
+        for g, p in cells:
+            cs = cable_p1_system(g, p)
+            m = cs.word_matrix(rho_p1_rotation(g, p))
+            acc = identity_matrix(2 * p * g)
+            for k in range(1, p):
+                acc = mat_mul(acc, m)
+                assert acc != identity_matrix(2 * p * g), (g, p, k)
+            assert mat_mul(acc, m) == identity_matrix(2 * p * g), (g, p)
 
     def test_rotation_sends_first_nodule_to_second(self):
         from cablekit.curves import mat_vec

@@ -1,5 +1,6 @@
 """Word algebra, the symplectic oracle, lengths, and the relation registry."""
 
+import functools
 import random
 
 import pytest
@@ -14,12 +15,13 @@ from cablekit.curves import (
     algebraic_length,
     chain_model,
     identity_matrix,
+    mat_mul,
     mod10_class,
     transvection,
     words_equal_on_homology,
 )
 from cablekit.library import lantern_genus3_model
-from cablekit.monodromy import cable_p1_system
+from cablekit.monodromy import cable_p1_system, sigma22_cover_system
 from cablekit.rewrite import (
     RelationOracleError,
     RelationRegistry,
@@ -28,7 +30,7 @@ from cablekit.rewrite import (
     Step,
     replay,
 )
-from cablekit.words import Generator, TwistWord
+from cablekit.words import BRAID_HALF, DEHN, FRACTIONAL, STAB, Generator, TwistWord
 from fractions import Fraction
 
 
@@ -134,6 +136,96 @@ class TestSymplecticOracle:
             lhs = cm.word_matrix(f.compose(TwistWord.twists(c)).compose(f.inverse()))
             image = mat_vec(mf, cm.curve(c).homology)
             assert lhs == transvection(image, 1, 4)
+
+
+def dense_word_matrix(sys_: CurveSystem, word: TwistWord):
+    """Reference oracle: the letter-by-letter dense product of one
+    transvection per Dehn twist, O(n^3) per letter, raising as the oracle
+    does on letters it cannot evaluate."""
+    out = identity_matrix(sys_.dim)
+    for gen in word:
+        if gen.kind == DEHN:
+            step = transvection(sys_.curve(gen.curve).homology, gen.sign, sys_.dim)
+        elif gen.kind in (FRACTIONAL, STAB):
+            step = identity_matrix(sys_.dim)
+        elif gen.kind == BRAID_HALF:
+            raise UnresolvedCurveError(
+                "braid half twists act on a punctured disk; lift them before evaluating"
+            )
+        else:
+            raise UnresolvedCurveError(f"cannot evaluate generator {gen}")
+        out = mat_mul(out, step)
+    return out
+
+
+_SYSTEM_KEYS = (
+    [("chain", g) for g in range(5)]
+    + [("p1", g, p) for g in range(1, 4) for p in range(1, 4)]
+    + [("sigma22", g) for g in (1, 2)]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _system(key) -> CurveSystem:
+    if key[0] == "chain":
+        return chain_model(key[1], 2)
+    if key[0] == "p1":
+        return cable_p1_system(key[1], key[2])
+    return sigma22_cover_system(key[1])[0]
+
+
+@st.composite
+def _system_and_word(draw):
+    """A system and a word over its curves (zero classes included) mixing
+    signs, fractional twists, stabilization markers and runs of equal
+    letters."""
+    key = draw(st.sampled_from(_SYSTEM_KEYS))
+    sys_ = _system(key)
+    names = sorted(sys_.curves)
+    sign = st.sampled_from((1, -1))
+    letter = st.one_of(
+        st.builds(Generator.dehn_twist, st.sampled_from(names), sign),
+        st.builds(
+            Generator.fractional_boundary,
+            st.sampled_from(sys_.boundary_labels),
+            st.fractions(-3, 3, max_denominator=5).filter(bool),
+        ),
+        st.builds(Generator.stabilization_marker, st.sampled_from(names), sign),
+    )
+    runs = draw(st.lists(st.tuples(letter, st.integers(1, 3)), max_size=15))
+    return sys_, TwistWord(tuple(g for g, k in runs for _ in range(k)))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UnresolvedCurveError as exc:
+        return type(exc), str(exc)
+
+
+class TestSparseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_system_and_word())
+    def test_matches_dense_reference(self, case):
+        sys_, word = case
+        assert sys_.word_matrix(word) == dense_word_matrix(sys_, word)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_system_and_word(), st.lists(st.tuples(st.booleans(), st.integers(0, 45)),
+                                        min_size=1, max_size=3))
+    def test_raises_like_dense_reference(self, case, bad):
+        # braid half twists and unknown curves raise the reference's error,
+        # the first offending letter in word order deciding the message
+        sys_, word = case
+        gens = list(word)
+        for is_braid, pos in bad:
+            gen = (Generator.braid_half_twist("s1") if is_braid
+                   else Generator.dehn_twist("no_such_curve", -1))
+            gens.insert(min(pos, len(gens)), gen)
+        bad_word = TwistWord(tuple(gens))
+        got = _outcome(lambda: sys_.word_matrix(bad_word))
+        assert got == _outcome(lambda: dense_word_matrix(sys_, bad_word))
+        assert got[0] is UnresolvedCurveError
 
 
 class TestLengths:
