@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 on usage or validation errors, 1 on internal
 errors.  ``--json`` emits machine-readable output, byte-identical across
 runs; the default is a short human-readable report.  All file formats are
-the JSON schemas of the owning modules.
+the JSON schemas of the owning modules.  Each subcommand imports only the
+layers it calls, so a call pays start-up only for the code it runs.
 """
 
 from __future__ import annotations
@@ -11,42 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from . import library
-from .classify import (
-    CableCoefficients,
-    cabled_page,
-    classify_cable,
-    induced_open_book_from_surgery,
-    resolve,
-    surgery_admissible,
-)
-from .curves import words_equal_on_homology
-from .lens import (
-    LensTorusKnot,
-    boundary_count,
-    boundary_wrap,
-    euler_characteristic,
-    homological_order,
-    is_rational_unknot,
-    is_trivial,
-)
-from .monodromy import (
-    compose_cobordism_word,
-    monodromy_22_connected,
-    monodromy_pq,
-    negative_cable_word,
-    stein_obstruction_Lppm1,
-)
-from .openbook import OpenBookError, RationalOpenBook, validate
-from .slopes import (
-    Slope,
-    eval_cont_frac,
-    exceptional_slopes,
-    farey_shortest_path,
-    neg_cont_frac,
-)
-from .words import TwistWord
 
 
 class UsageError(ValueError):
@@ -61,6 +26,7 @@ def _emit(args, payload: dict, pretty: str) -> None:
 
 
 def _load_book(path: str) -> RationalOpenBook:
+    from .openbook import OpenBookError, RationalOpenBook, validate
     with open(path, "r", encoding="utf-8") as fh:
         book = RationalOpenBook.from_json(json.load(fh))
     problems = validate(book)
@@ -70,11 +36,14 @@ def _load_book(path: str) -> RationalOpenBook:
 
 
 def _load_word(path: str) -> TwistWord:
+    from .words import TwistWord
     with open(path, "r", encoding="utf-8") as fh:
         return TwistWord.from_json(json.load(fh))
 
 
 def cmd_slopes(args) -> None:
+    from .slopes import (Slope, eval_cont_frac, exceptional_slopes, farey_shortest_path,
+                         neg_cont_frac)
     if args.op == "exceptional":
         values = exceptional_slopes(Slope.parse(args.slope))
         _emit(args, {"exceptional_slopes": [str(s) for s in values]},
@@ -94,6 +63,8 @@ def cmd_slopes(args) -> None:
 
 
 def cmd_torus_knot(args) -> None:
+    from .lens import (LensTorusKnot, boundary_count, boundary_wrap, euler_characteristic,
+                       homological_order, is_rational_unknot, is_trivial)
     K = LensTorusKnot(r=args.r, s=args.s, k=args.k, l=args.l)
     if is_trivial(K):
         payload = {"trivial": True, "rational_unknot": is_rational_unknot(K)}
@@ -118,6 +89,7 @@ def cmd_torus_knot(args) -> None:
 
 
 def cmd_classify(args) -> None:
+    from .classify import CableCoefficients, classify_cable
     book = _load_book(args.book)
     coeffs = CableCoefficients.parse(args.cable)
     verdict = classify_cable(book, coeffs)
@@ -129,6 +101,7 @@ def cmd_classify(args) -> None:
 
 
 def cmd_cable_page(args) -> None:
+    from .classify import CableCoefficients, cabled_page
     book = _load_book(args.book)
     coeffs = CableCoefficients.parse(args.cable)
     out = cabled_page(book, coeffs)
@@ -138,6 +111,7 @@ def cmd_cable_page(args) -> None:
 
 
 def cmd_resolve(args) -> None:
+    from .classify import resolve
     book = _load_book(args.book)
     rational = sum(1 for c in book.components if c.order > 1)
     l_coeffs = [int(x) for x in args.l.split(",")] if args.l else [0] * rational
@@ -150,11 +124,12 @@ def cmd_resolve(args) -> None:
 
 
 def cmd_surgery(args) -> None:
+    from .classify import induced_open_book_from_surgery, surgery_admissible
+    from .slopes import Slope
     book = _load_book(args.book)
     coefficient = Slope.parse(args.coefficient)
-    comp = book.components[args.component]
-    admissible = surgery_admissible(coefficient, comp.seifert_slope)
     out = induced_open_book_from_surgery(book, args.component, coefficient)
+    admissible = surgery_admissible(coefficient, book.components[args.component].seifert_slope)
     payload = {"admissible": admissible, "book": out.to_json()}
     new_comp = out.components[args.component]
     _emit(args, payload,
@@ -163,6 +138,7 @@ def cmd_surgery(args) -> None:
 
 
 def cmd_monodromy(args) -> None:
+    from .monodromy import monodromy_22_connected, monodromy_pq, negative_cable_word
     book = _load_book(args.book)
     p, q = (int(x) for x in args.cable.split(","))
     if q < 0:
@@ -181,11 +157,14 @@ def cmd_monodromy(args) -> None:
 
 
 def cmd_obstruction(args) -> None:
+    from .monodromy import stein_obstruction_Lppm1
     report = stein_obstruction_Lppm1(args.p)
     _emit(args, report.to_json(), report.summary())
 
 
 def cmd_verify_word(args) -> None:
+    from . import library
+    from .curves import words_equal_on_homology
     systems = {
         "sigma22_g1": library.sigma22_script_system,
         "resolved_neg_cable_g1": library.resolved_system,
@@ -203,6 +182,7 @@ def cmd_verify_word(args) -> None:
 
 
 def cmd_replay_script(args) -> None:
+    from . import library
     bundles = library.shipped_scripts()
     if args.name not in bundles:
         raise UsageError(f"unknown script {args.name!r}; pick from {sorted(bundles)}")
@@ -221,6 +201,7 @@ def cmd_replay_script(args) -> None:
 
 
 def cmd_compose_cobordism(args) -> None:
+    from .monodromy import compose_cobordism_word
     book = _load_book(args.page)
     w1 = _load_word(args.word1)
     w2 = _load_word(args.word2)
@@ -319,7 +300,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (ValueError, ZeroDivisionError, FileNotFoundError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - internal failure

@@ -266,7 +266,12 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, list[str]]:
     """Curve system of the (2,2)-cable page (genus 2g, two boundaries) as
     the double cover of the disk branched over 4g+2 points: the covering
     chain e1..e{4g+1} plus the rotation curves rho22_1..rho22_{2g+1} whose
-    classes are extracted from the lifted band generators."""
+    classes are extracted from the lifted band generators.  Needs g >= 1; at
+    g = 0 the page is an annulus, which ``monodromy_22_connected`` builds
+    directly."""
+    if g < 1:
+        raise MonodromyError(f"sigma22_cover_system needs genus g >= 1, got {g}; "
+                             "monodromy_22_connected builds the genus-0 (annulus) system")
     n = 4 * g + 2
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
     chain = [f"e{k}" for k in range(1, n)]

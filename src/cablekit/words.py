@@ -31,7 +31,7 @@ class Generator:
     kind: str
     curve: str
     sign: int = 1
-    amount: Optional[Fraction] = None  # fractional twists only; sign included
+    amount: Optional[Fraction] = None  # fractional twists only; `sign` is its sign
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -39,6 +39,8 @@ class Generator:
         if self.kind == FRACTIONAL:
             if self.amount is None or self.amount == 0:
                 raise ValueError("fractional twist needs a nonzero amount")
+            if self.sign != (1 if self.amount > 0 else -1):
+                raise ValueError(f"fractional twist of amount {self.amount} has sign {self.sign}")
         elif self.sign not in (1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
         elif self.amount is not None:
@@ -98,13 +100,13 @@ class Generator:
                 raise WordError(f"word letter is missing the required key {key!r}")
             if not isinstance(obj[key], str):
                 raise WordError(f"word letter {key!r} must be a string, got {obj[key]!r}")
-        sign = obj.get("sign", 1)
-        if isinstance(sign, bool) or not isinstance(sign, int):
-            raise WordError(f"word letter 'sign' must be an integer, got {sign!r}")
         amount = None
         if obj.get("amount") is not None:
             num, den = str(obj["amount"]).split("/")
             amount = Fraction(int(num), int(den))
+        sign = obj.get("sign", -1 if amount is not None and amount < 0 else 1)
+        if isinstance(sign, bool) or not isinstance(sign, int):
+            raise WordError(f"word letter 'sign' must be an integer, got {sign!r}")
         return Generator(obj["kind"], obj["curve"], sign, amount)
 
 

@@ -1,11 +1,15 @@
 """Command line surface: routing, exit codes, determinism, JSON round trips."""
 
+import ast
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cablekit
 from cablekit.cli import main
 from cablekit.openbook import BindingComponent, RationalOpenBook
 from cablekit.words import TwistWord
@@ -219,6 +223,35 @@ class TestBookBoundary:
         assert (code, out) == (2, "") and err.startswith("error:")
 
 
+class TestSurgeryBoundary:
+    @pytest.mark.parametrize("component", ["1", "5", "-1"])
+    def test_missing_component_is_exit_2(self, trefoil_path, capsys, component):
+        code, out, err = run_cli(
+            ["--json", "surgery", "--book", trefoil_path, "--component", component,
+             "--coefficient", "-5"], capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: no component {component}\n")
+
+
+class TestInputPaths:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--cable", "2,1", "--book"],
+        ["compose-cobordism", "--page"],
+    ])
+    def test_directory_is_exit_2(self, tmp_path, capsys, argv):
+        word = tmp_path / "w.json"
+        word.write_text(json.dumps(TwistWord.twists("c1").to_json()))
+        words = [str(word), str(word)] if argv[0] == "compose-cobordism" else []
+        code, out, err = run_cli(["--json", *argv, str(tmp_path), *words], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: [Errno")
+
+    def test_missing_file_is_exit_2(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["classify", "--book", str(tmp_path / "none.json"), "--cable", "2,1"], capsys
+        )
+        assert (code, out) == (2, "") and err.startswith("error: [Errno")
+
+
 class TestWordBoundary:
     @pytest.mark.parametrize(
         "word",
@@ -230,6 +263,8 @@ class TestWordBoundary:
             [["dehn", "c1", 1]],
             {"kind": "dehn", "curve": "c1"},
             7,
+            [{"kind": "fractional", "curve": "1", "sign": 7, "amount": "1/2"}],
+            [{"kind": "fractional", "curve": "1", "sign": -1, "amount": "1/2"}],
         ],
     )
     @pytest.mark.parametrize("command", ["verify-word", "compose-cobordism"])
@@ -255,3 +290,105 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1] and runs[0]
+
+
+# One golden --json case per subcommand, with the layers it may load.
+_SLOPES = {"slopes"}
+_BOOK = {"classify", "openbook", "words", "lens", "slopes"}
+_WORDS = _BOOK | {"curves", "braids", "monodromy"}
+_ALL = _WORDS | {"rewrite", "library"}
+COLD_CASES = {
+    "slopes_ncf": _SLOPES,
+    "torus_knot": {"lens"},
+    "classify_positive": _BOOK,
+    "cable_page": _BOOK,
+    "resolve": _BOOK,
+    "surgery": _BOOK,
+    "monodromy_2_1": _WORDS,
+    "obstruction_13": _WORDS,
+    "cobordism_connected": _WORDS,
+    "verify_word_sigma22": _ALL,
+    "replay_stabilize_21_to_22": _ALL,
+}
+COLD_RUN = """import sys
+from cablekit.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.startswith("cablekit")))
+sys.exit(code)
+"""
+GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(cablekit.__file__).resolve().parents[1])
+
+
+class TestColdImports:
+    """A fresh `python -O` process per subcommand: the output is the golden
+    one and no layer outside the subcommand's own set is imported."""
+
+    @pytest.mark.parametrize("name", sorted(COLD_CASES))
+    def test_subcommand_imports_only_its_layers(self, name):
+        case = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))[name]
+        argv = [str(GOLDEN / a) if a.startswith("inputs/") else a for a in case["argv"]]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        run = subprocess.run([sys.executable, "-O", "-c", COLD_RUN, "--json", *argv],
+                             capture_output=True, env=env)
+        out, _, modules = run.stdout.rstrip(b"\n").rpartition(b"\n")
+        assert (run.returncode, run.stderr.decode()) == (case["exit"], case["stderr"])
+        assert out + b"\n" == (GOLDEN / "expected" / f"{name}.json").read_bytes()
+        loaded = {m.removeprefix("cablekit.") for m in ast.literal_eval(modules.decode())} - {"cablekit", "cli"}
+        assert loaded <= COLD_CASES[name], sorted(loaded - COLD_CASES[name])
+
+    def test_cli_import_loads_no_layer(self):
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, cablekit.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('cablekit')))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.stdout.strip() == "['cablekit', 'cablekit.cli']"
+
+
+EXPORTS = {
+    "slopes": ["MERIDIAN", "NegContinuedFraction", "Slope", "SlopeDomainError",
+               "eval_cont_frac", "exceptional_slopes", "farey_neighbors",
+               "farey_shortest_path", "neg_cont_frac"],
+    "lens": ["LensTorusKnot", "TrivialTorusKnotError", "boundary_count", "boundary_wrap",
+             "euler_characteristic", "homological_order", "is_rational_unknot", "is_trivial"],
+    "openbook": ["BindingComponent", "OpenBookError", "RationalOpenBook",
+                 "normalize_to_window", "positive_stabilize", "reframe", "validate"],
+    "classify": ["CableCoefficients", "CableError", "CableSign", "CableVerdict", "VerdictKind",
+                 "cable_sign", "cabled_page", "classify_cable", "hopf_delta",
+                 "induced_open_book_from_surgery", "resolve",
+                 "stabilization_count_pq_from_p1", "surgery_admissible"],
+    "words": ["Generator", "TwistWord"],
+    "curves": ["CurveSystem", "algebraic_length", "chain_model", "mod10_class",
+               "words_equal_on_homology"],
+    "rewrite": ["RelationRegistry", "ReplayResult", "RewriteScript", "Step", "replay"],
+    "monodromy": ["branch_point_count", "compose_cobordism_word", "monodromy_22_connected",
+                  "monodromy_p1_connected", "monodromy_p1_disconnected", "monodromy_pq",
+                  "negative_cable_word", "resolution_word_r0", "stein_obstruction_Lppm1"],
+    "braids": ["BraidWord", "braid_Bp", "garside_half_twist"],
+    "library": ["shipped_scripts"],
+}
+
+
+class TestLazyExports:
+    def test_all_is_the_exported_names(self):
+        names = [n for names in EXPORTS.values() for n in names]
+        assert len(names) == len(set(names)) == 62
+        assert set(cablekit.__all__) == set(names)
+        assert set(names) <= set(dir(cablekit))
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_names_are_the_submodule_objects(self, module):
+        home = __import__(f"cablekit.{module}", fromlist=["_"])
+        for name in EXPORTS[module]:
+            assert getattr(cablekit, name) is getattr(home, name)
+        scope = {}
+        exec(f"from cablekit import {', '.join(EXPORTS[module])}", scope)
+        assert all(scope[n] is getattr(home, n) for n in EXPORTS[module])
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cablekit.no_such_name  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from cablekit import no_such_name", {})
+        assert cablekit.__version__ == "0.1.0"

@@ -27,6 +27,7 @@ from cablekit.monodromy import (
     p1_layout,
     resolution_word_r0,
     rho_p1_rotation,
+    sigma22_cover_system,
     stein_obstruction_Lppm1,
 )
 from cablekit.classify import resolve
@@ -97,6 +98,13 @@ class TestConnected22:
     def test_disconnected_rejected(self):
         with pytest.raises(MonodromyError):
             monodromy_22_connected(disconnected_book(1, 2))
+
+    def test_cover_system_needs_genus_1(self):
+        # the genus-0 (annulus) page is built by monodromy_22_connected itself
+        for g in (0, -1):
+            with pytest.raises(MonodromyError, match=r"g >= 1.*monodromy_22_connected"):
+                sigma22_cover_system(g)
+        assert len(monodromy_22_connected(connected_book(0)).word) == 1
 
     def test_lifts_keep_non_chain_names(self):
         # only chain names c{k} with ASCII digits k are renamed; names like

@@ -52,6 +52,20 @@ class TestWordAlgebra:
         with pytest.raises(ValueError):
             Generator.from_json({"kind": "dehn", "curve": "a", "amount": "1/2"})
 
+    @pytest.mark.parametrize("sign", [7, -1, 0])
+    def test_fractional_sign_matches_amount(self, sign):
+        letter = {"kind": "fractional", "curve": "1", "sign": sign, "amount": "1/2"}
+        with pytest.raises(ValueError, match="sign"):
+            Generator.from_json(letter)
+        with pytest.raises(ValueError, match="sign"):
+            Generator(FRACTIONAL, "1", sign, Fraction(1, 2))
+
+    @pytest.mark.parametrize("amount", ["1/2", "-3/4"])
+    def test_fractional_sign_defaults_to_the_sign_of_amount(self, amount):
+        g = Generator.from_json({"kind": "fractional", "curve": "1", "amount": amount})
+        assert g == Generator.fractional_boundary("1", Fraction(amount))
+        assert TwistWord.of(g).is_positive() == (g.amount > 0)
+
     def test_map_curves_renames_dehn_twists_only(self):
         w = TwistWord.of(
             Generator.dehn_twist("a", -1),
