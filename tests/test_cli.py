@@ -238,17 +238,12 @@ class TestInputPaths:
         ["classify", "--cable", "2,1", "--book"],
         ["compose-cobordism", "--page"],
     ])
-    def test_directory_is_exit_2(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("name", ["", "none.json"])  # the directory itself, a missing file
+    def test_unreadable_path_is_exit_2(self, tmp_path, capsys, argv, name):
         word = tmp_path / "w.json"
         word.write_text(json.dumps(TwistWord.twists("c1").to_json()))
         words = [str(word), str(word)] if argv[0] == "compose-cobordism" else []
-        code, out, err = run_cli(["--json", *argv, str(tmp_path), *words], capsys)
-        assert (code, out) == (2, "") and err.startswith("error: [Errno")
-
-    def test_missing_file_is_exit_2(self, tmp_path, capsys):
-        code, out, err = run_cli(
-            ["classify", "--book", str(tmp_path / "none.json"), "--cable", "2,1"], capsys
-        )
+        code, out, err = run_cli(["--json", *argv, str(tmp_path / name), *words], capsys)
         assert (code, out) == (2, "") and err.startswith("error: [Errno")
 
 
@@ -293,12 +288,11 @@ class TestDeterminism:
 
 
 # One golden --json case per subcommand, with the layers it may load.
-_SLOPES = {"slopes"}
 _BOOK = {"classify", "openbook", "words", "lens", "slopes"}
 _WORDS = _BOOK | {"curves", "braids", "monodromy"}
 _ALL = _WORDS | {"rewrite", "library"}
 COLD_CASES = {
-    "slopes_ncf": _SLOPES,
+    "slopes_ncf": {"slopes"},
     "torus_knot": {"lens"},
     "classify_positive": _BOOK,
     "cable_page": _BOOK,
