@@ -78,11 +78,12 @@ class CableCoefficients:
     @staticmethod
     def parse(text: str) -> "CableCoefficients":
         """Parse "p,q;p,q;..."."""
-        pairs = []
-        for chunk in text.split(";"):
-            p, q = chunk.split(",")
-            pairs.append((int(p), int(q)))
-        return CableCoefficients(tuple(pairs))
+        try:
+            return CableCoefficients(tuple(chunk.split(",") for chunk in text.split(";")))
+        except ValueError:
+            raise CableError(
+                f"--cable expects p,q (pairs joined by ';') with integer p and q, got {text!r}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,10 @@ def cmd_resolve(args) -> None:
     from .classify import resolve
     book = _load_book(args.book)
     rational = sum(1 for c in book.components if c.order > 1)
-    l_coeffs = [int(x) for x in args.l.split(",")] if args.l else [0] * rational
+    try:
+        l_coeffs = [int(x) for x in args.l.split(",")] if args.l else [0] * rational
+    except ValueError:
+        raise UsageError(f"--l expects l1,l2,... with integer entries, got {args.l!r}") from None
     out = resolve(book, l_coeffs)
     pretty = (
         f"genus {out.genus}, {out.boundary_count_of_page} boundary components"
@@ -138,9 +141,13 @@ def cmd_surgery(args) -> None:
 
 
 def cmd_monodromy(args) -> None:
+    from .classify import CableCoefficients
     from .monodromy import monodromy_22_connected, monodromy_pq, negative_cable_word
     book = _load_book(args.book)
-    p, q = (int(x) for x in args.cable.split(","))
+    pairs = CableCoefficients.parse(args.cable).pairs
+    if len(pairs) != 1:
+        raise UsageError(f"--cable expects one pair p,q, got {args.cable!r}")
+    (p, q), = pairs
     if q < 0:
         cw = negative_cable_word(book)
     elif (p, q) == (2, 2) and book.has_connected_binding:

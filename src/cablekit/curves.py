@@ -15,11 +15,11 @@ markers are bookkeeping with trivial action.  Matrix equality of two words
 is a necessary condition for equality in the mapping class group; this
 module never claims more than that.
 
-The oracle never multiplies dense matrices: right-multiplying by a twist is
-a rank-one update of the rows, costing O(n * nnz(c)) for n = 2 * genus and
-nnz(c) nonzero entries of the class (at most two for chain curves).  The
-dense letter-by-letter product survives only as the reference the tests
-compare against.
+The oracle never multiplies dense matrices: it keeps the product by columns,
+and a twist about c is a rank-one update that reads the columns in the
+support of c and writes those in the support of its pairing row (at most two
+each for chain curves, O(n) per column for n = 2 * genus).  The dense
+letter-by-letter product survives only as the tests' reference.
 """
 
 from __future__ import annotations
@@ -44,19 +44,11 @@ class UnresolvedCurveError(CurveSystemError):
 # -- exact little linear algebra --------------------------------------------
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
@@ -261,30 +253,40 @@ class CurveSystem:
     def word_matrix(self, word: TwistWord) -> Matrix:
         """The matrix of `word`, a product of one transvection per Dehn twist.
 
-        Right-multiplying by the twist about c with sign s adds
-        s * (row . c) * pairing_row(c) to every row, so a twist costs
-        O(n * nnz(c)) with n = 2 * genus.  Zero classes, fractional twists
-        and stabilization markers act trivially.
+        The product is kept by columns.  Right-multiplying by the twist about
+        c with sign s adds s * (M c) * pairing_row(c) to M: M c combines the
+        columns in the support of c and only the columns in the support of
+        pairing_row(c) change, so a chain twist reads at most two columns
+        and writes at most two, O(n) each with n = 2 * genus.  Zero classes,
+        fractional twists and stabilization markers act trivially.
         """
         n = self.dim
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        cols = [[int(i == j) for i in range(n)] for j in range(n)]
+        plans: dict[str, tuple[list, list]] = {}  # curve -> (support of c, of pairing row)
         for gen in word:
             if gen.kind == DEHN:
-                cls = self.curve(gen.curve).homology
-                support = [(t, x) for t, x in enumerate(cls) if x]
-                update = [(t, gen.sign * x) for t, x in enumerate(pairing_row(cls)) if x]
-                for row in rows:
-                    v = sum(row[t] * x for t, x in support)
-                    if v:
-                        for t, x in update:
-                            row[t] += v * x
+                if gen.curve not in plans:
+                    cls = self.curve(gen.curve).homology
+                    plans[gen.curve] = ([(t, x) for t, x in enumerate(cls) if x],
+                                        [(t, x) for t, x in enumerate(pairing_row(cls)) if x])
+                support, update = plans[gen.curve]
+                if not support:
+                    continue
+                (t, x), *rest = support
+                mc = cols[t]  # M c = x * mc throughout
+                for t, y in rest:
+                    mc = [x * a + y * b for a, b in zip(mc, cols[t])]
+                    x = 1
+                for t, y in update:
+                    y *= gen.sign * x
+                    cols[t] = [a + y * b for a, b in zip(cols[t], mc)]
             elif gen.kind == BRAID_HALF:
                 raise UnresolvedCurveError(
                     "braid half twists act on a punctured disk; lift them before evaluating"
                 )
             elif gen.kind not in (FRACTIONAL, STAB):
                 raise UnresolvedCurveError(f"cannot evaluate generator {gen}")
-        return tuple(map(tuple, rows))
+        return tuple(zip(*cols))
 
 
 def words_equal_on_homology(w1: TwistWord, w2: TwistWord, sys: CurveSystem) -> bool:

@@ -89,10 +89,12 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     """Curve system on the (p,1)-cable page of a genus-g one-boundary page.
 
     The page has genus p*g and one boundary.  Nodule chains carry block
-    homology classes; crossing-curve classes are solved exactly from their
-    intersection pattern.  Nodule boundary twists come with registered
-    nonseparating chain factorizations, so mod-10 lengths can be computed.
-    The result is cached and must be treated as immutable.
+    homology classes; the crossing-curve classes come from one exact solve
+    on a single 2g block (the blocks are orthogonal), placed with opposite
+    signs on the two nodules each crossing curve joins.  Nodule boundary
+    twists come with registered nonseparating chain factorizations, so
+    mod-10 lengths can be computed.  The result is cached and must be
+    treated as immutable.
     """
     return _cable_p1_system_cached(g, p)
 
@@ -101,40 +103,23 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
 def _cable_p1_system_cached(g: int, p: int) -> CurveSystem:
     if g < 1 or p < 1:
         raise MonodromyError("need g >= 1 and p >= 1")
-    genus = p * g
-    sys = CurveSystem(genus=genus, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
-    dim = 2 * genus
+    sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
     block = chain_classes(2 * g + 1, g)
-    nodule_curves: dict[int, list[str]] = {}
+    zeros = (0,) * (2 * g)
     for i in range(1, p + 1):
-        names = []
-        for k in range(1, 2 * g + 2):
-            cls = [0] * dim
-            offset = 2 * g * (i - 1)
-            for t, x in enumerate(block[k - 1]):
-                cls[offset + t] = x
-            name = f"n{i}_{k}"
-            sys.add_curve(name, cls)
-            names.append(name)
-        nodule_curves[i] = names
+        for k, v in enumerate(block, 1):
+            sys.add_curve(f"n{i}_{k}", zeros * (i - 1) + v + zeros * (p - i))
     # crossing curves: pair once with the last even-chain curve of each
-    # neighboring nodule, zero with all other nodule curves
-    spanning = [f"n{i}_{k}" for i in range(1, p + 1) for k in range(1, 2 * g + 1)]
+    # neighboring nodule, zero with all other nodule curves.  The nodule
+    # blocks are orthogonal and each even chain spans its block, so x_j is
+    # -w on block j and +w on block j+1 for the one w pairing to zero with
+    # the first 2g-1 even-chain classes and to one with the last.
+    w = solve_integer_system([pairing_row(v) for v in block[:-1]], [0] * (2 * g - 1) + [1])
+    minus_w = tuple(-x for x in w)
     for j in range(1, p):
-        rows, rhs = [], []
-        for name in spanning:
-            u = sys.curve(name).homology
-            rows.append(pairing_row(u))
-            if name == f"n{j}_{2 * g}":
-                rhs.append(-1)
-            elif name == f"n{j + 1}_{2 * g}":
-                rhs.append(1)
-            else:
-                rhs.append(0)
-        cls = solve_integer_system(rows, rhs)
-        sys.add_curve(f"x{j}", cls)
+        sys.add_curve(f"x{j}", zeros * (j - 1) + minus_w + w + zeros * (p - j - 1))
     for i in range(1, p + 1):
-        sys.add_curve(f"partial{i}", (0,) * dim, nonseparating=False)
+        sys.add_curve(f"partial{i}", zeros * p, nonseparating=False)
     sys.add_boundary_curves()
     # recorded data: layout chains and nodule disjointness
     for j in range(1, p):

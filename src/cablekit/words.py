@@ -102,8 +102,12 @@ class Generator:
                 raise WordError(f"word letter {key!r} must be a string, got {obj[key]!r}")
         amount = None
         if obj.get("amount") is not None:
-            num, den = str(obj["amount"]).split("/")
-            amount = Fraction(int(num), int(den))
+            try:
+                num, den = str(obj["amount"]).split("/")
+                amount = Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError):
+                raise WordError(f"word letter 'amount' must be n/d with integers n and "
+                                f"d != 0, got {obj['amount']!r}") from None
         sign = obj.get("sign", -1 if amount is not None and amount < 0 else 1)
         if isinstance(sign, bool) or not isinstance(sign, int):
             raise WordError(f"word letter 'sign' must be an integer, got {sign!r}")

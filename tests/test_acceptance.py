@@ -16,7 +16,7 @@ from cablekit.classify import (
     induced_open_book_from_surgery,
     resolve,
 )
-from cablekit.curves import chain_model, identity_matrix, words_equal_on_homology
+from cablekit.curves import chain_model, words_equal_on_homology
 from cablekit.lens import (
     LensTorusKnot,
     boundary_count,
@@ -52,6 +52,7 @@ from cablekit.slopes import (
     mediant_farey_graph,
 )
 from cablekit.words import Generator, TwistWord
+from test_words_curves import identity_matrix
 
 
 def _report(criterion: str, elapsed: float, limit: float) -> None:

@@ -276,6 +276,37 @@ class TestWordBoundary:
         assert (code, out) == (2, "") and err.startswith("error:")
 
 
+def _names_its_argument(code, out, err, name):
+    """Exit 2 with one `error:` line naming the argument, and no raw Python
+    text from an unpack, an int() or a Fraction."""
+    return ((code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+            and name in err and not any(raw in err for raw in ("unpack", "literal", "Fraction(")))
+
+
+class TestPairBoundary:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [([command, "--cable", cable], "--cable")
+         for command in ("monodromy", "classify", "cable-page")
+         for cable in ("2", "2,1,3", "a,b")]
+        + [(["monodromy", "--cable", "2,1;3,1"], "--cable"), (["resolve", "--l", "1,x"], "--l")],
+    )
+    def test_malformed_flag_is_named(self, trefoil_path, rational_path, capsys, argv, flag):
+        book = rational_path if argv[0] == "resolve" else trefoil_path
+        code, out, err = run_cli(["--json", *argv, "--book", book], capsys)
+        assert _names_its_argument(code, out, err, flag), err
+
+    @pytest.mark.parametrize("amount", ["x", "1/2/3", "1/0"])
+    @pytest.mark.parametrize("command", ["verify-word", "compose-cobordism"])
+    def test_malformed_amount_is_named(self, trefoil_path, tmp_path, capsys, command, amount):
+        word = tmp_path / "w.json"
+        word.write_text(json.dumps([{"kind": "fractional", "curve": "1", "amount": amount}]))
+        context = ["--system", "sigma22_g1"] if command == "verify-word" else [
+            "--page", trefoil_path]
+        code, out, err = run_cli(["--json", command, *context, str(word), str(word)], capsys)
+        assert _names_its_argument(code, out, err, "'amount'"), err
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self):
         cmd = [sys.executable, "-m", "cablekit.cli", "--json", "slopes",

@@ -8,9 +8,10 @@ import pytest
 from cablekit.curves import (
     algebraic_length,
     chain_model,
-    identity_matrix,
     mat_mul,
     mod10_class,
+    pairing_row,
+    solve_integer_system,
     symplectic_inverse,
 )
 from cablekit.monodromy import (
@@ -34,6 +35,7 @@ from cablekit.classify import resolve
 from cablekit.library import shipped_scripts, sigma22_script_system
 from cablekit.openbook import BindingComponent, RationalOpenBook, validate
 from cablekit.words import DEHN, Generator, TwistWord
+from test_words_curves import identity_matrix, mat_vec
 
 
 def connected_book(genus, word=None):
@@ -115,7 +117,27 @@ class TestConnected22:
                 (c1, 1), ("cusp", -1), ("c²", 1)]
 
 
+def full_surface_crossing_class(sys_, g, p, j):
+    """Reference class of the crossing curve x_j: one exact solve over the
+    whole surface, pairing -1 with n{j}_{2g}, +1 with n{j+1}_{2g} and 0 with
+    every other even-chain curve of every nodule."""
+    rows, rhs = [], []
+    for i in range(1, p + 1):
+        for k in range(1, 2 * g + 1):
+            rows.append(pairing_row(sys_.curve(f"n{i}_{k}").homology))
+            rhs.append(-1 if (i, k) == (j, 2 * g) else 1 if (i, k) == (j + 1, 2 * g) else 0)
+    return solve_integer_system(rows, rhs)
+
+
 class TestConnectedP1:
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_crossing_classes_match_full_surface_solve(self, g):
+        for p in range(2, 6):
+            sys_ = cable_p1_system(g, p)
+            for j in range(1, p):
+                assert sys_.curve(f"x{j}").homology == full_surface_crossing_class(
+                    sys_, g, p, j), (g, p, j)
+
     def test_counts(self):
         for g in range(1, 6):
             for p in range(2, 6):
@@ -332,8 +354,6 @@ class TestRotationStructure:
             sys_ = cable_p1_system(g, 2)
             rho = rho_p1_rotation(g, 2)
             m = sys_.word_matrix(rho.compose(rho))
-            from cablekit.curves import identity_matrix
-
             assert m == identity_matrix(4 * g)
 
 
@@ -403,8 +423,6 @@ class TestRotationOrder:
         # the rotation permutes the p nodules cyclically; its boundary-twist
         # corrections are homologically invisible, so its matrix has exact
         # order p
-        from cablekit.curves import identity_matrix, mat_mul, mat_vec
-
         cells = [(g, p) for g in (1, 2) for p in (2, 3, 4)] + [(5, 5)]
         for g, p in cells:
             cs = cable_p1_system(g, p)
@@ -416,8 +434,6 @@ class TestRotationOrder:
             assert mat_mul(acc, m) == identity_matrix(2 * p * g), (g, p)
 
     def test_rotation_sends_first_nodule_to_second(self):
-        from cablekit.curves import mat_vec
-
         cs = cable_p1_system(1, 3)
         m = cs.word_matrix(rho_p1_rotation(1, 3))
         image = mat_vec(m, cs.curve("n1_1").homology)

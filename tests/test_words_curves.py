@@ -14,7 +14,6 @@ from cablekit.curves import (
     UnresolvedCurveError,
     algebraic_length,
     chain_model,
-    identity_matrix,
     mat_mul,
     mod10_class,
     transvection,
@@ -142,14 +141,20 @@ class TestSymplecticOracle:
 
     def test_conjugation_acts_as_transvection_along_image(self):
         cm = chain_model(2)
-        from cablekit.curves import mat_mul, mat_vec
-
         f = TwistWord.twists("c1", "c2", ("c3", -1))
         mf = cm.word_matrix(f)
         for c in ("c1", "c4"):
             lhs = cm.word_matrix(f.compose(TwistWord.twists(c)).compose(f.inverse()))
             image = mat_vec(mf, cm.curve(c).homology)
             assert lhs == transvection(image, 1, 4)
+
+
+def identity_matrix(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def dense_word_matrix(sys_: CurveSystem, word: TwistWord):
@@ -217,7 +222,31 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _random_word(rng: random.Random, sys_: CurveSystem, length: int) -> TwistWord:
+    """A seeded word over every curve of `sys_` (zero classes included) with
+    mixed signs, fractional twists, stabilization markers and runs."""
+    names = sorted(sys_.curves)
+    gens = []
+    while len(gens) < length:
+        kind, sign = rng.random(), rng.choice((1, -1))
+        if kind < 0.1:
+            gen = Generator.fractional_boundary(sys_.boundary_labels[0], Fraction(sign, 3))
+        elif kind < 0.15:
+            gen = Generator.stabilization_marker(rng.choice(names), sign)
+        else:
+            gen = Generator.dehn_twist(rng.choice(names), sign)
+        gens.extend([gen] * rng.randint(1, 3))
+    return TwistWord(tuple(gens))
+
+
 class TestSparseOracle:
+    @pytest.mark.parametrize("g, p", [(4, 4), (5, 5)])  # dim 32 and 50
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_reference_on_large_cables(self, g, p, seed):
+        sys_ = cable_p1_system(g, p)
+        word = _random_word(random.Random(1000 * g + seed), sys_, 40)
+        assert sys_.word_matrix(word) == dense_word_matrix(sys_, word)
+
     @settings(max_examples=150, deadline=None)
     @given(_system_and_word())
     def test_matches_dense_reference(self, case):
