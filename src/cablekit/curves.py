@@ -2,11 +2,13 @@
 
 A curve system fixes, for a surface of genus g with labeled boundary, a set
 of named simple closed curves together with their classes in H_1 of the
-capped-off surface (coordinates in a fixed symplectic basis a_1, b_1, ...,
-a_g, b_g) and a table of recorded algebraic intersection numbers.  The
-recorded table is curated data about the geometric model; a consistency
-check confirms every recorded entry against the symplectic pairing of the
-stored classes, which catches transcription slips in figure-derived data.
+capped-off surface (the nonzero coordinates in a fixed symplectic basis
+a_1, b_1, ..., a_g, b_g) and a table of recorded algebraic intersection
+numbers.  The recorded table is curated data about the geometric model; a
+consistency check confirms every recorded entry against the symplectic
+pairing of the stored classes, which catches transcription slips in
+figure-derived data.  Curves in different members of one group family count
+as disjoint without an entry; the check proves it from their handles.
 
 Words evaluate to integer symplectic matrices: a right-handed twist about c
 acts on column vectors by x -> x + <x, [c]> [c], boundary-parallel and
@@ -15,22 +17,21 @@ markers are bookkeeping with trivial action.  Matrix equality of two words
 is a necessary condition for equality in the mapping class group; this
 module never claims more than that.
 
-The oracle never multiplies dense matrices: it keeps the product by columns,
-and a twist about c is a rank-one update that reads the columns in the
-support of c and writes those in the support of its pairing row (at most two
-each for chain curves, O(n) per column for n = 2 * genus).  The dense
-letter-by-letter product survives only as the tests' reference.
+The oracle, :meth:`CurveSystem.word_delta`, keeps M - I by its nonzero
+sparse columns; a twist is a rank-one update costing the sizes of the
+columns it touches, never the dimension.  ``word_matrix`` is its dense view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd
+from typing import Mapping, Optional, Sequence, Union
 
 from .words import BRAID_HALF, DEHN, FRACTIONAL, STAB, Generator, TwistWord
 
 Matrix = tuple[tuple[int, ...], ...]
+Delta = dict[int, dict[int, int]]  # M - I as {column: {row: entry}}, nonzero only
 
 
 class CurveSystemError(ValueError):
@@ -41,103 +42,39 @@ class UnresolvedCurveError(CurveSystemError):
     pass
 
 
-# -- exact little linear algebra --------------------------------------------
+def symplectic_pairing(u: Mapping[int, int], v: Mapping[int, int]) -> int:
+    """<u, v> in the basis a_1, b_1, a_2, b_2, ... with <a_i, b_i> = 1, for
+    classes given as {coordinate: entry} maps."""
+    return sum(x * v.get(t ^ 1, 0) * (-1 if t & 1 else 1) for t, x in u.items())
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+def _pairing_row(support: Mapping[int, int]) -> dict[int, int]:
+    """The nonzero entries of the row rho(u) with rho(u) . x = <x, u>, for
+    the class u with nonzero coordinates `support`."""
+    return {t ^ 1: x if t & 1 else -x for t, x in support.items()}
 
 
-def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
-    """<u, v> in the basis a_1, b_1, a_2, b_2, ... with <a_i, b_i> = 1."""
-    total = 0
-    for i in range(0, len(u), 2):
-        total += u[i] * v[i + 1] - u[i + 1] * v[i]
-    return total
+def extract_transvection_class(delta: Delta) -> tuple[dict[int, int], int]:
+    """Recover (primitive class, sign) from the delta of a single twist, the
+    class as {coordinate: entry} of its nonzero coordinates.
 
-
-def pairing_row(u: Sequence[int]) -> list[int]:
-    """Row vector so that row . x = symplectic_pairing(x, u)."""
-    row = [0] * len(u)
-    for i in range(0, len(u), 2):
-        row[i] = u[i + 1]
-        row[i + 1] = -u[i]
-    return row
-
-
-def transvection(cls: Sequence[int], sign: int, dim: int) -> Matrix:
-    """Matrix of the (signed) twist x -> x + sign*<x, c>*c."""
-    row = pairing_row(cls)
-    return tuple(
-        tuple((1 if i == j else 0) + sign * cls[i] * row[j] for j in range(dim))
-        for i in range(dim)
-    )
-
-
-def symplectic_inverse(m: Matrix) -> Matrix:
-    """Inverse of a symplectic matrix (every word matrix is one) by the
-    closed form -J m^T J, where J is the matrix of the pairing."""
-    n = len(m)
-    return tuple(
-        tuple((-1) ** (i + j) * m[j ^ 1][i ^ 1] for j in range(n)) for i in range(n)
-    )
-
-
-def extract_transvection_class(m: Matrix) -> tuple[tuple[int, ...], int]:
-    """Recover (primitive class, sign) from the matrix of a single twist.
-
-    Raises if the matrix is not a (nontrivial) transvection along any class.
+    The twist about c with sign s has delta s * c (x) rho(c), so every
+    nonzero column is a multiple of c; the class is the first nonzero column
+    divided by the gcd of its entries.  Raises if the delta is not that of a
+    (nontrivial) twist along any class.
     """
-    from math import gcd as _gcd
-
-    n = len(m)
-    cols = [tuple(m[i][j] - (1 if i == j else 0) for i in range(n)) for j in range(n)]
-    nonzero = [c for c in cols if any(c)]
-    if not nonzero:
+    if not delta:
         raise CurveSystemError("identity matrix is not a single twist")
-    v = nonzero[0]
+    col = delta[min(delta)]
     g = 0
-    for x in v:
-        g = _gcd(g, abs(x))
-    v = tuple(x // g for x in v)
+    for x in col.values():
+        g = gcd(g, x)
+    support = {r: col[r] // g for r in sorted(col)}
+    row = _pairing_row(support)
     for sign in (1, -1):
-        if m == transvection(v, sign, n):
-            return v, sign
+        if delta == {t: {r: sign * y * x for r, x in support.items()} for t, y in row.items()}:
+            return support, sign
     raise CurveSystemError("matrix is not a transvection")
-
-
-def solve_integer_system(rows: list[Sequence[int]], rhs: Sequence[int]) -> tuple[int, ...]:
-    """Solve A x = rhs exactly; raises if the solution is not unique/integral."""
-    n = len(rows[0])
-    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
-    col = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(len(pivots), len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[len(pivots)], a[piv] = a[piv], a[len(pivots)]
-        prow = a[len(pivots)]
-        prow[:] = [x / prow[col] for x in prow]
-        for i in range(len(a)):
-            if i != len(pivots) and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], prow)]
-        pivots.append(col)
-    if len(pivots) < n:
-        raise CurveSystemError("pairing constraints do not determine the class")
-    for i in range(len(pivots), len(a)):
-        if a[i][n] != 0:
-            raise CurveSystemError("inconsistent pairing constraints")
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = a[i][n]
-    if any(s.denominator != 1 for s in sol):
-        raise CurveSystemError(f"non-integral class solution {sol}")
-    return tuple(int(s) for s in sol)
 
 
 # -- curve systems -----------------------------------------------------------
@@ -145,9 +82,18 @@ def solve_integer_system(rows: list[Sequence[int]], rhs: Sequence[int]) -> tuple
 
 @dataclass(frozen=True)
 class CurveInfo:
-    homology: tuple[int, ...]
+    support: dict[int, int]  # the nonzero coordinates of the class, ascending
+    dim: int
     nonseparating: bool
     boundary_parallel: Optional[str] = None
+
+    @property
+    def homology(self) -> tuple[int, ...]:
+        """The class with all of its `dim` coordinates."""
+        cls = [0] * self.dim
+        for t, x in self.support.items():
+            cls[t] = x
+        return tuple(cls)
 
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
@@ -160,7 +106,7 @@ class CurveSystem:
 
     Immutable by convention once built; the builders below finish with
     :meth:`check`, which re-derives every recorded intersection from the
-    stored classes.
+    stored classes and proves the group rule.
     """
 
     genus: int
@@ -169,32 +115,37 @@ class CurveSystem:
     intersections: dict[tuple[str, str], int] = field(default_factory=dict)
     expansions: dict[str, TwistWord] = field(default_factory=dict)
     name: str = ""
+    groups: dict[str, tuple] = field(default_factory=dict)  # curve -> (family, member)
 
     # -- construction helpers ---------------------------------------------
 
     def add_curve(
         self,
         name: str,
-        homology: Sequence[int],
+        homology: Union[Sequence[int], Mapping[int, int]],
         nonseparating: bool = True,
         boundary_parallel: Optional[str] = None,
+        group: Optional[tuple] = None,
     ) -> None:
+        """Declare a curve with its class, as all 2 * genus coordinates or as
+        a {coordinate: entry} map, and its (family, member) group, if any."""
         if name in self.curves:
             raise CurveSystemError(f"curve {name!r} already declared")
-        if len(homology) != 2 * self.genus:
-            raise CurveSystemError(
-                f"class for {name!r} has length {len(homology)}, need {2 * self.genus}"
-            )
-        self.curves[name] = CurveInfo(tuple(homology), nonseparating, boundary_parallel)
+        n = self.dim
+        if not isinstance(homology, Mapping):
+            if len(homology) != n:
+                raise CurveSystemError(f"class for {name!r} has length {len(homology)}, need {n}")
+            homology = dict(enumerate(homology))
+        if not all(0 <= t < n for t in homology):
+            raise CurveSystemError(f"class for {name!r} has a coordinate outside 0..{n - 1}")
+        support = {t: homology[t] for t in sorted(homology) if homology[t]}
+        self.curves[name] = CurveInfo(support, n, nonseparating, boundary_parallel)
+        if group is not None:
+            self.groups[name] = group
 
     def add_boundary_curves(self) -> None:
         for label in self.boundary_labels:
-            self.add_curve(
-                f"bdry_{label}",
-                (0,) * (2 * self.genus),
-                nonseparating=False,
-                boundary_parallel=label,
-            )
+            self.add_curve(f"bdry_{label}", {}, nonseparating=False, boundary_parallel=label)
 
     def record_intersection(self, a: str, b: str, value: int) -> None:
         self.intersections[_pair_key(a, b)] = value
@@ -207,8 +158,8 @@ class CurveSystem:
                 raise CurveSystemError(
                     f"expansion of {name!r} must use nonseparating twists"
                 )
-        lhs = self.word_matrix(TwistWord.of(Generator.dehn_twist(name, 1)))
-        if self.word_matrix(word) != lhs:
+        lhs = self.word_delta(TwistWord.of(Generator.dehn_twist(name, 1)))
+        if self.word_delta(word) != lhs:
             raise CurveSystemError(f"expansion of {name!r} fails the homology oracle")
         self.expansions[name] = word
 
@@ -221,17 +172,30 @@ class CurveSystem:
             raise UnresolvedCurveError(f"curve {name!r} not in system {self.name!r}")
 
     def pairing(self, a: str, b: str) -> int:
-        return symplectic_pairing(self.curve(a).homology, self.curve(b).homology)
+        return symplectic_pairing(self.curve(a).support, self.curve(b).support)
 
     def recorded_intersection(self, a: str, b: str) -> Optional[int]:
+        """The recorded intersection of `a` and `b`; without an entry, 0 for
+        curves in different members of one group family, else None."""
         self.curve(a), self.curve(b)
-        return self.intersections.get(_pair_key(a, b))
+        value = self.intersections.get(_pair_key(a, b))
+        ga, gb = self.groups.get(a), self.groups.get(b)
+        if value is None and ga and gb and ga[0] == gb[0] and ga != gb:
+            return 0
+        return value
 
     def check(self) -> None:
-        """Gate curated data: every recorded intersection must equal the
-        symplectic pairing of the stored classes up to sign (curve
-        orientations are not tracked), and boundary-parallel curves must
-        have zero class."""
+        """Gate curated data, reading only nonzero coordinates: members of
+        one group family must use disjoint handles (a_i, b_i), every recorded
+        intersection must equal the symplectic pairing of the stored classes
+        up to sign (curve orientations are not tracked), and boundary-parallel
+        and separating curves must have zero class."""
+        owner: dict[tuple, tuple] = {}  # (family, handle) -> member using it
+        for name, group in self.groups.items():
+            for t in self.curve(name).support:
+                if owner.setdefault((group[0], t // 2), group) != group:
+                    raise CurveSystemError(f"{name!r} shares handle {t // 2 + 1} with another "
+                                           f"member of group family {group[0]!r}")
         for (a, b), value in self.intersections.items():
             got = self.pairing(a, b)
             if got != value and got != -value:
@@ -239,9 +203,9 @@ class CurveSystem:
                     f"recorded intersection {a},{b} = {value} but classes pair to {got}"
                 )
         for name, info in self.curves.items():
-            if info.boundary_parallel is not None and any(info.homology):
+            if info.boundary_parallel is not None and info.support:
                 raise CurveSystemError(f"boundary-parallel {name!r} has nonzero class")
-            if not info.nonseparating and any(info.homology):
+            if not info.nonseparating and info.support:
                 raise CurveSystemError(f"separating curve {name!r} has nonzero class")
 
     # -- the oracle ----------------------------------------------------------
@@ -250,47 +214,78 @@ class CurveSystem:
     def dim(self) -> int:
         return 2 * self.genus
 
-    def word_matrix(self, word: TwistWord) -> Matrix:
-        """The matrix of `word`, a product of one transvection per Dehn twist.
+    def word_delta(self, word: TwistWord) -> Delta:
+        """M - I for the matrix M of `word` (one transvection per Dehn
+        twist) as {column: {row: entry}}, holding only nonzero entries.
 
-        The product is kept by columns.  Right-multiplying by the twist about
-        c with sign s adds s * (M c) * pairing_row(c) to M: M c combines the
-        columns in the support of c and only the columns in the support of
-        pairing_row(c) change, so a chain twist reads at most two columns
-        and writes at most two, O(n) each with n = 2 * genus.  Zero classes,
-        fractional twists and stabilization markers act trivially.
+        Right-multiplying by the twist about c with sign s adds
+        s * (M c) * rho(c) to M, rho(c) the pairing row of c: M c is read
+        from the columns in the support of c (a column without a delta is
+        e_t) and only the columns in the support of rho(c) change.  Zero
+        classes, fractional twists and stabilization markers act trivially;
+        braid half twists, unknown kinds and unknown curves raise, the first
+        such letter deciding.
         """
-        n = self.dim
-        cols = [[int(i == j) for i in range(n)] for j in range(n)]
-        plans: dict[str, tuple[list, list]] = {}  # curve -> (support of c, of pairing row)
+        delta: Delta = {}
+        plans: dict[str, tuple] = {}  # curve -> (support of c, of rho(c))
         for gen in word:
             if gen.kind == DEHN:
-                if gen.curve not in plans:
-                    cls = self.curve(gen.curve).homology
-                    plans[gen.curve] = ([(t, x) for t, x in enumerate(cls) if x],
-                                        [(t, x) for t, x in enumerate(pairing_row(cls)) if x])
-                support, update = plans[gen.curve]
+                plan = plans.get(gen.curve)
+                if plan is None:
+                    support = self.curve(gen.curve).support
+                    plan = plans[gen.curve] = (tuple(support.items()),
+                                               tuple(_pairing_row(support).items()))
+                support, row = plan
                 if not support:
                     continue
-                (t, x), *rest = support
-                mc = cols[t]  # M c = x * mc throughout
-                for t, y in rest:
-                    mc = [x * a + y * b for a, b in zip(mc, cols[t])]
-                    x = 1
-                for t, y in update:
-                    y *= gen.sign * x
-                    cols[t] = [a + y * b for a, b in zip(cols[t], mc)]
+                t, x = support[0]
+                col = delta.get(t)
+                mc = {r: x * y for r, y in col.items()} if col else {}  # becomes M c
+                mc[t] = mc.get(t, 0) + x
+                if len(support) > 1:
+                    for t, x in support[1:]:
+                        mc[t] = mc.get(t, 0) + x
+                        col = delta.get(t)
+                        if col:
+                            for r, y in col.items():
+                                mc[r] = mc.get(r, 0) + x * y
+                    mc = {r: v for r, v in mc.items() if v}
+                elif not mc[t]:  # the only entry that can cancel
+                    del mc[t]
+                for t, y in row:
+                    y *= gen.sign
+                    col = delta.get(t)
+                    if col is None:
+                        delta[t] = {r: y * v for r, v in mc.items()}
+                        continue
+                    for r, v in mc.items():
+                        v = col.get(r, 0) + y * v
+                        if v:
+                            col[r] = v
+                        else:
+                            del col[r]
+                    if not col:
+                        del delta[t]
             elif gen.kind == BRAID_HALF:
                 raise UnresolvedCurveError(
                     "braid half twists act on a punctured disk; lift them before evaluating"
                 )
             elif gen.kind not in (FRACTIONAL, STAB):
                 raise UnresolvedCurveError(f"cannot evaluate generator {gen}")
-        return tuple(zip(*cols))
+        return delta
+
+    def word_matrix(self, word: TwistWord) -> Matrix:
+        """The matrix of `word`: the dense, row-major view I + word_delta."""
+        n = self.dim
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for j, col in self.word_delta(word).items():
+            for i, x in col.items():
+                rows[i][j] += x
+        return tuple(map(tuple, rows))
 
 
 def words_equal_on_homology(w1: TwistWord, w2: TwistWord, sys: CurveSystem) -> bool:
-    return sys.word_matrix(w1) == sys.word_matrix(w2)
+    return sys.word_delta(w1) == sys.word_delta(w2)
 
 
 # -- algebraic length and the mod-10 class ----------------------------------
@@ -342,29 +337,23 @@ def mod10_class(word: TwistWord, sys: CurveSystem) -> int:
 # -- standard models ---------------------------------------------------------
 
 
-def chain_classes(count: int, genus: int) -> list[tuple[int, ...]]:
-    """Classes v_1..v_count with <v_i, v_{i+1}> = 1 and others 0.
+def chain_classes(count: int, genus: int) -> list[dict[int, int]]:
+    """Classes v_1..v_count, as {coordinate: entry} maps, with
+    <v_i, v_{i+1}> = 1 and others 0.
 
     The pattern v_{2i} = +-b_i, v_{2i+1} = +-(a_i + a_{i+1}) realizes the
     homology of a chain of simple closed curves; signs alternate so that
     consecutive pairings all come out +1.  Twists do not see the sign of a
     class, so any consistent choice serves.
     """
-    dim = 2 * genus
     out = []
     for idx in range(1, count + 1):
-        v = [0] * dim
         if idx % 2 == 0:
             i = idx // 2  # b_i slot, 1-based
-            v[2 * i - 1] = (-1) ** (i + 1)
+            out.append({2 * i - 1: (-1) ** (i + 1)})
         else:
             i = (idx - 1) // 2  # a_i + a_{i+1}, with a_0 = a_{genus+1} = 0
-            sign = (-1) ** i
-            if 1 <= i <= genus:
-                v[2 * i - 2] = sign
-            if 1 <= i + 1 <= genus:
-                v[2 * i] = sign
-        out.append(tuple(v))
+            out.append({t: (-1) ** i for t in (2 * i - 2, 2 * i) if 0 <= t < 2 * genus})
     # verify the chain pattern
     for i, u in enumerate(out):
         for j in range(i + 1, len(out)):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .curves import CurveSystem
+from .curves import CurveSystem, CurveSystemError
 from .monodromy import (
     cable_p1_system,
     garside_block,
@@ -55,23 +55,42 @@ def _load_data(filename: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _system_from_json(obj: dict) -> CurveSystem:
-    sys = CurveSystem(
-        genus=obj["genus"],
-        boundary_labels=tuple(obj["boundary_labels"]),
-        name=obj.get("name", ""),
-    )
-    for name, info in obj["curves"].items():
-        sys.add_curve(
-            name,
-            tuple(info["homology"]),
-            nonseparating=info.get("nonseparating", True),
-            boundary_parallel=info.get("boundary_parallel"),
-        )
-    for a, b, value in obj.get("intersections", []):
+def _require(checks) -> None:
+    for key, ok, want in checks:
+        if not ok:
+            raise CurveSystemError(f"curve-system field {key!r} must be {want}")
+
+
+def _system_from_json(obj: object) -> CurveSystem:
+    """Build a curve system from its data file, rejecting malformed fields
+    with a CurveSystemError that names them, then gate it."""
+    if not isinstance(obj, dict):
+        raise CurveSystemError(f"curve-system data must be a JSON object, not {type(obj).__name__}")
+    genus, labels, curves = obj.get("genus"), obj.get("boundary_labels"), obj.get("curves")
+    pairs, expansions = obj.get("intersections", []), obj.get("expansions", {})
+    _require([
+        ("genus", type(genus) is int and genus >= 0, "a non-negative integer"),
+        ("boundary_labels", isinstance(labels, list) and all(isinstance(x, str) for x in labels),
+         "a list of strings"),
+        ("curves", isinstance(curves, dict) and all(isinstance(x, dict) for x in curves.values()),
+         "an object of curve objects"),
+        ("intersections", isinstance(pairs, list) and all(
+            isinstance(x, list) and len(x) == 3 and all(isinstance(c, str) for c in x[:2])
+            and type(x[2]) is int for x in pairs), "a list of [curve, curve, integer] triples"),
+        ("expansions", isinstance(expansions, dict), "an object of words"),
+    ])
+    sys = CurveSystem(genus=genus, boundary_labels=tuple(labels), name=obj.get("name", ""))
+    for name, info in curves.items():
+        cls, nonsep = info.get("homology"), info.get("nonseparating", True)
+        _require([(f"curves.{name}.homology", isinstance(cls, list) and len(cls) == 2 * genus
+                    and all(type(x) is int for x in cls), f"a list of {2 * genus} integers"),
+                   (f"curves.{name}.nonseparating", isinstance(nonsep, bool), "true or false")])
+        sys.add_curve(name, cls, nonseparating=nonsep,
+                      boundary_parallel=info.get("boundary_parallel"))
+    for a, b, value in pairs:
         sys.record_intersection(a, b, value)
     sys.check()
-    for name, word in obj.get("expansions", {}).items():
+    for name, word in expansions.items():
         sys.register_expansion(name, TwistWord.from_json(word))
     return sys
 

@@ -39,15 +39,7 @@ from .braids import (
     r22_braid,
 )
 from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
-from .curves import (
-    CurveSystem,
-    chain_classes,
-    extract_transvection_class,
-    mat_mul,
-    pairing_row,
-    solve_integer_system,
-    symplectic_inverse,
-)
+from .curves import CurveSystem, chain_classes, extract_transvection_class
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import FRACTIONAL, Generator, TwistWord
 
@@ -89,9 +81,10 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     """Curve system on the (p,1)-cable page of a genus-g one-boundary page.
 
     The page has genus p*g and one boundary.  Nodule chains carry block
-    homology classes; the crossing-curve classes come from one exact solve
-    on a single 2g block (the blocks are orthogonal), placed with opposite
-    signs on the two nodules each crossing curve joins.  Nodule boundary
+    homology classes; the crossing curve x_j is v_{2g+1} on block j and
+    -v_{2g+1} on block j+1 (v the block chain).  Groups answer the
+    cross-nodule and nodule-boundary zeros, so the recorded table has
+    O(p g^2) entries and time and memory grow linearly in p.  Nodule boundary
     twists come with registered nonseparating chain factorizations, so
     mod-10 lengths can be computed.  The result is cached and must be
     treated as immutable.
@@ -105,39 +98,34 @@ def _cable_p1_system_cached(g: int, p: int) -> CurveSystem:
         raise MonodromyError("need g >= 1 and p >= 1")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
     block = chain_classes(2 * g + 1, g)
-    zeros = (0,) * (2 * g)
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
-            sys.add_curve(f"n{i}_{k}", zeros * (i - 1) + v + zeros * (p - i))
+            sys.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v.items()},
+                          group=("nodule", i))
     # crossing curves: pair once with the last even-chain curve of each
-    # neighboring nodule, zero with all other nodule curves.  The nodule
-    # blocks are orthogonal and each even chain spans its block, so x_j is
-    # -w on block j and +w on block j+1 for the one w pairing to zero with
-    # the first 2g-1 even-chain classes and to one with the last.
-    w = solve_integer_system([pairing_row(v) for v in block[:-1]], [0] * (2 * g - 1) + [1])
-    minus_w = tuple(-x for x in w)
+    # neighboring nodule, zero with all other nodule curves.  The blocks are
+    # orthogonal and w = -v_{2g+1} is the one class pairing to zero with
+    # v_1..v_{2g-1} and to one with v_{2g}; x_j is -w on block j, +w on j+1.
+    # The crossing curves are one member of the "partial" family and each
+    # (zero-class) nodule boundary another.
     for j in range(1, p):
-        sys.add_curve(f"x{j}", zeros * (j - 1) + minus_w + w + zeros * (p - j - 1))
+        cls = {2 * g * (j - 1) + t: x for t, x in block[-1].items()}
+        cls.update({2 * g * j + t: -x for t, x in block[-1].items()})
+        sys.add_curve(f"x{j}", cls, group=("partial", 0))
     for i in range(1, p + 1):
-        sys.add_curve(f"partial{i}", zeros * p, nonseparating=False)
+        sys.add_curve(f"partial{i}", {}, nonseparating=False, group=("partial", i))
     sys.add_boundary_curves()
-    # recorded data: layout chains and nodule disjointness
+    # recorded data: the layout chains, less the cross-nodule pairs that the
+    # nodule groups answer, and the nodule boundaries against their nodules
     for j in range(1, p):
         layout = p1_layout(g, j)
         for a_idx, a in enumerate(layout):
-            for b in layout[a_idx + 1 :]:
-                want = 1 if layout.index(b) == a_idx + 1 else 0
-                sys.record_intersection(a, b, want)
+            for b_idx in range(a_idx + 1, len(layout)):
+                if not a_idx < 2 * g < b_idx:
+                    sys.record_intersection(a, layout[b_idx], int(b_idx == a_idx + 1))
     for i in range(1, p + 1):
         for k in range(1, 2 * g + 2):
             sys.record_intersection(f"partial{i}", f"n{i}_{k}", 0)
-        for j in range(1, p):
-            sys.record_intersection(f"partial{i}", f"x{j}", 0)
-        for i2 in range(i + 1, p + 1):
-            sys.record_intersection(f"partial{i}", f"partial{i2}", 0)
-            for k in range(1, 2 * g + 2):
-                for k2 in range(1, 2 * g + 2):
-                    sys.record_intersection(f"n{i}_{k}", f"n{i2}_{k2}", 0)
     sys.check()
     # nodule boundary twists factor through the even chain
     for i in range(1, p + 1):
@@ -267,8 +255,8 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, list[str]]:
     for i in range(1, 2 * g + 2):
         band = BraidWord.from_pairs(n, [(i, 2 * g + 1 + i, 1)])
         conj = d1 * band * d1.inverse()
-        m = sys.word_matrix(lift_through_double_cover(conj, chain))
-        cls, sign = extract_transvection_class(m)
+        delta = sys.word_delta(lift_through_double_cover(conj, chain))
+        cls, sign = extract_transvection_class(delta)
         if sign != 1:
             raise MonodromyError("band lift extracted with the wrong handedness")
         name = f"rho22_{i}"
@@ -310,12 +298,12 @@ def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     band_form = d1 * braid_Bp(2 * g + 1, 2) * d1.inverse()
     if half_form.permutation() != band_form.permutation():
         raise MonodromyError("rotation braid factorizations disagree on strands")
-    m_half = sys.word_matrix(lift_through_double_cover(half_form, chain))
-    m_band = sys.word_matrix(lift_through_double_cover(band_form, chain))
-    if m_half != m_band:
+    d_half = sys.word_delta(lift_through_double_cover(half_form, chain))
+    d_band = sys.word_delta(lift_through_double_cover(band_form, chain))
+    if d_half != d_band:
         raise MonodromyError("rotation braid factorizations disagree on homology")
     rot = TwistWord.twists(*reversed(rho_names))
-    if sys.word_matrix(rot) != m_half:
+    if sys.word_delta(rot) != d_half:
         raise MonodromyError("rotation word disagrees with its braid lift")
     phi = (book.monodromy or TwistWord(())).map_curves(
         lambda c: f"e{c[1:]}" if _is_chain_curve(c) and int(c[1:]) <= 2 * g else c
@@ -531,12 +519,11 @@ def compose_cobordism_word(
         lift1 = phi1.map_curves(near)
         lift2 = phi2.map_curves(far)
         word = base.word.compose(lift2).compose(lift1)
-        rot_m = sys.word_matrix(base.word)
-        m2 = sys.word_matrix(lift2)
-        target = sys.word_matrix(phi2.map_curves(near))
-        conj = mat_mul(mat_mul(rot_m, m2), symplectic_inverse(rot_m))
+        # a word's matrix is the product of its letters' from left to right,
+        # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1
+        conj = sys.word_delta(base.word.compose(lift2).compose(base.word.inverse()))
         certificate = {
-            "conjugation_lands_on_nodule_1": conj == target,
+            "conjugation_lands_on_nodule_1": conj == sys.word_delta(phi2.map_curves(near)),
             "rotation_positive": base.word.is_positive(),
         }
         if not certificate["conjugation_lands_on_nodule_1"]:

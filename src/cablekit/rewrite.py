@@ -182,14 +182,14 @@ def replay(
     pipeline).  When `expect` is given the final word must equal it exactly.
     """
     sys_ = registry.system
-    start_matrix = sys_.word_matrix(word)
+    start = sys_.word_delta(word)
     log: list[str] = []
     current = word
     for n, step in enumerate(script.steps):
         current = _apply_step(current, step, registry)
         log.append(f"{n:3d} {step.kind:7s} @{step.position:<3d} "
                    f"{step.relation or step.curve or ''} -> length {len(current)}")
-    if sys_.word_matrix(current) != start_matrix:
+    if sys_.word_delta(current) != start:
         raise RewriteError(f"replay of {script.name!r} changed the homology matrix")
     if expect is not None and current.generators != expect.generators:
         raise RewriteError(

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,58 @@ class TestBookBoundary:
         path.write_text(json.dumps(book))
         code, out, err = run_cli(["--json", *argv, "--book", str(path)], capsys)
         assert (code, out) == (2, "") and err.startswith("error:")
+
+
+_DATA = Path(cablekit.__file__).parent / "data"
+
+
+def _sigma22_data(**changes):
+    """The shipped sigma22_g1.json with top-level keys replaced (None drops
+    the key) or, under `homology`, the class of n1_1 replaced."""
+    obj = json.loads((_DATA / "sigma22_g1.json").read_text(encoding="utf-8"))
+    if "homology" in changes:
+        obj["curves"]["n1_1"]["homology"] = changes.pop("homology")
+    for key, value in changes.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return obj
+
+
+class TestDataBoundary:
+    def _replay(self, tmp_path, monkeypatch, capsys, data):
+        (tmp_path / "sigma22_g1.json").write_text(json.dumps(data))
+        shutil.copy(_DATA / "resolved_neg_cable_g1.json", tmp_path)
+        monkeypatch.setenv("CABLEKIT_DATA", str(tmp_path))
+        return run_cli(["--json", "replay-script", "stabilize_21_to_22"], capsys)
+
+    def test_shipped_copy_replays(self, tmp_path, monkeypatch, capsys):
+        code, out, _ = self._replay(tmp_path, monkeypatch, capsys, _sigma22_data())
+        assert code == 0 and json.loads(out)["verified"]
+
+    @pytest.mark.parametrize("data, field", [
+        (_sigma22_data(genus=None), "'genus'"),
+        ([1, 2], "JSON object"),
+        (_sigma22_data(genus="2"), "'genus'"),
+        (_sigma22_data(genus=True), "'genus'"),
+        (_sigma22_data(genus=-1), "'genus'"),
+        (_sigma22_data(boundary_labels="12"), "'boundary_labels'"),
+        (_sigma22_data(boundary_labels=[1, 2]), "'boundary_labels'"),
+        (_sigma22_data(curves=[]), "'curves'"),
+        (_sigma22_data(curves={"n1_1": [1, 0, 0, 0]}), "'curves'"),
+        (_sigma22_data(intersections={}), "'intersections'"),
+        (_sigma22_data(intersections=[["n1_1", "n1_2"]]), "'intersections'"),
+        (_sigma22_data(intersections=[["n1_1", "n1_2", "1"]]), "'intersections'"),
+        (_sigma22_data(expansions=[]), "'expansions'"),
+        (_sigma22_data(homology=[1, 0, 0]), "'curves.n1_1.homology'"),
+        (_sigma22_data(homology=[True, 0, 0, 0]), "'curves.n1_1.homology'"),
+        (_sigma22_data(homology=[1.0, 0, 0, 0]), "'curves.n1_1.homology'"),
+        (_sigma22_data(homology=None), "'curves.n1_1.homology'"),
+    ])
+    def test_malformed_data_file_is_exit_2(self, tmp_path, monkeypatch, capsys, data, field):
+        code, out, err = self._replay(tmp_path, monkeypatch, capsys, data)
+        assert (code, out) == (2, "") and err.startswith("error:") and field in err, err
 
 
 class TestSurgeryBoundary:

@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from cablekit.braids import BraidWord, garside_half_twist, lift_through_double_cover
 from cablekit.curves import (
     algebraic_length,
     chain_model,
-    mat_mul,
+    extract_transvection_class,
     mod10_class,
-    pairing_row,
-    solve_integer_system,
-    symplectic_inverse,
 )
 from cablekit.monodromy import (
     MonodromyError,
@@ -35,7 +33,16 @@ from cablekit.classify import resolve
 from cablekit.library import shipped_scripts, sigma22_script_system
 from cablekit.openbook import BindingComponent, RationalOpenBook, validate
 from cablekit.words import DEHN, Generator, TwistWord
-from test_words_curves import identity_matrix, mat_vec
+from test_words_curves import (
+    dense_extract_transvection_class,
+    dense_word_matrix,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    pairing_row,
+    solve_integer_system,
+    symplectic_inverse,
+)
 
 
 def connected_book(genus, word=None):
@@ -127,6 +134,68 @@ def full_surface_crossing_class(sys_, g, p, j):
             rows.append(pairing_row(sys_.curve(f"n{i}_{k}").homology))
             rhs.append(-1 if (i, k) == (j, 2 * g) else 1 if (i, k) == (j + 1, 2 * g) else 0)
     return solve_integer_system(rows, rhs)
+
+
+def full_p1_table(g, p):
+    """Reference: the recorded table of the (p,1) system as the full loops
+    build it, every cross-nodule, nodule-boundary and crossing zero listed,
+    keyed like CurveSystem.intersections."""
+    table = {}
+
+    def record(a, b, value):
+        table[(a, b) if a <= b else (b, a)] = value
+
+    for j in range(1, p):
+        layout = p1_layout(g, j)
+        for a_idx, a in enumerate(layout):
+            for b in layout[a_idx + 1:]:
+                record(a, b, 1 if layout.index(b) == a_idx + 1 else 0)
+    for i in range(1, p + 1):
+        for k in range(1, 2 * g + 2):
+            record(f"partial{i}", f"n{i}_{k}", 0)
+        for j in range(1, p):
+            record(f"partial{i}", f"x{j}", 0)
+        for i2 in range(i + 1, p + 1):
+            record(f"partial{i}", f"partial{i2}", 0)
+            for k in range(1, 2 * g + 2):
+                for k2 in range(1, 2 * g + 2):
+                    record(f"n{i}_{k}", f"n{i2}_{k2}", 0)
+    return table
+
+
+class TestP1RecordedTable:
+    @pytest.mark.parametrize("g", range(1, 4))
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_groups_and_entries_answer_like_the_full_table(self, g, p):
+        sys_ = cable_p1_system(g, p)
+        table = full_p1_table(g, p)
+        for a in sys_.curves:
+            for b in sys_.curves:
+                key = (a, b) if a <= b else (b, a)
+                assert sys_.recorded_intersection(a, b) == table.get(key), (a, b)
+
+    @pytest.mark.parametrize("g, p", [(1, 1000), (3, 100)])
+    def test_table_and_classes_grow_linearly_in_p(self, g, p):
+        sys_ = cable_p1_system(g, p)
+        assert len(sys_.intersections) <= 10 * p * g * g
+        assert sum(len(info.support) for info in sys_.curves.values()) <= 6 * p * g
+        assert set(sys_.expansions) == {f"partial{i}" for i in range(1, p + 1)}
+
+
+class TestBandLiftExtraction:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_delta_extraction_matches_dense_extraction(self, g):
+        sys_, rho_names = sigma22_cover_system(g)
+        n = 4 * g + 2
+        chain = [f"e{k}" for k in range(1, n)]
+        d1 = garside_half_twist(n, 1, 2 * g + 1)
+        for i, name in enumerate(rho_names, 1):
+            band = BraidWord.from_pairs(n, [(i, 2 * g + 1 + i, 1)])
+            lift = lift_through_double_cover(d1 * band * d1.inverse(), chain)
+            support, sign = extract_transvection_class(sys_.word_delta(lift))
+            cls = tuple(support.get(t, 0) for t in range(sys_.dim))
+            assert (cls, sign) == dense_extract_transvection_class(dense_word_matrix(sys_, lift))
+            assert sys_.curve(name).homology == cls
 
 
 class TestConnectedP1:

@@ -1,6 +1,7 @@
 """Word algebra, the symplectic oracle, lengths, and the relation registry."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -14,9 +15,8 @@ from cablekit.curves import (
     UnresolvedCurveError,
     algebraic_length,
     chain_model,
-    mat_mul,
+    extract_transvection_class,
     mod10_class,
-    transvection,
     words_equal_on_homology,
 )
 from cablekit.library import lantern_genus3_model
@@ -157,6 +157,101 @@ def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
+# -- dense references: the linear algebra the oracle no longer needs ---------
+
+
+def mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def pairing_row(u):
+    """Row vector so that row . x = <x, u>."""
+    row = [0] * len(u)
+    for i in range(0, len(u), 2):
+        row[i] = u[i + 1]
+        row[i + 1] = -u[i]
+    return row
+
+
+def transvection(cls, sign, dim):
+    """Matrix of the (signed) twist x -> x + sign*<x, c>*c."""
+    row = pairing_row(cls)
+    return tuple(
+        tuple((1 if i == j else 0) + sign * cls[i] * row[j] for j in range(dim))
+        for i in range(dim)
+    )
+
+
+def symplectic_inverse(m):
+    """Inverse of a symplectic matrix by the closed form -J m^T J, where J is
+    the matrix of the pairing."""
+    n = len(m)
+    return tuple(
+        tuple((-1) ** (i + j) * m[j ^ 1][i ^ 1] for j in range(n)) for i in range(n)
+    )
+
+
+def solve_integer_system(rows, rhs):
+    """Solve A x = rhs exactly by Fraction Gauss-Jordan; raises if the
+    solution is not unique and integral."""
+    n = len(rows[0])
+    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    pivots = []
+    for col in range(n):
+        piv = next((i for i in range(len(pivots), len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[len(pivots)], a[piv] = a[piv], a[len(pivots)]
+        prow = a[len(pivots)]
+        prow[:] = [x / prow[col] for x in prow]
+        for i in range(len(a)):
+            if i != len(pivots) and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], prow)]
+        pivots.append(col)
+    if len(pivots) < n:
+        raise CurveSystemError("pairing constraints do not determine the class")
+    for i in range(len(pivots), len(a)):
+        if a[i][n] != 0:
+            raise CurveSystemError("inconsistent pairing constraints")
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = a[i][n]
+    if any(s.denominator != 1 for s in sol):
+        raise CurveSystemError(f"non-integral class solution {sol}")
+    return tuple(int(s) for s in sol)
+
+
+def dense_extract_transvection_class(m):
+    """Recover (primitive class, sign) from the dense matrix of a single
+    twist by comparing it with both dense transvections."""
+    n = len(m)
+    cols = [tuple(m[i][j] - (1 if i == j else 0) for i in range(n)) for j in range(n)]
+    nonzero = [c for c in cols if any(c)]
+    if not nonzero:
+        raise CurveSystemError("identity matrix is not a single twist")
+    v = nonzero[0]
+    g = 0
+    for x in v:
+        g = math.gcd(g, abs(x))
+    v = tuple(x // g for x in v)
+    for sign in (1, -1):
+        if m == transvection(v, sign, n):
+            return v, sign
+    raise CurveSystemError("matrix is not a transvection")
+
+
+def delta_to_matrix(delta, n):
+    """I + delta as a row-major matrix, built independently of the oracle's
+    own dense view."""
+    return tuple(
+        tuple(int(i == j) + delta.get(j, {}).get(i, 0) for j in range(n)) for i in range(n)
+    )
+
+
 def dense_word_matrix(sys_: CurveSystem, word: TwistWord):
     """Reference oracle: the letter-by-letter dense product of one
     transvection per Dehn twist, O(n^3) per letter, raising as the oracle
@@ -269,6 +364,115 @@ class TestSparseOracle:
         got = _outcome(lambda: sys_.word_matrix(bad_word))
         assert got == _outcome(lambda: dense_word_matrix(sys_, bad_word))
         assert got[0] is UnresolvedCurveError
+
+
+class TestWordDelta:
+    """The oracle's own form, M - I by sparse columns, against the dense
+    letter-by-letter product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_system_and_word())
+    def test_identity_plus_delta_is_the_dense_product(self, case):
+        sys_, word = case
+        delta = sys_.word_delta(word)
+        assert all(col and all(col.values()) for col in delta.values())  # nonzero only
+        assert delta_to_matrix(delta, sys_.dim) == dense_word_matrix(sys_, word)
+
+    @pytest.mark.parametrize("g, p", [(4, 4), (5, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_identity_plus_delta_on_large_cables(self, g, p, seed):
+        sys_ = cable_p1_system(g, p)
+        word = _random_word(random.Random(1000 * g + seed), sys_, 40)
+        assert delta_to_matrix(sys_.word_delta(word), sys_.dim) == dense_word_matrix(sys_, word)
+
+    @pytest.mark.parametrize("cls", [(1, 0, 0, 0), (0, -1, 0, 0), (1, 0, 1, 0),
+                                     (1, 0, -1, 0), (2, -1, 0, 3)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_single_twist_extracts_like_the_dense_reference(self, cls, sign):
+        # mixed signs in the pairing row make the orientation of the class
+        # depend on which column it is read from: the first, as densely
+        sys_ = CurveSystem(genus=2, boundary_labels=("1",))
+        sys_.add_curve("c", cls)
+        word = TwistWord.twists(("c", sign))
+        support, got_sign = extract_transvection_class(sys_.word_delta(word))
+        got = tuple(support.get(t, 0) for t in range(sys_.dim))
+        assert (got, got_sign) == dense_extract_transvection_class(dense_word_matrix(sys_, word))
+        assert got_sign == sign and got in (cls, tuple(-x for x in cls))
+
+    @pytest.mark.parametrize("letters, message", [
+        ((), "identity"),
+        (("c1", "c3"), "not a transvection"),
+        (("c1", "c2"), "not a transvection"),
+    ])
+    def test_extraction_rejects_what_the_dense_reference_rejects(self, letters, message):
+        cm = chain_model(2)
+        word = TwistWord.twists(*letters)
+        with pytest.raises(CurveSystemError, match=message):
+            extract_transvection_class(cm.word_delta(word))
+        with pytest.raises(CurveSystemError, match=message):
+            dense_extract_transvection_class(dense_word_matrix(cm, word))
+
+
+class TestGroupRule:
+    @staticmethod
+    def two_nodules() -> CurveSystem:
+        sys_ = CurveSystem(genus=2, boundary_labels=("1",), name="groups")
+        sys_.add_curve("a1", {0: 1}, group=("nodule", 1))
+        sys_.add_curve("b1", (0, 1, 0, 0), group=("nodule", 1))
+        sys_.add_curve("a2", {2: -1}, group=("nodule", 2))
+        sys_.add_curve("a1a2", {0: 1, 2: 1})
+        sys_.add_curve("partial1", {}, nonseparating=False, group=("partial", 1))
+        return sys_
+
+    def test_members_of_one_family_are_disjoint(self):
+        sys_ = self.two_nodules()
+        sys_.check()
+        assert sys_.recorded_intersection("a1", "a2") == 0
+        assert sys_.recorded_intersection("a1", "b1") is None  # same member
+        assert sys_.recorded_intersection("a1", "a1a2") is None  # ungrouped
+        assert sys_.recorded_intersection("partial1", "a2") is None  # other family
+
+    def test_rule_answers_commute_steps(self):
+        reg = RelationRegistry(self.two_nodules())
+        out = replay(RewriteScript("t", [Step("commute", 0)]), TwistWord.twists("a1", "a2"), reg)
+        assert [g.curve for g in out.word] == ["a2", "a1"]
+        with pytest.raises(RewriteError):
+            replay(RewriteScript("t", [Step("commute", 0)]), TwistWord.twists("a1", "b1"), reg)
+
+    def test_check_rejects_members_sharing_a_handle(self):
+        sys_ = self.two_nodules()
+        sys_.add_curve("b1_again", {1: 1}, group=("nodule", 2))
+        with pytest.raises(CurveSystemError, match="handle 1"):
+            sys_.check()
+
+    def test_other_families_may_share_a_handle(self):
+        sys_ = self.two_nodules()
+        sys_.add_curve("crossing", {0: 1, 2: 1}, group=("partial", 0))
+        sys_.check()
+        assert sys_.recorded_intersection("crossing", "partial1") == 0
+
+    def test_check_rejects_a_nonzero_entry_between_members(self):
+        sys_ = self.two_nodules()
+        sys_.record_intersection("a1", "a2", 1)
+        assert sys_.recorded_intersection("a1", "a2") == 1
+        with pytest.raises(CurveSystemError, match="pair to 0"):
+            sys_.check()
+
+
+class TestSparseClasses:
+    def test_map_and_sequence_forms_agree(self):
+        sys_ = CurveSystem(genus=2, boundary_labels=("1",))
+        sys_.add_curve("u", (1, 0, -2, 0))
+        sys_.add_curve("v", {2: -2, 0: 1, 3: 0})
+        assert sys_.curve("u") == sys_.curve("v")
+        assert sys_.curve("v").homology == (1, 0, -2, 0)
+        assert sys_.curve("v").support == {0: 1, 2: -2}
+
+    @pytest.mark.parametrize("cls", [(1, 0, 0), {4: 1}, {-1: 1}])
+    def test_coordinates_outside_the_surface_are_rejected(self, cls):
+        sys_ = CurveSystem(genus=2, boundary_labels=("1",))
+        with pytest.raises(CurveSystemError, match="class for 'w'"):
+            sys_.add_curve("w", cls)
 
 
 class TestLengths:
