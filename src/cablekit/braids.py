@@ -119,20 +119,6 @@ class BraidWord:
             perm[a], perm[b] = perm[b], perm[a]
         return tuple(perm)
 
-    def closure_component_count(self) -> int:
-        seen = set()
-        perm = self.permutation()
-        cycles = 0
-        for start in range(self.strand_count):
-            if start in seen:
-                continue
-            cycles += 1
-            k = start
-            while k not in seen:
-                seen.add(k)
-                k = perm[k]
-        return cycles
-
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.letters) if self.letters else "e"
 

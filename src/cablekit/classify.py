@@ -129,14 +129,6 @@ def hopf_delta(p: int, q: int, genus: int) -> int:
     return (1 - abs(p)) * (2 * genus + abs(q) - 1)
 
 
-def _normalized_pair(comp: BindingComponent, p: int, q: int) -> tuple[int, int, int]:
-    """Reframe so the Seifert numerator lies in (-order, 0]; the cable
-    coefficient shifts alongside: (p, q) -> (p, q + k*p)."""
-    r, s = comp.order, comp.seifert_numerator
-    k = -((s + r - 1) // r)
-    return r, s + k * r, q + k * p
-
-
 def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVerdict:
     coeffs.validate(book)
     pairs = coeffs.pairs
@@ -198,9 +190,11 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
         if gcd(abs(p), abs(q)) > 1:
             exceptional = None  # non-coprime negative cable: overtwisted
             break
-        r, s_norm, q_norm = _normalized_pair(book.components[i], p, q)
-        window = Slope(s_norm, r)
-        if Slope(q_norm, p) in exceptional_slopes(window):
+        comp = book.components[i]
+        window = normalize_to_window(comp)
+        # reframing by k shifts the cable coefficient alongside: q -> q + k p
+        q_norm = q + p * (window.seifert_numerator - comp.seifert_numerator) // comp.order
+        if Slope(q_norm, p) in exceptional_slopes(window.seifert_slope):
             exceptional.append(i)
     all_exceptional = exceptional is not None and len(exceptional) == len(negatives)
 
@@ -280,21 +274,6 @@ def cabled_page(book: RationalOpenBook, coeffs: CableCoefficients) -> RationalOp
         components=tuple(new_components),
         is_rational_unknot_book=False,
     )
-
-
-def cabled_page_assembled(book: RationalOpenBook, coeffs: CableCoefficients) -> int:
-    """Independent Euler characteristic via lens-space torus-link fibers:
-    |p| page copies plus, per component, the local fiber of the (p, q_i)
-    torus link in the three-sphere minus its |p| nodule disks."""
-    coeffs.validate(book)
-    if not book.is_integral:
-        raise CableError("assembly cross-check is for integral books")
-    p_mag = abs(coeffs.pairs[0][0])
-    chi = p_mag * book.page_euler_char
-    for p, q in coeffs.pairs:
-        K = lens.LensTorusKnot(1, 0, p, q)
-        chi += lens.euler_characteristic(K) - abs(p)
-    return chi
 
 
 def stabilization_count_pq_from_p1(p: int, q: int) -> tuple[int, str]:

@@ -77,6 +77,7 @@ def p1_layout(g: int, j: int) -> list[str]:
     return layout
 
 
+@lru_cache(maxsize=None)
 def cable_p1_system(g: int, p: int) -> CurveSystem:
     """Curve system on the (p,1)-cable page of a genus-g one-boundary page.
 
@@ -89,11 +90,6 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     mod-10 lengths can be computed.  The result is cached and must be
     treated as immutable.
     """
-    return _cable_p1_system_cached(g, p)
-
-
-@lru_cache(maxsize=None)
-def _cable_p1_system_cached(g: int, p: int) -> CurveSystem:
     if g < 1 or p < 1:
         raise MonodromyError("need g >= 1 and p >= 1")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
@@ -235,13 +231,19 @@ def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
     return CableWord(word, None, cp, notes={"braid": bp, "markov_certificate": cert})
 
 
-def sigma22_cover_system(g: int) -> tuple[CurveSystem, list[str]]:
+@lru_cache(maxsize=None)
+def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     """Curve system of the (2,2)-cable page (genus 2g, two boundaries) as
     the double cover of the disk branched over 4g+2 points: the covering
     chain e1..e{4g+1} plus the rotation curves rho22_1..rho22_{2g+1} whose
-    classes are extracted from the lifted band generators.  Needs g >= 1; at
-    g = 0 the page is an annulus, which ``monodromy_22_connected`` builds
-    directly."""
+    classes are extracted from the lifted band generators.
+
+    The rotation braid has two factorizations, the half-twist form and the
+    conjugated band form; they must agree on strands and, lifted, on
+    homology, and the rotation word rho22_{2g+1} ... rho22_1 must equal
+    their lift.  The system is built and checked once per genus and cached;
+    it must be treated as immutable.  Needs g >= 1; at g = 0 the page is an
+    annulus, which ``monodromy_22_connected`` builds directly."""
     if g < 1:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 1, got {g}; "
                              "monodromy_22_connected builds the genus-0 (annulus) system")
@@ -267,17 +269,24 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, list[str]]:
             sys.record_intersection(a, b, abs(sys.pairing(a, b)))
     sys.add_boundary_curves()
     sys.check()
-    return sys, rho_names
+    half_form = r22_braid(g)
+    band_form = d1 * braid_Bp(2 * g + 1, 2) * d1.inverse()
+    if half_form.permutation() != band_form.permutation():
+        raise MonodromyError("rotation braid factorizations disagree on strands")
+    d_half = sys.word_delta(lift_through_double_cover(half_form, chain))
+    if d_half != sys.word_delta(lift_through_double_cover(band_form, chain)):
+        raise MonodromyError("rotation braid factorizations disagree on homology")
+    if sys.word_delta(TwistWord.twists(*reversed(rho_names))) != d_half:
+        raise MonodromyError("rotation word disagrees with its braid lift")
+    return sys, tuple(rho_names)
 
 
 def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     """The (2,2)-cable monodromy: 2g+1 positive twists about the rotation
     curves, then the lift of the monodromy on nodule 1 (the chain curves
-    e1..e{2g} cover the first nodule).
-
-    Emits both braid factorizations of the rotation braid -- the half-twist
-    form and the conjugated band form -- and checks that they agree at the
-    permutation level and on homology after lifting.
+    e1..e{2g} cover the first nodule).  The rotation word comes from the
+    cached :func:`sigma22_cover_system`, which checks it against both braid
+    factorizations of the rotation braid.
     """
     _require_integral_connected(book)
     g = book.genus
@@ -292,30 +301,12 @@ def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
         cp = cabled_page(book, CableCoefficients(((2, 2),)))
         return CableWord(word, sys0, cp)
     sys, rho_names = sigma22_cover_system(g)
-    chain = [f"e{k}" for k in range(1, 4 * g + 2)]
-    half_form = r22_braid(g)
-    d1 = garside_half_twist(4 * g + 2, 1, 2 * g + 1)
-    band_form = d1 * braid_Bp(2 * g + 1, 2) * d1.inverse()
-    if half_form.permutation() != band_form.permutation():
-        raise MonodromyError("rotation braid factorizations disagree on strands")
-    d_half = sys.word_delta(lift_through_double_cover(half_form, chain))
-    d_band = sys.word_delta(lift_through_double_cover(band_form, chain))
-    if d_half != d_band:
-        raise MonodromyError("rotation braid factorizations disagree on homology")
-    rot = TwistWord.twists(*reversed(rho_names))
-    if sys.word_delta(rot) != d_half:
-        raise MonodromyError("rotation word disagrees with its braid lift")
     phi = (book.monodromy or TwistWord(())).map_curves(
         lambda c: f"e{c[1:]}" if _is_chain_curve(c) and int(c[1:]) <= 2 * g else c
     )
-    word = rot.compose(phi)
+    word = TwistWord.twists(*reversed(rho_names)).compose(phi)
     cp = cabled_page(book, CableCoefficients(((2, 2),)))
-    return CableWord(
-        word,
-        sys,
-        cp,
-        notes={"braid_half_twists": half_form, "braid_bands": band_form},
-    )
+    return CableWord(word, sys, cp)
 
 
 def monodromy_pq(book: RationalOpenBook, p: int, q: int) -> CableWord:

@@ -160,6 +160,8 @@ class RationalOpenBook:
                 raise OpenBookError("book field 'components' must be a list")
             if not isinstance(metadata, dict):
                 raise OpenBookError("book field 'metadata' must be an object")
+            if not isinstance(obj.get("rational_unknot", False), bool):
+                raise OpenBookError("book field 'rational_unknot' must be true or false")
             return RationalOpenBook(
                 genus=genus,
                 components=tuple(BindingComponent.from_json(c) for c in components),

@@ -11,11 +11,12 @@ The module also computes negative continued fraction expansions
 
 for s in (-1, 0), shortest paths in the Farey tessellation that stay inside
 the closed interval spanned by their endpoints, and the exceptional cabling
-slopes of a Seifert slope.  Interval paths are what the solid-torus layering
-calculus uses: an unconstrained graph geodesic between two slopes can be
-strictly shorter than every path through the interval (already for -1 and
--7/10, via -2/3), so the two notions are deliberately kept distinct here and
-only the interval version is implemented.
+slopes of a Seifert slope, which are the vertices of its interval path to -1.
+Interval paths are what the solid-torus layering calculus uses: an
+unconstrained graph geodesic between two slopes can be strictly shorter than
+every path through the interval (already for -1 and -7/10, via -2/3), so the
+two notions are deliberately kept distinct here and only the interval
+version is implemented.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ def farey_shortest_path(start: Slope, end: Slope) -> list[Slope]:
 class NegContinuedFraction:
     """An expansion [r_0, ..., r_k] of the nest 1/(r_0 - 1/(r_1 - ...)).
 
-    Canonical form has every term <= -2; the collapse rule
-    [..., r_j, -1] = [..., r_j + 1] is applied by :meth:`canonical`.
+    :func:`neg_cont_frac` returns the canonical form, every term <= -2;
+    :func:`eval_cont_frac` evaluates any terms.
     """
 
     __slots__ = ("terms",)
@@ -219,24 +220,6 @@ class NegContinuedFraction:
 
     def __repr__(self):
         return f"NegContinuedFraction({list(self.terms)})"
-
-    def is_canonical(self) -> bool:
-        return all(t <= -2 for t in self.terms)
-
-    def canonical(self) -> "NegContinuedFraction":
-        """Collapse trailing -1 terms until every term is <= -2.
-
-        Preserves the rational value.  The single term [-1], the expansion
-        of the slope -1 itself, is already as collapsed as it gets.
-        """
-        terms = list(self.terms)
-        while len(terms) > 1 and terms[-1] == -1:
-            terms.pop()
-            terms[-1] += 1
-        cf = NegContinuedFraction(terms)
-        if not cf.is_canonical() and cf.terms != (-1,):
-            raise SlopeDomainError(f"cannot canonicalize terms {list(self.terms)}")
-        return cf
 
 
 def eval_cont_frac(cf: NegContinuedFraction) -> Slope:
@@ -267,28 +250,14 @@ def neg_cont_frac(s: Slope) -> NegContinuedFraction:
 def exceptional_slopes(seifert: Slope) -> list[Slope]:
     """Exceptional cabling slopes for a framing-normalized Seifert slope.
 
-    For seifert = 0 (an integral component in its page framing) the only
-    exceptional slope is -1.  For seifert in (-1, 0) the slopes e_1, ...,
-    e_n are produced by repeatedly adding 1 to the last term of the
-    continued-fraction expansion (collapsing trailing -1 terms), stopping at
-    e_n = -1.  They are precisely the interior vertices, plus -1 itself, of
-    the interval Farey path from -1 to the Seifert slope, read from the
-    Seifert side.
+    The Seifert slope must be 0 (an integral component in its page framing)
+    or lie in (-1, 0).  The exceptional slopes e_1, ..., e_n = -1 are the
+    vertices after the first of the interval Farey path from the Seifert
+    slope to -1; for 0 that is -1 alone.
     """
-    if seifert == Slope(0):
-        return [Slope(-1)]
-    if seifert.is_meridian or not (Slope(-1) < seifert < Slope(0)):
+    if seifert.is_meridian or not (Slope(-1) < seifert <= Slope(0)):
         raise SlopeDomainError(f"Seifert slope {seifert} must be 0 or in (-1, 0)")
-    out: list[Slope] = []
-    terms = list(neg_cont_frac(seifert).terms)
-    while True:
-        terms[-1] += 1
-        cf = NegContinuedFraction(terms).canonical()
-        terms = list(cf.terms)
-        value = eval_cont_frac(cf)
-        out.append(value)
-        if value == Slope(-1):
-            return out
+    return farey_shortest_path(seifert, Slope(-1))[1:]
 
 
 # -- brute-force oracle ----------------------------------------------------

@@ -59,10 +59,6 @@ class Generator:
         return Generator(FRACTIONAL, boundary, 1 if amount > 0 else -1, amount)
 
     @staticmethod
-    def braid_half_twist(ref: str, sign: int = 1) -> "Generator":
-        return Generator(BRAID_HALF, ref, sign)
-
-    @staticmethod
     def stabilization_marker(ref: str, sign: int = 1) -> "Generator":
         return Generator(STAB, ref, sign)
 

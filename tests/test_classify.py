@@ -13,7 +13,6 @@ from cablekit.classify import (
     VerdictKind,
     cable_sign,
     cabled_page,
-    cabled_page_assembled,
     classify_cable,
     hopf_delta,
     induced_open_book_from_surgery,
@@ -21,10 +20,22 @@ from cablekit.classify import (
     stabilization_count_pq_from_p1,
     surgery_admissible,
 )
+from cablekit.lens import LensTorusKnot, euler_characteristic
 from cablekit.openbook import BindingComponent, OpenBookError, RationalOpenBook, validate
 from cablekit.slopes import Slope, exceptional_slopes
 from cablekit.words import Generator, TwistWord
 from fractions import Fraction
+
+
+def cabled_page_assembled(book, coeffs):
+    """Independent Euler characteristic via lens-space torus-link fibers:
+    |p| page copies plus, per component, the local fiber of the (p, q_i)
+    torus link in the three-sphere minus its |p| nodule disks."""
+    coeffs.validate(book)
+    chi = abs(coeffs.pairs[0][0]) * book.page_euler_char
+    for p, q in coeffs.pairs:
+        chi += euler_characteristic(LensTorusKnot(1, 0, p, q)) - abs(p)
+    return chi
 
 
 def integral_book(genus=1, components=1, word=None):

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cablekit
 from cablekit.cli import main
@@ -215,6 +217,9 @@ class TestBookBoundary:
              {"genus": 1, "components": [{"order": 1, "seifert_numerator": 0.5}]}),
             (["monodromy", "--cable", "2,2"],
              {"genus": 1, "components": [{"order": 1, "seifert_numerator": False}]}),
+            (["classify", "--cable", "2,-1"],  # a string flag must not pick the verdict
+             {"genus": 0, "components": [{"order": 3, "seifert_numerator": -1}],
+              "rational_unknot": "false"}),
         ],
     )
     def test_field_types_are_exit_2(self, tmp_path, capsys, argv, book):
@@ -470,3 +475,196 @@ class TestLazyExports:
         with pytest.raises(ImportError):
             exec("from cablekit import no_such_name", {})
         assert cablekit.__version__ == "0.1.0"
+
+
+# -- fuzzing the input boundary ------------------------------------------------
+
+# Every subcommand reads malformed books, words, flags and CABLEKIT_DATA files
+# and must answer with exit 0, or exit 2 and an `error:` line, never exit 1.
+# Books keep genus <= 3 and cables p <= 5 so each call stays cheap.
+FUZZ_RUN = """import contextlib, io, json, os, sys
+from cablekit.cli import main
+
+def run(argv, data):
+    os.environ.pop("CABLEKIT_DATA", None)
+    if data:
+        os.environ["CABLEKIT_DATA"] = data
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # verify-word answers "not equal" by exit 2
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+if __name__ == "__main__":
+    print(json.dumps([run(argv, data) for argv, data in json.load(sys.stdin)]))
+"""
+_fuzz = {}
+exec(FUZZ_RUN, _fuzz)  # the in-process runs use the same `run` as the -O sample
+
+
+def _answers_cleanly(argv, code, out, err):
+    if code == 0:
+        return True
+    named = any(line.startswith("error: ") or ": error: " in line for line in err.splitlines())
+    unequal = "verify-word" in argv and not err and "equal" in out
+    return code == 2 and (named or unequal)
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2),
+                  st.text("c1/-x", max_size=3), st.just([]), st.just({}))
+
+
+def _or_junk(valid):
+    """Mostly valid values, junk one time in five (shrinking toward junk)."""
+    return st.integers(0, 4).flatmap(lambda i: valid if i else _JUNK)
+
+
+_CURVES = ["c1", "c2", "c3", "c4", "c9", "cusp", "bdry_outer", "n1_1", "n1_2", "x1", "d1",
+           "partial1"]
+_VALID_WORD = st.lists(st.fixed_dictionaries({
+    "kind": st.just("dehn"), "curve": st.sampled_from(_CURVES), "sign": st.sampled_from([1, -1]),
+}), max_size=4)
+_LETTER = st.fixed_dictionaries({
+    "kind": _or_junk(st.sampled_from(["dehn", "fractional", "braid_half", "stab", "x"])),
+    "curve": _or_junk(st.sampled_from(_CURVES + ["1"])),
+}, optional={
+    "sign": _or_junk(st.sampled_from([1, -1, 2])),
+    "amount": _or_junk(st.sampled_from(["1/2", "-1/3", "2", "x", "1/0", "1/2/3"])),
+})
+_WORD = st.one_of(_VALID_WORD, _or_junk(st.lists(_or_junk(_LETTER), max_size=4)))
+_VALID_BOOK = st.fixed_dictionaries({
+    "genus": st.integers(0, 3),
+    "components": st.lists(st.fixed_dictionaries({
+        "order": st.sampled_from([1, 1, 2, 3, 5]), "seifert_numerator": st.integers(-6, 3)}),
+        min_size=1, max_size=2),
+}, optional={"monodromy": _VALID_WORD})
+_COMPONENT = _or_junk(st.fixed_dictionaries(
+    {"order": _or_junk(st.integers(-1, 5)), "seifert_numerator": _or_junk(st.integers(-6, 3))},
+    optional={"multiplicity": _or_junk(st.integers(0, 3))},
+))
+_BOOK = st.one_of(_VALID_BOOK, _or_junk(st.fixed_dictionaries(
+    {"genus": _or_junk(st.integers(-1, 3)), "components": _or_junk(st.lists(_COMPONENT,
+                                                                          max_size=3))},
+    optional={"monodromy": _WORD, "rational_unknot": _or_junk(st.booleans()),
+              "boundary_count_of_page": _or_junk(st.integers(0, 3)),
+              "metadata": _or_junk(st.dictionaries(st.text("ab", max_size=2), _JUNK,
+                                                   max_size=2))},
+)))
+_DATA_KEYS = ["name", "genus", "boundary_labels", "curves", "intersections", "expansions"]
+
+
+@st.composite
+def _data_file(draw):
+    """The shipped sigma22_g1.json with one field, one curve, one recorded
+    intersection or one expansion replaced by junk."""
+    obj = _sigma22_data()
+    where = draw(st.sampled_from(["top", "curve", "intersection", "expansion"]))
+    if where == "top":
+        obj[draw(st.sampled_from(_DATA_KEYS))] = draw(_JUNK)
+    elif where == "curve":
+        info = obj["curves"][draw(st.sampled_from(sorted(obj["curves"])))]
+        info[draw(st.sampled_from(["homology", "nonseparating", "boundary_parallel"]))] = \
+            draw(_or_junk(st.lists(st.integers(-1, 1), min_size=3, max_size=5)))
+    elif where == "intersection":
+        names = st.sampled_from(sorted(obj["curves"]) + ["nope"])
+        obj["intersections"].append([draw(names), draw(names), draw(_or_junk(st.integers(-1, 2)))])
+    else:
+        obj["expansions"] = {draw(st.sampled_from(["partial1", "bdry_1", "n1_1"])): draw(_WORD)}
+    return draw(st.one_of(st.just(obj), _JUNK))
+
+
+_SLOPE = st.one_of(st.builds(lambda q, p: f"{q}/{p}", st.integers(-50, 50), st.integers(-50, 50)),
+                   st.sampled_from(["0", "-1", "inf", "1/0", "0/0", "x", "-1/3/2", ""]))
+_PAIR = st.builds(lambda p, q: f"{p},{q}", st.sampled_from([2, 2, 3, 5, 1, 0, -2]),
+                  st.integers(-5, 5))
+_CABLE = st.integers(0, 5).flatmap(lambda i: (
+    st.sampled_from(["2", "2,1,3", "a,b", "", "2,1;"]) if i == 0
+    else st.lists(_PAIR, min_size=2, max_size=3).map(";".join) if i == 1 else _PAIR))
+_INT = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["x", "1.5", ""]))
+_SUBCOMMAND = {
+    "slopes": st.tuples(st.sampled_from(["exceptional", "path", "ncf", "x"]), _SLOPE, _SLOPE)
+    .map(lambda t: ["slopes", *t[: 3 if t[0] == "path" else 2]]),
+    "torus-knot": st.lists(_INT, min_size=4, max_size=4).map(
+        lambda v: ["torus-knot", *(f"--{n}={x}" for n, x in zip("rskl", v))]),
+    "classify": _CABLE.map(lambda c: ["classify", "--book", "BOOK", f"--cable={c}"]),
+    "cable-page": _CABLE.map(lambda c: ["cable-page", "--book", "BOOK", f"--cable={c}"]),
+    "resolve": st.one_of(st.just(""), _CABLE).map(lambda l: ["resolve", "--book", "BOOK",
+                                                            f"--l={l}"]),
+    "surgery": st.tuples(_INT, _SLOPE).map(lambda t: [
+        "surgery", "--book", "BOOK", f"--component={t[0]}", f"--coefficient={t[1]}"]),
+    "monodromy": _CABLE.map(lambda c: ["monodromy", "--book", "BOOK", f"--cable={c}"]),
+    "obstruction": _INT.map(lambda p: ["obstruction", f"--p={p}"]),
+    "verify-word": st.sampled_from(["sigma22_g1", "resolved_neg_cable_g1", "x"]).map(
+        lambda s: ["verify-word", "--system", s, "WORD1", "WORD2"]),
+    "replay-script": st.sampled_from(["stabilize_21_to_22", "garside_square_boundary",
+                                      "negative_cable_positive_refactor",
+                                      "genlantern_from_two_lanterns", "x"]).map(
+        lambda s: ["replay-script", s]),
+    "compose-cobordism": st.just(["compose-cobordism", "--page", "BOOK", "WORD1", "WORD2"]),
+}
+
+
+def _write_inputs(root, argv, book, word1, word2, data):
+    """Write the drawn files under root and return the argv and data dir that
+    name them.  A file of None is left unparsable."""
+    files = {"BOOK": book, "WORD1": word1, "WORD2": word2}
+    for key, value in files.items():
+        (root / key).write_text("{" if value is None else json.dumps(value))
+    data_dir = None
+    if data is not None:
+        data_dir = root / "data"
+        data_dir.mkdir(exist_ok=True)
+        (data_dir / "sigma22_g1.json").write_text(json.dumps(data))
+        shutil.copy(_DATA / "resolved_neg_cable_g1.json", data_dir)
+    return [str(root / a) if a in files else a for a in argv], data_dir and str(data_dir)
+
+
+class TestFuzzBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(sorted(_SUBCOMMAND)).flatmap(_SUBCOMMAND.get),
+           json_flag=st.booleans(), book=_BOOK, word1=_WORD, word2=_WORD,
+           data=st.one_of(st.none(), _data_file()))
+    def test_exit_0_or_2(self, tmp_path_factory, command, json_flag, book, word1, word2, data):
+        root = tmp_path_factory.mktemp("fuzz")
+        argv, data_dir = _write_inputs(root, command, book, word1, word2, data)
+        argv = ["--json", *argv] if json_flag else argv
+        code, out, err = _fuzz["run"](argv, data_dir)
+        assert _answers_cleanly(argv, code, out, err), (argv, code, err)
+
+    def test_sample_under_optimize(self, tmp_path):
+        # asserts vanish under `python -O`; the checks that guard the
+        # boundary must not
+        books = [None, [1], {"genus": "1", "components": []},
+                 {"genus": 1, "components": [{"order": 0, "seifert_numerator": 1}]},
+                 {"genus": 1, "components": [{"order": 2, "seifert_numerator": 4}]},
+                 {"genus": 3, "components": [_DISK], "monodromy": [{"kind": "x", "curve": "c1"}]}]
+        words = [None, 7, [{"kind": "dehn", "curve": "c1", "sign": True}],
+                 [{"kind": "fractional", "curve": "1", "amount": "1/0"}]]
+        data = [None, [1], _sigma22_data(genus=-1), _sigma22_data(homology=[True, 0, 0, 0])]
+        cases = []
+        for i, (name, argv) in enumerate([
+            ("slopes", ["slopes", "exceptional", "1/3"]),
+            ("torus-knot", ["torus-knot", "--r=0", "--s=0", "--k=0", "--l=0"]),
+            *((cmd, [cmd, "--book", "BOOK", "--cable=5,-3"]) for cmd in
+              ("classify", "cable-page", "monodromy")),
+            ("resolve", ["resolve", "--book", "BOOK", "--l=1,x"]),
+            ("surgery", ["surgery", "--book", "BOOK", "--coefficient=0/0"]),
+            ("obstruction", ["obstruction", "--p=-1"]),
+            ("verify-word", ["verify-word", "--system", "sigma22_g1", "WORD1", "WORD2"]),
+            ("replay-script", ["replay-script", "stabilize_21_to_22"]),
+            ("compose-cobordism", ["compose-cobordism", "--page", "BOOK", "WORD1", "WORD2"]),
+        ]):
+            for j, book in enumerate(books):
+                root = tmp_path / f"{name}_{j}"
+                root.mkdir()
+                cases.append(_write_inputs(root, ["--json", *argv], book, words[j % len(words)],
+                                           words[(i + j) % len(words)], data[j % len(data)]))
+        run = subprocess.run([sys.executable, "-O", "-c", FUZZ_RUN], input=json.dumps(cases),
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        results = json.loads(run.stdout)
+        bad = [(argv, code, err) for (argv, _), (code, out, err) in zip(cases, results)
+               if not _answers_cleanly(argv, code, out, err)]
+        assert len(results) == len(cases) == 66 and not bad, bad

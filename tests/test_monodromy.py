@@ -12,6 +12,7 @@ from cablekit.curves import (
     extract_transvection_class,
     mod10_class,
 )
+from cablekit import monodromy
 from cablekit.monodromy import (
     MonodromyError,
     branch_point_count,
@@ -114,6 +115,27 @@ class TestConnected22:
             with pytest.raises(MonodromyError, match=r"g >= 1.*monodromy_22_connected"):
                 sigma22_cover_system(g)
         assert len(monodromy_22_connected(connected_book(0)).word) == 1
+
+    def test_cover_system_built_once_per_genus(self):
+        sigma22_cover_system.cache_clear()
+        monodromy_22_connected(connected_book(2, TwistWord.twists("c1")))
+        compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2"), connected_book(2))
+        assert sigma22_cover_system.cache_info().misses == 1
+
+    @pytest.mark.parametrize("extra, message", [
+        ([(1, 2, 1)], "on strands"),  # one more crossing permutes the strands
+        ([(1, 2, 1), (1, 2, 1)], "on homology"),  # a pure braid: same strands
+    ])
+    def test_broken_rotation_braid_raises(self, monkeypatch, extra, message):
+        true_braid = monodromy.r22_braid
+        monkeypatch.setattr(monodromy, "r22_braid", lambda g: true_braid(g)
+                            * BraidWord.from_pairs(4 * g + 2, extra))
+        sigma22_cover_system.cache_clear()
+        try:
+            with pytest.raises(MonodromyError, match=message):
+                monodromy_22_connected(connected_book(1))
+        finally:
+            sigma22_cover_system.cache_clear()
 
     def test_lifts_keep_non_chain_names(self):
         # only chain names c{k} with ASCII digits k are renamed; names like

@@ -22,6 +22,25 @@ from cablekit.slopes import (
 )
 
 
+def increment_rule_exceptional(seifert):
+    """The exceptional slopes by the increment rule: add 1 to the last term
+    of the canonical expansion, collapse trailing -1 terms by
+    [..., r, -1] = [..., r + 1], evaluate, and stop at -1."""
+    if seifert == Slope(0):
+        return [Slope(-1)]
+    out = []
+    terms = list(neg_cont_frac(seifert).terms)
+    while True:
+        terms[-1] += 1
+        while len(terms) > 1 and terms[-1] == -1:
+            terms.pop()
+            terms[-1] += 1
+        assert all(t <= -2 for t in terms) or terms == [-1], terms
+        out.append(eval_cont_frac(NegContinuedFraction(terms)))
+        if out[-1] == Slope(-1):
+            return out
+
+
 def slopes_in_window(max_den):
     for p in range(2, max_den + 1):
         for q in range(-p + 1, 0):
@@ -77,12 +96,8 @@ class TestContinuedFractions:
     def test_round_trip_and_canonical_to_200(self):
         for s in slopes_in_window(200):
             cf = neg_cont_frac(s)
-            assert cf.is_canonical()
+            assert all(t <= -2 for t in cf.terms)
             assert eval_cont_frac(cf) == s
-
-    def test_collapse(self):
-        assert NegContinuedFraction([-3, -2, -1]).canonical().terms == (-2,)
-        assert NegContinuedFraction([-1]).canonical().terms == (-1,)
 
 
 class TestFarey:
@@ -149,10 +164,16 @@ class TestExceptional:
             with pytest.raises(SlopeDomainError):
                 exceptional_slopes(bad)
 
-    def test_agreement_with_farey_path_to_50(self):
-        for s in slopes_in_window(50):
-            path = farey_shortest_path(Slope(-1), s)
-            assert exceptional_slopes(s) == path[:-1][::-1]
+    def test_agreement_with_increment_rule_to_200(self):
+        for s in slopes_in_window(200):
+            assert exceptional_slopes(s) == increment_rule_exceptional(s), s
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 10**4).flatmap(
+        lambda p: st.tuples(st.integers(1, p - 1), st.just(p))))
+    def test_agreement_with_increment_rule_large(self, qp):
+        s = Slope(-qp[0], qp[1])
+        assert exceptional_slopes(s) == increment_rule_exceptional(s)
 
     def test_always_ends_at_minus_one(self):
         for s in slopes_in_window(60):

@@ -1,11 +1,16 @@
 """Source-level checks on the package."""
 
 import ast
+import functools
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "cablekit").glob("*.py"))
+import cablekit
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "cablekit").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -38,3 +43,30 @@ def test_oracle_module_has_no_fractions():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "Fraction" not in imported and "fractions" not in imported | modules
+
+
+def _names_read(tree):
+    """Every name a tree reads, as a plain name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+@functools.cache
+def _names_read_by_package_and_bench():
+    # the tracer's proxy lists name entry points without calling them
+    bench = sorted(p for p in (ROOT / "bench").glob("*.py") if p.name != "tracing.py")
+    return sum((_names_read(ast.parse(p.read_text(encoding="utf-8"))) for p in SOURCES + bench),
+               Counter())
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_definition_is_used(path):
+    # a function or class that only the tests call belongs in the tests
+    read = _names_read_by_package_and_bench()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = [node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in cablekit.__all__
+              and read[node.name] == _names_read(node)[node.name]]  # beyond its own body
+    assert not unused, f"{path.name} defines {unused}, which nothing outside the tests names"

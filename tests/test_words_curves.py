@@ -69,7 +69,7 @@ class TestWordAlgebra:
         w = TwistWord.of(
             Generator.dehn_twist("a", -1),
             Generator.fractional_boundary("a", Fraction(1, 3)),
-            Generator.braid_half_twist("a"),
+            Generator(BRAID_HALF, "a"),
             Generator.stabilization_marker("a"),
             Generator.dehn_twist("b"),
         )
@@ -120,7 +120,7 @@ class TestSymplecticOracle:
     def test_braid_half_twist_rejected(self):
         cm = chain_model(1)
         with pytest.raises(UnresolvedCurveError):
-            cm.word_matrix(TwistWord.of(Generator.braid_half_twist("s1")))
+            cm.word_matrix(TwistWord.of(Generator(BRAID_HALF, "s1")))
 
     def test_odd_chain_relation_trivial_on_capped(self):
         for g in range(1, 4):
@@ -357,7 +357,7 @@ class TestSparseOracle:
         sys_, word = case
         gens = list(word)
         for is_braid, pos in bad:
-            gen = (Generator.braid_half_twist("s1") if is_braid
+            gen = (Generator(BRAID_HALF, "s1") if is_braid
                    else Generator.dehn_twist("no_such_curve", -1))
             gens.insert(min(pos, len(gens)), gen)
         bad_word = TwistWord(tuple(gens))
