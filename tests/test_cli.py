@@ -16,6 +16,7 @@ import cablekit
 from cablekit.cli import main
 from cablekit.openbook import BindingComponent, RationalOpenBook
 from cablekit.words import TwistWord
+from cli_runner import run_main
 
 
 def run_cli(args, capsys):
@@ -401,6 +402,7 @@ sys.exit(code)
 """
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(cablekit.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)
 
 
 class TestColdImports:
@@ -481,27 +483,8 @@ class TestLazyExports:
 
 # Every subcommand reads malformed books, words, flags and CABLEKIT_DATA files
 # and must answer with exit 0, or exit 2 and an `error:` line, never exit 1.
-# Books keep genus <= 3 and cables p <= 5 so each call stays cheap.
-FUZZ_RUN = """import contextlib, io, json, os, sys
-from cablekit.cli import main
-
-def run(argv, data):
-    os.environ.pop("CABLEKIT_DATA", None)
-    if data:
-        os.environ["CABLEKIT_DATA"] = data
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # verify-word answers "not equal" by exit 2
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-if __name__ == "__main__":
-    print(json.dumps([run(argv, data) for argv, data in json.load(sys.stdin)]))
-"""
-_fuzz = {}
-exec(FUZZ_RUN, _fuzz)  # the in-process runs use the same `run` as the -O sample
+# Books keep genus <= 3 and cables p <= 5 so each call stays cheap; the
+# -O sample runs the same `run_main` in one `python -O -m cli_runner` process.
 
 
 def _answers_cleanly(argv, code, out, err):
@@ -630,8 +613,10 @@ class TestFuzzBoundary:
         root = tmp_path_factory.mktemp("fuzz")
         argv, data_dir = _write_inputs(root, command, book, word1, word2, data)
         argv = ["--json", *argv] if json_flag else argv
-        code, out, err = _fuzz["run"](argv, data_dir)
+        before = os.environ.get("CABLEKIT_DATA")
+        code, out, err = run_main(argv, data_dir)
         assert _answers_cleanly(argv, code, out, err), (argv, code, err)
+        assert os.environ.get("CABLEKIT_DATA") == before
 
     def test_sample_under_optimize(self, tmp_path):
         # asserts vanish under `python -O`; the checks that guard the
@@ -661,10 +646,11 @@ class TestFuzzBoundary:
                 root.mkdir()
                 cases.append(_write_inputs(root, ["--json", *argv], book, words[j % len(words)],
                                            words[(i + j) % len(words)], data[j % len(data)]))
-        run = subprocess.run([sys.executable, "-O", "-c", FUZZ_RUN], input=json.dumps(cases),
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": SRC})
-        results = json.loads(run.stdout)
+        proc = subprocess.run([sys.executable, "-O", "-m", "cli_runner"], input=json.dumps(cases),
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])})
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
         bad = [(argv, code, err) for (argv, _), (code, out, err) in zip(cases, results)
                if not _answers_cleanly(argv, code, out, err)]
         assert len(results) == len(cases) == 66 and not bad, bad
