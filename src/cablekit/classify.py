@@ -17,7 +17,7 @@ from the fiber invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -288,12 +288,6 @@ def stabilization_count_pq_from_p1(p: int, q: int) -> tuple[int, str]:
 # -- resolution --------------------------------------------------------------
 
 
-@dataclass
-class ResolutionData:
-    book: RationalOpenBook
-    new_boundary_curves: list[str] = field(default_factory=list)
-
-
 def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
     """Replace each component of order r > 1 by its (r, l)-cable, producing
     an integral book supporting the same contact structure.
@@ -306,10 +300,6 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
     fractional boundary twists are replaced by one positive boundary twist
     about each new boundary component (a boundary multitwist acting first).
     """
-    return _resolve_impl(book, l_coeffs).book
-
-
-def _resolve_impl(book: RationalOpenBook, l_coeffs: list[int]) -> ResolutionData:
     rational = [i for i, c in enumerate(book.components) if c.order > 1]
     if len(l_coeffs) != len(rational):
         raise OpenBookError(
@@ -353,14 +343,13 @@ def _resolve_impl(book: RationalOpenBook, l_coeffs: list[int]) -> ResolutionData
         word = TwistWord(
             tuple(kept) + tuple(Generator.dehn_twist(c, +1) for c in new_curves)
         )
-    out = RationalOpenBook(
+    return RationalOpenBook(
         genus=genus2 // 2,
         components=tuple(new_components),
         is_rational_unknot_book=False,
         monodromy=word,
         metadata=book.metadata,
     ).with_metadata(contact="unchanged by resolution (positive cables)")
-    return ResolutionData(out, new_curves)
 
 
 # -- surgery -----------------------------------------------------------------
@@ -424,7 +413,7 @@ def induced_open_book_from_surgery(
             )
         )
     elif word is not None:
-        word = None  # no word-level description shipped for this shape
+        word = None  # no word is shipped for this shape
     out = RationalOpenBook(
         genus=book.genus,
         components=tuple(comps),

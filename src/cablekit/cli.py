@@ -169,7 +169,7 @@ def cmd_obstruction(args) -> None:
     _emit(args, report.to_json(), report.summary())
 
 
-def cmd_verify_word(args) -> None:
+def cmd_verify_word(args) -> int:
     from . import library
     from .curves import words_equal_on_homology
     systems = {
@@ -184,8 +184,7 @@ def cmd_verify_word(args) -> None:
     equal = words_equal_on_homology(w1, w2, sys_)
     _emit(args, {"equal_on_homology": equal},
           "equal on homology" if equal else "NOT equal on homology")
-    if not equal:
-        sys.exit(2)
+    return 0 if equal else 2
 
 
 def cmd_replay_script(args) -> None:
@@ -305,8 +304,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args.func(args)
-        return 0
+        return args.func(args) or 0
     except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -295,29 +295,21 @@ class NonExpandableGeneratorError(CurveSystemError):
     pass
 
 
-def _expand_to_nonseparating(word: TwistWord, sys: CurveSystem) -> TwistWord:
-    out: list[Generator] = []
+def algebraic_length(word: TwistWord, sys: CurveSystem) -> int:
+    """Signed count of nonseparating twists, a twist about a curve with a
+    registered factorization counting as the signed length of that
+    factorization (which holds nonseparating twists only)."""
+    total = 0
     for gen in word:
         if gen.kind == DEHN and sys.curve(gen.curve).nonseparating:
-            out.append(gen)
-            continue
-        if gen.kind == DEHN and gen.curve in sys.expansions:
-            expansion = sys.expansions[gen.curve]
-            if gen.sign < 0:
-                expansion = expansion.inverse()
-            out.extend(_expand_to_nonseparating(expansion, sys))
-            continue
-        raise NonExpandableGeneratorError(
-            f"{gen} is not a nonseparating twist and has no registered factorization"
-        )
-    return TwistWord(tuple(out))
-
-
-def algebraic_length(word: TwistWord, sys: CurveSystem) -> int:
-    """Signed count of nonseparating twists after expanding registered
-    factorizations of separating and boundary twists."""
-    expanded = _expand_to_nonseparating(word, sys)
-    return sum(g.sign for g in expanded)
+            total += gen.sign
+        elif gen.kind == DEHN and gen.curve in sys.expansions:
+            total += gen.sign * sum(g.sign for g in sys.expansions[gen.curve])
+        else:
+            raise NonExpandableGeneratorError(
+                f"{gen} is not a nonseparating twist and has no registered factorization"
+            )
+    return total
 
 
 def mod10_class(word: TwistWord, sys: CurveSystem) -> int:

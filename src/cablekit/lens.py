@@ -48,13 +48,6 @@ class LensTorusKnot:
         c = self.component_count
         return (self.k // c, self.l // c)
 
-    def to_json(self) -> dict:
-        return {"r": self.r, "s": self.s, "k": self.k, "l": self.l}
-
-    @staticmethod
-    def from_json(obj: dict) -> "LensTorusKnot":
-        return LensTorusKnot(r=obj["r"], s=obj["s"], k=obj["k"], l=obj["l"])
-
 
 def is_trivial(K: LensTorusKnot) -> bool:
     """True iff the underlying knot bounds a disk in the lens space.

@@ -28,7 +28,6 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
 
 from .curves import CurveSystem, CurveSystemError
 from .monodromy import (
@@ -104,7 +103,6 @@ class ScriptBundle:
     registry: RelationRegistry
     start: TwistWord
     expect: TwistWord
-    description: str
 
     def replay(self):
         return replay(self.script, self.start, self.registry, expect=self.expect)
@@ -124,9 +122,8 @@ def _tw(*items) -> TwistWord:
     return TwistWord.twists(*items)
 
 
-def sigma22_registry(system: Optional[CurveSystem] = None) -> RelationRegistry:
-    sys = system or sigma22_script_system()
-    reg = RelationRegistry(sys)
+def sigma22_registry() -> RelationRegistry:
+    reg = RelationRegistry(sigma22_script_system())
     block = garside_block(p1_layout(1, 1))
     lhs = TwistWord.of(
         Generator.dehn_twist("partial2", -1), Generator.dehn_twist("partial1", -1)
@@ -167,8 +164,7 @@ def sigma22_registry(system: Optional[CurveSystem] = None) -> RelationRegistry:
 
 
 def stabilize_21_to_22_script() -> RewriteScript:
-    s = RewriteScript("stabilize_21_to_22")
-    steps = [
+    return RewriteScript("stabilize_21_to_22", (
         Step("commute", 18),  # gamma past the second monodromy twist
         Step("commute", 17),  # gamma past the first monodromy twist
         Step("apply", 0, relation="rho21_dform"),
@@ -193,10 +189,7 @@ def stabilize_21_to_22_script() -> RewriteScript:
         Step("apply", 2, relation="conj_delta2_cp1inv"),
         Step("apply", 1, relation="conj_delta3_v1inv"),
         Step("cancel", 0),  # c4 pair
-    ]
-    for st in steps:
-        s.apply(st)
-    return s
+    ))
 
 
 def stabilization_bundle() -> ScriptBundle:
@@ -215,14 +208,7 @@ def stabilization_bundle() -> ScriptBundle:
     if start is None:
         raise RewriteError("the stabilized cable book lost its monodromy word")
     expect = _tw("delta3", "delta2", "delta1", "n1_1", "n1_2")
-    return ScriptBundle(
-        stabilize_21_to_22_script(),
-        reg,
-        start,
-        expect,
-        "stabilize the (2,1)-cable word and rewrite it to three positive "
-        "twists before the monodromy lift",
-    )
+    return ScriptBundle(stabilize_21_to_22_script(), reg, start, expect)
 
 
 # -- the Garside square -------------------------------------------------------
@@ -235,15 +221,9 @@ def garside_square_bundle(g: int = 1) -> ScriptBundle:
     reg = RelationRegistry(sys)
     block = garside_block(p1_layout(g, 1))
     reg.register("garside_square", block.compose(block), _tw("bdry_outer"))
-    script = RewriteScript("garside_square_boundary")
-    script.apply(Step("apply", 0, relation="garside_square"))
-    return ScriptBundle(
-        script,
-        reg,
-        block.compose(block),
-        _tw("bdry_outer"),
-        "consume the Garside square into the boundary twist",
-    )
+    script = RewriteScript("garside_square_boundary",
+                           (Step("apply", 0, relation="garside_square"),))
+    return ScriptBundle(script, reg, block.compose(block), _tw("bdry_outer"))
 
 
 # -- the positive refactorization ---------------------------------------------
@@ -253,9 +233,8 @@ def resolved_system() -> CurveSystem:
     return _system_from_json(_load_data("resolved_neg_cable_g1.json"))
 
 
-def resolved_registry(system: Optional[CurveSystem] = None) -> RelationRegistry:
-    sys = system or resolved_system()
-    reg = RelationRegistry(sys)
+def resolved_registry() -> RelationRegistry:
+    reg = RelationRegistry(resolved_system())
     block = garside_block(p1_layout(1, 1))
     reg.register(
         "genlantern",
@@ -281,18 +260,14 @@ def resolved_registry(system: Optional[CurveSystem] = None) -> RelationRegistry:
 
 
 def negative_cable_refactor_script() -> RewriteScript:
-    s = RewriteScript("negative_cable_positive_refactor")
-    steps = [
+    return RewriteScript("negative_cable_positive_refactor", (
         Step("commute", 16),  # partial2 past the inverse boundary twist
         Step("cancel", 15),  # partial1 pair
         Step("commute", 15),
         Step("commute", 16),
         Step("apply", 15, relation="genlantern"),
         Step("apply", 0, relation="garside_consume"),
-    ]
-    for st in steps:
-        s.apply(st)
-    return s
+    ))
 
 
 def negative_cable_bundle() -> ScriptBundle:
@@ -313,13 +288,7 @@ def negative_cable_bundle() -> ScriptBundle:
     start = resolved.word
     block = garside_block(p1_layout(1, 1))
     expect = block.compose(_tw("D3g", "D2g", "D1g"))
-    return ScriptBundle(
-        negative_cable_refactor_script(),
-        reg,
-        start,
-        expect,
-        "refactor the resolved negative cable into positive twists",
-    )
+    return ScriptBundle(negative_cable_refactor_script(), reg, start, expect)
 
 
 def genlantern_derivation_bundle() -> ScriptBundle:
@@ -327,8 +296,7 @@ def genlantern_derivation_bundle() -> ScriptBundle:
     reg = resolved_registry()
     start = _tw("partial1", "partial1", "partial2", "rb0_1", "rb0_2", "rb0_3")
     expect = _tw("dpartial", "D3g", "D2g", "D1g")
-    s = RewriteScript("genlantern_from_two_lanterns")
-    for st in [
+    s = RewriteScript("genlantern_from_two_lanterns", (
         Step("insert", 6, curve="eps", sign=1),
         Step("commute", 2),  # partial2 right past rb0_1
         Step("commute", 3),  # ... and rb0_2
@@ -343,11 +311,8 @@ def genlantern_derivation_bundle() -> ScriptBundle:
         Step("commute", 2),  # eps right past D2g
         Step("commute", 3),  # ... and D1g
         Step("cancel", 4),
-    ]:
-        s.apply(st)
-    return ScriptBundle(
-        s, reg, start, expect, "derive the generalized lantern from two classic ones"
-    )
+    ))
+    return ScriptBundle(s, reg, start, expect)
 
 
 # -- classic lantern model -----------------------------------------------------

@@ -38,7 +38,7 @@ from .braids import (
     positive_destabilization_certificate,
     r22_braid,
 )
-from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
+from .classify import CableCoefficients, cabled_page, resolve, stabilization_count_pq_from_p1
 from .curves import CurveSystem, chain_classes, extract_transvection_class
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import FRACTIONAL, Generator, TwistWord
@@ -375,19 +375,16 @@ def resolution_word_r0(book: RationalOpenBook) -> CableWord:
     all in (r, -1)-form: drop the fractional boundary twists and append one
     positive boundary twist for each new boundary component (the boundary
     multitwist acts first)."""
-    from .classify import _resolve_impl
-
     for comp in book.components:
         w = normalize_to_window(comp)
         if w.order > 1 and w.seifert_numerator != -1:
             raise MonodromyError("multitwist resolution needs (r, -1) components")
     if book.monodromy is None:
         raise MonodromyError("no monodromy word to resolve")
-    data = _resolve_impl(book, [0] * sum(1 for c in book.components if c.order > 1))
-    if data.book.monodromy is None:
+    resolved = resolve(book, [0] * sum(1 for c in book.components if c.order > 1))
+    if resolved.monodromy is None:
         raise MonodromyError("resolution did not produce a word")
-    return CableWord(data.book.monodromy, None, data.book,
-                     notes={"new_boundary_curves": data.new_boundary_curves})
+    return CableWord(resolved.monodromy, None, resolved)
 
 
 @dataclass

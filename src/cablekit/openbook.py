@@ -158,8 +158,9 @@ class RationalOpenBook:
             components, metadata = obj["components"], obj.get("metadata", {})
             if not isinstance(components, list):
                 raise OpenBookError("book field 'components' must be a list")
-            if not isinstance(metadata, dict):
-                raise OpenBookError("book field 'metadata' must be an object")
+            if not isinstance(metadata, dict) or not all(
+                    isinstance(v, str) for v in metadata.values()):
+                raise OpenBookError("book field 'metadata' must be an object of strings")
             if not isinstance(obj.get("rational_unknot", False), bool):
                 raise OpenBookError("book field 'rational_unknot' must be true or false")
             return RationalOpenBook(

@@ -12,7 +12,7 @@ a verified elementary-move script" -- nothing stronger is claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .curves import CurveSystem, words_equal_on_homology
@@ -74,58 +74,25 @@ class RelationRegistry:
 class Step:
     """One replay step.
 
-    kind "apply": replace relation lhs by rhs at `position` (direction "lr")
-    or rhs by lhs ("rl").  kind "cancel": remove the inverse pair at
-    `position`, `position`+1.  kind "commute": swap the two generators at
-    `position`, `position`+1 when their curves have recorded intersection 0.
-    kind "insert": insert the pair T_curve^sign, T_curve^-sign at `position`
-    (free: the word value is unchanged).
+    kind "apply": replace relation lhs by rhs at `position`.  kind "cancel":
+    remove the inverse pair at `position`, `position`+1.  kind "commute":
+    swap the two generators at `position`, `position`+1 when their curves
+    have recorded intersection 0.  kind "insert": insert the pair
+    T_curve^sign, T_curve^-sign at `position` (free: the word value is
+    unchanged).
     """
 
     kind: str
     position: int
     relation: str = ""
-    direction: str = "lr"
     curve: str = ""
     sign: int = 1
 
-    def to_json(self) -> dict:
-        obj = {"step": self.kind, "position": self.position}
-        if self.kind == "apply":
-            obj["relation"] = self.relation
-            obj["direction"] = self.direction
-        if self.kind == "insert":
-            obj["curve"] = self.curve
-            obj["sign"] = self.sign
-        return obj
 
-    @staticmethod
-    def from_json(obj: dict) -> "Step":
-        return Step(
-            kind=obj["step"],
-            position=obj["position"],
-            relation=obj.get("relation", ""),
-            direction=obj.get("direction", "lr"),
-            curve=obj.get("curve", ""),
-            sign=obj.get("sign", 1),
-        )
-
-
-@dataclass
+@dataclass(frozen=True)
 class RewriteScript:
     name: str
-    steps: list[Step] = field(default_factory=list)
-
-    def apply(self, step: Step) -> "RewriteScript":
-        self.steps.append(step)
-        return self
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "steps": [s.to_json() for s in self.steps]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RewriteScript":
-        return RewriteScript(obj["name"], [Step.from_json(s) for s in obj["steps"]])
+    steps: tuple[Step, ...]
 
 
 @dataclass
@@ -140,15 +107,15 @@ def _apply_step(word: TwistWord, step: Step, registry: RelationRegistry) -> Twis
     i = step.position
     if step.kind == "apply":
         rel = registry.get(step.relation)
-        src, dst = (rel.lhs, rel.rhs) if step.direction == "lr" else (rel.rhs, rel.lhs)
-        if tuple(gens[i : i + len(src)]) != src.generators:
+        n = len(rel.lhs)
+        if tuple(gens[i : i + n]) != rel.lhs.generators:
             raise RewriteError(
-                f"relation {rel.name!r} ({step.direction}) does not match at {i}: "
-                f"word has {[str(g) for g in gens[i:i+len(src)]]}"
+                f"relation {rel.name!r} does not match at {i}: "
+                f"word has {[str(g) for g in gens[i:i+n]]}"
             )
-        return TwistWord(tuple(gens[:i]) + dst.generators + tuple(gens[i + len(src) :]))
+        return TwistWord(tuple(gens[:i]) + rel.rhs.generators + tuple(gens[i + n :]))
     if step.kind == "cancel":
-        if i + 1 >= len(gens) or not gens[i].is_inverse_of(gens[i + 1]):
+        if i + 1 >= len(gens) or gens[i].inverse() != gens[i + 1]:
             raise RewriteError(f"no inverse pair at {i}")
         return TwistWord(tuple(gens[:i] + gens[i + 2 :]))
     if step.kind == "commute":

@@ -105,9 +105,6 @@ class Slope:
             return Slope(int(q), int(p))
         return Slope(int(text))
 
-    def to_json(self) -> str:
-        return str(self)
-
 
 MERIDIAN = Slope(1, 0)
 

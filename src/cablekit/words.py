@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 DEHN = "dehn"
 FRACTIONAL = "fractional"
@@ -68,9 +68,6 @@ class Generator:
         if self.kind == FRACTIONAL:
             return Generator(FRACTIONAL, self.curve, -self.sign, -self.amount)
         return Generator(self.kind, self.curve, -self.sign)
-
-    def is_inverse_of(self, other: "Generator") -> bool:
-        return self.inverse() == other
 
     def __str__(self) -> str:
         if self.kind == DEHN:
@@ -152,9 +149,6 @@ class TwistWord:
         """self after other: other acts first."""
         return TwistWord(self.generators + other.generators)
 
-    def __mul__(self, other: "TwistWord") -> "TwistWord":
-        return self.compose(other)
-
     def power(self, n: int) -> "TwistWord":
         if n < 0:
             return self.inverse().power(-n)
@@ -183,10 +177,9 @@ class TwistWord:
             n += 1
         return n
 
-    def is_positive(self, ignore: Iterable[str] = ()) -> bool:
-        """True when every generator outside `ignore` (curve names) is positive."""
-        skip = set(ignore)
-        return all(g.sign > 0 for g in self.generators if g.curve not in skip)
+    def is_positive(self) -> bool:
+        """True when every generator is positive."""
+        return all(g.sign > 0 for g in self.generators)
 
     def __str__(self) -> str:
         if not self.generators:

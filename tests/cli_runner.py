@@ -22,10 +22,7 @@ def run_main(argv, data):
         os.environ.pop("CABLEKIT_DATA", None)
         if data:
             os.environ["CABLEKIT_DATA"] = data
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # verify-word answers "not equal" by exit 2
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -173,6 +173,17 @@ class TestWordsAndScripts:
         )
         assert code == 0 and json.loads(out)["equal_on_homology"]
 
+    def test_verify_word_unequal_returns_2(self, tmp_path, capsys):
+        # "not equal" is an answer: main returns it rather than raising SystemExit
+        p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"
+        p1.write_text(json.dumps(TwistWord.twists("n1_1").to_json()))
+        p2.write_text(json.dumps(TwistWord.twists("n1_2").to_json()))
+        code, out, err = run_cli(
+            ["--json", "verify-word", "--system", "sigma22_g1", str(p1), str(p2)],
+            capsys,
+        )
+        assert (code, json.loads(out), err) == (2, {"equal_on_homology": False}, "")
+
     def test_compose_cobordism(self, trefoil_path, tmp_path, capsys):
         w = tmp_path / "w.json"
         w.write_text(json.dumps(TwistWord.twists("c1").to_json()))
@@ -221,6 +232,9 @@ class TestBookBoundary:
             (["classify", "--cable", "2,-1"],  # a string flag must not pick the verdict
              {"genus": 0, "components": [{"order": 3, "seifert_numerator": -1}],
               "rational_unknot": "false"}),
+            (["resolve"],  # metadata is echoed into the output, so only strings pass
+             {"genus": 0, "components": [{"order": 3, "seifert_numerator": -1}],
+              "metadata": {"a": [1, {"b": None}]}}),
         ],
     )
     def test_field_types_are_exit_2(self, tmp_path, capsys, argv, book):

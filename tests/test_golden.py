@@ -9,15 +9,13 @@ intended output change, regenerate the corpus with
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import contextlib
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from cablekit.cli import main
+from cli_runner import run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES_PATH = GOLDEN / "cases.json"
@@ -29,13 +27,8 @@ def run(case: dict, mode: str) -> tuple[int, bytes, str]:
     argv = MODES[mode] + [
         str(GOLDEN / a) if a.startswith("inputs/") else a for a in case["argv"]
     ]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # verify-word exits 2 on unequal words
-            code = exc.code
-    return code, out.getvalue().encode("utf-8"), err.getvalue()
+    code, out, err = run_main(argv, None)
+    return code, out.encode("utf-8"), err
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

@@ -81,10 +81,6 @@ class TestExamples:
         with pytest.raises(ValueError):
             LensTorusKnot(5, 2, 0, 0)
 
-    def test_json_round_trip(self):
-        K = LensTorusKnot(8, 3, 2, 1)
-        assert LensTorusKnot.from_json(K.to_json()) == K
-
 
 class TestInvariants:
     @settings(max_examples=400, deadline=None)

@@ -14,7 +14,6 @@ from cablekit.library import (
     sigma22_script_system,
     stabilization_bundle,
 )
-from cablekit.rewrite import replay
 from cablekit.words import TwistWord
 
 
@@ -61,14 +60,6 @@ class TestShippedScripts:
         bundle = genlantern_derivation_bundle()
         result = bundle.replay()
         assert [g.curve for g in result.word] == ["dpartial", "D3g", "D2g", "D1g"]
-
-    def test_script_json_round_trip(self):
-        from cablekit.rewrite import RewriteScript
-
-        bundle = stabilization_bundle()
-        again = RewriteScript.from_json(bundle.script.to_json())
-        result = replay(again, bundle.start, bundle.registry, expect=bundle.expect)
-        assert result.verified
 
 
 class TestLanternModel:

@@ -7,6 +7,7 @@ import pytest
 
 from cablekit.braids import BraidWord, garside_half_twist, lift_through_double_cover
 from cablekit.curves import (
+    NonExpandableGeneratorError,
     algebraic_length,
     chain_model,
     extract_transvection_class,
@@ -52,6 +53,27 @@ def connected_book(genus, word=None):
         components=(BindingComponent(1, 0),),
         monodromy=word,
     )
+
+
+def _expand_to_nonseparating(word, sys_):
+    """The word with each twist about a curve with a registered factorization
+    replaced by that factorization (inverted for a negative twist): the
+    reference for `algebraic_length`, which only sums the signs."""
+    out = []
+    for gen in word:
+        if gen.kind == DEHN and sys_.curve(gen.curve).nonseparating:
+            out.append(gen)
+            continue
+        if gen.kind == DEHN and gen.curve in sys_.expansions:
+            expansion = sys_.expansions[gen.curve]
+            if gen.sign < 0:
+                expansion = expansion.inverse()
+            out.extend(_expand_to_nonseparating(expansion, sys_))
+            continue
+        raise NonExpandableGeneratorError(
+            f"{gen} is not a nonseparating twist and has no registered factorization"
+        )
+    return TwistWord(tuple(out))
 
 
 def disconnected_book(genus, n):
@@ -454,8 +476,6 @@ class TestExpandedCableWordShape:
         # (2,1)-cable word expands to: 12 negative twists on the second
         # nodule chain, 12 negative on the first, the 15 positive Garside
         # twists, then the p+1 monodromy twists
-        from cablekit.curves import _expand_to_nonseparating
-
         p = 3
         book = connected_book(1, TwistWord.twists(*(["c1"] * p + ["c2"])))
         cw = monodromy_p1_connected(book, 2)
@@ -466,6 +486,31 @@ class TestExpandedCableWordShape:
         assert all(g.curve.startswith("n2") for g in expanded[:12])
         assert all(g.curve.startswith("n1") for g in expanded[12:24])
         assert len(expanded) == 24 + 15 + p + 1
+
+    def test_algebraic_length_matches_expanded_word(self):
+        def expanded_sum(word, sys_):
+            return sum(g.sign for g in _expand_to_nonseparating(word, sys_))
+
+        for g in (1, 2, 3):
+            chain = TwistWord.twists(*(f"c{i}" for i in range(1, 2 * g + 2)))
+            for p in (2, 3, 4):
+                for base in (TwistWord(()), chain, chain.inverse()):
+                    cw = monodromy_p1_connected(connected_book(g, base), p)
+                    for word in (cw.word, cw.word.inverse()):
+                        assert algebraic_length(word, cw.system) == expanded_sum(word, cw.system)
+        for p in range(1, 101):
+            book = connected_book(1, TwistWord.twists(*(["c1"] * p + ["c2"])))
+            cw = monodromy_p1_connected(book, 2)
+            assert algebraic_length(cw.word, cw.system) == expanded_sum(cw.word, cw.system)
+
+    def test_algebraic_length_fails_at_the_first_unexpandable_letter(self):
+        sys_ = cable_p1_system(1, 2)
+        word = TwistWord.of(Generator.dehn_twist("partial1"),
+                            Generator.stabilization_marker("s"),
+                            Generator.dehn_twist("bdry_outer"))
+        for fn in (algebraic_length, _expand_to_nonseparating):
+            with pytest.raises(NonExpandableGeneratorError, match=r"^stab\(s\) is not"):
+                fn(word, sys_)
 
     def test_nodule_boundary_negatives_localized(self):
         for g in (1, 2):

@@ -434,10 +434,11 @@ class TestGroupRule:
 
     def test_rule_answers_commute_steps(self):
         reg = RelationRegistry(self.two_nodules())
-        out = replay(RewriteScript("t", [Step("commute", 0)]), TwistWord.twists("a1", "a2"), reg)
+        script = RewriteScript("t", (Step("commute", 0),))
+        out = replay(script, TwistWord.twists("a1", "a2"), reg)
         assert [g.curve for g in out.word] == ["a2", "a1"]
         with pytest.raises(RewriteError):
-            replay(RewriteScript("t", [Step("commute", 0)]), TwistWord.twists("a1", "b1"), reg)
+            replay(script, TwistWord.twists("a1", "b1"), reg)
 
     def test_check_rejects_members_sharing_a_handle(self):
         sys_ = self.two_nodules()
@@ -538,25 +539,25 @@ class TestReplayEngine:
         self.reg = RelationRegistry(self.sys)
 
     def test_cancel(self):
-        script = RewriteScript("t", [Step("cancel", 1)])
+        script = RewriteScript("t", (Step("cancel", 1),))
         w = TwistWord.twists("c1", "c2", ("c2", -1), "c3")
         out = replay(script, w, self.reg)
         assert [g.curve for g in out.word] == ["c1", "c3"]
 
     def test_cancel_requires_inverse_pair(self):
-        script = RewriteScript("t", [Step("cancel", 0)])
+        script = RewriteScript("t", (Step("cancel", 0),))
         with pytest.raises(RewriteError):
             replay(script, TwistWord.twists("c1", "c2"), self.reg)
 
     def test_commute_requires_recorded_zero(self):
-        ok = RewriteScript("t", [Step("commute", 0)])
+        ok = RewriteScript("t", (Step("commute", 0),))
         out = replay(ok, TwistWord.twists("c1", "c3"), self.reg)
         assert [g.curve for g in out.word] == ["c3", "c1"]
         with pytest.raises(RewriteError):
             replay(ok, TwistWord.twists("c1", "c2"), self.reg)
 
     def test_insert(self):
-        script = RewriteScript("t", [Step("insert", 1, curve="c4")])
+        script = RewriteScript("t", (Step("insert", 1, curve="c4"),))
         out = replay(script, TwistWord.twists("c1", "c2"), self.reg)
         assert [((g.curve), g.sign) for g in out.word] == [
             ("c1", 1), ("c4", 1), ("c4", -1), ("c2", 1)
@@ -566,13 +567,13 @@ class TestReplayEngine:
         self.reg.register(
             "sq", TwistWord.twists("c1", "c1"), TwistWord.twists("c1").power(2)
         )
-        script = RewriteScript("t", [Step("apply", 0, relation="sq")])
+        script = RewriteScript("t", (Step("apply", 0, relation="sq"),))
         with pytest.raises(RewriteError):
             replay(script, TwistWord.twists("c2", "c1"), self.reg)
 
     def test_empty_script_is_identity(self):
         w = TwistWord.twists("c1", ("c5", -1))
-        out = replay(RewriteScript("empty"), w, self.reg)
+        out = replay(RewriteScript("t", ()), w, self.reg)
         assert out.word == w
 
 
@@ -585,19 +586,24 @@ class TestMod10Invariance:
             TwistWord.twists("n1_1", "n1_2").power(6),
             TwistWord.twists("partial1"),
         )
+        reg.register(
+            "garside_sq_words_reversed",
+            TwistWord.twists("partial1"),
+            TwistWord.twists("n1_1", "n1_2").power(6),
+        )
         chain6 = ["n1_1", "n1_2"] * 6
         cases = [
             (TwistWord.twists("n1_1", "n2_1", "n1_2"), Step("commute", 0)),
             (TwistWord.twists("n1_1", ("x1", -1), "x1", "n1_2"), Step("cancel", 1)),
             (TwistWord.twists("n2_1", *chain6),
-             Step("apply", 1, relation="garside_sq_words", direction="lr")),
+             Step("apply", 1, relation="garside_sq_words")),
             (TwistWord.twists("partial1", "n2_2"),
-             Step("apply", 0, relation="garside_sq_words", direction="rl")),
+             Step("apply", 0, relation="garside_sq_words_reversed")),
             (TwistWord.twists("n1_1"), Step("insert", 0, curve="n2_2")),
         ]
         for word, step in cases:
             before = mod10_class(word, sys_)
-            out = replay(RewriteScript("one", [step]), word, reg)
+            out = replay(RewriteScript("one", (step,)), word, reg)
             assert mod10_class(out.word, sys_) == before
 
 
