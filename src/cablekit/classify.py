@@ -17,14 +17,15 @@ from the fiber invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
 from . import lens
-from .openbook import BindingComponent, OpenBookError, RationalOpenBook, normalize_to_window
+from .openbook import (BindingComponent, OpenBookError, RationalOpenBook, normalize_to_window,
+                       reframe, window_shift)
 from .slopes import Slope, exceptional_slopes, ext_gcd, farey_neighbors
 from .words import Generator, TwistWord
 
@@ -74,6 +75,15 @@ class CableCoefficients:
                     f"cable slope {q}/{p} equals the Seifert slope "
                     f"{comp.seifert_slope} and destroys the fibration"
                 )
+
+    def in_window(self, book: RationalOpenBook) -> tuple[RationalOpenBook, "CableCoefficients"]:
+        """The book with every component reframed into its window, and the
+        pairs read there: reframing by k shifts a cable coefficient q to
+        q + k p.  Verdicts, pages and words are computed in this framing."""
+        shifts = [window_shift(c) for c in book.components]
+        window = replace(book, components=tuple(map(reframe, book.components, shifts)))
+        return window, CableCoefficients(tuple(
+            (p, q + k * p) for (p, q), k in zip(self.pairs, shifts)))
 
     @staticmethod
     def parse(text: str) -> "CableCoefficients":
@@ -130,25 +140,13 @@ def hopf_delta(p: int, q: int, genus: int) -> int:
 
 
 def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVerdict:
+    """The verdict of cabling `book` by `coeffs`, decided in the window
+    framing; negative p's mirror to positive ones on the structure -xi."""
     coeffs.validate(book)
-    pairs = coeffs.pairs
+    book, coeffs = coeffs.in_window(book)
+    pairs, side = coeffs.pairs, "xi"
     if pairs and pairs[0][0] < 0:
-        mirrored = classify_cable(
-            book, CableCoefficients(tuple((-p, -q) for p, q in pairs))
-        )
-        swap = {
-            VerdictKind.SAME_CONTACT: VerdictKind.REVERSED_CONTACT,
-            VerdictKind.REVERSED_CONTACT: VerdictKind.SAME_CONTACT,
-        }
-        return CableVerdict(
-            kind=swap.get(mirrored.kind, mirrored.kind),
-            per_component_signs=mirrored.per_component_signs,
-            hopf_delta=mirrored.hopf_delta,
-            lutz_recipe=mirrored.lutz_recipe.replace("of (xi)", "of (-xi)")
-            if mirrored.lutz_recipe
-            else None,
-            note=mirrored.note,
-        )
+        pairs, side = tuple((-p, -q) for p, q in pairs), "-xi"
 
     signs = tuple(
         cable_sign(Slope(q, p), comp.seifert_slope)
@@ -164,7 +162,8 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
 
     if not negatives:
         delta = 0 if integral_connected else None
-        return CableVerdict(VerdictKind.SAME_CONTACT, signs, hopf_delta=delta)
+        kind = VerdictKind.SAME_CONTACT if side == "xi" else VerdictKind.REVERSED_CONTACT
+        return CableVerdict(kind, signs, hopf_delta=delta)
 
     # rational unknot exception: a negative cable at a Farey neighbor of the
     # Seifert slope gives another rational unknot, hence stays tight
@@ -190,20 +189,13 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
         if gcd(abs(p), abs(q)) > 1:
             exceptional = None  # non-coprime negative cable: overtwisted
             break
-        comp = book.components[i]
-        window = normalize_to_window(comp)
-        # reframing by k shifts the cable coefficient alongside: q -> q + k p
-        q_norm = q + p * (window.seifert_numerator - comp.seifert_numerator) // comp.order
-        if Slope(q_norm, p) in exceptional_slopes(window.seifert_slope):
+        if Slope(q, p) in exceptional_slopes(book.components[i].seifert_slope):
             exceptional.append(i)
     all_exceptional = exceptional is not None and len(exceptional) == len(negatives)
 
     delta = None
-    if integral_connected:
-        p, q = pairs[0]
-        genus = book.genus
-        if not (genus == 0 and q == -1):
-            delta = hopf_delta(p, q, genus)
+    if integral_connected and not (book.genus == 0 and pairs[0][1] == -1):
+        delta = hopf_delta(*pairs[0], book.genus)
 
     if all_exceptional:
         return CableVerdict(
@@ -214,24 +206,16 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
             "so a tight structure is possible and is not ruled out here",
         )
 
-    recipe = lutz_cable_description_for(book, pairs, negatives)
+    recipe = lutz_cable_description_for(side, pairs, negatives)
     return CableVerdict(
         VerdictKind.OVERTWISTED, signs, hopf_delta=delta, lutz_recipe=recipe
     )
 
 
-def lutz_cable_description_for(
-    book: RationalOpenBook, pairs, negatives: list[int]
-) -> str:
-    side = "xi" if pairs[0][0] > 0 else "-xi"
-    lines = []
-    for i in negatives:
-        p, q = pairs[i]
-        lines.append(
-            f"Lutz twist on binding component {i} of ({side}), then a Lutz "
-            f"twist on each component of its ({p},{q})-Lutz cable"
-        )
-    return "; ".join(lines)
+def lutz_cable_description_for(side: str, pairs, negatives: list[int]) -> str:
+    return "; ".join(f"Lutz twist on binding component {i} of ({side}), then a Lutz twist "
+                     f"on each component of its ({pairs[i][0]},{pairs[i][1]})-Lutz cable"
+                     for i in negatives)
 
 
 # -- cabled pages ------------------------------------------------------------
@@ -243,10 +227,10 @@ def cabled_page(book: RationalOpenBook, coeffs: CableCoefficients) -> RationalOp
     Integral books cabled with one magnitude |p| across all components stay
     honest: the new page is |p| copies of the old page glued to one
     torus-link fiber piece per component (Euler characteristic |q_i| - |p
-    q_i| each), and each component turns into gcd(p, q_i) integral
-    components.  Books with a rational component are only supported through
-    :func:`resolve`; general rational cables are out of the implemented
-    envelope.
+    q_i| each, q_i read in the page framing), and each component turns into
+    gcd(p, q_i) integral components.  Books with a rational component are
+    only supported through :func:`resolve`; general rational cables are out
+    of the implemented envelope.
     """
     coeffs.validate(book)
     if not book.is_integral:
@@ -254,6 +238,7 @@ def cabled_page(book: RationalOpenBook, coeffs: CableCoefficients) -> RationalOp
             "general cables of rational books are not supported; use resolve() "
             "for the (r, l)-resolution shape"
         )
+    book, coeffs = coeffs.in_window(book)
     magnitudes = {abs(p) for p, _ in coeffs.pairs}
     if len(magnitudes) != 1:
         raise CableError("honest cabled pages need one |p| across components")

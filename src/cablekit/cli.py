@@ -147,9 +147,18 @@ def cmd_monodromy(args) -> None:
     pairs = CableCoefficients.parse(args.cable).pairs
     if len(pairs) != 1:
         raise UsageError(f"--cable expects one pair p,q, got {args.cable!r}")
-    (p, q), = pairs
+    # the pair cables every component, read in that component's window
+    book, window = CableCoefficients(pairs * len(book.components)).in_window(book)
+    if len(set(window.pairs)) > 1:
+        raise UsageError(f"--cable {args.cable} reads as the window pairs {list(window.pairs)} "
+                         "of the components; a cable word needs one pair")
+    p, q = window.pairs[0]
     if q < 0:
         cw = negative_cable_word(book)
+        r = book.components[0].order
+        if (p, q) != (r - 1, -1):
+            raise UsageError(f"the negative cable word of a ({r},-1)-book is built for the "
+                             f"window pair ({r - 1},-1) only, got ({p},{q})")
     elif (p, q) == (2, 2) and book.has_connected_binding:
         cw = monodromy_22_connected(book)
     else:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Mapping, Optional, Sequence, Union
 
-from .words import BRAID_HALF, DEHN, FRACTIONAL, STAB, Generator, TwistWord
+from .words import DEHN, Generator, TwistWord
 
 Matrix = tuple[tuple[int, ...], ...]
 Delta = dict[int, dict[int, int]]  # M - I as {column: {row: entry}}, nonzero only
@@ -223,8 +223,7 @@ class CurveSystem:
         from the columns in the support of c (a column without a delta is
         e_t) and only the columns in the support of rho(c) change.  Zero
         classes, fractional twists and stabilization markers act trivially;
-        braid half twists, unknown kinds and unknown curves raise, the first
-        such letter deciding.
+        the first unknown curve raises.
         """
         delta: Delta = {}
         plans: dict[str, tuple] = {}  # curve -> (support of c, of rho(c))
@@ -266,12 +265,6 @@ class CurveSystem:
                             del col[r]
                     if not col:
                         del delta[t]
-            elif gen.kind == BRAID_HALF:
-                raise UnresolvedCurveError(
-                    "braid half twists act on a punctured disk; lift them before evaluating"
-                )
-            elif gen.kind not in (FRACTIONAL, STAB):
-                raise UnresolvedCurveError(f"cannot evaluate generator {gen}")
         return delta
 
     def word_matrix(self, word: TwistWord) -> Matrix:

@@ -39,7 +39,7 @@ from .monodromy import (
     resolution_word_r0,
 )
 from .openbook import BindingComponent, RationalOpenBook, positive_stabilize
-from .rewrite import RelationRegistry, RewriteError, RewriteScript, Step, replay
+from .rewrite import RelationRegistry, RewriteScript, Step, replay
 from .words import Generator, TwistWord
 from fractions import Fraction
 
@@ -203,10 +203,7 @@ def stabilization_bundle() -> ScriptBundle:
     )
     cable = monodromy_p1_connected(base, 2)
     cable_book = cable.book.with_monodromy(cable.word)
-    stabilized = positive_stabilize(cable_book, 0, mode="same", curve_name="gamma")
-    start = stabilized.monodromy
-    if start is None:
-        raise RewriteError("the stabilized cable book lost its monodromy word")
+    start = positive_stabilize(cable_book, 0, mode="same", curve_name="gamma").monodromy
     expect = _tw("delta3", "delta2", "delta1", "n1_1", "n1_2")
     return ScriptBundle(stabilize_21_to_22_script(), reg, start, expect)
 

@@ -18,6 +18,9 @@ nodule 1.  This module builds those words:
   resolution word, the length obstruction for the lens spaces L(p, p-1),
   and the Stein-cobordism word gluing two monodromies into one.
 
+Cable pairs are read in the window framing, the page framing of integral
+books, whatever framing the book is written in.
+
 Curve naming: nodule i of a connected-binding cable carries the chain
 "n{i}_1", ..., "n{i}_{2g+1}"; the crossing curve between nodules j and j+1
 is "x{j}"; the boundary of nodule i is "partial{i}".
@@ -127,10 +130,6 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     for i in range(1, p + 1):
         chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
         sys.register_expansion(f"partial{i}", chain.power(4 * g + 2))
-    if g == 1 and p == 2:
-        # page boundary twist through the even chain of the whole surface
-        full = TwistWord.twists("n1_1", "n1_2", "x1", "n2_2")
-        sys.register_expansion("bdry_outer", full.power(10))
     return sys
 
 
@@ -148,8 +147,6 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
     negative nodule boundary twists, then one block per adjacent nodule
     pair, each a negative boundary twist followed by the positive Garside
     block of its layout chain."""
-    if p == 1:
-        return TwistWord(())
     gens: list[Generator] = []
     for j in range(p, 1, -1):
         gens.append(Generator.dehn_twist(f"partial{j}", -1))
@@ -178,6 +175,12 @@ class CableWord:
     notes: dict = field(default_factory=dict)
 
 
+def _page(book: RationalOpenBook, p: int, q: int) -> RationalOpenBook:
+    """The page of the (p, q)-cable of every component, (p, q) in the window."""
+    coeffs = CableCoefficients(((p, q),) * len(book.components))
+    return cabled_page(coeffs.in_window(book)[0], coeffs)
+
+
 def _require_integral_connected(book: RationalOpenBook) -> None:
     if not book.is_integral or not book.has_connected_binding:
         raise MonodromyError("this word needs an integral book with connected binding")
@@ -198,7 +201,7 @@ def monodromy_p1_connected(book: RationalOpenBook, p: int) -> CableWord:
         return CableWord(phi, cable_p1_system(g, 1), book)
     word = rho_p1_rotation(g, p).compose(phi)
     system = cable_p1_system(g, p)
-    cp = cabled_page(book, CableCoefficients(((p, 1),)))
+    cp = _page(book, p, 1)
     return CableWord(word, system, cp)
 
 
@@ -225,7 +228,7 @@ def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
             gens.append(Generator.dehn_twist(f"c{row}_{j}", +1))
     phi = (book.monodromy or TwistWord(())).map_curves(_on_nodule_1)
     word = TwistWord(tuple(gens)).compose(phi)
-    cp = cabled_page(book, CableCoefficients(tuple((p, 1) for _ in range(n))))
+    cp = _page(book, p, 1)
     bp = braid_Bp(d, p) if p >= 2 else BraidWord(d)
     cert = positive_destabilization_certificate(bp) if p >= 2 else []
     return CableWord(word, None, cp, notes={"braid": bp, "markov_certificate": cert})
@@ -242,27 +245,26 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     conjugated band form; they must agree on strands and, lifted, on
     homology, and the rotation word rho22_{2g+1} ... rho22_1 must equal
     their lift.  The system is built and checked once per genus and cached;
-    it must be treated as immutable.  Needs g >= 1; at g = 0 the page is an
-    annulus, which ``monodromy_22_connected`` builds directly."""
-    if g < 1:
-        raise MonodromyError(f"sigma22_cover_system needs genus g >= 1, got {g}; "
-                             "monodromy_22_connected builds the genus-0 (annulus) system")
+    it must be treated as immutable.  At g = 0 the page is an annulus: the
+    one chain curve and the one rotation curve are its core, of zero class."""
+    if g < 0:
+        raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
     n = 4 * g + 2
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
     chain = [f"e{k}" for k in range(1, n)]
     for name, cls in zip(chain, chain_classes(n - 1, 2 * g)):
-        sys.add_curve(name, cls)
+        sys.add_curve(name, cls, nonseparating=bool(cls))
     d1 = garside_half_twist(n, 1, 2 * g + 1)
     rho_names = []
     for i in range(1, 2 * g + 2):
         band = BraidWord.from_pairs(n, [(i, 2 * g + 1 + i, 1)])
         conj = d1 * band * d1.inverse()
         delta = sys.word_delta(lift_through_double_cover(conj, chain))
-        cls, sign = extract_transvection_class(delta)
+        cls, sign = extract_transvection_class(delta) if delta else ({}, 1)
         if sign != 1:
             raise MonodromyError("band lift extracted with the wrong handedness")
         name = f"rho22_{i}"
-        sys.add_curve(name, cls)
+        sys.add_curve(name, cls, nonseparating=bool(cls))
         rho_names.append(name)
     for a_i, a in enumerate(rho_names):
         for b in rho_names[a_i + 1 :]:
@@ -290,22 +292,12 @@ def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     """
     _require_integral_connected(book)
     g = book.genus
-    if g == 0:
-        # disk page: the (2,2)-cable page is an annulus and the rotation is
-        # one positive twist about its core
-        sys0 = CurveSystem(genus=0, boundary_labels=("1", "2"), name="sigma22_g0")
-        sys0.add_curve("rho22_1", (), nonseparating=False)
-        sys0.add_boundary_curves()
-        sys0.check()
-        word = TwistWord.twists("rho22_1").compose(book.monodromy or TwistWord(()))
-        cp = cabled_page(book, CableCoefficients(((2, 2),)))
-        return CableWord(word, sys0, cp)
     sys, rho_names = sigma22_cover_system(g)
     phi = (book.monodromy or TwistWord(())).map_curves(
         lambda c: f"e{c[1:]}" if _is_chain_curve(c) and int(c[1:]) <= 2 * g else c
     )
     word = TwistWord.twists(*reversed(rho_names)).compose(phi)
-    cp = cabled_page(book, CableCoefficients(((2, 2),)))
+    cp = _page(book, 2, 2)
     return CableWord(word, sys, cp)
 
 
@@ -329,8 +321,7 @@ def monodromy_pq(book: RationalOpenBook, p: int, q: int) -> CableWord:
     markers = tuple(
         Generator.stabilization_marker(f"cable_{p}_{q}_{i}") for i in range(count)
     )
-    pairs = tuple((p, q) for _ in book.components)
-    cp = cabled_page(book, CableCoefficients(pairs))
+    cp = _page(book, p, q)
     return CableWord(base.word.compose(TwistWord(markers)), base.system, cp, base.notes)
 
 
@@ -382,8 +373,6 @@ def resolution_word_r0(book: RationalOpenBook) -> CableWord:
     if book.monodromy is None:
         raise MonodromyError("no monodromy word to resolve")
     resolved = resolve(book, [0] * sum(1 for c in book.components if c.order > 1))
-    if resolved.monodromy is None:
-        raise MonodromyError("resolution did not produce a word")
     return CableWord(resolved.monodromy, None, resolved)
 
 
@@ -448,8 +437,6 @@ def stein_obstruction_Lppm1(p: int) -> ObstructionReport:
         monodromy=TwistWord.twists(*(["c1"] * p + ["c2"])),
     )
     cable = monodromy_p1_connected(base, 2)
-    if cable.system is None:
-        raise MonodromyError("the (2,1)-cable word came without its curve system")
     length = algebraic_length(cable.word, cable.system)
     mod10 = mod10_class(cable.word, cable.system)
     chi_filling = p
@@ -486,8 +473,6 @@ def compose_cobordism_word(
     if page.has_connected_binding:
         base = monodromy_22_connected(page.with_monodromy(TwistWord(())))
         sys = base.system
-        if sys is None:
-            raise MonodromyError("the (2,2)-cable word came without its curve system")
         limit = 2 * page.genus
 
         def chain_index(curve: str) -> int:

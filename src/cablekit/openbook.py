@@ -85,12 +85,15 @@ def reframe(c: BindingComponent, k: int) -> BindingComponent:
     )
 
 
+def window_shift(c: BindingComponent) -> int:
+    """The k with -order < seifert_numerator + k * order <= 0."""
+    # s + k*r in (-r, 0]  <=>  k = -ceil(s/r) = -((s + r - 1) // r)
+    return -((c.seifert_numerator + c.order - 1) // c.order)
+
+
 def normalize_to_window(c: BindingComponent) -> BindingComponent:
     """Reframe so that -order < seifert_numerator <= 0.  Idempotent."""
-    r, s = c.order, c.seifert_numerator
-    # s + k*r in (-r, 0]  <=>  k = -ceil(s/r) = -((s + r - 1) // r)
-    k = -((s + r - 1) // r)
-    return reframe(c, k)
+    return reframe(c, window_shift(c))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 A word is a finite sequence of generators in functional order: the list
 reads left to right as a composition, so the rightmost entry acts first.
-Generators are right- or left-handed Dehn twists about named curves,
-fractional boundary twists, braid half twists awaiting a lift, and positive
-stabilization markers (bookkeeping for plumbed Hopf bands whose arcs are
-chosen implicitly).
+Generators come in three kinds: right- or left-handed Dehn twists about
+named curves, fractional boundary twists, and positive stabilization
+markers (bookkeeping for plumbed Hopf bands whose arcs are chosen
+implicitly).  Braids reach a word only through their lift to Dehn twists
+(:func:`cablekit.braids.lift_through_double_cover`).
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from typing import Callable, Iterator, Optional
 
 DEHN = "dehn"
 FRACTIONAL = "fractional"
-BRAID_HALF = "braid_half"
 STAB = "stab"
 
-_KINDS = (DEHN, FRACTIONAL, BRAID_HALF, STAB)
+_KINDS = (DEHN, FRACTIONAL, STAB)
 
 
 class WordError(ValueError):
@@ -74,8 +74,6 @@ class Generator:
             return f"D_{self.curve}" + ("" if self.sign == 1 else "^-1")
         if self.kind == FRACTIONAL:
             return f"delta_{{{self.amount}}}({self.curve})"
-        if self.kind == BRAID_HALF:
-            return f"s_{self.curve}" + ("" if self.sign == 1 else "^-1")
         return f"stab({self.curve})" + ("" if self.sign == 1 else "^-1")
 
     def to_json(self) -> dict:

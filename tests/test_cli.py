@@ -380,6 +380,71 @@ class TestPairBoundary:
         assert _names_its_argument(code, out, err, "'amount'"), err
 
 
+def _framed_book(genus, r, s, unknot=False):
+    """A one-component book in the framing with Seifert numerator s, with
+    a word on its chain (after a 1/r fractional twist when r > 1)."""
+    word = [{"kind": "dehn", "curve": f"c{i}", "sign": 1} for i in range(1, 2 * genus + 1)]
+    if r > 1:
+        word.insert(0, {"kind": "fractional", "curve": "bdry_1", "amount": f"1/{r}"})
+    return {"genus": genus, "components": [{"order": r, "seifert_numerator": s}],
+            "rational_unknot": unknot, "monodromy": word}
+
+
+class TestWindowFraming:
+    """--cable pairs are read in the book's own framing: reframing a
+    component by k (s -> s + k r) together with the pair (q -> q + k p)
+    changes no answer of classify, cable-page or monodromy."""
+
+    @staticmethod
+    def run(tmp, command, book, cable):
+        path = tmp / "book.json"
+        path.write_text(json.dumps(book))
+        return run_main(["--json", command, "--book", str(path), f"--cable={cable}"], None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_answers_do_not_depend_on_the_framing(self, tmp_path_factory, data):
+        r = data.draw(st.sampled_from([1, 1, 2, 3, 4, 5]), "order")
+        s = data.draw(st.integers(1 - r, 0), "window numerator")
+        k = data.draw(st.integers(-6, 6) if r == 1 else st.integers(-2, 2), "reframing")
+        genus = data.draw(st.integers(0, 2), "genus")
+        # (r, 0) with r > 1 counts one boundary circle, (r, r) counts r; the
+        # disk-page flag is drawn only where the framings agree on the count
+        unknot = genus == 0 and (s != 0 or r == 1) and data.draw(st.booleans(), "unknot")
+        p = data.draw(st.sampled_from([1, 2, 3, 4, 5, -2, -3]), "p")
+        q = data.draw(st.integers(-8, 8), "window q")
+        tmp = tmp_path_factory.mktemp("framing")
+        for command in ("classify", "cable-page", "monodromy"):
+            framed = self.run(tmp, command, _framed_book(genus, r, s + k * r, unknot),
+                              f"{p},{q + k * p}")
+            window = self.run(tmp, command, _framed_book(genus, r, s, unknot), f"{p},{q}")
+            assert framed[:2] == window[:2], (command, framed, window)
+            assert framed[0] in (0, 2)
+
+    def test_reframed_rational_book_gives_the_golden_word(self, tmp_path):
+        # the (3,-1)-book written with Seifert numerator 2: its (2,-1)-cable
+        # is the pair (2,1) there
+        book = json.loads((GOLDEN / "inputs" / "rational_3m1.json").read_text(encoding="utf-8"))
+        book["components"][0]["seifert_numerator"] = 2
+        code, out, err = self.run(tmp_path, "monodromy", book, "2,1")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "expected" / "monodromy_r_m1.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("cable", ["7,-5", "2,-3", "3,-1", "1,-1", "-2,-1"])
+    def test_negative_pair_other_than_r_minus_1_is_refused(self, cable):
+        argv = ["--json", "monodromy", "--book", str(GOLDEN / "inputs" / "rational_3m1.json"),
+                f"--cable={cable}"]
+        assert run_main(argv, None) == (2, "", (
+            "error: the negative cable word of a (3,-1)-book is built for the window pair "
+            f"(2,-1) only, got ({cable})\n"))
+
+    def test_pair_reading_differently_per_component_is_refused(self, tmp_path):
+        book = {"genus": 1, "components": [_DISK, {"order": 1, "seifert_numerator": 3}]}
+        code, out, err = self.run(tmp_path, "monodromy", book, "2,1")
+        assert _names_its_argument(code, out, err, "--cable"), err
+        assert "(2, 1), (2, -5)" in err
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self):
         cmd = [sys.executable, "-m", "cablekit.cli", "--json", "slopes",

@@ -131,12 +131,21 @@ class TestConnected22:
         with pytest.raises(MonodromyError):
             monodromy_22_connected(disconnected_book(1, 2))
 
-    def test_cover_system_needs_genus_1(self):
-        # the genus-0 (annulus) page is built by monodromy_22_connected itself
-        for g in (0, -1):
-            with pytest.raises(MonodromyError, match=r"g >= 1.*monodromy_22_connected"):
-                sigma22_cover_system(g)
-        assert len(monodromy_22_connected(connected_book(0)).word) == 1
+    def test_cover_system_builds_the_annulus(self):
+        # the genus-0 (2,2)-cable page is an annulus: its chain curve and its
+        # rotation curve are the core, of zero class; the disk page's (2,2)
+        # and cobordism words are built on that one system
+        sys_, rho_names = sigma22_cover_system(0)
+        assert (sys_.genus, sys_.boundary_labels, rho_names) == (0, ("1", "2"), ("rho22_1",))
+        assert sorted(sys_.curves) == ["bdry_1", "bdry_2", "e1", "rho22_1"]
+        assert not any(info.support or info.nonseparating for info in sys_.curves.values())
+        disk = connected_book(0, TwistWord(()))
+        for cw in (monodromy_22_connected(disk),
+                   compose_cobordism_word(TwistWord(()), TwistWord(()), disk)):
+            assert cw.system is sys_ and cw.word == TwistWord.twists("rho22_1")
+        assert (cw.book.genus, cw.book.boundary_count_of_page) == (0, 2)
+        with pytest.raises(MonodromyError, match="g >= 0, got -1"):
+            sigma22_cover_system(-1)
 
     def test_cover_system_built_once_per_genus(self):
         sigma22_cover_system.cache_clear()
@@ -287,6 +296,24 @@ class TestPq:
         book = connected_book(1, TwistWord(()))
         cw = monodromy_pq(book, 2, 2)
         assert (cw.book.genus, cw.book.boundary_count_of_page) == (2, 2)
+
+    def test_builders_read_pairs_in_the_window(self):
+        # the word builders take (p, q) in the page framing, whatever
+        # framing the book is written in: reframed books give the same word
+        # and the same page
+        word = TwistWord.twists("c1", ("c2", -1))
+        for n in (1, 2):
+            window = RationalOpenBook(genus=1, components=(BindingComponent(1, 0),) * n,
+                                      monodromy=word)
+            for k in (-4, 3):
+                framed = RationalOpenBook(genus=1, components=(BindingComponent(1, k),) * n,
+                                          monodromy=word)
+                for p, q in ((2, 1), (3, 1), (2, 3)):
+                    a, b = monodromy_pq(framed, p, q), monodromy_pq(window, p, q)
+                    assert (a.word, a.book) == (b.word, b.book), (n, k, p, q)
+                if n == 1:
+                    a, b = monodromy_22_connected(framed), monodromy_22_connected(window)
+                    assert (a.word, a.book) == (b.word, b.book), k
 
 
 class TestOracleCoherence:

@@ -29,7 +29,7 @@ from cablekit.rewrite import (
     Step,
     replay,
 )
-from cablekit.words import BRAID_HALF, DEHN, FRACTIONAL, STAB, Generator, TwistWord
+from cablekit.words import DEHN, FRACTIONAL, Generator, TwistWord
 from fractions import Fraction
 
 
@@ -69,13 +69,12 @@ class TestWordAlgebra:
         w = TwistWord.of(
             Generator.dehn_twist("a", -1),
             Generator.fractional_boundary("a", Fraction(1, 3)),
-            Generator(BRAID_HALF, "a"),
             Generator.stabilization_marker("a"),
             Generator.dehn_twist("b"),
         )
         out = w.map_curves(lambda c: c.upper())
         assert out == TwistWord.of(
-            Generator.dehn_twist("A", -1), *w[1:4], Generator.dehn_twist("B")
+            Generator.dehn_twist("A", -1), *w[1:3], Generator.dehn_twist("B")
         )
 
     def test_json_round_trip(self):
@@ -118,9 +117,10 @@ class TestSymplecticOracle:
             cm.word_matrix(TwistWord.twists("nope"))
 
     def test_braid_half_twist_rejected(self):
-        cm = chain_model(1)
-        with pytest.raises(UnresolvedCurveError):
-            cm.word_matrix(TwistWord.of(Generator(BRAID_HALF, "s1")))
+        # braids enter words only lifted to Dehn twists; a braid letter is
+        # refused when the word is built, before any oracle sees it
+        with pytest.raises(ValueError, match="unknown generator kind 'braid_half'"):
+            Generator.from_json({"kind": "braid_half", "curve": "s1"})
 
     def test_odd_chain_relation_trivial_on_capped(self):
         for g in range(1, 4):
@@ -255,19 +255,13 @@ def delta_to_matrix(delta, n):
 def dense_word_matrix(sys_: CurveSystem, word: TwistWord):
     """Reference oracle: the letter-by-letter dense product of one
     transvection per Dehn twist, O(n^3) per letter, raising as the oracle
-    does on letters it cannot evaluate."""
+    does on unknown curves."""
     out = identity_matrix(sys_.dim)
     for gen in word:
         if gen.kind == DEHN:
             step = transvection(sys_.curve(gen.curve).homology, gen.sign, sys_.dim)
-        elif gen.kind in (FRACTIONAL, STAB):
-            step = identity_matrix(sys_.dim)
-        elif gen.kind == BRAID_HALF:
-            raise UnresolvedCurveError(
-                "braid half twists act on a punctured disk; lift them before evaluating"
-            )
         else:
-            raise UnresolvedCurveError(f"cannot evaluate generator {gen}")
+            step = identity_matrix(sys_.dim)
         out = mat_mul(out, step)
     return out
 
@@ -349,17 +343,15 @@ class TestSparseOracle:
         assert sys_.word_matrix(word) == dense_word_matrix(sys_, word)
 
     @settings(max_examples=60, deadline=None)
-    @given(_system_and_word(), st.lists(st.tuples(st.booleans(), st.integers(0, 45)),
-                                        min_size=1, max_size=3))
+    @given(_system_and_word(), st.lists(st.tuples(st.sampled_from(("nope", "no_such_curve")),
+                                                  st.integers(0, 45)), min_size=1, max_size=3))
     def test_raises_like_dense_reference(self, case, bad):
-        # braid half twists and unknown curves raise the reference's error,
-        # the first offending letter in word order deciding the message
+        # unknown curves raise the reference's error, the first offending
+        # letter in word order deciding the message
         sys_, word = case
         gens = list(word)
-        for is_braid, pos in bad:
-            gen = (Generator(BRAID_HALF, "s1") if is_braid
-                   else Generator.dehn_twist("no_such_curve", -1))
-            gens.insert(min(pos, len(gens)), gen)
+        for curve, pos in bad:
+            gens.insert(min(pos, len(gens)), Generator.dehn_twist(curve, -1))
         bad_word = TwistWord(tuple(gens))
         got = _outcome(lambda: sys_.word_matrix(bad_word))
         assert got == _outcome(lambda: dense_word_matrix(sys_, bad_word))
