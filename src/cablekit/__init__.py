@@ -30,7 +30,6 @@ _EXPORTS = {
     "monodromy": ("branch_point_count", "compose_cobordism_word", "monodromy_22_connected",
                   "monodromy_p1_connected", "monodromy_p1_disconnected", "monodromy_pq",
                   "negative_cable_word", "resolution_word_r0", "stein_obstruction_Lppm1"),
-    "braids": ("BraidWord", "braid_Bp", "garside_half_twist"),
     "library": ("shipped_scripts",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -26,7 +26,7 @@ from typing import Optional
 from . import lens
 from .openbook import (BindingComponent, OpenBookError, RationalOpenBook, normalize_to_window,
                        reframe, window_shift)
-from .slopes import Slope, exceptional_slopes, ext_gcd, farey_neighbors
+from .slopes import Slope, exceptional_slopes, ext_gcd
 from .words import Generator, TwistWord
 
 
@@ -173,8 +173,6 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
         comp = book.components[i]
         r, s = comp.order, comp.seifert_numerator
         if r * q - p * s == -1:
-            if not farey_neighbors(Slope(q, p), Slope(s, r)):
-                raise CableError(f"{q}/{p} and {s}/{r} are not Farey neighbors")
             return CableVerdict(
                 VerdictKind.RATIONAL_UNKNOT_CABLE,
                 signs,
@@ -376,9 +374,7 @@ def induced_open_book_from_surgery(
         )
     # unimodular completion a*d - b*c = 1; page curve = (ar - bs) lambda' +
     # (ds - cr) mu' in the new basis (lambda', mu' = c*mu + d*lambda, a*mu + b*lambda)
-    g, d, c = ext_gcd(a, -b)
-    if a * d - b * c != 1:
-        raise CableError(f"no unimodular completion of {a}/{b}")
+    _, d, c = ext_gcd(a, -b)
     s_new = d * s - c * r
     if order_new < 0:
         order_new, s_new = -order_new, -s_new

@@ -221,9 +221,7 @@ def cmd_compose_cobordism(args) -> None:
     w1 = _load_word(args.word1)
     w2 = _load_word(args.word2)
     cw = compose_cobordism_word(w1, w2, book)
-    payload = {"word": cw.word.to_json(), "certificate": {
-        k: v for k, v in cw.notes.items() if isinstance(v, (bool, int, str))
-    }}
+    payload = {"word": cw.word.to_json(), "certificate": cw.notes}
     _emit(args, payload, f"{cw.word}\ncertificate: {payload['certificate']}")
 
 

@@ -25,7 +25,6 @@ columns it touches, never the dimension.  ``word_matrix`` is its dense view.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Mapping, Optional, Sequence, Union
 
 from .words import DEHN, Generator, TwistWord
@@ -52,29 +51,6 @@ def _pairing_row(support: Mapping[int, int]) -> dict[int, int]:
     """The nonzero entries of the row rho(u) with rho(u) . x = <x, u>, for
     the class u with nonzero coordinates `support`."""
     return {t ^ 1: x if t & 1 else -x for t, x in support.items()}
-
-
-def extract_transvection_class(delta: Delta) -> tuple[dict[int, int], int]:
-    """Recover (primitive class, sign) from the delta of a single twist, the
-    class as {coordinate: entry} of its nonzero coordinates.
-
-    The twist about c with sign s has delta s * c (x) rho(c), so every
-    nonzero column is a multiple of c; the class is the first nonzero column
-    divided by the gcd of its entries.  Raises if the delta is not that of a
-    (nontrivial) twist along any class.
-    """
-    if not delta:
-        raise CurveSystemError("identity matrix is not a single twist")
-    col = delta[min(delta)]
-    g = 0
-    for x in col.values():
-        g = gcd(g, x)
-    support = {r: col[r] // g for r in sorted(col)}
-    row = _pairing_row(support)
-    for sign in (1, -1):
-        if delta == {t: {r: sign * y * x for r, x in support.items()} for t, y in row.items()}:
-            return support, sign
-    raise CurveSystemError("matrix is not a transvection")
 
 
 # -- curve systems -----------------------------------------------------------

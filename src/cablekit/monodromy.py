@@ -9,8 +9,8 @@ nodule 1.  This module builds those words:
   boundary twists and Garside blocks of positive chain twists on the
   two-nodule sublayouts; the negative generators are exactly the boundary
   twists.
-* connected binding, (2, 2): a positive word of 2g+1 twists, lifted from a
-  braid with two verified factorizations.
+* connected binding, (2, 2): a positive word of 2g+1 twists about the
+  rotation curves, whose classes are signed sums of covering-chain classes.
 * disconnected binding, (p, 1): a positive word of d(p-1) twists lifted
   from the band word of the unwound trivial braid.
 * (p, q): the (p, sgn q) word plus (|p|-1)(|q|-1) stabilization markers.
@@ -33,16 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .braids import (
-    BraidWord,
-    braid_Bp,
-    garside_half_twist,
-    lift_through_double_cover,
-    positive_destabilization_certificate,
-    r22_braid,
-)
 from .classify import CableCoefficients, cabled_page, resolve, stabilization_count_pq_from_p1
-from .curves import CurveSystem, chain_classes, extract_transvection_class
+from .curves import CurveSystem, chain_classes
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import FRACTIONAL, Generator, TwistWord
 
@@ -228,67 +220,51 @@ def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
             gens.append(Generator.dehn_twist(f"c{row}_{j}", +1))
     phi = (book.monodromy or TwistWord(())).map_curves(_on_nodule_1)
     word = TwistWord(tuple(gens)).compose(phi)
-    cp = _page(book, p, 1)
-    bp = braid_Bp(d, p) if p >= 2 else BraidWord(d)
-    cert = positive_destabilization_certificate(bp) if p >= 2 else []
-    return CableWord(word, None, cp, notes={"braid": bp, "markov_certificate": cert})
+    return CableWord(word, None, _page(book, p, 1))
 
 
 @lru_cache(maxsize=None)
 def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     """Curve system of the (2,2)-cable page (genus 2g, two boundaries) as
     the double cover of the disk branched over 4g+2 points: the covering
-    chain e1..e{4g+1} plus the rotation curves rho22_1..rho22_{2g+1} whose
-    classes are extracted from the lifted band generators.
+    chain e1..e{4g+1} plus the rotation curves rho22_1..rho22_{2g+1}.
 
-    The rotation braid has two factorizations, the half-twist form and the
-    conjugated band form; they must agree on strands and, lifted, on
-    homology, and the rotation word rho22_{2g+1} ... rho22_1 must equal
-    their lift.  The system is built and checked once per genus and cached;
-    it must be treated as immutable.  At g = 0 the page is an annulus: the
-    one chain curve and the one rotation curve are its core, of zero class."""
+    The rotation braid is the band word d1 s_{1,2g+2} ... s_{2g+1,4g+2} d1^-1
+    (d1 the half twist on the first 2g+1 strands).  Its i-th conjugated band
+    is the arc between branch points 2g+2-i and 2g+1+i, whose lift is the
+    signed chain sum rho22_i = s_i * sum_{k=2g+2-i}^{2g+i} eps_k e_k, with
+    eps_k = (-1)^max(0, k-2g-1) and s_i = (-1)^max(0, floor((2g-i)/2)).
+    The system is built once per genus and cached; it must be treated as
+    immutable.  At g = 0 the page is an annulus: the one chain curve and the
+    one rotation curve are its core, of zero class."""
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
-    n = 4 * g + 2
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
-    chain = [f"e{k}" for k in range(1, n)]
-    for name, cls in zip(chain, chain_classes(n - 1, 2 * g)):
-        sys.add_curve(name, cls, nonseparating=bool(cls))
-    d1 = garside_half_twist(n, 1, 2 * g + 1)
-    rho_names = []
-    for i in range(1, 2 * g + 2):
-        band = BraidWord.from_pairs(n, [(i, 2 * g + 1 + i, 1)])
-        conj = d1 * band * d1.inverse()
-        delta = sys.word_delta(lift_through_double_cover(conj, chain))
-        cls, sign = extract_transvection_class(delta) if delta else ({}, 1)
-        if sign != 1:
-            raise MonodromyError("band lift extracted with the wrong handedness")
-        name = f"rho22_{i}"
-        sys.add_curve(name, cls, nonseparating=bool(cls))
-        rho_names.append(name)
+    chain = chain_classes(4 * g + 1, 2 * g)
+    for k, cls in enumerate(chain, 1):
+        sys.add_curve(f"e{k}", cls, nonseparating=bool(cls))
+    rho_names = tuple(f"rho22_{i}" for i in range(1, 2 * g + 2))
+    for i, name in enumerate(rho_names, 1):
+        sign = (-1) ** max(0, (2 * g - i) // 2)
+        cls: dict[int, int] = {}
+        for k in range(2 * g + 2 - i, 2 * g + 1 + i):
+            eps = sign * (-1) ** max(0, k - 2 * g - 1)
+            for t, x in chain[k - 1].items():
+                cls[t] = cls.get(t, 0) + eps * x
+        sys.add_curve(name, cls, nonseparating=any(cls.values()))
     for a_i, a in enumerate(rho_names):
         for b in rho_names[a_i + 1 :]:
             sys.record_intersection(a, b, abs(sys.pairing(a, b)))
     sys.add_boundary_curves()
     sys.check()
-    half_form = r22_braid(g)
-    band_form = d1 * braid_Bp(2 * g + 1, 2) * d1.inverse()
-    if half_form.permutation() != band_form.permutation():
-        raise MonodromyError("rotation braid factorizations disagree on strands")
-    d_half = sys.word_delta(lift_through_double_cover(half_form, chain))
-    if d_half != sys.word_delta(lift_through_double_cover(band_form, chain)):
-        raise MonodromyError("rotation braid factorizations disagree on homology")
-    if sys.word_delta(TwistWord.twists(*reversed(rho_names))) != d_half:
-        raise MonodromyError("rotation word disagrees with its braid lift")
-    return sys, tuple(rho_names)
+    return sys, rho_names
 
 
 def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     """The (2,2)-cable monodromy: 2g+1 positive twists about the rotation
     curves, then the lift of the monodromy on nodule 1 (the chain curves
-    e1..e{2g} cover the first nodule).  The rotation word comes from the
-    cached :func:`sigma22_cover_system`, which checks it against both braid
-    factorizations of the rotation braid.
+    e1..e{2g} cover the first nodule).  The rotation curves come from the
+    cached :func:`sigma22_cover_system`.
     """
     _require_integral_connected(book)
     g = book.genus

@@ -53,10 +53,6 @@ class Slope:
     def is_meridian(self) -> bool:
         return self.denominator == 0
 
-    @property
-    def is_integral(self) -> bool:
-        return self.denominator == 1
-
     def vector(self) -> tuple[int, int]:
         """The primitive class (numerator, denominator)."""
         return (self.numerator, self.denominator)

@@ -5,8 +5,7 @@ reads left to right as a composition, so the rightmost entry acts first.
 Generators come in three kinds: right- or left-handed Dehn twists about
 named curves, fractional boundary twists, and positive stabilization
 markers (bookkeeping for plumbed Hopf bands whose arcs are chosen
-implicitly).  Braids reach a word only through their lift to Dehn twists
-(:func:`cablekit.braids.lift_through_double_cover`).
+implicitly).  Braids reach a word only through their lift to Dehn twists.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Braid words, band generators, Garside half twists, and chain lifts.
+"""Braid words, band generators, Garside half twists, and chain lifts: the
+tests' reference for the closed-form rotation curves of the (2,2)-cable.
 
 Words are written in group order (leftmost letter acts first).  Letters are
 either standard generators s_k (a right-handed half twist of strands k and
@@ -9,15 +10,18 @@ generator expands to s_i^-1 ... s_{j-2}^-1 s_{j-1} s_{j-2} ... s_i.
 Braids on the marked points of a disk lift letterwise through the standard
 2-fold branched cover: s_k becomes a right-handed Dehn twist about the k-th
 curve of the covering chain.  Lifted words are returned in functional order
-(reversed), matching the rest of the package.
+(reversed), matching the rest of the package.  A lifted word's class is
+read back from its homology delta with :func:`extract_transvection_class`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
-from .words import Generator, TwistWord
+from cablekit.curves import CurveSystemError, Delta, _pairing_row
+from cablekit.words import Generator, TwistWord
 
 
 class BraidError(ValueError):
@@ -197,3 +201,26 @@ def positive_destabilization_certificate(braid: BraidWord) -> list[int]:
         removal.append(s)
         letters = [(i, j) for (i, j) in letters if s not in (i, j)]
     return removal
+
+
+def extract_transvection_class(delta: Delta) -> tuple[dict[int, int], int]:
+    """Recover (primitive class, sign) from the delta of a single twist, the
+    class as {coordinate: entry} of its nonzero coordinates.
+
+    The twist about c with sign s has delta s * c (x) rho(c), so every
+    nonzero column is a multiple of c; the class is the first nonzero column
+    divided by the gcd of its entries.  Raises if the delta is not that of a
+    (nontrivial) twist along any class.
+    """
+    if not delta:
+        raise CurveSystemError("identity matrix is not a single twist")
+    col = delta[min(delta)]
+    g = 0
+    for x in col.values():
+        g = gcd(g, x)
+    support = {r: col[r] // g for r in sorted(col)}
+    row = _pairing_row(support)
+    for sign in (1, -1):
+        if delta == {t: {r: sign * y * x for r, x in support.items()} for t, y in row.items()}:
+            return support, sign
+    raise CurveSystemError("matrix is not a transvection")

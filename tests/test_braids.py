@@ -2,7 +2,7 @@
 
 import pytest
 
-from cablekit.braids import (
+from braid_reference import (
     BraidError,
     BraidLetter,
     BraidWord,
@@ -94,7 +94,7 @@ class TestBp:
 
 class TestR22:
     def test_factorizations_agree(self):
-        for g in (1, 2, 3):
+        for g in range(11):
             n = 4 * g + 2
             half = r22_braid(g)
             d1 = garside_half_twist(n, 1, 2 * g + 1)
@@ -106,7 +106,7 @@ class TestR22:
             assert mh == mb
 
     def test_reversal_permutation(self):
-        for g in (1, 2):
+        for g in range(11):
             n = 4 * g + 2
             assert r22_braid(g).permutation() == tuple(range(n - 1, -1, -1))
 

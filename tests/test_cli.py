@@ -458,7 +458,7 @@ class TestDeterminism:
 
 # One golden --json case per subcommand, with the layers it may load.
 _BOOK = {"classify", "openbook", "words", "lens", "slopes"}
-_WORDS = _BOOK | {"curves", "braids", "monodromy"}
+_WORDS = _BOOK | {"curves", "monodromy"}
 _ALL = _WORDS | {"rewrite", "library"}
 COLD_CASES = {
     "slopes_ncf": {"slopes"},
@@ -529,7 +529,6 @@ EXPORTS = {
     "monodromy": ["branch_point_count", "compose_cobordism_word", "monodromy_22_connected",
                   "monodromy_p1_connected", "monodromy_p1_disconnected", "monodromy_pq",
                   "negative_cable_word", "resolution_word_r0", "stein_obstruction_Lppm1"],
-    "braids": ["BraidWord", "braid_Bp", "garside_half_twist"],
     "library": ["shipped_scripts"],
 }
 
@@ -537,7 +536,7 @@ EXPORTS = {
 class TestLazyExports:
     def test_all_is_the_exported_names(self):
         names = [n for names in EXPORTS.values() for n in names]
-        assert len(names) == len(set(names)) == 62
+        assert len(names) == len(set(names)) == 59
         assert set(cablekit.__all__) == set(names)
         assert set(names) <= set(dir(cablekit))
 

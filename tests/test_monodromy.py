@@ -5,15 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from cablekit.braids import BraidWord, garside_half_twist, lift_through_double_cover
 from cablekit.curves import (
     NonExpandableGeneratorError,
     algebraic_length,
     chain_model,
-    extract_transvection_class,
     mod10_class,
 )
-from cablekit import monodromy
 from cablekit.monodromy import (
     MonodromyError,
     branch_point_count,
@@ -35,6 +32,14 @@ from cablekit.classify import resolve
 from cablekit.library import shipped_scripts, sigma22_script_system
 from cablekit.openbook import BindingComponent, RationalOpenBook, validate
 from cablekit.words import DEHN, Generator, TwistWord
+from braid_reference import (
+    BraidWord,
+    braid_Bp,
+    extract_transvection_class,
+    garside_half_twist,
+    lift_through_double_cover,
+    r22_braid,
+)
 from test_words_curves import (
     dense_extract_transvection_class,
     dense_word_matrix,
@@ -153,21 +158,6 @@ class TestConnected22:
         compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2"), connected_book(2))
         assert sigma22_cover_system.cache_info().misses == 1
 
-    @pytest.mark.parametrize("extra, message", [
-        ([(1, 2, 1)], "on strands"),  # one more crossing permutes the strands
-        ([(1, 2, 1), (1, 2, 1)], "on homology"),  # a pure braid: same strands
-    ])
-    def test_broken_rotation_braid_raises(self, monkeypatch, extra, message):
-        true_braid = monodromy.r22_braid
-        monkeypatch.setattr(monodromy, "r22_braid", lambda g: true_braid(g)
-                            * BraidWord.from_pairs(4 * g + 2, extra))
-        sigma22_cover_system.cache_clear()
-        try:
-            with pytest.raises(MonodromyError, match=message):
-                monodromy_22_connected(connected_book(1))
-        finally:
-            sigma22_cover_system.cache_clear()
-
     def test_lifts_keep_non_chain_names(self):
         # only chain names c{k} with ASCII digits k are renamed; names like
         # "cusp" or "c²" pass through the (2,1) and the (2,2) lift alike
@@ -235,20 +225,50 @@ class TestP1RecordedTable:
         assert set(sys_.expansions) == {f"partial{i}" for i in range(1, p + 1)}
 
 
+def band_lifts(g):
+    """For i = 1..2g+1, the lift of the conjugated band d1 s_{i,2g+1+i} d1^-1
+    through the double cover onto the chain e1..e{4g+1}."""
+    n = 4 * g + 2
+    chain = [f"e{k}" for k in range(1, n)]
+    d1 = garside_half_twist(n, 1, 2 * g + 1)
+    return [
+        lift_through_double_cover(d1 * BraidWord.from_pairs(n, [(i, 2 * g + 1 + i, 1)])
+                                  * d1.inverse(), chain)
+        for i in range(1, 2 * g + 2)
+    ]
+
+
 class TestBandLiftExtraction:
-    @pytest.mark.parametrize("g", [1, 2, 3])
+    """The braid lift is the reference for the closed-form rotation curves:
+    each class and the rotation word are checked against it
+    (`test_braids.TestR22` checks that the two factorizations agree)."""
+
+    @pytest.mark.parametrize("g", range(1, 4))
     def test_delta_extraction_matches_dense_extraction(self, g):
-        sys_, rho_names = sigma22_cover_system(g)
-        n = 4 * g + 2
-        chain = [f"e{k}" for k in range(1, n)]
-        d1 = garside_half_twist(n, 1, 2 * g + 1)
-        for i, name in enumerate(rho_names, 1):
-            band = BraidWord.from_pairs(n, [(i, 2 * g + 1 + i, 1)])
-            lift = lift_through_double_cover(d1 * band * d1.inverse(), chain)
+        sys_, _ = sigma22_cover_system(g)
+        for lift in band_lifts(g):
             support, sign = extract_transvection_class(sys_.word_delta(lift))
             cls = tuple(support.get(t, 0) for t in range(sys_.dim))
             assert (cls, sign) == dense_extract_transvection_class(dense_word_matrix(sys_, lift))
-            assert sys_.curve(name).homology == cls
+
+    @pytest.mark.parametrize("g", range(11))
+    def test_closed_form_classes_match_band_lifts(self, g):
+        sys_, rho_names = sigma22_cover_system(g)
+        for name, lift in zip(rho_names, band_lifts(g), strict=True):
+            delta = sys_.word_delta(lift)
+            # at g = 0 the band lifts to a twist about the annulus core
+            expected = extract_transvection_class(delta) if delta else ({}, 1)
+            assert expected == (sys_.curve(name).support, 1), name
+
+    @pytest.mark.parametrize("g", range(11))
+    def test_rotation_word_is_the_lift_of_both_factorizations(self, g):
+        sys_, rho_names = sigma22_cover_system(g)
+        chain = [f"e{k}" for k in range(1, 4 * g + 2)]
+        rotation = sys_.word_delta(TwistWord.twists(*reversed(rho_names)))
+        # the half-twist form and the conjugated band form of the rotation braid
+        d1 = garside_half_twist(4 * g + 2, 1, 2 * g + 1)
+        for braid in (r22_braid(g), d1 * braid_Bp(2 * g + 1, 2) * d1.inverse()):
+            assert sys_.word_delta(lift_through_double_cover(braid, chain)) == rotation
 
 
 class TestConnectedP1:

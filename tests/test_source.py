@@ -24,16 +24,33 @@ def test_no_assert_statements(path):
 DENSE_ALGEBRA = {"mat_mul", "solve_integer_system", "symplectic_inverse"}
 
 
+def _defined(tree):
+    """The names a module binds by def, class or plain assignment."""
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return defined | {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                      for target in node.targets if isinstance(target, ast.Name)}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dense_linear_algebra(path):
     # the sparse oracle is the only matrix evaluator in the package; the dense
     # references live in the tests
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    defined = {node.name for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                for target in node.targets if isinstance(target, ast.Name)}
+    defined = _defined(tree)
     assert not defined & DENSE_ALGEBRA, f"{path.name} defines {sorted(defined & DENSE_ALGEBRA)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_braid_lift(path):
+    # the rotation curves of the (2,2) system are declared in closed form; the
+    # braid lift and the class extraction are the tests' reference for them
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not any(name.rpartition(".")[2] == "braids" for name in imported), path.name
+    assert "extract_transvection_class" not in _defined(tree), path.name
 
 
 def test_oracle_module_has_no_fractions():

@@ -15,7 +15,6 @@ from cablekit.curves import (
     UnresolvedCurveError,
     algebraic_length,
     chain_model,
-    extract_transvection_class,
     mod10_class,
     words_equal_on_homology,
 )
@@ -30,6 +29,7 @@ from cablekit.rewrite import (
     replay,
 )
 from cablekit.words import DEHN, FRACTIONAL, Generator, TwistWord
+from braid_reference import extract_transvection_class
 from fractions import Fraction
 
 
