@@ -9,8 +9,6 @@ The top-level names resolve lazily: ``cablekit.TwistWord`` imports
 loads no layer that the caller does not use.
 """
 
-from importlib import import_module
-
 _EXPORTS = {
     "slopes": ("MERIDIAN", "NegContinuedFraction", "Slope", "SlopeDomainError",
                "eval_cont_frac", "exceptional_slopes", "farey_neighbors",
@@ -42,7 +40,7 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __name__), name)
+    return getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
 
 
 def __dir__() -> list[str]:

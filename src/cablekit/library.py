@@ -15,21 +15,18 @@ Four scripts are bundled:
 * genlantern_from_two_lanterns -- derives the five-holed-sphere lantern used
   above from two classic lanterns on the resolved page.
 
-Homology classes of the figure-derived curves are bundled data
-(data/sigma22_g1.json, data/resolved_neg_cable_g1.json), loaded relative to
-CABLEKIT_DATA when that is set.  Every relation is gated by the homology
-oracle at load time and every recorded intersection is checked against the
-stored classes.
+The figure-derived curves of the two genus-2 script pages are declared below
+by their classes over the basis a1, b1, a2, b2.  Every relation is gated by
+the homology oracle at load time and every recorded intersection is checked
+against the stored classes.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from importlib import resources
+from itertools import combinations, product
 
-from .curves import CurveSystem, CurveSystemError
+from .curves import CurveSystem
 from .monodromy import (
     cable_p1_system,
     garside_block,
@@ -44,53 +41,26 @@ from .words import Generator, TwistWord
 from fractions import Fraction
 
 
-def _load_data(filename: str) -> dict:
-    override = os.environ.get("CABLEKIT_DATA")
-    if override:
-        path = os.path.join(override, filename)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    ref = resources.files("cablekit").joinpath("data").joinpath(filename)
-    return json.loads(ref.read_text(encoding="utf-8"))
+def _h1(a1: int = 0, b1: int = 0, a2: int = 0, b2: int = 0) -> tuple[int, ...]:
+    """The class a1*a_1 + b1*b_1 + a2*a_2 + b2*b_2 of a genus-2 script page."""
+    return (a1, b1, a2, b2)
 
 
-def _require(checks) -> None:
-    for key, ok, want in checks:
-        if not ok:
-            raise CurveSystemError(f"curve-system field {key!r} must be {want}")
-
-
-def _system_from_json(obj: object) -> CurveSystem:
-    """Build a curve system from its data file, rejecting malformed fields
-    with a CurveSystemError that names them, then gate it."""
-    if not isinstance(obj, dict):
-        raise CurveSystemError(f"curve-system data must be a JSON object, not {type(obj).__name__}")
-    genus, labels, curves = obj.get("genus"), obj.get("boundary_labels"), obj.get("curves")
-    pairs, expansions = obj.get("intersections", []), obj.get("expansions", {})
-    _require([
-        ("genus", type(genus) is int and genus >= 0, "a non-negative integer"),
-        ("boundary_labels", isinstance(labels, list) and all(isinstance(x, str) for x in labels),
-         "a list of strings"),
-        ("curves", isinstance(curves, dict) and all(isinstance(x, dict) for x in curves.values()),
-         "an object of curve objects"),
-        ("intersections", isinstance(pairs, list) and all(
-            isinstance(x, list) and len(x) == 3 and all(isinstance(c, str) for c in x[:2])
-            and type(x[2]) is int for x in pairs), "a list of [curve, curve, integer] triples"),
-        ("expansions", isinstance(expansions, dict), "an object of words"),
-    ])
-    sys = CurveSystem(genus=genus, boundary_labels=tuple(labels), name=obj.get("name", ""))
-    for name, info in curves.items():
-        cls, nonsep = info.get("homology"), info.get("nonseparating", True)
-        _require([(f"curves.{name}.homology", isinstance(cls, list) and len(cls) == 2 * genus
-                    and all(type(x) is int for x in cls), f"a list of {2 * genus} integers"),
-                   (f"curves.{name}.nonseparating", isinstance(nonsep, bool), "true or false")])
-        sys.add_curve(name, cls, nonseparating=nonsep,
-                      boundary_parallel=info.get("boundary_parallel"))
-    for a, b, value in pairs:
-        sys.record_intersection(a, b, value)
-    sys.check()
-    for name, word in expansions.items():
-        sys.register_expansion(name, TwistWord.from_json(word))
+def _script_page(name: str, labels: tuple[str, ...], separating: tuple[str, ...]) -> CurveSystem:
+    """What both genus-2 script pages start from: the chain n1_1, n1_2, x1,
+    n2_2, n2_1 of the (2,1)-cable page with its ten recorded intersections,
+    then the zero-class separating curves `separating`.  n1_1, n1_2 and n2_1
+    carry the classes of cable_p1_system(1, 2); x1 and n2_2 are oriented the
+    other way on nodule 2, as -a1 - a2 and -b2."""
+    sys = CurveSystem(genus=2, boundary_labels=labels, name=name)
+    chain = {"n1_1": _h1(a1=1), "n1_2": _h1(b1=1), "x1": _h1(a1=-1, a2=-1),
+             "n2_2": _h1(b2=-1), "n2_1": _h1(a2=1)}
+    for curve, cls in chain.items():
+        sys.add_curve(curve, cls)
+    for (i, a), (j, b) in combinations(enumerate(chain), 2):
+        sys.record_intersection(a, b, int(j == i + 1))
+    for curve in separating:
+        sys.add_curve(curve, _h1(), nonseparating=False)
     return sys
 
 
@@ -115,7 +85,27 @@ def sigma22_script_system() -> CurveSystem:
     """The stabilized (2,1)-cable page for a genus-one pattern: genus 2, two
     boundary circles, carrying the cable chain, the rotation curves of the
     capped form, both lantern configurations, and the slide images."""
-    return _system_from_json(_load_data("sigma22_g1.json"))
+    sys = _script_page("sigma22_g1_script", ("1", "2"), ("partial1", "partial2"))
+    c1, c4 = _h1(a1=-2, b1=-3, a2=-3, b2=-3), _h1(a1=-3, b1=-3, a2=-2, b2=-3)
+    d1, d2, d3 = _h1(a1=-1, a2=1), _h1(a1=-1, b1=1, a2=1, b2=-1), _h1(b1=1, b2=-1)
+    u1 = _h1(a1=-3, b1=-2, a2=-2, b2=-4)
+    for curve, cls in {
+        "gamma": _h1(),  # the stabilization curve: nonseparating, of zero class
+        "d1": d1, "d2": d2, "d3": d3,
+        "c1": c1, "c2": _h1(a1=2, b1=3, a2=3, b2=3), "c3": _h1(a1=3, b1=3, a2=2, b2=3),
+        "c4": c4, "cp1": c1, "cp4": c4,
+        "beta": _h1(a1=-5, b1=-6, a2=-5, b2=-6),
+        "delta1": d1, "delta2": d2, "delta3": d3,
+        "e2t": _h1(a1=2, b1=4, a2=3, b2=2), "e3t": _h1(a1=3, b1=4, a2=2, b2=2),
+        "u1": u1, "v1": u1,
+    }.items():
+        sys.add_curve(curve, cls)
+    sys.add_boundary_curves()
+    for a, b in [("gamma", "n1_1"), ("gamma", "n1_2"), ("gamma", "partial2"),
+                 ("partial1", "partial2"), *combinations(("c3", "c2", "c1", "cp4"), 2)]:
+        sys.record_intersection(a, b, 0)
+    sys.check()
+    return sys
 
 
 def _tw(*items) -> TwistWord:
@@ -227,7 +217,19 @@ def garside_square_bundle(g: int = 1) -> ScriptBundle:
 
 
 def resolved_system() -> CurveSystem:
-    return _system_from_json(_load_data("resolved_neg_cable_g1.json"))
+    """The resolved (2,-1)-cable page for a genus-one pattern: genus 2, three
+    boundary circles, carrying the cable chain, the boundary-parallel curves
+    rb0_1..rb0_3 of the resolution and the zero-class curves of its lantern
+    relations."""
+    sys = _script_page("resolved_neg_cable_g1", ("1", "2", "3"),
+                       ("partial1", "partial2", "dpartial", "D1g", "D2g", "D3g", "eps", "eps2"))
+    for label in sys.boundary_labels:
+        sys.add_curve(f"rb0_{label}", _h1(), nonseparating=False, boundary_parallel=label)
+    for a, b in [*combinations(("partial1", "partial2", "rb0_1", "rb0_2", "rb0_3", "eps"), 2),
+                 *product(("D1g", "D2g"), ("partial2", "rb0_3", "eps"))]:
+        sys.record_intersection(a, b, 0)
+    sys.check()
+    return sys
 
 
 def resolved_registry() -> RelationRegistry:

@@ -23,7 +23,8 @@ books, whatever framing the book is written in.
 
 Curve naming: nodule i of a connected-binding cable carries the chain
 "n{i}_1", ..., "n{i}_{2g+1}"; the crossing curve between nodules j and j+1
-is "x{j}"; the boundary of nodule i is "partial{i}".
+is "x{j}"; the boundary of nodule i is "partial{i}".  A page word reaches
+a nodule through :func:`lift_to_nodule`, which refuses names with no image.
 """
 
 from __future__ import annotations
@@ -66,10 +67,7 @@ def p1_layout(g: int, j: int) -> list[str]:
     even chain reversed."""
     left = [f"n{j}_{k}" for k in range(1, 2 * g + 1)]
     right = [f"n{j + 1}_{k}" for k in range(2 * g, 0, -1)]
-    layout = left + [f"x{j}"] + right
-    if len(layout) != 4 * g + 1:
-        raise MonodromyError(f"layout of {len(layout)} curves, need {4 * g + 1}")
-    return layout
+    return left + [f"x{j}"] + right
 
 
 @lru_cache(maxsize=None)
@@ -148,15 +146,33 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
     return TwistWord(tuple(gens))
 
 
-def _is_chain_curve(curve: str) -> bool:
-    """True for the abstract page chain names c1, c2, ..."""
-    return curve.startswith("c") and curve[1:].isascii() and curve[1:].isdigit()
+def lift_to_nodule(word: TwistWord, chain: Sequence[str], boundary: Optional[str] = None,
+                   system: Optional[CurveSystem] = None) -> TwistWord:
+    """The lift of a page word onto one nodule, one rename per letter: the
+    chain curve c_k becomes chain[k-1], a boundary twist bdry_* becomes
+    `boundary`, and any other name is kept.  A chain curve past the chain, a
+    boundary twist with no image, or a kept name that `system` lacks raises
+    MonodromyError."""
+    images = {f"c{k}": name for k, name in enumerate(chain, 1)}
+
+    def lift(curve: str) -> str:
+        image = images.get(curve)
+        if image is not None:
+            return image
+        if curve[:1] == "c" and curve[1:].isascii() and curve[1:].isdigit():
+            raise MonodromyError(f"curve {curve} has no nodule model (limit {len(chain)})")
+        image = boundary if curve.startswith("bdry_") else (
+            curve if system is None or curve in system.curves else None)
+        if image is None:
+            raise MonodromyError(f"curve {curve} has no nodule model")
+        return image
+
+    return word.map_curves(lift)
 
 
-def _on_nodule_1(curve: str) -> str:
-    """The lift of a page curve to nodule 1: chain curve c{k} becomes
-    n1_{k}; other names are kept."""
-    return f"n1_{curve[1:]}" if _is_chain_curve(curve) else curve
+def _p1_chain(g: int, i: int) -> list[str]:
+    """The chain n{i}_1..n{i}_{2g+1} of nodule i on a (p,1)-cable page."""
+    return [f"n{i}_{k}" for k in range(1, 2 * g + 2)]
 
 
 @dataclass
@@ -188,13 +204,9 @@ def monodromy_p1_connected(book: RationalOpenBook, p: int) -> CableWord:
     g = book.genus
     if g < 1:
         raise MonodromyError("disk and annulus pages have no chain model here")
-    phi = (book.monodromy or TwistWord(())).map_curves(_on_nodule_1)
-    if p == 1:
-        return CableWord(phi, cable_p1_system(g, 1), book)
-    word = rho_p1_rotation(g, p).compose(phi)
     system = cable_p1_system(g, p)
-    cp = _page(book, p, 1)
-    return CableWord(word, system, cp)
+    phi = lift_to_nodule(book.monodromy or TwistWord(()), _p1_chain(g, 1), "partial1", system)
+    return CableWord(rho_p1_rotation(g, p).compose(phi), system, _page(book, p, 1))
 
 
 def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
@@ -218,7 +230,7 @@ def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
     for row in range(1, p):
         for j in range(d, 0, -1):
             gens.append(Generator.dehn_twist(f"c{row}_{j}", +1))
-    phi = (book.monodromy or TwistWord(())).map_curves(_on_nodule_1)
+    phi = lift_to_nodule(book.monodromy or TwistWord(()), _p1_chain(book.genus, 1))
     word = TwistWord(tuple(gens)).compose(phi)
     return CableWord(word, None, _page(book, p, 1))
 
@@ -260,6 +272,12 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     return sys, rho_names
 
 
+def _e_chain(g: int, i: int) -> list[str]:
+    """The chain of nodule i on the (2,2)-cable page: nodule 1 is covered by
+    e1..e{2g}, and nodule 2 mirrors it to e{4g+1}..e{2g+2}."""
+    return [f"e{k if i == 1 else 4 * g + 2 - k}" for k in range(1, 2 * g + 1)]
+
+
 def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     """The (2,2)-cable monodromy: 2g+1 positive twists about the rotation
     curves, then the lift of the monodromy on nodule 1 (the chain curves
@@ -269,12 +287,9 @@ def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     _require_integral_connected(book)
     g = book.genus
     sys, rho_names = sigma22_cover_system(g)
-    phi = (book.monodromy or TwistWord(())).map_curves(
-        lambda c: f"e{c[1:]}" if _is_chain_curve(c) and int(c[1:]) <= 2 * g else c
-    )
+    phi = lift_to_nodule(book.monodromy or TwistWord(()), _e_chain(g, 1), system=sys)
     word = TwistWord.twists(*reversed(rho_names)).compose(phi)
-    cp = _page(book, 2, 2)
-    return CableWord(word, sys, cp)
+    return CableWord(word, sys, _page(book, 2, 2))
 
 
 def monodromy_pq(book: RationalOpenBook, p: int, q: int) -> CableWord:
@@ -316,11 +331,11 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
         raise MonodromyError("book must be in (r, -1) form with r >= 2")
     g = book.genus
     word_in = book.monodromy or TwistWord(())
-    # boundary twists of the pattern page lift to nodule-1 boundary twists
-    phi = TwistWord(tuple(g_ for g_ in word_in if g_.kind != FRACTIONAL)).map_curves(
-        lambda c: "partial1" if c.startswith("bdry_") else _on_nodule_1(c)
-    )
     p = r - 1
+    system = cable_p1_system(g, p) if p >= 2 else None
+    # boundary twists of the pattern page lift to nodule-1 boundary twists
+    phi = lift_to_nodule(TwistWord(tuple(g_ for g_ in word_in if g_.kind != FRACTIONAL)),
+                         _p1_chain(g, 1), "partial1", system)
     rho_inv = rho_p1_rotation(g, p).inverse()
     gens: list[Generator] = [
         Generator.fractional_boundary("outer", Fraction(1, r))
@@ -333,7 +348,6 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
         components=(BindingComponent(order=r, seifert_numerator=-1),),
         monodromy=TwistWord(tuple(gens)),
     )
-    system = cable_p1_system(g, p) if p >= 2 else None
     return CableWord(TwistWord(tuple(gens)), system, new_book)
 
 
@@ -449,39 +463,24 @@ def compose_cobordism_word(
     if page.has_connected_binding:
         base = monodromy_22_connected(page.with_monodromy(TwistWord(())))
         sys = base.system
-        limit = 2 * page.genus
-
-        def chain_index(curve: str) -> int:
-            k = int(curve[1:])
-            if k > limit:
-                raise MonodromyError(f"curve c{k} has no nodule model (limit {limit})")
-            return k
-
-        # nodule 1 keeps the index k of c_k; the far nodule mirrors it to
-        # e_{2 limit + 2 - k}
-        def near(c: str) -> str:
-            return f"e{chain_index(c)}" if _is_chain_curve(c) else c
-
-        def far(c: str) -> str:
-            return f"e{2 * limit + 2 - chain_index(c)}" if _is_chain_curve(c) else c
-
-        lift1 = phi1.map_curves(near)
-        lift2 = phi2.map_curves(far)
+        near, far = _e_chain(page.genus, 1), _e_chain(page.genus, 2)
+        lift1 = lift_to_nodule(phi1, near, system=sys)
+        lift2 = lift_to_nodule(phi2, far, system=sys)
         word = base.word.compose(lift2).compose(lift1)
         # a word's matrix is the product of its letters' from left to right,
         # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1
         conj = sys.word_delta(base.word.compose(lift2).compose(base.word.inverse()))
         certificate = {
-            "conjugation_lands_on_nodule_1": conj == sys.word_delta(phi2.map_curves(near)),
+            "conjugation_lands_on_nodule_1":
+                conj == sys.word_delta(lift_to_nodule(phi2, near, system=sys)),
             "rotation_positive": base.word.is_positive(),
         }
         if not certificate["conjugation_lands_on_nodule_1"]:
             raise MonodromyError("destabilization certificate failed the oracle")
         return CableWord(word, sys, base.book, notes=certificate)
     base = monodromy_p1_disconnected(page.with_monodromy(TwistWord(())), 2)
-    word = base.word.compose(phi2.map_curves(lambda c: "n2_" + c)).compose(
-        phi1.map_curves(lambda c: "n1_" + c)
-    )
+    word = base.word.compose(lift_to_nodule(phi2, _p1_chain(page.genus, 2))).compose(
+        lift_to_nodule(phi1, _p1_chain(page.genus, 1)))
     return CableWord(
         word,
         None,

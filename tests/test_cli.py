@@ -3,7 +3,6 @@
 import ast
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -244,58 +243,6 @@ class TestBookBoundary:
         assert (code, out) == (2, "") and err.startswith("error:")
 
 
-_DATA = Path(cablekit.__file__).parent / "data"
-
-
-def _sigma22_data(**changes):
-    """The shipped sigma22_g1.json with top-level keys replaced (None drops
-    the key) or, under `homology`, the class of n1_1 replaced."""
-    obj = json.loads((_DATA / "sigma22_g1.json").read_text(encoding="utf-8"))
-    if "homology" in changes:
-        obj["curves"]["n1_1"]["homology"] = changes.pop("homology")
-    for key, value in changes.items():
-        if value is None:
-            del obj[key]
-        else:
-            obj[key] = value
-    return obj
-
-
-class TestDataBoundary:
-    def _replay(self, tmp_path, monkeypatch, capsys, data):
-        (tmp_path / "sigma22_g1.json").write_text(json.dumps(data))
-        shutil.copy(_DATA / "resolved_neg_cable_g1.json", tmp_path)
-        monkeypatch.setenv("CABLEKIT_DATA", str(tmp_path))
-        return run_cli(["--json", "replay-script", "stabilize_21_to_22"], capsys)
-
-    def test_shipped_copy_replays(self, tmp_path, monkeypatch, capsys):
-        code, out, _ = self._replay(tmp_path, monkeypatch, capsys, _sigma22_data())
-        assert code == 0 and json.loads(out)["verified"]
-
-    @pytest.mark.parametrize("data, field", [
-        (_sigma22_data(genus=None), "'genus'"),
-        ([1, 2], "JSON object"),
-        (_sigma22_data(genus="2"), "'genus'"),
-        (_sigma22_data(genus=True), "'genus'"),
-        (_sigma22_data(genus=-1), "'genus'"),
-        (_sigma22_data(boundary_labels="12"), "'boundary_labels'"),
-        (_sigma22_data(boundary_labels=[1, 2]), "'boundary_labels'"),
-        (_sigma22_data(curves=[]), "'curves'"),
-        (_sigma22_data(curves={"n1_1": [1, 0, 0, 0]}), "'curves'"),
-        (_sigma22_data(intersections={}), "'intersections'"),
-        (_sigma22_data(intersections=[["n1_1", "n1_2"]]), "'intersections'"),
-        (_sigma22_data(intersections=[["n1_1", "n1_2", "1"]]), "'intersections'"),
-        (_sigma22_data(expansions=[]), "'expansions'"),
-        (_sigma22_data(homology=[1, 0, 0]), "'curves.n1_1.homology'"),
-        (_sigma22_data(homology=[True, 0, 0, 0]), "'curves.n1_1.homology'"),
-        (_sigma22_data(homology=[1.0, 0, 0, 0]), "'curves.n1_1.homology'"),
-        (_sigma22_data(homology=None), "'curves.n1_1.homology'"),
-    ])
-    def test_malformed_data_file_is_exit_2(self, tmp_path, monkeypatch, capsys, data, field):
-        code, out, err = self._replay(tmp_path, monkeypatch, capsys, data)
-        assert (code, out) == (2, "") and err.startswith("error:") and field in err, err
-
-
 class TestSurgeryBoundary:
     @pytest.mark.parametrize("component", ["1", "5", "-1"])
     def test_missing_component_is_exit_2(self, trefoil_path, capsys, component):
@@ -399,7 +346,7 @@ class TestWindowFraming:
     def run(tmp, command, book, cable):
         path = tmp / "book.json"
         path.write_text(json.dumps(book))
-        return run_main(["--json", command, "--book", str(path), f"--cable={cable}"], None)
+        return run_main(["--json", command, "--book", str(path), f"--cable={cable}"])
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -434,7 +381,7 @@ class TestWindowFraming:
     def test_negative_pair_other_than_r_minus_1_is_refused(self, cable):
         argv = ["--json", "monodromy", "--book", str(GOLDEN / "inputs" / "rational_3m1.json"),
                 f"--cable={cable}"]
-        assert run_main(argv, None) == (2, "", (
+        assert run_main(argv) == (2, "", (
             "error: the negative cable word of a (3,-1)-book is built for the window pair "
             f"(2,-1) only, got ({cable})\n"))
 
@@ -559,7 +506,7 @@ class TestLazyExports:
 
 # -- fuzzing the input boundary ------------------------------------------------
 
-# Every subcommand reads malformed books, words, flags and CABLEKIT_DATA files
+# Every subcommand reads malformed books, words and flags
 # and must answer with exit 0, or exit 2 and an `error:` line, never exit 1.
 # Books keep genus <= 3 and cables p <= 5 so each call stays cheap; the
 # -O sample runs the same `run_main` in one `python -O -m cli_runner` process.
@@ -613,29 +560,6 @@ _BOOK = st.one_of(_VALID_BOOK, _or_junk(st.fixed_dictionaries(
               "metadata": _or_junk(st.dictionaries(st.text("ab", max_size=2), _JUNK,
                                                    max_size=2))},
 )))
-_DATA_KEYS = ["name", "genus", "boundary_labels", "curves", "intersections", "expansions"]
-
-
-@st.composite
-def _data_file(draw):
-    """The shipped sigma22_g1.json with one field, one curve, one recorded
-    intersection or one expansion replaced by junk."""
-    obj = _sigma22_data()
-    where = draw(st.sampled_from(["top", "curve", "intersection", "expansion"]))
-    if where == "top":
-        obj[draw(st.sampled_from(_DATA_KEYS))] = draw(_JUNK)
-    elif where == "curve":
-        info = obj["curves"][draw(st.sampled_from(sorted(obj["curves"])))]
-        info[draw(st.sampled_from(["homology", "nonseparating", "boundary_parallel"]))] = \
-            draw(_or_junk(st.lists(st.integers(-1, 1), min_size=3, max_size=5)))
-    elif where == "intersection":
-        names = st.sampled_from(sorted(obj["curves"]) + ["nope"])
-        obj["intersections"].append([draw(names), draw(names), draw(_or_junk(st.integers(-1, 2)))])
-    else:
-        obj["expansions"] = {draw(st.sampled_from(["partial1", "bdry_1", "n1_1"])): draw(_WORD)}
-    return draw(st.one_of(st.just(obj), _JUNK))
-
-
 _SLOPE = st.one_of(st.builds(lambda q, p: f"{q}/{p}", st.integers(-50, 50), st.integers(-50, 50)),
                    st.sampled_from(["0", "-1", "inf", "1/0", "0/0", "x", "-1/3/2", ""]))
 _PAIR = st.builds(lambda p, q: f"{p},{q}", st.sampled_from([2, 2, 3, 5, 1, 0, -2]),
@@ -667,34 +591,25 @@ _SUBCOMMAND = {
 }
 
 
-def _write_inputs(root, argv, book, word1, word2, data):
-    """Write the drawn files under root and return the argv and data dir that
-    name them.  A file of None is left unparsable."""
+def _write_inputs(root, argv, book, word1, word2):
+    """Write the drawn files under root and return the argv that names them.
+    A file of None is left unparsable."""
     files = {"BOOK": book, "WORD1": word1, "WORD2": word2}
     for key, value in files.items():
         (root / key).write_text("{" if value is None else json.dumps(value))
-    data_dir = None
-    if data is not None:
-        data_dir = root / "data"
-        data_dir.mkdir(exist_ok=True)
-        (data_dir / "sigma22_g1.json").write_text(json.dumps(data))
-        shutil.copy(_DATA / "resolved_neg_cable_g1.json", data_dir)
-    return [str(root / a) if a in files else a for a in argv], data_dir and str(data_dir)
+    return [str(root / a) if a in files else a for a in argv]
 
 
 class TestFuzzBoundary:
     @settings(max_examples=150, deadline=None)
     @given(command=st.sampled_from(sorted(_SUBCOMMAND)).flatmap(_SUBCOMMAND.get),
-           json_flag=st.booleans(), book=_BOOK, word1=_WORD, word2=_WORD,
-           data=st.one_of(st.none(), _data_file()))
-    def test_exit_0_or_2(self, tmp_path_factory, command, json_flag, book, word1, word2, data):
+           json_flag=st.booleans(), book=_BOOK, word1=_WORD, word2=_WORD)
+    def test_exit_0_or_2(self, tmp_path_factory, command, json_flag, book, word1, word2):
         root = tmp_path_factory.mktemp("fuzz")
-        argv, data_dir = _write_inputs(root, command, book, word1, word2, data)
+        argv = _write_inputs(root, command, book, word1, word2)
         argv = ["--json", *argv] if json_flag else argv
-        before = os.environ.get("CABLEKIT_DATA")
-        code, out, err = run_main(argv, data_dir)
+        code, out, err = run_main(argv)
         assert _answers_cleanly(argv, code, out, err), (argv, code, err)
-        assert os.environ.get("CABLEKIT_DATA") == before
 
     def test_sample_under_optimize(self, tmp_path):
         # asserts vanish under `python -O`; the checks that guard the
@@ -705,7 +620,6 @@ class TestFuzzBoundary:
                  {"genus": 3, "components": [_DISK], "monodromy": [{"kind": "x", "curve": "c1"}]}]
         words = [None, 7, [{"kind": "dehn", "curve": "c1", "sign": True}],
                  [{"kind": "fractional", "curve": "1", "amount": "1/0"}]]
-        data = [None, [1], _sigma22_data(genus=-1), _sigma22_data(homology=[True, 0, 0, 0])]
         cases = []
         for i, (name, argv) in enumerate([
             ("slopes", ["slopes", "exceptional", "1/3"]),
@@ -723,12 +637,12 @@ class TestFuzzBoundary:
                 root = tmp_path / f"{name}_{j}"
                 root.mkdir()
                 cases.append(_write_inputs(root, ["--json", *argv], book, words[j % len(words)],
-                                           words[(i + j) % len(words)], data[j % len(data)]))
+                                           words[(i + j) % len(words)]))
         proc = subprocess.run([sys.executable, "-O", "-m", "cli_runner"], input=json.dumps(cases),
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])})
         assert proc.returncode == 0, proc.stderr
         results = json.loads(proc.stdout)
-        bad = [(argv, code, err) for (argv, _), (code, out, err) in zip(cases, results)
+        bad = [(argv, code, err) for argv, (code, out, err) in zip(cases, results)
                if not _answers_cleanly(argv, code, out, err)]
         assert len(results) == len(cases) == 66 and not bad, bad

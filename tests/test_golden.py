@@ -27,7 +27,7 @@ def run(case: dict, mode: str) -> tuple[int, bytes, str]:
     argv = MODES[mode] + [
         str(GOLDEN / a) if a.startswith("inputs/") else a for a in case["argv"]
     ]
-    code, out, err = run_main(argv, None)
+    code, out, err = run_main(argv)
     return code, out.encode("utf-8"), err
 
 

@@ -1,5 +1,8 @@
 """Shipped curve systems, relations, and script replays."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from cablekit.curves import words_equal_on_homology
@@ -16,6 +19,9 @@ from cablekit.library import (
 )
 from cablekit.words import TwistWord
 
+# the curve systems as they shipped in JSON before they were declared in Python
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 class TestSystems:
     def test_sigma22_loads_and_checks(self):
@@ -26,6 +32,25 @@ class TestSystems:
     def test_resolved_loads_and_checks(self):
         sys_ = resolved_system()
         assert sys_.genus == 2 and len(sys_.boundary_labels) == 3
+        sys_.check()
+
+    @pytest.mark.parametrize("build, filename", [
+        (sigma22_script_system, "sigma22_g1.json"),
+        (resolved_system, "resolved_neg_cable_g1.json"),
+    ])
+    def test_constructor_equals_the_data_file(self, build, filename):
+        data = json.loads((FIXTURES / filename).read_text(encoding="utf-8"))
+        sys_ = build()
+        assert (sys_.genus, list(sys_.boundary_labels), sys_.name) == (
+            data["genus"], data["boundary_labels"], data["name"])
+        assert {name: (list(info.homology), info.nonseparating, info.boundary_parallel)
+                for name, info in sys_.curves.items()} == {
+            name: (c["homology"], c.get("nonseparating", True), c.get("boundary_parallel"))
+            for name, c in data["curves"].items()}
+        assert list(sys_.curves) == list(data["curves"])
+        recorded = {tuple(sorted((a, b))): value for a, b, value in data["intersections"]}
+        assert sys_.intersections == recorded and len(recorded) == len(data["intersections"])
+        assert sys_.expansions == {} == data.get("expansions", {}) and sys_.groups == {}
         sys_.check()
 
     def test_registries_gate_all_relations(self):
@@ -71,17 +96,3 @@ class TestLanternModel:
         assert any(
             m[i][j] != (1 if i == j else 0) for i in range(6) for j in range(6)
         )
-
-
-class TestDataOverride:
-    def test_cablekit_data_env(self, tmp_path, monkeypatch):
-        import json
-        import shutil
-        from importlib import resources
-
-        src = resources.files("cablekit").joinpath("data")
-        for name in ("sigma22_g1.json", "resolved_neg_cable_g1.json"):
-            shutil.copy(str(src.joinpath(name)), tmp_path / name)
-        monkeypatch.setenv("CABLEKIT_DATA", str(tmp_path))
-        sys_ = sigma22_script_system()
-        sys_.check()

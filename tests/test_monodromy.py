@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cablekit.curves import (
     NonExpandableGeneratorError,
@@ -158,13 +161,18 @@ class TestConnected22:
         compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2"), connected_book(2))
         assert sigma22_cover_system.cache_info().misses == 1
 
-    def test_lifts_keep_non_chain_names(self):
-        # only chain names c{k} with ASCII digits k are renamed; names like
-        # "cusp" or "c²" pass through the (2,1) and the (2,2) lift alike
-        book = connected_book(1, TwistWord.twists("c1", ("cusp", -1), "c²"))
-        for cw, c1 in ((monodromy_pq(book, 2, 1), "n1_1"), (monodromy_22_connected(book), "e1")):
-            assert [(x.curve, x.sign) for x in cw.word[-3:]] == [
-                (c1, 1), ("cusp", -1), ("c²", 1)]
+    def test_lifts_refuse_names_outside_the_system(self):
+        # only chain names c{k} with ASCII digits k are renamed; a name like
+        # "cusp" or "c²" is refused where the target system lacks it, and
+        # kept on the disconnected page, which has no system
+        for name in ("cusp", "c²"):
+            book = connected_book(1, TwistWord.twists("c1", name))
+            for build in (lambda b: monodromy_pq(b, 2, 1), monodromy_22_connected):
+                with pytest.raises(MonodromyError, match=f"^curve {name} has no nodule model$"):
+                    build(book)
+        book = disconnected_book(1, 2).with_monodromy(TwistWord.twists("c1", ("cusp", -1), "c²"))
+        cw = monodromy_p1_disconnected(book, 2)
+        assert [(x.curve, x.sign) for x in cw.word[-3:]] == [("n1_1", 1), ("cusp", -1), ("c²", 1)]
 
 
 def full_surface_crossing_class(sys_, g, p, j):
@@ -295,6 +303,8 @@ class TestConnectedP1:
         word = TwistWord.twists("c1", "c2")
         cw = monodromy_p1_connected(connected_book(1, word), 1)
         assert [x.curve for x in cw.word] == ["n1_1", "n1_2"]
+        # the page is the bare cabled page, as for every other p
+        assert cw.book.monodromy is None and cw.system is cable_p1_system(1, 1)
 
     def test_page_data(self):
         cw = monodromy_p1_connected(connected_book(1, TwistWord(())), 2)
@@ -497,6 +507,74 @@ class TestCobordism:
         cw = compose_cobordism_word(TwistWord(()), TwistWord(()), page)
         assert cw.word.is_positive()
         assert cw.notes["rotation_positive"]
+
+
+# Builders whose words name no curve system.  The list may only shrink: the
+# disconnected (p,1) word also stands for the disconnected-page words of
+# monodromy_pq and compose_cobordism_word, which are built on it.
+BUILDERS_WITHOUT_SYSTEM = ("monodromy_p1_disconnected", "resolution_word_r0",
+                           "negative_cable_word at r = 2")
+
+
+class TestLiftModel:
+    """A page word lifts onto a nodule of the system its builder returns:
+    every returned word evaluates there, or the builder refuses the book."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_word_evaluates_on_its_system(self, data):
+        g = data.draw(st.integers(1, 3), "genus")
+        r = data.draw(st.sampled_from([1, 1, 2, 3, 4]), "order")
+        names = [f"c{k}" for k in range(1, 2 * g + 2)] + ["bdry_1"]
+        letters = st.lists(st.tuples(st.sampled_from(names), st.sampled_from([1, -1])),
+                           max_size=4).map(lambda items: TwistWord.twists(*items))
+        phi, phi1, phi2 = (data.draw(letters, label) for label in ("phi", "phi1", "phi2"))
+        if r > 1:  # an (r, -1)-book, the input of the negative cable
+            phi = TwistWord.of(Generator.fractional_boundary("1", Fraction(1, r))).compose(phi)
+        book = RationalOpenBook(genus=g, components=(BindingComponent(r, -int(r > 1)),),
+                                monodromy=phi)
+        builds = {f"monodromy_p1_connected p={p}": partial(monodromy_p1_connected, book, p)
+                  for p in range(1, 5)}
+        builds["monodromy_22_connected"] = partial(monodromy_22_connected, book)
+        builds["compose_cobordism_word"] = partial(compose_cobordism_word, phi1, phi2, book)
+        builds["negative_cable_word"] = partial(negative_cable_word, book)
+        for name, build in builds.items():
+            try:
+                cw = build()
+            except MonodromyError:
+                continue
+            if cw.system is None:
+                assert f"{name} at r = {r}" in BUILDERS_WITHOUT_SYSTEM, name
+            else:
+                cw.system.word_delta(cw.word)
+
+    def test_builders_without_a_system_are_the_named_list(self):
+        pattern = TestNegativeCable().make_pattern(2)
+        words = {
+            "monodromy_p1_disconnected": monodromy_p1_disconnected(disconnected_book(1, 2), 2),
+            "resolution_word_r0": resolution_word_r0(pattern),
+            "negative_cable_word at r = 2": negative_cable_word(pattern),
+        }
+        assert tuple(words) == BUILDERS_WITHOUT_SYSTEM
+        assert all(cw.system is None for cw in words.values())
+
+    def test_boundary_twist_lifts_to_the_nodule_boundary(self):
+        # the (p,1) nodule has one boundary, partial1; the (2,2) system has
+        # no curve for nodule 1's boundary, so the twist is refused there
+        book = connected_book(1, TwistWord.twists("c1", ("bdry_1", -1)))
+        for cw in (monodromy_p1_connected(book, 1), monodromy_p1_connected(book, 2)):
+            assert [(x.curve, x.sign) for x in cw.word[-2:]] == [("n1_1", 1), ("partial1", -1)]
+        with pytest.raises(MonodromyError, match="^curve bdry_1 has no nodule model$"):
+            monodromy_22_connected(book)
+        with pytest.raises(MonodromyError, match="^curve bdry_1 has no nodule model$"):
+            compose_cobordism_word(TwistWord(()), book.monodromy, connected_book(1))
+
+    def test_chain_past_the_nodule_is_refused(self):
+        book = connected_book(1, TwistWord.twists("c4"))
+        with pytest.raises(MonodromyError, match=r"^curve c4 has no nodule model \(limit 3\)$"):
+            monodromy_p1_connected(book, 2)
+        with pytest.raises(MonodromyError, match=r"^curve c4 has no nodule model \(limit 2\)$"):
+            monodromy_22_connected(book)
 
 
 class TestRotationStructure:

@@ -41,16 +41,37 @@ def test_no_dense_linear_algebra(path):
     assert not defined & DENSE_ALGEBRA, f"{path.name} defines {sorted(defined & DENSE_ALGEBRA)}"
 
 
+def _imported(tree):
+    """Every module a tree imports from and every name it imports."""
+    imported = {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    return imported | {alias.name for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_braid_lift(path):
     # the rotation curves of the (2,2) system are declared in closed form; the
     # braid lift and the class extraction are the tests' reference for them
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    imported = {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    imported |= {alias.name for node in ast.walk(tree)
-                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    assert not any(name.rpartition(".")[2] == "braids" for name in imported), path.name
+    assert not any(name.rpartition(".")[2] == "braids" for name in _imported(tree)), path.name
     assert "extract_transvection_class" not in _defined(tree), path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_environment_or_resource_reads(path):
+    # every input comes from the command line: the package reads no
+    # environment variable and loads no files of its own
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not any(name.partition(".")[0] in ("importlib", "resources")
+                   for name in _imported(tree)), path.name
+    assert not _names_read(tree).keys() & {"environ", "getenv"}, path.name
+
+
+def test_package_holds_only_python_files():
+    package = ROOT / "src" / "cablekit"
+    files = [p.relative_to(package) for p in package.rglob("*")
+             if p.is_file() and "__pycache__" not in p.parts]
+    assert files and all(p.suffix == ".py" and len(p.parts) == 1 for p in files), files
 
 
 def test_oracle_module_has_no_fractions():
