@@ -36,6 +36,16 @@ __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
 
 
+class _Frozen:
+    """Base of the immutable value classes: ``__init__`` sets each slot once
+    through ``object.__setattr__``; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:

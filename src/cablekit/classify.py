@@ -17,13 +17,12 @@ from the fiber invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from . import lens
+from . import _Frozen, lens
 from .openbook import (BindingComponent, OpenBookError, RationalOpenBook, normalize_to_window,
                        reframe, window_shift)
 from .slopes import Slope, exceptional_slopes, ext_gcd
@@ -50,14 +49,13 @@ class CableSign(Enum):
     EQUALS_MERIDIAN = "EqualsMeridian"
 
 
-@dataclass(frozen=True)
-class CableCoefficients:
+class CableCoefficients(_Frozen):
     """One (p, q) pair per binding component, validated against the book."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((int(p), int(q)) for p, q in self.pairs))
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", tuple((int(p), int(q)) for p, q in pairs))
 
     def validate(self, book: RationalOpenBook) -> None:
         if len(self.pairs) != len(book.components):
@@ -81,7 +79,9 @@ class CableCoefficients:
         pairs read there: reframing by k shifts a cable coefficient q to
         q + k p.  Verdicts, pages and words are computed in this framing."""
         shifts = [window_shift(c) for c in book.components]
-        window = replace(book, components=tuple(map(reframe, book.components, shifts)))
+        window = RationalOpenBook(book.genus, tuple(map(reframe, book.components, shifts)),
+                                  book.boundary_count_of_page, book.is_rational_unknot_book,
+                                  book.monodromy, book.metadata)
         return window, CableCoefficients(tuple(
             (p, q + k * p) for (p, q), k in zip(self.pairs, shifts)))
 
@@ -96,13 +96,17 @@ class CableCoefficients:
             ) from None
 
 
-@dataclass(frozen=True)
-class CableVerdict:
-    kind: VerdictKind
-    per_component_signs: tuple[CableSign, ...]
-    hopf_delta: Optional[int] = None
-    lutz_recipe: Optional[str] = None
-    note: str = ""
+class CableVerdict(_Frozen):
+    __slots__ = ("kind", "per_component_signs", "hopf_delta", "lutz_recipe", "note")
+
+    def __init__(self, kind: VerdictKind, per_component_signs: tuple[CableSign, ...],
+                 hopf_delta: Optional[int] = None, lutz_recipe: Optional[str] = None,
+                 note: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "per_component_signs", per_component_signs)
+        object.__setattr__(self, "hopf_delta", hopf_delta)
+        object.__setattr__(self, "lutz_recipe", lutz_recipe)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         return {

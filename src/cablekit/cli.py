@@ -4,7 +4,9 @@ Exit codes: 0 on success, 2 on usage or validation errors, 1 on internal
 errors.  ``--json`` emits machine-readable output, byte-identical across
 runs; the default is a short human-readable report.  All file formats are
 the JSON schemas of the owning modules.  Each subcommand imports only the
-layers it calls, so a call pays start-up only for the code it runs.
+layers it calls, so a call pays start-up only for the code it runs, and no
+layer imports `dataclasses`, whose import and class building would add about
+20 ms to every call.
 """
 
 from __future__ import annotations

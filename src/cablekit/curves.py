@@ -24,9 +24,9 @@ columns it touches, never the dimension.  ``word_matrix`` is its dense view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
+from . import _Frozen
 from .words import DEHN, Generator, TwistWord
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -56,12 +56,21 @@ def _pairing_row(support: Mapping[int, int]) -> dict[int, int]:
 # -- curve systems -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveInfo:
-    support: dict[int, int]  # the nonzero coordinates of the class, ascending
-    dim: int
-    nonseparating: bool
-    boundary_parallel: Optional[str] = None
+class CurveInfo(_Frozen):
+    __slots__ = ("support", "dim", "nonseparating", "boundary_parallel")
+
+    def __init__(self, support: dict[int, int],  # the nonzero coordinates, ascending
+                 dim: int, nonseparating: bool, boundary_parallel: Optional[str] = None):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "nonseparating", nonseparating)
+        object.__setattr__(self, "boundary_parallel", boundary_parallel)
+
+    def __eq__(self, other):
+        if other.__class__ is not CurveInfo:
+            return NotImplemented
+        return (self.support, self.dim, self.nonseparating, self.boundary_parallel) == (
+            other.support, other.dim, other.nonseparating, other.boundary_parallel)
 
     @property
     def homology(self) -> tuple[int, ...]:
@@ -76,7 +85,6 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass
 class CurveSystem:
     """Named curves with homology data on a fixed model surface.
 
@@ -85,13 +93,17 @@ class CurveSystem:
     stored classes and proves the group rule.
     """
 
-    genus: int
-    boundary_labels: tuple[str, ...]
-    curves: dict[str, CurveInfo] = field(default_factory=dict)
-    intersections: dict[tuple[str, str], int] = field(default_factory=dict)
-    expansions: dict[str, TwistWord] = field(default_factory=dict)
-    name: str = ""
-    groups: dict[str, tuple] = field(default_factory=dict)  # curve -> (family, member)
+    __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "name",
+                 "groups")
+
+    def __init__(self, genus: int, boundary_labels: tuple[str, ...],
+                 curves: Optional[dict[str, CurveInfo]] = None,
+                 intersections: Optional[dict[tuple[str, str], int]] = None,
+                 expansions: Optional[dict[str, TwistWord]] = None, name: str = "",
+                 groups: Optional[dict[str, tuple]] = None):  # curve -> (family, member)
+        self.genus, self.boundary_labels, self.name = genus, boundary_labels, name
+        self.curves, self.intersections, self.expansions, self.groups = (
+            {} if d is None else d for d in (curves, intersections, expansions, groups))
 
     # -- construction helpers ---------------------------------------------
 

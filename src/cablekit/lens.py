@@ -12,32 +12,33 @@ long as no component is a trivial knot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from . import _Frozen
 
 
 class TrivialTorusKnotError(ValueError):
     """The class bounds a disk, so the fiber formulas do not apply."""
 
 
-@dataclass(frozen=True)
-class LensTorusKnot:
+class LensTorusKnot(_Frozen):
     """The (k, l)-curve on the Heegaard torus of the (r, s) lens space."""
 
-    r: int
-    s: int
-    k: int
-    l: int
+    __slots__ = ("r", "s", "k", "l")
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"lens parameter r must be positive, got {self.r}")
-        if not (0 <= self.s < self.r) and not (self.r == 1 and self.s == 0):
-            raise ValueError(f"lens parameter s must satisfy 0 <= s < r, got {self.s}")
-        if gcd(self.r, self.s) != 1:
-            raise ValueError(f"lens parameters must be coprime, got ({self.r}, {self.s})")
-        if (self.k, self.l) == (0, 0):
+    def __init__(self, r: int, s: int, k: int, l: int):
+        if r < 1:
+            raise ValueError(f"lens parameter r must be positive, got {r}")
+        if not (0 <= s < r) and not (r == 1 and s == 0):
+            raise ValueError(f"lens parameter s must satisfy 0 <= s < r, got {s}")
+        if gcd(r, s) != 1:
+            raise ValueError(f"lens parameters must be coprime, got ({r}, {s})")
+        if (k, l) == (0, 0):
             raise ValueError("(k, l) = (0, 0) is not a curve class")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
 
     @property
     def component_count(self) -> int:
@@ -74,7 +75,8 @@ def is_rational_unknot(K: LensTorusKnot) -> bool:
 
 def _require_fibered(K: LensTorusKnot) -> None:
     if is_trivial(K):
-        raise TrivialTorusKnotError(f"{K} bounds a disk; fiber invariants undefined")
+        raise TrivialTorusKnotError(f"the ({K.k}, {K.l})-curve in L({K.r}, {K.s}) bounds a disk; "
+                                    "fiber invariants undefined")
 
 
 def euler_characteristic(K: LensTorusKnot) -> int:

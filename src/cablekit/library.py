@@ -23,7 +23,6 @@ against the stored classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .curves import CurveSystem
@@ -64,15 +63,15 @@ def _script_page(name: str, labels: tuple[str, ...], separating: tuple[str, ...]
     return sys
 
 
-@dataclass
 class ScriptBundle:
     """A script together with the registry it replays against and the words
     that anchor it: the start word and the expected final word."""
 
-    script: RewriteScript
-    registry: RelationRegistry
-    start: TwistWord
-    expect: TwistWord
+    __slots__ = ("script", "registry", "start", "expect")
+
+    def __init__(self, script: RewriteScript, registry: RelationRegistry, start: TwistWord,
+                 expect: TwistWord):
+        self.script, self.registry, self.start, self.expect = script, registry, start, expect
 
     def replay(self):
         return replay(self.script, self.start, self.registry, expect=self.expect)

@@ -29,7 +29,6 @@ a nodule through :func:`lift_to_nodule`, which refuses names with no image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -149,10 +148,11 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
 def lift_to_nodule(word: TwistWord, chain: Sequence[str], boundary: Optional[str] = None,
                    system: Optional[CurveSystem] = None) -> TwistWord:
     """The lift of a page word onto one nodule, one rename per letter: the
-    chain curve c_k becomes chain[k-1], a boundary twist bdry_* becomes
-    `boundary`, and any other name is kept.  A chain curve past the chain, a
-    boundary twist with no image, or a kept name that `system` lacks raises
-    MonodromyError."""
+    chain curve c_k becomes chain[k-1] and a boundary twist bdry_* becomes
+    `boundary`.  Any other name is kept on a page without a curve system; on
+    a page with one (`system`) it would name a cable curve, not the page
+    curve, and is refused.  A refused name, a chain curve past the chain or
+    a boundary twist with no image raises MonodromyError."""
     images = {f"c{k}": name for k, name in enumerate(chain, 1)}
 
     def lift(curve: str) -> str:
@@ -161,8 +161,7 @@ def lift_to_nodule(word: TwistWord, chain: Sequence[str], boundary: Optional[str
             return image
         if curve[:1] == "c" and curve[1:].isascii() and curve[1:].isdigit():
             raise MonodromyError(f"curve {curve} has no nodule model (limit {len(chain)})")
-        image = boundary if curve.startswith("bdry_") else (
-            curve if system is None or curve in system.curves else None)
+        image = boundary if curve.startswith("bdry_") else curve if system is None else None
         if image is None:
             raise MonodromyError(f"curve {curve} has no nodule model")
         return image
@@ -175,12 +174,13 @@ def _p1_chain(g: int, i: int) -> list[str]:
     return [f"n{i}_{k}" for k in range(1, 2 * g + 2)]
 
 
-@dataclass
 class CableWord:
-    word: TwistWord
-    system: Optional[CurveSystem]
-    book: RationalOpenBook
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("word", "system", "book", "notes")
+
+    def __init__(self, word: TwistWord, system: Optional[CurveSystem], book: RationalOpenBook,
+                 notes: Optional[dict] = None):
+        self.word, self.system, self.book = word, system, book
+        self.notes = {} if notes is None else notes
 
 
 def _page(book: RationalOpenBook, p: int, q: int) -> RationalOpenBook:
@@ -366,16 +366,22 @@ def resolution_word_r0(book: RationalOpenBook) -> CableWord:
     return CableWord(resolved.monodromy, None, resolved)
 
 
-@dataclass
 class ObstructionReport:
-    p: int
-    algebraic_length: int
-    mod10_length: int
-    required_mod10: int
-    filling_euler_characteristic: int
-    positive_factorization_length: int
-    obstructed: bool
-    word_length: int
+    __slots__ = ("p", "algebraic_length", "mod10_length", "required_mod10",
+                 "filling_euler_characteristic", "positive_factorization_length", "obstructed",
+                 "word_length")
+
+    def __init__(self, p: int, algebraic_length: int, mod10_length: int, required_mod10: int,
+                 filling_euler_characteristic: int, positive_factorization_length: int,
+                 obstructed: bool, word_length: int):
+        self.p, self.algebraic_length, self.mod10_length = p, algebraic_length, mod10_length
+        self.required_mod10 = required_mod10
+        self.filling_euler_characteristic = filling_euler_characteristic
+        self.positive_factorization_length = positive_factorization_length
+        self.obstructed, self.word_length = obstructed, word_length
+
+    def __repr__(self):
+        return f"ObstructionReport{tuple(getattr(self, f) for f in ObstructionReport.__slots__)}"
 
     def summary(self) -> str:
         if not self.obstructed:

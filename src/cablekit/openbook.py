@@ -12,10 +12,10 @@ Values are immutable; operations return new books.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Optional
 
+from . import _Frozen
 from .slopes import Slope
 from .words import Generator, TwistWord
 
@@ -33,22 +33,29 @@ def _json_int(obj: dict, key: str, default: Optional[int] = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class BindingComponent:
+class BindingComponent(_Frozen):
     """One binding component: page meets it as an (order, seifert_numerator)-curve."""
 
-    order: int
-    seifert_numerator: int
-    multiplicity: int = 0  # 0 = compute from (order, numerator)
+    __slots__ = ("order", "seifert_numerator", "multiplicity")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise OpenBookError(f"order must be positive, got {self.order}")
-        if self.multiplicity == 0:
-            m = gcd(self.order, abs(self.seifert_numerator))
-            if self.seifert_numerator == 0:
-                m = 1
-            object.__setattr__(self, "multiplicity", m)
+    def __init__(self, order: int, seifert_numerator: int,
+                 multiplicity: int = 0):  # 0 = compute from (order, numerator)
+        if order < 1:
+            raise OpenBookError(f"order must be positive, got {order}")
+        if multiplicity == 0:
+            multiplicity = 1 if seifert_numerator == 0 else gcd(order, abs(seifert_numerator))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "seifert_numerator", seifert_numerator)
+        object.__setattr__(self, "multiplicity", multiplicity)
+
+    def __eq__(self, other):
+        if other.__class__ is not BindingComponent:
+            return NotImplemented
+        return (self.order, self.seifert_numerator, self.multiplicity) == (
+            other.order, other.seifert_numerator, other.multiplicity)
+
+    def __repr__(self):
+        return f"BindingComponent{(self.order, self.seifert_numerator, self.multiplicity)}"
 
     @property
     def seifert_slope(self) -> Slope:
@@ -96,25 +103,29 @@ def normalize_to_window(c: BindingComponent) -> BindingComponent:
     return reframe(c, window_shift(c))
 
 
-@dataclass(frozen=True)
-class RationalOpenBook:
+class RationalOpenBook(_Frozen):
     """Page topology plus per-component binding data and an optional word."""
 
-    genus: int
-    components: tuple[BindingComponent, ...]
-    boundary_count_of_page: int = 0  # 0 = compute as the multiplicity total
-    is_rational_unknot_book: bool = False
-    monodromy: Optional[TwistWord] = None
-    metadata: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    __slots__ = ("genus", "components", "boundary_count_of_page", "is_rational_unknot_book",
+                 "monodromy", "metadata")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if self.boundary_count_of_page == 0:
-            object.__setattr__(
-                self,
-                "boundary_count_of_page",
-                sum(c.multiplicity for c in self.components),
-            )
+    def __init__(self, genus: int, components: tuple[BindingComponent, ...],
+                 boundary_count_of_page: int = 0,  # 0 = compute as the multiplicity total
+                 is_rational_unknot_book: bool = False, monodromy: Optional[TwistWord] = None,
+                 metadata: tuple[tuple[str, str], ...] = ()):
+        components = tuple(components)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "boundary_count_of_page",
+                           boundary_count_of_page or sum(c.multiplicity for c in components))
+        object.__setattr__(self, "is_rational_unknot_book", is_rational_unknot_book)
+        object.__setattr__(self, "monodromy", monodromy)
+        object.__setattr__(self, "metadata", metadata)
+
+    def __eq__(self, other):
+        if other.__class__ is not RationalOpenBook:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in RationalOpenBook.__slots__)
 
     @property
     def page_euler_char(self) -> int:
@@ -129,12 +140,15 @@ class RationalOpenBook:
         return len(self.components) == 1
 
     def with_monodromy(self, word: Optional[TwistWord]) -> "RationalOpenBook":
-        return replace(self, monodromy=word)
+        return RationalOpenBook(self.genus, self.components, self.boundary_count_of_page,
+                                self.is_rational_unknot_book, word, self.metadata)
 
     def with_metadata(self, **notes: str) -> "RationalOpenBook":
         merged = dict(self.metadata)
         merged.update(notes)
-        return replace(self, metadata=tuple(sorted(merged.items())))
+        return RationalOpenBook(self.genus, self.components, self.boundary_count_of_page,
+                                self.is_rational_unknot_book, self.monodromy,
+                                tuple(sorted(merged.items())))
 
     def to_json(self) -> dict:
         obj = {

@@ -12,9 +12,9 @@ a verified elementary-move script" -- nothing stronger is claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from . import _Frozen
 from .curves import CurveSystem, words_equal_on_homology
 from .words import Generator, TwistWord
 
@@ -27,11 +27,13 @@ class RewriteError(ValueError):
     """A replay step's precondition failed."""
 
 
-@dataclass(frozen=True)
-class Relation:
-    name: str
-    lhs: TwistWord
-    rhs: TwistWord
+class Relation(_Frozen):
+    __slots__ = ("name", "lhs", "rhs")
+
+    def __init__(self, name: str, lhs: TwistWord, rhs: TwistWord):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 class RelationRegistry:
@@ -70,8 +72,7 @@ class RelationRegistry:
             raise RewriteError(f"relation {name!r} is not registered")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(_Frozen):
     """One replay step.
 
     kind "apply": replace relation lhs by rhs at `position`.  kind "cancel":
@@ -82,24 +83,30 @@ class Step:
     unchanged).
     """
 
-    kind: str
-    position: int
-    relation: str = ""
-    curve: str = ""
-    sign: int = 1
+    __slots__ = ("kind", "position", "relation", "curve", "sign")
+
+    def __init__(self, kind: str, position: int, relation: str = "", curve: str = "",
+                 sign: int = 1):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class RewriteScript:
-    name: str
-    steps: tuple[Step, ...]
+class RewriteScript(_Frozen):
+    __slots__ = ("name", "steps")
+
+    def __init__(self, name: str, steps: tuple[Step, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "steps", steps)
 
 
-@dataclass
 class ReplayResult:
-    word: TwistWord
-    log: list[str]
-    verified: bool
+    __slots__ = ("word", "log", "verified")
+
+    def __init__(self, word: TwistWord, log: list[str], verified: bool):
+        self.word, self.log, self.verified = word, log, verified
 
 
 def _apply_step(word: TwistWord, step: Step, registry: RelationRegistry) -> TwistWord:

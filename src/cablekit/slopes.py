@@ -21,23 +21,22 @@ version is implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from . import _Frozen
 
 
 class SlopeDomainError(ValueError):
     """Raised when a slope lies outside an operation's domain."""
 
 
-@dataclass(frozen=True, order=False)
-class Slope:
+class Slope(_Frozen):
     """A reduced fraction numerator/denominator; 1/0 is the meridian."""
 
-    numerator: int
-    denominator: int = 1
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        q, p = self.numerator, self.denominator
+    def __init__(self, numerator: int, denominator: int = 1):
+        q, p = numerator, denominator
         if q == 0 and p == 0:
             raise SlopeDomainError("0/0 is not a slope")
         g = gcd(abs(q), abs(p))
@@ -46,6 +45,14 @@ class Slope:
             q, p = -q, -p
         object.__setattr__(self, "numerator", q)
         object.__setattr__(self, "denominator", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not Slope:
+            return NotImplemented
+        return (self.numerator, self.denominator) == (other.numerator, other.denominator)
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
 
     # -- basic queries ----------------------------------------------------
 

@@ -10,9 +10,10 @@ implicitly).  Braids reach a word only through their lift to Dehn twists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
+
+from . import _Frozen
 
 DEHN = "dehn"
 FRACTIONAL = "fractional"
@@ -25,25 +26,32 @@ class WordError(ValueError):
     """A word or generator JSON document of the wrong shape."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    kind: str
-    curve: str
-    sign: int = 1
-    amount: Optional[Fraction] = None  # fractional twists only; `sign` is its sign
+class Generator(_Frozen):
+    __slots__ = ("kind", "curve", "sign", "amount")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == FRACTIONAL:
-            if self.amount is None or self.amount == 0:
+    def __init__(self, kind: str, curve: str, sign: int = 1,
+                 amount: Optional[Fraction] = None):  # fractional only; `sign` is its sign
+        if kind not in _KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind == FRACTIONAL:
+            if amount is None or amount == 0:
                 raise ValueError("fractional twist needs a nonzero amount")
-            if self.sign != (1 if self.amount > 0 else -1):
-                raise ValueError(f"fractional twist of amount {self.amount} has sign {self.sign}")
-        elif self.sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-        elif self.amount is not None:
-            raise ValueError(f"only fractional twists carry an amount, not {self.kind}")
+            if sign != (1 if amount > 0 else -1):
+                raise ValueError(f"fractional twist of amount {amount} has sign {sign}")
+        elif sign not in (1, -1):
+            raise ValueError(f"sign must be +-1, got {sign}")
+        elif amount is not None:
+            raise ValueError(f"only fractional twists carry an amount, not {kind}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "amount", amount)
+
+    def __eq__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return (self.kind, self.curve, self.sign, self.amount) == (
+            other.kind, other.curve, other.sign, other.amount)
 
     # -- constructors -------------------------------------------------------
 
@@ -104,14 +112,22 @@ class Generator:
         return Generator(obj["kind"], obj["curve"], sign, amount)
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(_Frozen):
     """An ordered product of generators; the rightmost acts first."""
 
-    generators: tuple[Generator, ...] = ()
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple[Generator, ...] = ()):
+        object.__setattr__(self, "generators", tuple(generators))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+        """Runs once per built word; bench/tracing.py wraps it to count letters."""
+
+    def __eq__(self, other):
+        if other.__class__ is not TwistWord:
+            return NotImplemented
+        return self.generators == other.generators
 
     @staticmethod
     def of(*gens: Generator) -> "TwistWord":

@@ -1,6 +1,7 @@
 """Command line surface: routing, exit codes, determinism, JSON round trips."""
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -327,6 +328,30 @@ class TestPairBoundary:
         assert _names_its_argument(code, out, err, "'amount'"), err
 
 
+def _dehn(*curves):
+    return [{"kind": "dehn", "curve": c, "sign": 1} for c in curves]
+
+
+class TestLiftBoundary:
+    """A page curve that is neither a chain curve c_k nor a boundary twist
+    has no image on a cable page with a curve system, even when the system
+    has a curve of that name: it would become the cable curve."""
+
+    @pytest.mark.parametrize("command, curve", [
+        (["monodromy", "--cable=2,1"], "x1"),  # the crossing curve of the (2,1) page
+        (["monodromy", "--cable=2,2"], "rho22_1"),  # a (2,2) rotation curve
+        (["compose-cobordism"], "e3"),  # a curve of the (2,2) covering chain
+    ])
+    def test_curve_of_the_cable_page_is_refused(self, tmp_path, command, curve):
+        book, word = tmp_path / "book.json", tmp_path / "w.json"
+        book.write_text(json.dumps({"genus": 1, "components": [_DISK],
+                                    "monodromy": _dehn("c1", curve)}))
+        word.write_text(json.dumps(_dehn("c1", curve)))
+        argv = ([*command, "--book", str(book)] if command[0] == "monodromy"
+                else [*command, "--page", str(book), str(word), str(word)])
+        assert run_main(argv) == (2, "", f"error: curve {curve} has no nodule model\n")
+
+
 def _framed_book(genus, r, s, unknot=False):
     """A one-component book in the framing with Seifert numerator s, with
     a word on its chain (after a 1/r fractional twist when r > 1)."""
@@ -423,17 +448,28 @@ COLD_CASES = {
 COLD_RUN = """import sys
 from cablekit.cli import main
 code = main(sys.argv[1:])
-print(sorted(m for m in sys.modules if m.startswith("cablekit")))
+print(sorted(sys.modules))
 sys.exit(code)
 """
+# Modules whose import alone costs a CLI call milliseconds.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(cablekit.__file__).resolve().parents[1])
 TESTS = str(Path(__file__).resolve().parent)
 
 
+@functools.cache
+def _interpreter_modules():
+    """The modules a bare `python -O -c pass` has loaded at its end."""
+    run = subprocess.run([sys.executable, "-O", "-c", "import sys; print(sorted(sys.modules))"],
+                         capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(run.stdout))
+
+
 class TestColdImports:
     """A fresh `python -O` process per subcommand: the output is the golden
-    one and no layer outside the subcommand's own set is imported."""
+    one, no layer outside the subcommand's own set is imported, and neither
+    is a slow standard module the bare interpreter has not loaded."""
 
     @pytest.mark.parametrize("name", sorted(COLD_CASES))
     def test_subcommand_imports_only_its_layers(self, name):
@@ -445,8 +481,11 @@ class TestColdImports:
         out, _, modules = run.stdout.rstrip(b"\n").rpartition(b"\n")
         assert (run.returncode, run.stderr.decode()) == (case["exit"], case["stderr"])
         assert out + b"\n" == (GOLDEN / "expected" / f"{name}.json").read_bytes()
-        loaded = {m.removeprefix("cablekit.") for m in ast.literal_eval(modules.decode())} - {"cablekit", "cli"}
+        modules = set(ast.literal_eval(modules.decode()))
+        loaded = {m.removeprefix("cablekit.") for m in modules
+                  if m.startswith("cablekit")} - {"cablekit", "cli"}
         assert loaded <= COLD_CASES[name], sorted(loaded - COLD_CASES[name])
+        assert not (modules - _interpreter_modules()) & SLOW_IMPORTS, sorted(modules & SLOW_IMPORTS)
 
     def test_cli_import_loads_no_layer(self):
         run = subprocess.run(

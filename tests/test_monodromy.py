@@ -163,8 +163,8 @@ class TestConnected22:
 
     def test_lifts_refuse_names_outside_the_system(self):
         # only chain names c{k} with ASCII digits k are renamed; a name like
-        # "cusp" or "c²" is refused where the target system lacks it, and
-        # kept on the disconnected page, which has no system
+        # "cusp" or "c²" is refused on a page with a curve system, and kept
+        # on the disconnected page, which has none
         for name in ("cusp", "c²"):
             book = connected_book(1, TwistWord.twists("c1", name))
             for build in (lambda b: monodromy_pq(b, 2, 1), monodromy_22_connected):

@@ -67,6 +67,15 @@ def test_no_environment_or_resource_reads(path):
     assert not _names_read(tree).keys() & {"environ", "getenv"}, path.name
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # importing `dataclasses` (and through it `inspect`) and building each
+    # decorated class cost every CLI call about 20 ms: the value classes are
+    # plain slotted classes, checked against dataclass twins in the tests
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not any(name.partition(".")[0] == "dataclasses" for name in _imported(tree)), path.name
+
+
 def test_package_holds_only_python_files():
     package = ROOT / "src" / "cablekit"
     files = [p.relative_to(package) for p in package.rglob("*")
