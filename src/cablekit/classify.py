@@ -80,8 +80,7 @@ class CableCoefficients(_Frozen):
         q + k p.  Verdicts, pages and words are computed in this framing."""
         shifts = [window_shift(c) for c in book.components]
         window = RationalOpenBook(book.genus, tuple(map(reframe, book.components, shifts)),
-                                  book.boundary_count_of_page, book.is_rational_unknot_book,
-                                  book.monodromy, book.metadata)
+                                  book.is_rational_unknot_book, book.monodromy, book.metadata)
         return window, CableCoefficients(tuple(
             (p, q + k * p) for (p, q), k in zip(self.pairs, shifts)))
 
@@ -316,7 +315,7 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
         K = lens.LensTorusKnot(r_hat, s_lens, r, l_lens)
         chi_fiber = lens.euler_characteristic(K)
         chi += chi_fiber - n
-        comps_here = gcd(r, abs(l)) if l != 0 else r
+        comps_here = gcd(r, l)
         boundary += comps_here - n
         for j in range(comps_here):
             new_components.append(BindingComponent(order=1, seifert_numerator=0))
@@ -367,10 +366,13 @@ def induced_open_book_from_surgery(
     if not (0 <= component_index < len(comps)):
         raise OpenBookError(f"no component {component_index}")
     comp = comps[component_index]
-    a, b = coefficient.numerator, coefficient.denominator
     if coefficient.is_meridian:
         raise OpenBookError("meridional surgery gives back the same book")
-    r, s = comp.order, comp.seifert_numerator
+    # read a/b in the component's window, as `CableCoefficients.in_window`
+    # reads --cable: reframing by k moves s to s + k r and a to a + k b
+    k = window_shift(comp)
+    r, s = comp.order, comp.seifert_numerator + k * comp.order
+    a, b = coefficient.numerator + k * coefficient.denominator, coefficient.denominator
     order_new = a * r - b * s
     if order_new == 0:
         raise OpenBookError(

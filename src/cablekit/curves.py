@@ -96,14 +96,10 @@ class CurveSystem:
     __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "name",
                  "groups")
 
-    def __init__(self, genus: int, boundary_labels: tuple[str, ...],
-                 curves: Optional[dict[str, CurveInfo]] = None,
-                 intersections: Optional[dict[tuple[str, str], int]] = None,
-                 expansions: Optional[dict[str, TwistWord]] = None, name: str = "",
-                 groups: Optional[dict[str, tuple]] = None):  # curve -> (family, member)
+    def __init__(self, genus: int, boundary_labels: tuple[str, ...], name: str = ""):
         self.genus, self.boundary_labels, self.name = genus, boundary_labels, name
-        self.curves, self.intersections, self.expansions, self.groups = (
-            {} if d is None else d for d in (curves, intersections, expansions, groups))
+        # groups maps a curve to its (family, member)
+        self.curves, self.intersections, self.expansions, self.groups = {}, {}, {}, {}
 
     # -- construction helpers ---------------------------------------------
 

@@ -24,10 +24,10 @@ class OpenBookError(ValueError):
     pass
 
 
-def _json_int(obj: dict, key: str, default: Optional[int] = None) -> int:
-    """The integer at obj[key] (or `default` when absent and given); a bool
-    or any other type raises OpenBookError, a missing key KeyError."""
-    value = obj[key] if default is None else obj.get(key, default)
+def _json_int(obj: dict, key: str) -> int:
+    """The integer at obj[key]; a bool or any other type raises
+    OpenBookError, a missing key KeyError."""
+    value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise OpenBookError(f"book field {key!r} must be an integer, got {value!r}")
     return value
@@ -36,26 +36,27 @@ def _json_int(obj: dict, key: str, default: Optional[int] = None) -> int:
 class BindingComponent(_Frozen):
     """One binding component: page meets it as an (order, seifert_numerator)-curve."""
 
-    __slots__ = ("order", "seifert_numerator", "multiplicity")
+    __slots__ = ("order", "seifert_numerator")
 
-    def __init__(self, order: int, seifert_numerator: int,
-                 multiplicity: int = 0):  # 0 = compute from (order, numerator)
+    def __init__(self, order: int, seifert_numerator: int):
         if order < 1:
             raise OpenBookError(f"order must be positive, got {order}")
-        if multiplicity == 0:
-            multiplicity = 1 if seifert_numerator == 0 else gcd(order, abs(seifert_numerator))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "seifert_numerator", seifert_numerator)
-        object.__setattr__(self, "multiplicity", multiplicity)
 
     def __eq__(self, other):
         if other.__class__ is not BindingComponent:
             return NotImplemented
-        return (self.order, self.seifert_numerator, self.multiplicity) == (
-            other.order, other.seifert_numerator, other.multiplicity)
+        return (self.order, self.seifert_numerator) == (other.order, other.seifert_numerator)
 
     def __repr__(self):
-        return f"BindingComponent{(self.order, self.seifert_numerator, self.multiplicity)}"
+        return f"BindingComponent{(self.order, self.seifert_numerator)}"
+
+    @property
+    def multiplicity(self) -> int:
+        """The boundary circles of the page on this component, gcd(r, s);
+        gcd(r, 0) = r, so the count does not depend on the framing."""
+        return gcd(self.order, self.seifert_numerator)
 
     @property
     def seifert_slope(self) -> Slope:
@@ -76,20 +77,16 @@ class BindingComponent(_Frozen):
     def from_json(obj: dict) -> "BindingComponent":
         if not isinstance(obj, dict):
             raise OpenBookError(f"a binding component must be a JSON object, got {obj!r}")
-        return BindingComponent(
-            order=_json_int(obj, "order"),
-            seifert_numerator=_json_int(obj, "seifert_numerator"),
-            multiplicity=_json_int(obj, "multiplicity", 0),
-        )
+        c = BindingComponent(_json_int(obj, "order"), _json_int(obj, "seifert_numerator"))
+        if "multiplicity" in obj and _json_int(obj, "multiplicity") != c.multiplicity:
+            raise OpenBookError(f"component ({c.order}, {c.seifert_numerator}): multiplicity "
+                                f"{obj['multiplicity']} != gcd-rule value {c.multiplicity}")
+        return c
 
 
 def reframe(c: BindingComponent, k: int) -> BindingComponent:
     """Shift the framing longitude: the Seifert numerator moves by k * order."""
-    return BindingComponent(
-        order=c.order,
-        seifert_numerator=c.seifert_numerator + k * c.order,
-        multiplicity=c.multiplicity,
-    )
+    return BindingComponent(c.order, c.seifert_numerator + k * c.order)
 
 
 def window_shift(c: BindingComponent) -> int:
@@ -106,18 +103,13 @@ def normalize_to_window(c: BindingComponent) -> BindingComponent:
 class RationalOpenBook(_Frozen):
     """Page topology plus per-component binding data and an optional word."""
 
-    __slots__ = ("genus", "components", "boundary_count_of_page", "is_rational_unknot_book",
-                 "monodromy", "metadata")
+    __slots__ = ("genus", "components", "is_rational_unknot_book", "monodromy", "metadata")
 
     def __init__(self, genus: int, components: tuple[BindingComponent, ...],
-                 boundary_count_of_page: int = 0,  # 0 = compute as the multiplicity total
                  is_rational_unknot_book: bool = False, monodromy: Optional[TwistWord] = None,
                  metadata: tuple[tuple[str, str], ...] = ()):
-        components = tuple(components)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "boundary_count_of_page",
-                           boundary_count_of_page or sum(c.multiplicity for c in components))
+        object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "is_rational_unknot_book", is_rational_unknot_book)
         object.__setattr__(self, "monodromy", monodromy)
         object.__setattr__(self, "metadata", metadata)
@@ -126,6 +118,10 @@ class RationalOpenBook(_Frozen):
         if other.__class__ is not RationalOpenBook:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in RationalOpenBook.__slots__)
+
+    @property
+    def boundary_count_of_page(self) -> int:
+        return sum(c.multiplicity for c in self.components)
 
     @property
     def page_euler_char(self) -> int:
@@ -140,15 +136,14 @@ class RationalOpenBook(_Frozen):
         return len(self.components) == 1
 
     def with_monodromy(self, word: Optional[TwistWord]) -> "RationalOpenBook":
-        return RationalOpenBook(self.genus, self.components, self.boundary_count_of_page,
-                                self.is_rational_unknot_book, word, self.metadata)
+        return RationalOpenBook(self.genus, self.components, self.is_rational_unknot_book,
+                                word, self.metadata)
 
     def with_metadata(self, **notes: str) -> "RationalOpenBook":
         merged = dict(self.metadata)
         merged.update(notes)
-        return RationalOpenBook(self.genus, self.components, self.boundary_count_of_page,
-                                self.is_rational_unknot_book, self.monodromy,
-                                tuple(sorted(merged.items())))
+        return RationalOpenBook(self.genus, self.components, self.is_rational_unknot_book,
+                                self.monodromy, tuple(sorted(merged.items())))
 
     def to_json(self) -> dict:
         obj = {
@@ -180,14 +175,19 @@ class RationalOpenBook(_Frozen):
                 raise OpenBookError("book field 'metadata' must be an object of strings")
             if not isinstance(obj.get("rational_unknot", False), bool):
                 raise OpenBookError("book field 'rational_unknot' must be true or false")
-            return RationalOpenBook(
+            book = RationalOpenBook(
                 genus=genus,
                 components=tuple(BindingComponent.from_json(c) for c in components),
-                boundary_count_of_page=_json_int(obj, "boundary_count_of_page", 0),
                 is_rational_unknot_book=obj.get("rational_unknot", False),
                 monodromy=word,
                 metadata=tuple(sorted(metadata.items())),
             )
+            if ("boundary_count_of_page" in obj
+                    and _json_int(obj, "boundary_count_of_page") != book.boundary_count_of_page):
+                raise OpenBookError(
+                    f"boundary count mismatch: page has {obj['boundary_count_of_page']} boundary "
+                    f"circles but component multiplicities total {book.boundary_count_of_page}")
+            return book
         except KeyError as exc:
             raise OpenBookError(f"book JSON is missing the required key {exc}") from None
 
@@ -199,19 +199,6 @@ def validate(book: RationalOpenBook) -> list[str]:
         problems.append(f"negative genus {book.genus}")
     if not book.components:
         problems.append("no binding components")
-    mult_total = sum(c.multiplicity for c in book.components)
-    if book.boundary_count_of_page != mult_total:
-        problems.append(
-            "boundary count mismatch: page has "
-            f"{book.boundary_count_of_page} boundary circles but component "
-            f"multiplicities total {mult_total}"
-        )
-    for i, c in enumerate(book.components):
-        expected = 1 if c.seifert_numerator == 0 else gcd(c.order, abs(c.seifert_numerator))
-        if c.multiplicity != expected:
-            problems.append(
-                f"component {i}: multiplicity {c.multiplicity} != gcd-rule value {expected}"
-            )
     if book.is_rational_unknot_book and (
         book.genus != 0 or book.boundary_count_of_page != 1
     ):
@@ -240,7 +227,7 @@ def positive_stabilize(
     if not (0 <= component_index < len(comps)):
         raise OpenBookError(f"no component {component_index}")
     c = comps[component_index]
-    if not c.is_integral or c.multiplicity != 1:
+    if not c.is_integral:
         raise OpenBookError("stabilization arcs require an integral component")
     fresh = BindingComponent(order=1, seifert_numerator=0)
     if mode == "same":
@@ -252,7 +239,7 @@ def positive_stabilize(
         if join_index == component_index:
             raise OpenBookError("join mode needs two distinct components")
         other = comps[join_index]
-        if not other.is_integral or other.multiplicity != 1:
+        if not other.is_integral:
             raise OpenBookError("stabilization arcs require an integral component")
         comps = [x for i, x in enumerate(comps) if i not in (component_index, join_index)]
         comps.append(fresh)

@@ -244,6 +244,40 @@ class TestBookBoundary:
         assert (code, out) == (2, "") and err.startswith("error:")
 
 
+class TestStoredCounts:
+    """A book file may repeat the counts the binding determines; a repeated
+    count that disagrees with gcd(r, s) is refused, an explicit 0 included."""
+
+    @pytest.mark.parametrize("book, message", [
+        ({"genus": 1, "components": [{"order": 4, "seifert_numerator": -2, "multiplicity": 1}]},
+         "component (4, -2): multiplicity 1 != gcd-rule value 2"),
+        ({"genus": 1, "components": [{"order": 3, "seifert_numerator": 0, "multiplicity": 1}]},
+         "component (3, 0): multiplicity 1 != gcd-rule value 3"),
+        ({"genus": 1, "components": [{"order": 1, "seifert_numerator": 0, "multiplicity": 0}]},
+         "component (1, 0): multiplicity 0 != gcd-rule value 1"),
+        ({"genus": 0, "components": [_DISK], "boundary_count_of_page": 2},
+         "boundary count mismatch: page has 2 boundary circles but component multiplicities "
+         "total 1"),
+        ({"genus": 1, "components": [_DISK], "boundary_count_of_page": 0},
+         "boundary count mismatch: page has 0 boundary circles"),
+    ], ids=["multiplicity", "multiplicity_s0", "multiplicity_zero", "boundary_count",
+            "boundary_count_zero"])
+    def test_disagreeing_count_is_exit_2(self, tmp_path, book, message):
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(book))
+        code, out, err = run_main(["--json", "resolve", "--book", str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: ") and message in err, err
+
+    def test_agreeing_counts_are_accepted(self, tmp_path):
+        book = {"genus": 1, "components": [{"order": 3, "seifert_numerator": 0,
+                                            "multiplicity": 3}, _DISK],
+                "boundary_count_of_page": 4}
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(book))
+        code, out, err = run_main(["--json", "resolve", "--book", str(path), "--l=1"])
+        assert (code, err) == (0, "") and json.loads(out)["genus"] == 3
+
+
 class TestSurgeryBoundary:
     @pytest.mark.parametrize("component", ["1", "5", "-1"])
     def test_missing_component_is_exit_2(self, trefoil_path, capsys, component):
@@ -362,43 +396,88 @@ def _framed_book(genus, r, s, unknot=False):
             "rational_unknot": unknot, "monodromy": word}
 
 
+def _page_view(result):
+    """Exit, page genus, boundary count, word and stderr of a `resolve` run:
+    the integral components it keeps print in their written framing."""
+    code, out, err = result
+    if code:
+        return result
+    page = json.loads(out)
+    return code, page["genus"], page["boundary_count_of_page"], page.get("monodromy"), err
+
+
 class TestWindowFraming:
-    """--cable pairs are read in the book's own framing: reframing a
-    component by k (s -> s + k r) together with the pair (q -> q + k p)
-    changes no answer of classify, cable-page or monodromy."""
+    """Book commands read their flags in the book's own framing: reframing a
+    component by k (s -> s + k r), together with a --cable pair (q -> q + k p)
+    or a --coefficient (a/b -> (a + k b)/b), changes no answer of classify,
+    cable-page, monodromy, resolve, surgery or compose-cobordism."""
 
     @staticmethod
-    def run(tmp, command, book, cable):
+    def run(tmp, command, book, *flags):
         path = tmp / "book.json"
         path.write_text(json.dumps(book))
-        return run_main(["--json", command, "--book", str(path), f"--cable={cable}"])
+        where = "--page" if command == "compose-cobordism" else "--book"
+        return run_main(["--json", command, where, str(path), *flags])
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_answers_do_not_depend_on_the_framing(self, tmp_path_factory, data):
         r = data.draw(st.sampled_from([1, 1, 2, 3, 4, 5]), "order")
         s = data.draw(st.integers(1 - r, 0), "window numerator")
         k = data.draw(st.integers(-6, 6) if r == 1 else st.integers(-2, 2), "reframing")
         genus = data.draw(st.integers(0, 2), "genus")
-        # (r, 0) with r > 1 counts one boundary circle, (r, r) counts r; the
-        # disk-page flag is drawn only where the framings agree on the count
-        unknot = genus == 0 and (s != 0 or r == 1) and data.draw(st.booleans(), "unknot")
-        p = data.draw(st.sampled_from([1, 2, 3, 4, 5, -2, -3]), "p")
-        q = data.draw(st.integers(-8, 8), "window q")
+        unknot = genus == 0 and data.draw(st.booleans(), "unknot")
+        command = data.draw(st.sampled_from(["classify", "cable-page", "monodromy", "resolve",
+                                             "surgery", "compose-cobordism"]), "command")
         tmp = tmp_path_factory.mktemp("framing")
-        for command in ("classify", "cable-page", "monodromy"):
-            framed = self.run(tmp, command, _framed_book(genus, r, s + k * r, unknot),
-                              f"{p},{q + k * p}")
-            window = self.run(tmp, command, _framed_book(genus, r, s, unknot), f"{p},{q}")
-            assert framed[:2] == window[:2], (command, framed, window)
-            assert framed[0] in (0, 2)
+        view = _page_view if command == "resolve" else (lambda result: result[:2])
+        if command == "resolve":
+            l = data.draw(st.integers(s - 1, 2), "l")
+            framed_flags = window_flags = [f"--l={l}"] if r > 1 else []
+        elif command == "surgery":
+            a, b = data.draw(st.integers(-6, 6), "a"), data.draw(st.integers(1, 3), "b")
+            framed_flags = [f"--coefficient={a + k * b}/{b}"]
+            window_flags = [f"--coefficient={a}/{b}"]
+        elif command == "compose-cobordism":
+            for name in ("w1.json", "w2.json"):
+                curves = data.draw(st.lists(st.sampled_from(["c1", "c2", "c3", "c4"]), max_size=3))
+                (tmp / name).write_text(json.dumps(_dehn(*curves)))
+            framed_flags = window_flags = [str(tmp / "w1.json"), str(tmp / "w2.json")]
+        else:
+            p = data.draw(st.sampled_from([1, 2, 3, 4, 5, -2, -3]), "p")
+            q = data.draw(st.integers(-8, 8), "window q")
+            framed_flags, window_flags = [f"--cable={p},{q + k * p}"], [f"--cable={p},{q}"]
+        framed = self.run(tmp, command, _framed_book(genus, r, s + k * r, unknot), *framed_flags)
+        window = self.run(tmp, command, _framed_book(genus, r, s, unknot), *window_flags)
+        assert view(framed) == view(window), (command, framed, window)
+        assert framed[0] in (0, 2)
+
+    def test_resolve_counts_the_same_circles_in_every_framing(self, tmp_path):
+        # gcd(3, 0) = gcd(3, 3) = 3: the page meets the component in 3 circles
+        answers = {self.run(tmp_path, "resolve", {"genus": 1, "components": [
+            {"order": 3, "seifert_numerator": s}]}, "--l=1") for s in (0, 3)}
+        assert len(answers) == 1
+        code, out, _ = answers.pop()
+        assert code == 0 and json.loads(out)["genus"] == 3
+
+    @pytest.mark.parametrize("s, coefficient", [(-2, "-3"), (3, "2")], ids=["s=-2", "s=3"])
+    def test_surgery_coefficient_is_read_in_the_window(self, tmp_path, s, coefficient):
+        # a r - b s = -1 in both framings: the window's -1 surgery, whose
+        # word gains a right-handed 1/1 twist about the new core
+        book = {"genus": 1, "components": [{"order": 1, "seifert_numerator": s}],
+                "monodromy": _dehn("c1")}
+        framed = self.run(tmp_path, "surgery", book, f"--coefficient={coefficient}")
+        window = self.run(tmp_path, "surgery", {**book, "components": [_DISK]},
+                          "--coefficient=-1")
+        assert framed == window
+        assert json.loads(framed[1])["book"]["monodromy"][-1]["amount"] == "1/1"
 
     def test_reframed_rational_book_gives_the_golden_word(self, tmp_path):
         # the (3,-1)-book written with Seifert numerator 2: its (2,-1)-cable
         # is the pair (2,1) there
         book = json.loads((GOLDEN / "inputs" / "rational_3m1.json").read_text(encoding="utf-8"))
         book["components"][0]["seifert_numerator"] = 2
-        code, out, err = self.run(tmp_path, "monodromy", book, "2,1")
+        code, out, err = self.run(tmp_path, "monodromy", book, "--cable=2,1")
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "expected" / "monodromy_r_m1.json").read_text(encoding="utf-8")
 
@@ -412,7 +491,7 @@ class TestWindowFraming:
 
     def test_pair_reading_differently_per_component_is_refused(self, tmp_path):
         book = {"genus": 1, "components": [_DISK, {"order": 1, "seifert_numerator": 3}]}
-        code, out, err = self.run(tmp_path, "monodromy", book, "2,1")
+        code, out, err = self.run(tmp_path, "monodromy", book, "--cable=2,1")
         assert _names_its_argument(code, out, err, "--cable"), err
         assert "(2, 1), (2, -5)" in err
 

@@ -77,32 +77,22 @@ class TwistWordTwin:
 class BindingComponentTwin:
     order: int
     seifert_numerator: int
-    multiplicity: int = 0
 
     def __post_init__(self):
         if self.order < 1:
             raise OpenBookError(f"order must be positive, got {self.order}")
-        if self.multiplicity == 0:
-            m = gcd(self.order, abs(self.seifert_numerator))
-            if self.seifert_numerator == 0:
-                m = 1
-            object.__setattr__(self, "multiplicity", m)
 
 
 @dataclass(frozen=True)
 class RationalOpenBookTwin:
     genus: int
     components: tuple
-    boundary_count_of_page: int = 0
     is_rational_unknot_book: bool = False
     monodromy: Optional[TwistWord] = None
     metadata: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if self.boundary_count_of_page == 0:
-            object.__setattr__(self, "boundary_count_of_page",
-                               sum(c.multiplicity for c in self.components))
 
 
 @dataclass(frozen=True)
@@ -186,10 +176,9 @@ CASES = {
                                 st.integers(-2, 2),
                                 st.none() | st.fractions(-2, 2, max_denominator=3)]),
     TwistWord: (TwistWordTwin, [st.lists(_generators, max_size=3)]),
-    BindingComponent: (BindingComponentTwin, [st.integers(0, 4), st.integers(-4, 4),
-                                              st.integers(0, 3)]),
+    BindingComponent: (BindingComponentTwin, [st.integers(0, 4), st.integers(-4, 4)]),
     RationalOpenBook: (RationalOpenBookTwin, [
-        st.integers(0, 1), st.lists(_components, max_size=2), st.integers(0, 2), st.booleans(),
+        st.integers(0, 1), st.lists(_components, max_size=2), st.booleans(),
         st.none() | _words, st.sampled_from([(), (("contact", "unchanged"),)])]),
     LensTorusKnot: (LensTorusKnotTwin, [st.integers(0, 4), st.integers(-1, 3), _small, _small]),
     CableCoefficients: (CableCoefficientsTwin, [_pairs]),
