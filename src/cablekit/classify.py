@@ -278,13 +278,15 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
     """Replace each component of order r > 1 by its (r, l)-cable, producing
     an integral book supporting the same contact structure.
 
-    l is given in the window framing (-r < s <= 0) and must exceed the
-    Seifert numerator there.  The page gains, per resolved component, the
-    local torus-link fiber piece glued along the old page's boundary circles
-    at that component.  When every resolved component is in (r, -1)-form
-    with l = 0 and a monodromy word is present, the word is updated: the
-    fractional boundary twists are replaced by one positive boundary twist
-    about each new boundary component (a boundary multitwist acting first).
+    l is read in the book's framing, like `--cable`: reframing the
+    component by k into its window (-r < s + k r <= 0) reads l as l + k r,
+    which must exceed the Seifert numerator there.  The page gains, per
+    resolved component, the local torus-link fiber piece glued along the old
+    page's boundary circles at that component.  When every resolved
+    component reads (r, -1) with l = 0 in its window and a monodromy word
+    is present, the word is updated: the fractional boundary twists are
+    replaced by one positive boundary twist about each new boundary
+    component (a boundary multitwist acting first).
     """
     rational = [i for i, c in enumerate(book.components) if c.order > 1]
     if len(l_coeffs) != len(rational):
@@ -297,11 +299,13 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
     multitwist_ok = True
     new_curves: list[str] = []
     for idx, l in zip(rational, l_coeffs):
-        comp = normalize_to_window(book.components[idx])
+        k = window_shift(book.components[idx])
+        comp = reframe(book.components[idx], k)
         r, s, n = comp.order, comp.seifert_numerator, comp.multiplicity
+        l += k * r
         if l <= s:
             raise OpenBookError(
-                f"resolution slope l={l} must exceed the Seifert numerator {s}"
+                f"resolution slope l={l} must exceed the Seifert numerator {s} (in the window)"
             )
         if not (s == -1 and l == 0):
             multitwist_ok = False

@@ -144,27 +144,12 @@ def cmd_surgery(args) -> None:
 
 def cmd_monodromy(args) -> None:
     from .classify import CableCoefficients
-    from .monodromy import monodromy_22_connected, monodromy_pq, negative_cable_word
+    from .monodromy import monodromy_pq
     book = _load_book(args.book)
     pairs = CableCoefficients.parse(args.cable).pairs
     if len(pairs) != 1:
         raise UsageError(f"--cable expects one pair p,q, got {args.cable!r}")
-    # the pair cables every component, read in that component's window
-    book, window = CableCoefficients(pairs * len(book.components)).in_window(book)
-    if len(set(window.pairs)) > 1:
-        raise UsageError(f"--cable {args.cable} reads as the window pairs {list(window.pairs)} "
-                         "of the components; a cable word needs one pair")
-    p, q = window.pairs[0]
-    if q < 0:
-        cw = negative_cable_word(book)
-        r = book.components[0].order
-        if (p, q) != (r - 1, -1):
-            raise UsageError(f"the negative cable word of a ({r},-1)-book is built for the "
-                             f"window pair ({r - 1},-1) only, got ({p},{q})")
-    elif (p, q) == (2, 2) and book.has_connected_binding:
-        cw = monodromy_22_connected(book)
-    else:
-        cw = monodromy_pq(book, p, q)
+    cw = monodromy_pq(book, *pairs[0])
     payload = {
         "word": cw.word.to_json(),
         "page": cw.book.to_json(),

@@ -18,13 +18,15 @@ nodule 1.  This module builds those words:
   resolution word, the length obstruction for the lens spaces L(p, p-1),
   and the Stein-cobordism word gluing two monodromies into one.
 
-Cable pairs are read in the window framing, the page framing of integral
-books, whatever framing the book is written in.
+:func:`monodromy_pq` reads (p, q) in the book's own framing, as
+`classify_cable` and `cabled_page` do, and picks the builder; the
+fixed-pair builders take the window pair, whatever the book's framing.
 
 Curve naming: nodule i of a connected-binding cable carries the chain
 "n{i}_1", ..., "n{i}_{2g+1}"; the crossing curve between nodules j and j+1
 is "x{j}"; the boundary of nodule i is "partial{i}".  A page word reaches
-a nodule through :func:`lift_to_nodule`, which refuses names with no image.
+a nodule through :func:`lift_to_nodule`, which maps the chain curves c_k and
+the boundary twists bdry_* and refuses every other name.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, resolve, stabilization_count_pq_from_p1
 from .curves import CurveSystem, chain_classes
-from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
+from .openbook import BindingComponent, RationalOpenBook, normalize_to_window, window_shift
 from .words import FRACTIONAL, Generator, TwistWord
 
 
@@ -82,8 +84,10 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     mod-10 lengths can be computed.  The result is cached and must be
     treated as immutable.
     """
-    if g < 1 or p < 1:
-        raise MonodromyError("need g >= 1 and p >= 1")
+    if p < 1:
+        raise MonodromyError("need p >= 1")
+    if g < 1:
+        raise MonodromyError("disk and annulus pages have no chain model here")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
     block = chain_classes(2 * g + 1, g)
     for i in range(1, p + 1):
@@ -145,14 +149,13 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
     return TwistWord(tuple(gens))
 
 
-def lift_to_nodule(word: TwistWord, chain: Sequence[str], boundary: Optional[str] = None,
-                   system: Optional[CurveSystem] = None) -> TwistWord:
+def lift_to_nodule(word: TwistWord, chain: Sequence[str],
+                   boundary: Optional[str] = None) -> TwistWord:
     """The lift of a page word onto one nodule, one rename per letter: the
     chain curve c_k becomes chain[k-1] and a boundary twist bdry_* becomes
-    `boundary`.  Any other name is kept on a page without a curve system; on
-    a page with one (`system`) it would name a cable curve, not the page
-    curve, and is refused.  A refused name, a chain curve past the chain or
-    a boundary twist with no image raises MonodromyError."""
+    `boundary`.  Any other name would name a curve of the cable page, not
+    the page curve, and is refused: it, a chain curve past the chain and a
+    boundary twist with no image raise MonodromyError."""
     images = {f"c{k}": name for k, name in enumerate(chain, 1)}
 
     def lift(curve: str) -> str:
@@ -161,10 +164,9 @@ def lift_to_nodule(word: TwistWord, chain: Sequence[str], boundary: Optional[str
             return image
         if curve[:1] == "c" and curve[1:].isascii() and curve[1:].isdigit():
             raise MonodromyError(f"curve {curve} has no nodule model (limit {len(chain)})")
-        image = boundary if curve.startswith("bdry_") else curve if system is None else None
-        if image is None:
+        if boundary is None or not curve.startswith("bdry_"):
             raise MonodromyError(f"curve {curve} has no nodule model")
-        return image
+        return boundary
 
     return word.map_curves(lift)
 
@@ -199,13 +201,9 @@ def monodromy_p1_connected(book: RationalOpenBook, p: int) -> CableWord:
     binding: rotation word (negative twists exactly at the nodule
     boundaries) composed with the lift of the monodromy on nodule 1."""
     _require_integral_connected(book)
-    if p < 1:
-        raise MonodromyError("need p >= 1")
     g = book.genus
-    if g < 1:
-        raise MonodromyError("disk and annulus pages have no chain model here")
     system = cable_p1_system(g, p)
-    phi = lift_to_nodule(book.monodromy or TwistWord(()), _p1_chain(g, 1), "partial1", system)
+    phi = lift_to_nodule(book.monodromy or TwistWord(()), _p1_chain(g, 1), "partial1")
     return CableWord(rho_p1_rotation(g, p).compose(phi), system, _page(book, p, 1))
 
 
@@ -287,21 +285,32 @@ def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     _require_integral_connected(book)
     g = book.genus
     sys, rho_names = sigma22_cover_system(g)
-    phi = lift_to_nodule(book.monodromy or TwistWord(()), _e_chain(g, 1), system=sys)
+    phi = lift_to_nodule(book.monodromy or TwistWord(()), _e_chain(g, 1))
     word = TwistWord.twists(*reversed(rho_names)).compose(phi)
     return CableWord(word, sys, _page(book, 2, 2))
 
 
 def monodromy_pq(book: RationalOpenBook, p: int, q: int) -> CableWord:
-    """The (p, q)-cable word for positive q: the (p, sgn q) word plus
-    (|p|-1)(|q|-1) positive stabilization markers; for q = 1 the (p, 1)
-    word itself.  Negative q is the negative-cable regime and is refused
-    here."""
-    if q != 1 and (q < 0 or p * q <= 0):
-        raise MonodromyError(
-            "negative cables have no positive-stabilization route; "
-            "see negative_cable_word"
-        )
+    """The (p, q)-cable word of every component, (p, q) read in the book's
+    own framing: reframing a component by k reads q as q + k p in its
+    window, where the builder is chosen.  A negative q is the negative
+    cable of an (r, -1)-book, built for the window pair (r-1, -1) only; a
+    connected (2, 2) is the rotation word; any other pair is the (p, sgn q)
+    word plus (|p|-1)(|q|-1) positive stabilization markers."""
+    book, window = CableCoefficients(((p, q),) * len(book.components)).in_window(book)
+    if len(set(window.pairs)) > 1:
+        raise MonodromyError(f"--cable {p},{q} reads as the window pairs {list(window.pairs)} "
+                             "of the components; a cable word needs one pair")
+    p, q = window.pairs[0]
+    if q < 0:
+        cw = negative_cable_word(book)
+        r = book.components[0].order
+        if (p, q) != (r - 1, -1):
+            raise MonodromyError(f"the negative cable word of a ({r},-1)-book is built for "
+                                 f"the window pair ({r - 1},-1) only, got ({p},{q})")
+        return cw
+    if (p, q) == (2, 2) and book.has_connected_binding:
+        return monodromy_22_connected(book)
     if book.has_connected_binding:
         base = monodromy_p1_connected(book, p)
     else:
@@ -329,13 +338,12 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
     r = comp.order
     if r < 2 or comp.seifert_numerator != -1:
         raise MonodromyError("book must be in (r, -1) form with r >= 2")
-    g = book.genus
+    g, p = book.genus, r - 1
+    system = cable_p1_system(g, p)
     word_in = book.monodromy or TwistWord(())
-    p = r - 1
-    system = cable_p1_system(g, p) if p >= 2 else None
     # boundary twists of the pattern page lift to nodule-1 boundary twists
     phi = lift_to_nodule(TwistWord(tuple(g_ for g_ in word_in if g_.kind != FRACTIONAL)),
-                         _p1_chain(g, 1), "partial1", system)
+                         _p1_chain(g, 1), "partial1")
     rho_inv = rho_p1_rotation(g, p).inverse()
     gens: list[Generator] = [
         Generator.fractional_boundary("outer", Fraction(1, r))
@@ -352,17 +360,13 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
 
 
 def resolution_word_r0(book: RationalOpenBook) -> CableWord:
-    """Word of the (r, 0)-resolution of a book whose rational components are
-    all in (r, -1)-form: drop the fractional boundary twists and append one
-    positive boundary twist for each new boundary component (the boundary
-    multitwist acts first)."""
-    for comp in book.components:
-        w = normalize_to_window(comp)
-        if w.order > 1 and w.seifert_numerator != -1:
-            raise MonodromyError("multitwist resolution needs (r, -1) components")
-    if book.monodromy is None:
-        raise MonodromyError("no monodromy word to resolve")
-    resolved = resolve(book, [0] * sum(1 for c in book.components if c.order > 1))
+    """Word of the (r, 0)-resolution (0 read in the window) of a book whose
+    rational components are all in (r, -1)-form: `resolve` drops the
+    fractional boundary twists and appends one positive boundary twist for
+    each new boundary component (the boundary multitwist acts first)."""
+    resolved = resolve(book, [-window_shift(c) * c.order for c in book.components if c.order > 1])
+    if resolved.monodromy is None:
+        raise MonodromyError("multitwist resolution needs a monodromy word and (r, -1) components")
     return CableWord(resolved.monodromy, None, resolved)
 
 
@@ -470,15 +474,14 @@ def compose_cobordism_word(
         base = monodromy_22_connected(page.with_monodromy(TwistWord(())))
         sys = base.system
         near, far = _e_chain(page.genus, 1), _e_chain(page.genus, 2)
-        lift1 = lift_to_nodule(phi1, near, system=sys)
-        lift2 = lift_to_nodule(phi2, far, system=sys)
+        lift1, lift2 = lift_to_nodule(phi1, near), lift_to_nodule(phi2, far)
         word = base.word.compose(lift2).compose(lift1)
         # a word's matrix is the product of its letters' from left to right,
         # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1
         conj = sys.word_delta(base.word.compose(lift2).compose(base.word.inverse()))
         certificate = {
             "conjugation_lands_on_nodule_1":
-                conj == sys.word_delta(lift_to_nodule(phi2, near, system=sys)),
+                conj == sys.word_delta(lift_to_nodule(phi2, near)),
             "rotation_positive": base.word.is_positive(),
         }
         if not certificate["conjugation_lands_on_nodule_1"]:

@@ -368,8 +368,8 @@ def _dehn(*curves):
 
 class TestLiftBoundary:
     """A page curve that is neither a chain curve c_k nor a boundary twist
-    has no image on a cable page with a curve system, even when the system
-    has a curve of that name: it would become the cable curve."""
+    has no image on any cable page, even when the cable page has a curve of
+    that name: it would become the cable curve."""
 
     @pytest.mark.parametrize("command, curve", [
         (["monodromy", "--cable=2,1"], "x1"),  # the crossing curve of the (2,1) page
@@ -377,13 +377,34 @@ class TestLiftBoundary:
         (["compose-cobordism"], "e3"),  # a curve of the (2,2) covering chain
     ])
     def test_curve_of_the_cable_page_is_refused(self, tmp_path, command, curve):
-        book, word = tmp_path / "book.json", tmp_path / "w.json"
-        book.write_text(json.dumps({"genus": 1, "components": [_DISK],
-                                    "monodromy": _dehn("c1", curve)}))
-        word.write_text(json.dumps(_dehn("c1", curve)))
-        argv = ([*command, "--book", str(book)] if command[0] == "monodromy"
-                else [*command, "--page", str(book), str(word), str(word)])
-        assert run_main(argv) == (2, "", f"error: curve {curve} has no nodule model\n")
+        book = {"genus": 1, "components": [_DISK], "monodromy": _dehn("c1", curve)}
+        assert self.run(tmp_path, command, book, _dehn("c1", curve)) == (
+            2, "", f"error: curve {curve} has no nodule model\n")
+
+    @pytest.mark.parametrize("command, book, curve", [
+        # c1_2 and c1_1 name band curves of the disconnected (2,1) page
+        (["monodromy", "--cable=2,1"], {"genus": 1, "components": [_DISK, _DISK],
+                                        "monodromy": _dehn("alpha", "c1_2")}, "alpha"),
+        (["compose-cobordism"], {"genus": 1, "components": [_DISK, _DISK]}, "c1_1"),
+        # x1 names no page curve of the (2,-1)-book
+        (["monodromy", "--cable=1,-1"], {"genus": 1, "components": [
+            {"order": 2, "seifert_numerator": -1}], "monodromy": [
+            {"kind": "fractional", "curve": "bdry_1", "amount": "1/2"}, *_dehn("x1")]}, "x1"),
+    ], ids=["disconnected", "disconnected-cobordism", "negative-r2"])
+    def test_name_outside_the_model_is_refused_on_every_page(self, tmp_path, command, book,
+                                                             curve):
+        assert self.run(tmp_path, command, book, _dehn(curve)) == (
+            2, "", f"error: curve {curve} has no nodule model\n")
+
+    @staticmethod
+    def run(tmp_path, command, book, word):
+        """Run `command` on `book`; compose-cobordism composes `word` with itself."""
+        path, word_path = tmp_path / "book.json", tmp_path / "w.json"
+        path.write_text(json.dumps(book))
+        word_path.write_text(json.dumps(word))
+        if command[0] == "monodromy":
+            return run_main([*command, "--book", str(path)])
+        return run_main([*command, "--page", str(path), str(word_path), str(word_path)])
 
 
 def _framed_book(genus, r, s, unknot=False):
@@ -433,7 +454,7 @@ class TestWindowFraming:
         view = _page_view if command == "resolve" else (lambda result: result[:2])
         if command == "resolve":
             l = data.draw(st.integers(s - 1, 2), "l")
-            framed_flags = window_flags = [f"--l={l}"] if r > 1 else []
+            framed_flags, window_flags = ([f"--l={l + k * r}"], [f"--l={l}"]) if r > 1 else ([], [])
         elif command == "surgery":
             a, b = data.draw(st.integers(-6, 6), "a"), data.draw(st.integers(1, 3), "b")
             framed_flags = [f"--coefficient={a + k * b}/{b}"]
@@ -453,9 +474,10 @@ class TestWindowFraming:
         assert framed[0] in (0, 2)
 
     def test_resolve_counts_the_same_circles_in_every_framing(self, tmp_path):
-        # gcd(3, 0) = gcd(3, 3) = 3: the page meets the component in 3 circles
+        # gcd(3, 0) = gcd(3, 3) = 3: the page meets the component in 3 circles;
+        # the (3, 3) copy is the (3, 0) book reframed by 1, so l = 1 reads 4 there
         answers = {self.run(tmp_path, "resolve", {"genus": 1, "components": [
-            {"order": 3, "seifert_numerator": s}]}, "--l=1") for s in (0, 3)}
+            {"order": 3, "seifert_numerator": s}]}, f"--l={l}") for s, l in ((0, 1), (3, 4))}
         assert len(answers) == 1
         code, out, _ = answers.pop()
         assert code == 0 and json.loads(out)["genus"] == 3

@@ -163,16 +163,15 @@ class TestConnected22:
 
     def test_lifts_refuse_names_outside_the_system(self):
         # only chain names c{k} with ASCII digits k are renamed; a name like
-        # "cusp" or "c²" is refused on a page with a curve system, and kept
-        # on the disconnected page, which has none
+        # "cusp" or "c²" is refused on every cable page, the disconnected one
+        # included
         for name in ("cusp", "c²"):
             book = connected_book(1, TwistWord.twists("c1", name))
-            for build in (lambda b: monodromy_pq(b, 2, 1), monodromy_22_connected):
+            apart = disconnected_book(1, 2).with_monodromy(book.monodromy)
+            for build in (lambda b: monodromy_pq(b, 2, 1), monodromy_22_connected,
+                          lambda b: monodromy_p1_disconnected(apart, 2)):
                 with pytest.raises(MonodromyError, match=f"^curve {name} has no nodule model$"):
                     build(book)
-        book = disconnected_book(1, 2).with_monodromy(TwistWord.twists("c1", ("cusp", -1), "c²"))
-        cw = monodromy_p1_disconnected(book, 2)
-        assert [(x.curve, x.sign) for x in cw.word[-3:]] == [("n1_1", 1), ("cusp", -1), ("c²", 1)]
 
 
 def full_surface_crossing_class(sys_, g, p, j):
@@ -316,7 +315,10 @@ class TestPq:
         book = connected_book(1, TwistWord(()))
         assert monodromy_pq(book, 3, 4).word.count(kind="stab") == 6
         assert monodromy_pq(book, 3, 1).word.count(kind="stab") == 0
-        assert monodromy_pq(book, 2, 2).word.count(kind="stab") == 1
+        # a connected (2,2) is the rotation word, not (2,1) plus a marker
+        assert monodromy_pq(book, 2, 2).word == monodromy_22_connected(book).word
+        apart = disconnected_book(1, 2)
+        assert monodromy_pq(apart, 2, 2).word.count(kind="stab") == 1
 
     def test_negative_rejected(self):
         with pytest.raises(MonodromyError):
@@ -327,23 +329,37 @@ class TestPq:
         cw = monodromy_pq(book, 2, 2)
         assert (cw.book.genus, cw.book.boundary_count_of_page) == (2, 2)
 
-    def test_builders_read_pairs_in_the_window(self):
-        # the word builders take (p, q) in the page framing, whatever
-        # framing the book is written in: reframed books give the same word
-        # and the same page
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2]), k=st.integers(-4, 4), p=st.integers(1, 3),
+           q=st.integers(-2, 4))
+    def test_pairs_are_read_in_the_book_framing(self, n, k, p, q):
+        # monodromy_pq reads (p, q + k p) on a book reframed by k as (p, q) on
+        # the window book: the same word and page, or the same refusal
         word = TwistWord.twists("c1", ("c2", -1))
-        for n in (1, 2):
-            window = RationalOpenBook(genus=1, components=(BindingComponent(1, 0),) * n,
+        window = RationalOpenBook(genus=1, components=(BindingComponent(1, 0),) * n,
+                                  monodromy=word)
+        framed = RationalOpenBook(genus=1, components=(BindingComponent(1, k),) * n,
+                                  monodromy=word)
+
+        def answer(book, q):
+            try:
+                cw = monodromy_pq(book, p, q)
+            except ValueError as exc:
+                return str(exc)
+            return cw.word, cw.book
+
+        assert answer(framed, q + k * p) == answer(window, q)
+
+    def test_fixed_pair_builders_read_the_window(self):
+        # the (2,2) builder takes its pair in the page framing, whatever
+        # framing the book is written in
+        word = TwistWord.twists("c1", ("c2", -1))
+        window = connected_book(1, word)
+        for k in (-4, 3):
+            framed = RationalOpenBook(genus=1, components=(BindingComponent(1, k),),
                                       monodromy=word)
-            for k in (-4, 3):
-                framed = RationalOpenBook(genus=1, components=(BindingComponent(1, k),) * n,
-                                          monodromy=word)
-                for p, q in ((2, 1), (3, 1), (2, 3)):
-                    a, b = monodromy_pq(framed, p, q), monodromy_pq(window, p, q)
-                    assert (a.word, a.book) == (b.word, b.book), (n, k, p, q)
-                if n == 1:
-                    a, b = monodromy_22_connected(framed), monodromy_22_connected(window)
-                    assert (a.word, a.book) == (b.word, b.book), k
+            a, b = monodromy_22_connected(framed), monodromy_22_connected(window)
+            assert (a.word, a.book) == (b.word, b.book), k
 
 
 class TestOracleCoherence:
@@ -422,6 +438,19 @@ class TestNegativeCable:
         with pytest.raises(MonodromyError):
             negative_cable_word(book)
 
+    def test_every_r_carries_the_p1_system(self):
+        for r in (2, 3, 4):
+            cw = negative_cable_word(self.make_pattern(r))
+            assert cw.system is cable_p1_system(1, r - 1)
+            cw.system.word_delta(cw.word)
+
+    def test_genus_0_is_refused_for_every_r(self):
+        for r in (2, 3):
+            disk = RationalOpenBook(genus=0, components=(BindingComponent(r, -1),))
+            with pytest.raises(MonodromyError,
+                               match="^disk and annulus pages have no chain model here$"):
+                negative_cable_word(disk)
+
 
 class TestResolutionWord:
     def test_fig_lens_space_golden(self):
@@ -448,6 +477,22 @@ class TestResolutionWord:
         )
         cw = resolution_word_r0(book)
         assert cw.word == book.monodromy
+
+    def test_only_r_minus_1_components_with_a_word_resolve(self):
+        pattern = TestNegativeCable().make_pattern(3)
+        for book in (pattern.with_monodromy(None),
+                     RationalOpenBook(genus=1, components=(BindingComponent(3, -2),),
+                                      monodromy=TwistWord.twists("c1"))):
+            with pytest.raises(MonodromyError, match="^multitwist resolution needs"):
+                resolution_word_r0(book)
+
+    def test_reframed_book_resolves_to_the_same_word(self):
+        # (3, 2) is the (3, -1) component reframed by 1
+        pattern = TestNegativeCable().make_pattern(3)
+        framed = RationalOpenBook(genus=1, components=(BindingComponent(3, 2),),
+                                  monodromy=pattern.monodromy)
+        a, b = resolution_word_r0(framed), resolution_word_r0(pattern)
+        assert (a.word, a.book.genus) == (b.word, b.book.genus)
 
     def test_chi_matches_resolve(self):
         pattern = TestNegativeCable().make_pattern(3)
@@ -512,13 +557,17 @@ class TestCobordism:
 # Builders whose words name no curve system.  The list may only shrink: the
 # disconnected (p,1) word also stands for the disconnected-page words of
 # monodromy_pq and compose_cobordism_word, which are built on it.
-BUILDERS_WITHOUT_SYSTEM = ("monodromy_p1_disconnected", "resolution_word_r0",
-                           "negative_cable_word at r = 2")
+BUILDERS_WITHOUT_SYSTEM = ("monodromy_p1_disconnected", "resolution_word_r0")
+
+# Page names that are neither a chain curve c_k nor a boundary twist; some
+# name a curve of a cable page (x1, or the band curve c1_2 of a disconnected one)
+OUTSIDE_THE_MODEL = ("alpha", "x1", "c1_2", "cusp")
 
 
 class TestLiftModel:
     """A page word lifts onto a nodule of the system its builder returns:
-    every returned word evaluates there, or the builder refuses the book."""
+    every returned word evaluates there, or the builder refuses the book.
+    A word naming a curve outside the model is refused by every builder."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -526,34 +575,59 @@ class TestLiftModel:
         g = data.draw(st.integers(1, 3), "genus")
         r = data.draw(st.sampled_from([1, 1, 2, 3, 4]), "order")
         names = [f"c{k}" for k in range(1, 2 * g + 2)] + ["bdry_1"]
-        letters = st.lists(st.tuples(st.sampled_from(names), st.sampled_from([1, -1])),
+        curves = st.one_of(st.sampled_from(names), st.sampled_from(OUTSIDE_THE_MODEL))
+        letters = st.lists(st.tuples(curves, st.sampled_from([1, -1])),
                            max_size=4).map(lambda items: TwistWord.twists(*items))
         phi, phi1, phi2 = (data.draw(letters, label) for label in ("phi", "phi1", "phi2"))
+        apart = RationalOpenBook(genus=g, components=(BindingComponent(1, 0),) * 2,
+                                 monodromy=phi)
         if r > 1:  # an (r, -1)-book, the input of the negative cable
             phi = TwistWord.of(Generator.fractional_boundary("1", Fraction(1, r))).compose(phi)
         book = RationalOpenBook(genus=g, components=(BindingComponent(r, -int(r > 1)),),
                                 monodromy=phi)
-        builds = {f"monodromy_p1_connected p={p}": partial(monodromy_p1_connected, book, p)
+        builds = {f"monodromy_p1_connected p={p}": (partial(monodromy_p1_connected, book, p), phi)
                   for p in range(1, 5)}
-        builds["monodromy_22_connected"] = partial(monodromy_22_connected, book)
-        builds["compose_cobordism_word"] = partial(compose_cobordism_word, phi1, phi2, book)
-        builds["negative_cable_word"] = partial(negative_cable_word, book)
-        for name, build in builds.items():
+        builds["monodromy_22_connected"] = (partial(monodromy_22_connected, book), phi)
+        builds["negative_cable_word"] = (partial(negative_cable_word, book), phi)
+        builds["compose_cobordism_word"] = (
+            partial(compose_cobordism_word, phi1, phi2, book), phi1.compose(phi2))
+        builds["monodromy_p1_disconnected"] = (partial(monodromy_p1_disconnected, apart, 2), phi)
+        builds["monodromy_p1_disconnected via compose_cobordism_word"] = (
+            partial(compose_cobordism_word, phi1, phi2, apart), phi1.compose(phi2))
+        for name, (build, read) in builds.items():
             try:
                 cw = build()
             except MonodromyError:
                 continue
+            assert not any(x.curve in OUTSIDE_THE_MODEL for x in read), name
             if cw.system is None:
-                assert f"{name} at r = {r}" in BUILDERS_WITHOUT_SYSTEM, name
+                assert name.partition(" ")[0] in BUILDERS_WITHOUT_SYSTEM, name
             else:
                 cw.system.word_delta(cw.word)
 
+    @pytest.mark.parametrize("curve", OUTSIDE_THE_MODEL)
+    def test_every_builder_refuses_names_outside_the_model(self, curve):
+        word = TwistWord.twists("c1", curve)
+        connected = connected_book(1, word)
+        apart = disconnected_book(1, 2).with_monodromy(word)
+        builds = [partial(monodromy_p1_connected, connected, 2),
+                  partial(monodromy_22_connected, connected),
+                  partial(monodromy_p1_disconnected, apart, 2)]
+        for r in (2, 3):
+            pattern = TestNegativeCable().make_pattern(r)
+            builds.append(partial(negative_cable_word, pattern.with_monodromy(
+                pattern.monodromy.compose(word))))
+        for page in (connected, apart):
+            builds += [partial(compose_cobordism_word, word, TwistWord(()), page),
+                       partial(compose_cobordism_word, TwistWord(()), word, page)]
+        for build in builds:
+            with pytest.raises(MonodromyError, match=f"^curve {curve} has no nodule model$"):
+                build()
+
     def test_builders_without_a_system_are_the_named_list(self):
-        pattern = TestNegativeCable().make_pattern(2)
         words = {
             "monodromy_p1_disconnected": monodromy_p1_disconnected(disconnected_book(1, 2), 2),
-            "resolution_word_r0": resolution_word_r0(pattern),
-            "negative_cable_word at r = 2": negative_cable_word(pattern),
+            "resolution_word_r0": resolution_word_r0(TestNegativeCable().make_pattern(2)),
         }
         assert tuple(words) == BUILDERS_WITHOUT_SYSTEM
         assert all(cw.system is None for cw in words.values())

@@ -76,6 +76,21 @@ def test_no_dataclasses(path):
     assert not any(name.partition(".")[0] == "dataclasses" for name in _imported(tree)), path.name
 
 
+def test_cli_takes_no_builder_from_monodromy():
+    # `monodromy_pq` reads the cable pair and picks the builder; the CLI
+    # calls it and keeps no copy of that route
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "monodromy"
+             for alias in node.names}
+    assert names == {"monodromy_pq", "stein_obstruction_Lppm1", "compose_cobordism_word"}
+    # nor the module itself, through which any builder could be reached
+    assert not [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if alias.name.rpartition(".")[2] == "monodromy"]
+
+
 def test_package_holds_only_python_files():
     package = ROOT / "src" / "cablekit"
     files = [p.relative_to(package) for p in package.rglob("*")
