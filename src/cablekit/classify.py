@@ -25,7 +25,7 @@ from typing import Optional
 from . import _Frozen, lens
 from .openbook import (BindingComponent, OpenBookError, RationalOpenBook, normalize_to_window,
                        reframe, window_shift)
-from .slopes import Slope, exceptional_slopes, ext_gcd
+from .slopes import Slope, ext_gcd, is_exceptional_slope
 from .words import Generator, TwistWord
 
 
@@ -190,7 +190,7 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
         if gcd(abs(p), abs(q)) > 1:
             exceptional = None  # non-coprime negative cable: overtwisted
             break
-        if Slope(q, p) in exceptional_slopes(book.components[i].seifert_slope):
+        if is_exceptional_slope(Slope(q, p), book.components[i].seifert_slope):
             exceptional.append(i)
     all_exceptional = exceptional is not None and len(exceptional) == len(negatives)
 

@@ -20,6 +20,9 @@ module never claims more than that.
 The oracle, :meth:`CurveSystem.word_delta`, keeps M - I by its nonzero
 sparse columns; a twist is a rank-one update costing the sizes of the
 columns it touches, never the dimension.  ``word_matrix`` is its dense view.
+A registered factorization that is a power w^k of a shorter word is checked
+by evaluating w once and squaring its delta, (I + a)(I + b) - I = a + b + ab:
+the same exact matrix, compared under the same gate.
 """
 
 from __future__ import annotations
@@ -51,6 +54,27 @@ def _pairing_row(support: Mapping[int, int]) -> dict[int, int]:
     """The nonzero entries of the row rho(u) with rho(u) . x = <x, u>, for
     the class u with nonzero coordinates `support`."""
     return {t ^ 1: x if t & 1 else -x for t, x in support.items()}
+
+
+def _delta_product(a: Delta, b: Delta) -> Delta:
+    """The delta of (I + a)(I + b), that is a + b + ab, nonzero entries only."""
+    out = {j: dict(col) for j, col in a.items()}
+    for j, bcol in b.items():
+        col = out.setdefault(j, {})
+        for r, y in bcol.items():
+            col[r] = col.get(r, 0) + y
+            for i, x in a.get(r, {}).items():
+                col[i] = col.get(i, 0) + x * y
+        out[j] = {i: x for i, x in col.items() if x}
+    return {j: col for j, col in out.items() if col}
+
+
+def _delta_power(delta: Delta, k: int) -> Delta:
+    """The delta of (I + delta)^k for k >= 1, by repeated squaring."""
+    if k == 1:
+        return delta
+    even = _delta_power(_delta_product(delta, delta), k // 2)
+    return _delta_product(even, delta) if k & 1 else even
 
 
 # -- curve systems -----------------------------------------------------------
@@ -143,7 +167,7 @@ class CurveSystem:
                     f"expansion of {name!r} must use nonseparating twists"
                 )
         lhs = self.word_delta(TwistWord.of(Generator.dehn_twist(name, 1)))
-        if self.word_delta(word) != lhs:
+        if self._periodic_delta(word) != lhs:
             raise CurveSystemError(f"expansion of {name!r} fails the homology oracle")
         self.expansions[name] = word
 
@@ -181,7 +205,9 @@ class CurveSystem:
                     raise CurveSystemError(f"{name!r} shares handle {t // 2 + 1} with another "
                                            f"member of group family {group[0]!r}")
         for (a, b), value in self.intersections.items():
-            got = self.pairing(a, b)
+            if a not in self.curves or b not in self.curves:
+                self.curve(a), self.curve(b)  # raises UnresolvedCurveError
+            got = symplectic_pairing(self.curves[a].support, self.curves[b].support)
             if got != value and got != -value:
                 raise CurveSystemError(
                     f"recorded intersection {a},{b} = {value} but classes pair to {got}"
@@ -250,6 +276,15 @@ class CurveSystem:
                     if not col:
                         del delta[t]
         return delta
+
+    def _periodic_delta(self, word: TwistWord) -> Delta:
+        """word_delta(word), evaluating the shortest period w of `word` = w^k once
+        and squaring its delta; a word that is no power is evaluated as it is."""
+        gens, n = word.generators, len(word)
+        d = next((d for d in range(1, n // 2 + 1) if not n % d and gens[d:] == gens[:-d]), n)
+        if d == n:
+            return self.word_delta(word)
+        return _delta_power(self.word_delta(TwistWord(gens[:d])), n // d)
 
     def word_matrix(self, word: TwistWord) -> Matrix:
         """The matrix of `word`: the dense, row-major view I + word_delta."""

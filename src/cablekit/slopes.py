@@ -142,23 +142,20 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _hull_chain(u: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int]]:
-    """Unimodular chain from u to w along the hull of their lattice cone.
+def _hull_runs(u: tuple[int, int], w: tuple[int, int]):
+    """Unimodular chain from u to w along the hull of their lattice cone, in
+    straight runs (v, e, n) of the members v, v + e, ..., v + (n-1)e, then w.
 
     u, w are primitive (numerator, denominator) vectors with denominator > 0
-    and slope(u) < slope(w).  Returns the lattice points on the boundary of
-    the convex hull of the nonzero lattice points in cone(u, w), walked from
-    u to w.  Consecutive members pair to determinant -1, slopes increase
-    strictly, and the chain realizes the shortest Farey path from slope(u)
-    to slope(w) through the closed slope interval.
+    and slope(u) < slope(w).  The chain is the lattice points on the boundary
+    of the convex hull of the nonzero lattice points in cone(u, w), from u to
+    w.  Consecutive members pair to determinant -1, slopes increase strictly,
+    and the chain realizes the shortest Farey path from slope(u) to slope(w)
+    through the closed slope interval.
     """
-    chain = [u]
     v = u
-    while True:
+    while v != w:
         d = _det(v, w)  # stays negative while v != w
-        if abs(d) == 1:
-            chain.append(w)
-            return chain
         # Solve det(v, z) = -1, then slide z by multiples of v to the hull
         # member: the candidate closest to the w-edge of the cone from the
         # inside, i.e. with det(candidate, w) <= 0 maximal.
@@ -166,15 +163,14 @@ def _hull_chain(u: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int]]
         z = (y, -x)  # det(v, z) = -(v_q*x + v_p*y) = -1
         dzw = _det(z, w)
         t = -((-dzw) // (-d))  # ceil(dzw / |d|)
-        vnext = (z[0] + t * v[0], z[1] + t * v[1])
-        dnext = _det(vnext, w)
-        if dnext == 0:  # vnext is w itself (both primitive on one ray)
-            chain.append(w)
-            return chain
-        if not (d < dnext < 0 and _det(v, vnext) == -1):
-            raise SlopeDomainError(f"hull walk from {u} to {w} left the cone at {vnext}")
-        chain.append(vnext)
-        v = vnext
+        e = (z[0] + (t - 1) * v[0], z[1] + (t - 1) * v[1])  # the step to the next member
+        dnext = d + _det(e, w)
+        if not (d < dnext <= 0 and _det(v, e) == -1):
+            raise SlopeDomainError(f"hull walk from {u} to {w} left the cone after {v}")
+        # the walk keeps the step e while det(v + j*e, w) = d + j*(dnext - d) <= 0
+        n = -d // (dnext - d)
+        yield v, e, n
+        v = (v[0] + n * e[0], v[1] + n * e[1])
 
 
 def farey_shortest_path(start: Slope, end: Slope) -> list[Slope]:
@@ -193,8 +189,8 @@ def farey_shortest_path(start: Slope, end: Slope) -> list[Slope]:
         lo, hi, flip = start, end, False
     else:
         lo, hi, flip = end, start, True
-    chain = _hull_chain(lo.vector(), hi.vector())
-    path = [Slope(q, p) for q, p in chain]
+    path = [Slope(v[0] + j * e[0], v[1] + j * e[1])
+            for v, e, n in _hull_runs(lo.vector(), hi.vector()) for j in range(n)] + [hi]
     return path[::-1] if flip else path
 
 
@@ -255,9 +251,26 @@ def exceptional_slopes(seifert: Slope) -> list[Slope]:
     vertices after the first of the interval Farey path from the Seifert
     slope to -1; for 0 that is -1 alone.
     """
+    _require_seifert(seifert)
+    return farey_shortest_path(seifert, Slope(-1))[1:]
+
+
+def is_exceptional_slope(slope: Slope, seifert: Slope) -> bool:
+    """``slope in exceptional_slopes(seifert)``, read one straight run of the
+    path at a time: the cost follows the runs, not the length of the path."""
+    _require_seifert(seifert)
+    q, p = slope.vector()
+    for (vq, vp), (eq, ep), n in _hull_runs((-1, 1), seifert.vector()):
+        if (q - vq) * ep == (p - vp) * eq:  # on the line of the run; e is primitive
+            j = (p - vp) // ep if ep else (q - vq) // eq
+            if 0 <= j < n:
+                return True
+    return False
+
+
+def _require_seifert(seifert: Slope) -> None:
     if seifert.is_meridian or not (Slope(-1) < seifert <= Slope(0)):
         raise SlopeDomainError(f"Seifert slope {seifert} must be 0 or in (-1, 0)")
-    return farey_shortest_path(seifert, Slope(-1))[1:]
 
 
 # -- brute-force oracle ----------------------------------------------------

@@ -135,15 +135,11 @@ class TwistWord(_Frozen):
 
     @staticmethod
     def twists(*signed_curves) -> "TwistWord":
-        """Build from ("curve", sign) pairs or bare curve names (sign +1)."""
-        gens = []
-        for item in signed_curves:
-            if isinstance(item, str):
-                gens.append(Generator.dehn_twist(item, 1))
-            else:
-                name, sign = item
-                gens.append(Generator.dehn_twist(name, sign))
-        return TwistWord(tuple(gens))
+        """Build from ("curve", sign) pairs or bare curve names (sign +1),
+        one shared Generator per distinct letter."""
+        keys = [(item, 1) if isinstance(item, str) else tuple(item) for item in signed_curves]
+        made = {(c, s): Generator.dehn_twist(c, s) for c, s in dict.fromkeys(keys)}
+        return TwistWord(tuple(made[key] for key in keys))
 
     def __len__(self) -> int:
         return len(self.generators)

@@ -1,5 +1,6 @@
 """Cabling verdicts, Hopf deltas, cabled pages, resolution, surgery."""
 
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -96,6 +97,17 @@ class TestClassify:
         v = classify_cable(book, CableCoefficients(((2, -1),)))
         assert v.kind is VerdictKind.EXCEPTIONAL_TIGHT_POSSIBLE
         assert "virtually overtwisted" in v.note
+
+    def test_exceptional_verdict_memory_does_not_grow_with_r(self):
+        book = rational_book(10**6, -1)
+        tracemalloc.start()
+        try:
+            v = classify_cable(book, CableCoefficients(((2, -1),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.kind is VerdictKind.EXCEPTIONAL_TIGHT_POSSIBLE
+        assert peak < 1 << 20
 
     def test_rational_unknot_cable(self):
         book = rational_book(3, -1, unknot=True)

@@ -1,6 +1,7 @@
 """Slope engine: continued fractions, Farey paths, exceptional slopes."""
 
 import itertools
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -17,6 +18,7 @@ from cablekit.slopes import (
     exceptional_slopes,
     farey_neighbors,
     farey_shortest_path,
+    is_exceptional_slope,
     mediant_farey_graph,
     neg_cont_frac,
 )
@@ -163,6 +165,37 @@ class TestExceptional:
         for bad in [Slope(1, 3), Slope(-5, 4), MERIDIAN, Slope(2)]:
             with pytest.raises(SlopeDomainError):
                 exceptional_slopes(bad)
+            with pytest.raises(SlopeDomainError):
+                is_exceptional_slope(Slope(-1), bad)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_membership_matches_the_list(self, data):
+        # every Seifert slope with denominator <= 60, against slopes drawn
+        # from its exceptional list, lattice points next to a listed one (on
+        # the line of a run but past its end, say) and at random
+        seifert = data.draw(st.sampled_from([Slope(0), *slopes_in_window(60)]))
+        listed = exceptional_slopes(seifert)
+        near = st.builds(lambda m, a, b: (m.numerator + a, m.denominator + b),
+                         st.sampled_from(listed), st.integers(-2, 2), st.integers(-2, 2))
+        slope = data.draw(st.one_of(
+            st.sampled_from(listed + [seifert, MERIDIAN]),
+            near.filter(lambda v: v != (0, 0)).map(lambda v: Slope(*v)),
+            st.builds(Slope, st.integers(-200, 200), st.integers(1, 120)),
+        ))
+        assert is_exceptional_slope(slope, seifert) == (slope in listed)
+
+    def test_membership_memory_does_not_grow_with_the_path(self):
+        # the path from -1/r to -1 has r vertices on one straight run
+        r = 10**6
+        tracemalloc.start()
+        try:
+            found = [is_exceptional_slope(Slope(-1, k), Slope(-1, r)) for k in (1, 2, r - 1, r)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == [True, True, True, False]
+        assert peak < 1 << 20
 
     def test_agreement_with_increment_rule_to_200(self):
         for s in slopes_in_window(200):

@@ -43,6 +43,12 @@ class TestWordAlgebra:
         winv = w.inverse()
         assert [(g.curve, g.sign) for g in winv] == [("c", -1), ("b", 1), ("a", -1)]
 
+    def test_twists_share_one_generator_per_letter(self):
+        letters = [("a", 1), ("a", 1), ("b", -1), ("c", 1), ("b", -1)]
+        w = TwistWord.twists("a", *letters[1:])
+        assert w == TwistWord(tuple(Generator.dehn_twist(c, s) for c, s in letters))
+        assert w[0] is w[1] and w[2] is w[4] and len({id(g) for g in w}) == 3
+
     def test_fractional(self):
         g = Generator.fractional_boundary("1", Fraction(-2, 5))
         assert g.sign == -1 and g.inverse().amount == Fraction(2, 5)
@@ -115,6 +121,13 @@ class TestSymplecticOracle:
         cm = chain_model(1)
         with pytest.raises(UnresolvedCurveError):
             cm.word_matrix(TwistWord.twists("nope"))
+
+    @pytest.mark.parametrize("pair", [("c1", "nope"), ("nope", "c1")])
+    def test_check_refuses_a_recorded_unknown_curve(self, pair):
+        cm = chain_model(1)
+        cm.record_intersection(*pair, 0)
+        with pytest.raises(UnresolvedCurveError, match="'nope'"):
+            cm.check()
 
     def test_braid_half_twist_rejected(self):
         # braids enter words only lifted to Dehn twists; a braid letter is
@@ -283,11 +296,11 @@ def _system(key) -> CurveSystem:
 
 
 @st.composite
-def _system_and_word(draw):
+def _system_and_word(draw, keys=_SYSTEM_KEYS):
     """A system and a word over its curves (zero classes included) mixing
     signs, fractional twists, stabilization markers and runs of equal
     letters."""
-    key = draw(st.sampled_from(_SYSTEM_KEYS))
+    key = draw(st.sampled_from(keys))
     sys_ = _system(key)
     names = sorted(sys_.curves)
     sign = st.sampled_from((1, -1))
@@ -403,6 +416,71 @@ class TestWordDelta:
             extract_transvection_class(cm.word_delta(word))
         with pytest.raises(CurveSystemError, match=message):
             dense_extract_transvection_class(dense_word_matrix(cm, word))
+
+
+def _count_word_delta_letters(monkeypatch) -> list[int]:
+    """Patch CurveSystem.word_delta to add the length of every word it
+    evaluates to the one-entry list returned."""
+    counted = [0]
+    word_delta = CurveSystem.word_delta
+
+    def counting(self, word):
+        counted[0] += len(word)
+        return word_delta(self, word)
+
+    monkeypatch.setattr(CurveSystem, "word_delta", counting)
+    return counted
+
+
+class TestPeriodicDelta:
+    """register_expansion evaluates the shortest period of a factorization
+    w^k once and squares its delta; the letter-by-letter word_delta of the
+    whole word is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_system_and_word([key for key in _SYSTEM_KEYS if key[0] != "sigma22"]),
+           st.integers(0, 20))
+    def test_squaring_matches_the_letter_by_letter_delta(self, case, k):
+        sys_, w = case
+        word = w.power(k)
+        want = sys_.word_delta(word)
+        with pytest.MonkeyPatch.context() as mp:
+            counted = _count_word_delta_letters(mp)
+            assert sys_._periodic_delta(word) == want
+        assert counted[0] <= len(w)
+
+    @pytest.mark.parametrize("letters", [("c1", "c2") * 2 + ("c1",), ("c1", "c2") * 3 + ("c1",),
+                                         ("c2", "c2", ("c2", -1)), ("c1", "c3", "c1", "c2")])
+    def test_word_that_is_no_power_is_evaluated_letter_by_letter(self, letters, monkeypatch):
+        # the first two repeat under a shift by 2, which does not divide their length
+        cm = chain_model(2)
+        word = TwistWord.twists(*letters)
+        want = cm.word_delta(word)
+        counted = _count_word_delta_letters(monkeypatch)
+        assert cm._periodic_delta(word) == want and counted[0] == len(word)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_chain_relation_passes_and_near_misses_are_refused(self, g, monkeypatch):
+        chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
+        good = chain.power(4 * g + 2)
+        swapped = TwistWord((good[1], good[0]) + good.generators[2:])  # no power
+        counted = _count_word_delta_letters(monkeypatch)
+        for word in (chain.power(4 * g + 1), chain.power(4 * g + 3), swapped):
+            with pytest.raises(CurveSystemError, match="fails the homology oracle"):
+                chain_model(g).register_expansion("bdry_1", word)
+        assert counted[0] == 2 * (1 + 2 * g) + 1 + len(swapped)
+        cm = chain_model(g)
+        cm.register_expansion("bdry_1", good)
+        assert cm.expansions == {"bdry_1": good}
+
+    @pytest.mark.parametrize("g, p, letters", [(4, 4, 36), (1, 1000, 3000)])
+    def test_cold_cable_system_evaluates_each_boundary_period_once(self, g, p, letters,
+                                                                  monkeypatch):
+        # p nodule boundaries, each one letter for its own twist and 2g for
+        # the period of its chain factorization
+        counted = _count_word_delta_letters(monkeypatch)
+        cable_p1_system.__wrapped__(g, p)
+        assert counted[0] == p * (2 * g + 1) == letters
 
 
 class TestGroupRule:
