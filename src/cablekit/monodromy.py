@@ -22,11 +22,13 @@ nodule 1.  This module builds those words:
 `classify_cable` and `cabled_page` do, and picks the builder; the
 fixed-pair builders take the window pair, whatever the book's framing.
 
-Curve naming: nodule i of a connected-binding cable carries the chain
-"n{i}_1", ..., "n{i}_{2g+1}"; the crossing curve between nodules j and j+1
-is "x{j}"; the boundary of nodule i is "partial{i}".  A page word reaches
-a nodule through :func:`lift_to_nodule`, which maps the chain curves c_k and
-the boundary twists bdry_* and refuses every other name.
+Curve naming: a page word names the curves of `curves.chain_model(g, 1)`,
+the chain c1..c{2g+1} (none on a disk page) and bdry_1.  On nodule i of a
+connected-binding cable, :func:`lift_to_nodule` maps c_k to the k-th curve
+of the nodule chain, which ends in "n{i}_{2g+1}", and bdry_1 to the nodule
+boundary "partial{i}"; a disconnected binding lifts the chain only, and
+every other name is refused.  The crossing curve between (p, 1)-nodules j
+and j+1 is "x{j}".
 """
 
 from __future__ import annotations
@@ -152,28 +154,25 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
 def lift_to_nodule(word: TwistWord, chain: Sequence[str],
                    boundary: Optional[str] = None) -> TwistWord:
     """The lift of a page word onto one nodule, one rename per letter: the
-    chain curve c_k becomes chain[k-1] and a boundary twist bdry_* becomes
-    `boundary`.  Any other name would name a curve of the cable page, not
-    the page curve, and is refused: it, a chain curve past the chain and a
-    boundary twist with no image raise MonodromyError."""
+    chain curve c_k becomes chain[k-1] and the boundary twist bdry_1 becomes
+    `boundary`.  Any other name raises MonodromyError: it is no curve of
+    the page, or a curve with no image on this nodule."""
     images = {f"c{k}": name for k, name in enumerate(chain, 1)}
+    if boundary is not None:
+        images["bdry_1"] = boundary
 
     def lift(curve: str) -> str:
-        image = images.get(curve)
-        if image is not None:
-            return image
-        if curve[:1] == "c" and curve[1:].isascii() and curve[1:].isdigit():
-            raise MonodromyError(f"curve {curve} has no nodule model (limit {len(chain)})")
-        if boundary is None or not curve.startswith("bdry_"):
+        if curve not in images:
             raise MonodromyError(f"curve {curve} has no nodule model")
-        return boundary
+        return images[curve]
 
     return word.map_curves(lift)
 
 
 def _p1_chain(g: int, i: int) -> list[str]:
-    """The chain n{i}_1..n{i}_{2g+1} of nodule i on a (p,1)-cable page."""
-    return [f"n{i}_{k}" for k in range(1, 2 * g + 2)]
+    """The chain n{i}_1..n{i}_{2g+1} of nodule i on a (p,1)-cable page; a
+    disk page has none."""
+    return [f"n{i}_{k}" for k in range(1, 2 * g + 2)] if g else []
 
 
 class CableWord:
@@ -202,8 +201,8 @@ def monodromy_p1_connected(book: RationalOpenBook, p: int) -> CableWord:
     boundaries) composed with the lift of the monodromy on nodule 1."""
     _require_integral_connected(book)
     g = book.genus
-    system = cable_p1_system(g, p)
     phi = lift_to_nodule(book.monodromy or TwistWord(()), _p1_chain(g, 1), "partial1")
+    system = cable_p1_system(g, p)
     return CableWord(rho_p1_rotation(g, p).compose(phi), system, _page(book, p, 1))
 
 
@@ -224,29 +223,34 @@ def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
     if p < 1:
         raise MonodromyError("need p >= 1")
     d = branch_point_count(book.genus, n)
-    gens: list[Generator] = []
-    for row in range(1, p):
-        for j in range(d, 0, -1):
-            gens.append(Generator.dehn_twist(f"c{row}_{j}", +1))
+    rotation = TwistWord.twists(*(f"c{row}_{j}" for row in range(1, p) for j in range(d, 0, -1)))
     phi = lift_to_nodule(book.monodromy or TwistWord(()), _p1_chain(book.genus, 1))
-    word = TwistWord(tuple(gens)).compose(phi)
-    return CableWord(word, None, _page(book, p, 1))
+    return CableWord(rotation.compose(phi), None, _page(book, p, 1))
 
 
 @lru_cache(maxsize=None)
 def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     """Curve system of the (2,2)-cable page (genus 2g, two boundaries) as
     the double cover of the disk branched over 4g+2 points: the covering
-    chain e1..e{4g+1} plus the rotation curves rho22_1..rho22_{2g+1}.
+    chain e1..e{4g+1}, the rotation curves rho22_1..rho22_{2g+1}, and on
+    nodule i the chain end n{i}_{2g+1} and the boundary partial{i}.
 
     The rotation braid is the band word d1 s_{1,2g+2} ... s_{2g+1,4g+2} d1^-1
     (d1 the half twist on the first 2g+1 strands).  Its i-th conjugated band
     is the arc between branch points 2g+2-i and 2g+1+i, whose lift is the
     signed chain sum rho22_i = s_i * sum_{k=2g+2-i}^{2g+i} eps_k e_k, with
     eps_k = (-1)^max(0, k-2g-1) and s_i = (-1)^max(0, floor((2g-i)/2)).
-    The system is built once per genus and cached; it must be treated as
-    immutable.  At g = 0 the page is an annulus: the one chain curve and the
-    one rotation curve are its core, of zero class."""
+
+    The chain ends are fixed by unimodularity.  The lifts e1..e{2g} of
+    c1..c{2g} to nodule 1 are a unitriangular change of the basis a_1, b_1,
+    ..., a_g, b_g, so a class of their span is fixed by its pairings with
+    them.  The lift of c{2g+1} lies there and pairs +-1 with e{2g} only
+    (the chain argument of Farb-Margalit ch. 4): n1_{2g+1} = a_g, as in
+    `cable_p1_system`.  Mirrored on e{4g+1}..e{2g+2}, n2_{2g+1} = a_{g+1}.
+    A nodule boundary separates, so partial{i} has zero class.  The system
+    is built once per genus and cached; it must be treated as immutable.
+    At g = 0 the page is an annulus: the one chain curve and the one
+    rotation curve are its core, of zero class, and nodules have no chain."""
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
@@ -265,6 +269,13 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     for a_i, a in enumerate(rho_names):
         for b in rho_names[a_i + 1 :]:
             sys.record_intersection(a, b, abs(sys.pairing(a, b)))
+    for i, a in ((1, 2 * g - 2), (2, 2 * g)):  # the coordinates of a_g and a_{g+1}
+        sys.add_curve(f"partial{i}", {}, nonseparating=False)
+        if g:
+            *covered, end = _e_chain(g, i)
+            sys.add_curve(end, {a: 1})
+            for k, name in enumerate(covered, 1):
+                sys.record_intersection(name, end, int(k == 2 * g))
     sys.add_boundary_curves()
     sys.check()
     return sys, rho_names
@@ -272,20 +283,22 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
 
 def _e_chain(g: int, i: int) -> list[str]:
     """The chain of nodule i on the (2,2)-cable page: nodule 1 is covered by
-    e1..e{2g}, and nodule 2 mirrors it to e{4g+1}..e{2g+2}."""
-    return [f"e{k if i == 1 else 4 * g + 2 - k}" for k in range(1, 2 * g + 1)]
+    e1..e{2g}, nodule 2 mirrors it to e{4g+1}..e{2g+2}, and both end in
+    n{i}_{2g+1}; a disk page has none."""
+    covered = [f"e{k if i == 1 else 4 * g + 2 - k}" for k in range(1, 2 * g + 1)]
+    return covered + [f"n{i}_{2 * g + 1}"] if g else []
 
 
 def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     """The (2,2)-cable monodromy: 2g+1 positive twists about the rotation
-    curves, then the lift of the monodromy on nodule 1 (the chain curves
-    e1..e{2g} cover the first nodule).  The rotation curves come from the
+    curves, then the lift of the monodromy on nodule 1 (the chain of
+    :func:`_e_chain` and partial1).  The rotation curves come from the
     cached :func:`sigma22_cover_system`.
     """
     _require_integral_connected(book)
     g = book.genus
     sys, rho_names = sigma22_cover_system(g)
-    phi = lift_to_nodule(book.monodromy or TwistWord(()), _e_chain(g, 1))
+    phi = lift_to_nodule(book.monodromy or TwistWord(()), _e_chain(g, 1), "partial1")
     word = TwistWord.twists(*reversed(rho_names)).compose(phi)
     return CableWord(word, sys, _page(book, 2, 2))
 
@@ -339,24 +352,17 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
     if r < 2 or comp.seifert_numerator != -1:
         raise MonodromyError("book must be in (r, -1) form with r >= 2")
     g, p = book.genus, r - 1
-    system = cable_p1_system(g, p)
     word_in = book.monodromy or TwistWord(())
     # boundary twists of the pattern page lift to nodule-1 boundary twists
     phi = lift_to_nodule(TwistWord(tuple(g_ for g_ in word_in if g_.kind != FRACTIONAL)),
                          _p1_chain(g, 1), "partial1")
-    rho_inv = rho_p1_rotation(g, p).inverse()
-    gens: list[Generator] = [
-        Generator.fractional_boundary("outer", Fraction(1, r))
-    ]
-    gens.extend(rho_inv.generators)
-    gens.extend(Generator.dehn_twist("partial1", -1) for _ in range(r - 2))
-    gens.extend(phi.generators)
-    new_book = RationalOpenBook(
-        genus=p * g,
-        components=(BindingComponent(order=r, seifert_numerator=-1),),
-        monodromy=TwistWord(tuple(gens)),
-    )
-    return CableWord(TwistWord(tuple(gens)), system, new_book)
+    system = cable_p1_system(g, p)
+    word = TwistWord((Generator.fractional_boundary("outer", Fraction(1, r)),
+                      *rho_p1_rotation(g, p).inverse(),
+                      *TwistWord.twists(("partial1", -1)).power(r - 2), *phi))
+    page = RationalOpenBook(genus=p * g, monodromy=word,
+                            components=(BindingComponent(order=r, seifert_numerator=-1),))
+    return CableWord(word, system, page)
 
 
 def resolution_word_r0(book: RationalOpenBook) -> CableWord:
@@ -470,29 +476,21 @@ def compose_cobordism_word(
     lands it on nodule 1.  For disconnected binding the (2,1)-cable rotation
     is used and the certificate is combinatorial.
     """
-    if page.has_connected_binding:
-        base = monodromy_22_connected(page.with_monodromy(TwistWord(())))
-        sys = base.system
-        near, far = _e_chain(page.genus, 1), _e_chain(page.genus, 2)
-        lift1, lift2 = lift_to_nodule(phi1, near), lift_to_nodule(phi2, far)
-        word = base.word.compose(lift2).compose(lift1)
-        # a word's matrix is the product of its letters' from left to right,
-        # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1
-        conj = sys.word_delta(base.word.compose(lift2).compose(base.word.inverse()))
-        certificate = {
-            "conjugation_lands_on_nodule_1":
-                conj == sys.word_delta(lift_to_nodule(phi2, near)),
-            "rotation_positive": base.word.is_positive(),
-        }
-        if not certificate["conjugation_lands_on_nodule_1"]:
-            raise MonodromyError("destabilization certificate failed the oracle")
-        return CableWord(word, sys, base.book, notes=certificate)
-    base = monodromy_p1_disconnected(page.with_monodromy(TwistWord(())), 2)
-    word = base.word.compose(lift_to_nodule(phi2, _p1_chain(page.genus, 2))).compose(
-        lift_to_nodule(phi1, _p1_chain(page.genus, 1)))
-    return CableWord(
-        word,
-        None,
-        base.book,
-        notes={"rotation_positive": base.word.is_positive(), "nodules": 2},
-    )
+    g, empty = page.genus, page.with_monodromy(TwistWord(()))
+    if not page.has_connected_binding:
+        base = monodromy_p1_disconnected(empty, 2)
+        word = base.word.compose(lift_to_nodule(phi2, _p1_chain(g, 2))).compose(
+            lift_to_nodule(phi1, _p1_chain(g, 1)))
+        return CableWord(word, None, base.book,
+                         {"rotation_positive": base.word.is_positive(), "nodules": 2})
+    base, near = monodromy_22_connected(empty), _e_chain(g, 1)
+    sys, lift1 = base.system, lift_to_nodule(phi1, near, "partial1")
+    lift2 = lift_to_nodule(phi2, _e_chain(g, 2), "partial2")
+    # a word's matrix is the product of its letters' from left to right,
+    # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1
+    conj = sys.word_delta(base.word.compose(lift2).compose(base.word.inverse()))
+    if conj != sys.word_delta(lift_to_nodule(phi2, near, "partial1")):
+        raise MonodromyError("destabilization certificate failed the oracle")
+    certificate = {"conjugation_lands_on_nodule_1": True,
+                   "rotation_positive": base.word.is_positive()}
+    return CableWord(base.word.compose(lift2).compose(lift1), sys, base.book, certificate)

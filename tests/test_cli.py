@@ -367,7 +367,7 @@ def _dehn(*curves):
 
 
 class TestLiftBoundary:
-    """A page curve that is neither a chain curve c_k nor a boundary twist
+    """A page curve outside the page model, the chain c1..c{2g+1} and bdry_1,
     has no image on any cable page, even when the cable page has a curve of
     that name: it would become the cable curve."""
 
@@ -395,6 +395,19 @@ class TestLiftBoundary:
                                                              curve):
         assert self.run(tmp_path, command, book, _dehn(curve)) == (
             2, "", f"error: curve {curve} has no nodule model\n")
+
+    @pytest.mark.parametrize("command, curves", [
+        (["monodromy", "--cable=2,2"], ("c4", "bdry_2")),
+        (["compose-cobordism"], ("c4", "bdry_2")),
+        (["monodromy", "--cable=2,1"], ("bdry_7",)),
+    ], ids=["r22", "cobordism", "p1-boundary"])
+    def test_name_past_the_page_model_is_refused(self, tmp_path, command, curves):
+        # c3 and bdry_1 lift on every connected page; the next name does not
+        for curve in curves:
+            word = _dehn("c3", "bdry_1", curve)
+            book = {"genus": 1, "components": [_DISK], "monodromy": word}
+            assert self.run(tmp_path, command, book, word) == (
+                2, "", f"error: curve {curve} has no nodule model\n")
 
     @staticmethod
     def run(tmp_path, command, book, word):

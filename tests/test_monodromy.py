@@ -52,6 +52,7 @@ from test_words_curves import (
     pairing_row,
     solve_integer_system,
     symplectic_inverse,
+    transvection,
 )
 
 
@@ -141,11 +142,13 @@ class TestConnected22:
 
     def test_cover_system_builds_the_annulus(self):
         # the genus-0 (2,2)-cable page is an annulus: its chain curve and its
-        # rotation curve are the core, of zero class; the disk page's (2,2)
-        # and cobordism words are built on that one system
+        # rotation curve are the core, of zero class, and the nodules are
+        # disks with a boundary but no chain; the disk page's (2,2) and
+        # cobordism words are built on that one system
         sys_, rho_names = sigma22_cover_system(0)
         assert (sys_.genus, sys_.boundary_labels, rho_names) == (0, ("1", "2"), ("rho22_1",))
-        assert sorted(sys_.curves) == ["bdry_1", "bdry_2", "e1", "rho22_1"]
+        assert sorted(sys_.curves) == ["bdry_1", "bdry_2", "e1", "partial1", "partial2",
+                                       "rho22_1"]
         assert not any(info.support or info.nonseparating for info in sys_.curves.values())
         disk = connected_book(0, TwistWord(()))
         for cw in (monodromy_22_connected(disk),
@@ -162,9 +165,8 @@ class TestConnected22:
         assert sigma22_cover_system.cache_info().misses == 1
 
     def test_lifts_refuse_names_outside_the_system(self):
-        # only chain names c{k} with ASCII digits k are renamed; a name like
-        # "cusp" or "c²" is refused on every cable page, the disconnected one
-        # included
+        # a name like "cusp" or "c²" is no curve of the page model and is
+        # refused on every cable page, the disconnected one included
         for name in ("cusp", "c²"):
             book = connected_book(1, TwistWord.twists("c1", name))
             apart = disconnected_book(1, 2).with_monodromy(book.monodromy)
@@ -554,6 +556,100 @@ class TestCobordism:
         assert cw.notes["rotation_positive"]
 
 
+class TestChainEndReference:
+    """Dense references for the nodule chain ends n{i}_{2g+1} and boundaries
+    partial{i} of the (2,2) system: the classes are the unique solutions the
+    docstring of `sigma22_cover_system` names, and with c{2g+1} and bdry_1
+    in the monodromy the rotation has order exactly 2 and the cobordism
+    certificate holds, the nodule images built by hand."""
+
+    @staticmethod
+    def nodule_class(g, i, curve):
+        """The class of the lift of page curve `curve` to nodule i, by hand:
+        e_k (mirrored on nodule 2), a_g or a_{g+1} for c{2g+1}, 0 for bdry_1."""
+        cls = [0] * (4 * g)
+        if curve == f"c{2 * g + 1}":
+            cls[2 * g - 2 if i == 1 else 2 * g] = 1
+            return tuple(cls)
+        if curve == "bdry_1":
+            return tuple(cls)
+        k = int(curve[1:])
+        return sigma22_cover_system(g)[0].curve(f"e{k if i == 1 else 4 * g + 2 - k}").homology
+
+    def dense_nodule_matrix(self, g, i, letters):
+        out = identity_matrix(4 * g)
+        for curve, sign in letters:
+            out = mat_mul(out, transvection(self.nodule_class(g, i, curve), sign, 4 * g))
+        return out
+
+    @staticmethod
+    def page_letters(g, seed):
+        rng = random.Random(seed)
+        letters = [(f"c{2 * g + 1}", 1), ("bdry_1", -1)]
+        letters += [(f"c{rng.randint(1, 2 * g + 1)}", rng.choice((1, -1))) for _ in range(4)]
+        rng.shuffle(letters)
+        return letters
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_chain_ends_are_the_unique_solutions(self, g):
+        sys_, _ = sigma22_cover_system(g)
+        for i in (1, 2):
+            covered = [f"e{k if i == 1 else 4 * g + 2 - k}" for k in range(1, 2 * g + 1)]
+            end = sys_.curve(f"n{i}_{2 * g + 1}").homology
+            pairings = [sum(x * y for x, y in zip(pairing_row(end), sys_.curve(e).homology))
+                        for e in covered]
+            assert [abs(x) for x in pairings] == [0] * (2 * g - 1) + [1]
+            # one exact solve in the nodule's span: the coefficients on the
+            # covered chain are integral and unique, and they give the class
+            rows = [[sum(x * y for x, y in zip(pairing_row(sys_.curve(b).homology),
+                                               sys_.curve(a).homology)) for b in covered]
+                    for a in covered]
+            coefficients = solve_integer_system(rows, pairings)
+            assert end == tuple(sum(c * x for c, x in zip(
+                coefficients, (sys_.curve(e).homology[t] for e in covered))) for t in range(4 * g))
+            assert not any(sys_.curve(f"partial{i}").homology)
+        # nodule 1's chain end has the class of the (p,1) system's, up to sign
+        ref = cable_p1_system(g, 1).curve(f"n1_{2 * g + 1}").homology
+        assert sys_.curve(f"n1_{2 * g + 1}").homology[:2 * g] in (ref, tuple(-x for x in ref))
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_rotation_has_order_two_with_the_chain_end_in_phi(self, g):
+        letters = self.page_letters(g, g)
+        cw = monodromy_22_connected(connected_book(g, TwistWord.twists(*letters)))
+        m = dense_word_matrix(cw.system, cw.word)
+        rot = mat_mul(m, symplectic_inverse(self.dense_nodule_matrix(g, 1, letters)))
+        assert rot != identity_matrix(4 * g) and mat_mul(rot, rot) == identity_matrix(4 * g)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_cobordism_certificate_with_the_chain_end(self, g):
+        phi1, phi2 = self.page_letters(g, 10 + g), self.page_letters(g, 20 + g)
+        page = connected_book(g)
+        cw = compose_cobordism_word(TwistWord.twists(*phi1), TwistWord.twists(*phi2), page)
+        assert cw.notes["conjugation_lands_on_nodule_1"] is True
+        rot = dense_word_matrix(cw.system, monodromy_22_connected(page).word)
+        on_2 = self.dense_nodule_matrix(g, 2, phi2)
+        conj = mat_mul(mat_mul(rot, on_2), symplectic_inverse(rot))
+        assert conj == self.dense_nodule_matrix(g, 1, phi2)
+        assert dense_word_matrix(cw.system, cw.word) == mat_mul(
+            mat_mul(rot, on_2), self.dense_nodule_matrix(g, 1, phi1))
+
+
+def connected_builds(g, word):
+    """Every connected-binding builder, by name, as a call that lifts `word`
+    onto nodule 1, or onto nodule 2 in the second cobordism slot."""
+    book, empty = connected_book(g, word), TwistWord(())
+    builds = {f"monodromy_p1_connected p={p}": partial(monodromy_p1_connected, book, p)
+              for p in range(1, 5)}
+    builds["monodromy_22_connected"] = partial(monodromy_22_connected, book)
+    for r in range(2, 5):
+        pattern = RationalOpenBook(genus=g, components=(BindingComponent(r, -1),), monodromy=(
+            TwistWord.of(Generator.fractional_boundary("1", Fraction(1, r))).compose(word)))
+        builds[f"negative_cable_word r={r}"] = partial(negative_cable_word, pattern)
+    builds["compose_cobordism_word phi1"] = partial(compose_cobordism_word, word, empty, book)
+    builds["compose_cobordism_word phi2"] = partial(compose_cobordism_word, empty, word, book)
+    return builds
+
+
 # Builders whose words name no curve system.  The list may only shrink: the
 # disconnected (p,1) word also stands for the disconnected-page words of
 # monodromy_pq and compose_cobordism_word, which are built on it.
@@ -574,7 +670,7 @@ class TestLiftModel:
     def test_every_word_evaluates_on_its_system(self, data):
         g = data.draw(st.integers(1, 3), "genus")
         r = data.draw(st.sampled_from([1, 1, 2, 3, 4]), "order")
-        names = [f"c{k}" for k in range(1, 2 * g + 2)] + ["bdry_1"]
+        names = sorted(chain_model(g, 1).curves)
         curves = st.one_of(st.sampled_from(names), st.sampled_from(OUTSIDE_THE_MODEL))
         letters = st.lists(st.tuples(curves, st.sampled_from([1, -1])),
                            max_size=4).map(lambda items: TwistWord.twists(*items))
@@ -632,23 +728,32 @@ class TestLiftModel:
         assert tuple(words) == BUILDERS_WITHOUT_SYSTEM
         assert all(cw.system is None for cw in words.values())
 
-    def test_boundary_twist_lifts_to_the_nodule_boundary(self):
-        # the (p,1) nodule has one boundary, partial1; the (2,2) system has
-        # no curve for nodule 1's boundary, so the twist is refused there
-        book = connected_book(1, TwistWord.twists("c1", ("bdry_1", -1)))
-        for cw in (monodromy_p1_connected(book, 1), monodromy_p1_connected(book, 2)):
-            assert [(x.curve, x.sign) for x in cw.word[-2:]] == [("n1_1", 1), ("partial1", -1)]
-        with pytest.raises(MonodromyError, match="^curve bdry_1 has no nodule model$"):
-            monodromy_22_connected(book)
-        with pytest.raises(MonodromyError, match="^curve bdry_1 has no nodule model$"):
-            compose_cobordism_word(TwistWord(()), book.monodromy, connected_book(1))
-
-    def test_chain_past_the_nodule_is_refused(self):
-        book = connected_book(1, TwistWord.twists("c4"))
-        with pytest.raises(MonodromyError, match=r"^curve c4 has no nodule model \(limit 3\)$"):
-            monodromy_p1_connected(book, 2)
-        with pytest.raises(MonodromyError, match=r"^curve c4 has no nodule model \(limit 2\)$"):
-            monodromy_22_connected(book)
+    def test_every_connected_builder_lifts_exactly_the_page_model(self):
+        # the lift's domain is the page model chain_model(g, 1): each of its
+        # names lifts, c{2g+1} to the nodule chain's end and bdry_1 to the
+        # nodule boundary, and the word evaluates on the builder's system;
+        # every other name is refused with the one message.  The (p,1)
+        # system has no disk page, so at g = 0 it refuses a lifted word.
+        for g in range(5):
+            model = chain_model(g, 1).curves
+            for curve in (*model, "bdry_2", "bdry_outer", f"c{2 * g + 2}", "x1", "e3"):
+                for name, build in connected_builds(g, TwistWord.twists(curve)).items():
+                    if curve not in model:
+                        with pytest.raises(MonodromyError,
+                                           match=f"^curve {curve} has no nodule model$"):
+                            build()
+                        continue
+                    try:
+                        cw = build()
+                    except MonodromyError as exc:
+                        assert (g, str(exc)) == (0, "disk and annulus pages have no chain "
+                                                    "model here"), name
+                        continue
+                    cw.system.word_delta(cw.word)
+                    i = 2 if name.endswith("phi2") else 1
+                    image = {f"c{2 * g + 1}": f"n{i}_{2 * g + 1}", "bdry_1": f"partial{i}"}
+                    if curve in image:
+                        assert cw.word[-1].curve == image[curve], name
 
 
 class TestRotationStructure:
