@@ -728,6 +728,33 @@ class TestLiftModel:
         assert tuple(words) == BUILDERS_WITHOUT_SYSTEM
         assert all(cw.system is None for cw in words.values())
 
+    def test_boundary_twist_lifts_to_the_nodule_boundary(self):
+        # every connected page has one boundary, bdry_1; it lifts to the
+        # boundary partial{i} of the nodule the word lands on, on the (p,1),
+        # the (2,2) and the cobordism pages alike
+        book = connected_book(1, TwistWord.twists("c1", ("bdry_1", -1)))
+        for cw in (monodromy_p1_connected(book, 1), monodromy_p1_connected(book, 2)):
+            assert [(x.curve, x.sign) for x in cw.word[-2:]] == [("n1_1", 1), ("partial1", -1)]
+        cw = monodromy_22_connected(book)
+        assert [(x.curve, x.sign) for x in cw.word[-2:]] == [("e1", 1), ("partial1", -1)]
+        cw = compose_cobordism_word(TwistWord(()), book.monodromy, connected_book(1))
+        assert [(x.curve, x.sign) for x in cw.word[-2:]] == [("e5", 1), ("partial2", -1)]
+        for cw in (monodromy_22_connected(book),
+                   compose_cobordism_word(TwistWord(()), book.monodromy, connected_book(1))):
+            cw.system.word_delta(cw.word)
+
+    def test_chain_past_the_nodule_is_refused(self):
+        # c{2g+1} = c3 is the last chain curve of a genus-1 page and lifts to
+        # the nodule chain's end; c4 is past it and every builder refuses it
+        book = connected_book(1, TwistWord.twists("c3"))
+        assert monodromy_p1_connected(book, 2).word[-1].curve == "n1_3"
+        assert monodromy_22_connected(book).word[-1].curve == "n1_3"
+        book = connected_book(1, TwistWord.twists("c4"))
+        with pytest.raises(MonodromyError, match=r"^curve c4 has no nodule model$"):
+            monodromy_p1_connected(book, 2)
+        with pytest.raises(MonodromyError, match=r"^curve c4 has no nodule model$"):
+            monodromy_22_connected(book)
+
     def test_every_connected_builder_lifts_exactly_the_page_model(self):
         # the lift's domain is the page model chain_model(g, 1): each of its
         # names lifts, c{2g+1} to the nodule chain's end and bdry_1 to the
