@@ -27,10 +27,18 @@ def _emit(args, payload: dict, pretty: str) -> None:
         sys.stdout.write(pretty + "\n")
 
 
+def _read_json(path: str):
+    """The JSON document in the file `path`; nesting too deep for the parser is exit 2."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise UsageError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_book(path: str) -> RationalOpenBook:
     from .openbook import OpenBookError, RationalOpenBook, validate
-    with open(path, "r", encoding="utf-8") as fh:
-        book = RationalOpenBook.from_json(json.load(fh))
+    book = RationalOpenBook.from_json(_read_json(path))
     problems = validate(book)
     if problems:
         raise OpenBookError(f"invalid book {path}: " + "; ".join(problems))
@@ -39,8 +47,7 @@ def _load_book(path: str) -> RationalOpenBook:
 
 def _load_word(path: str) -> TwistWord:
     from .words import TwistWord
-    with open(path, "r", encoding="utf-8") as fh:
-        return TwistWord.from_json(json.load(fh))
+    return TwistWord.from_json(_read_json(path))
 
 
 def cmd_slopes(args) -> None:
@@ -280,12 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _shield_negative_slopes(argv):
-    """Let bare negative slopes like -1/3 ride as positionals of `slopes`."""
+    """Let bare negative slopes like -1/3 ride as positionals of the subcommand `slopes`."""
     argv = list(argv)
-    if "slopes" in argv and "--" not in argv:
-        i = argv.index("slopes")
-        if i + 1 < len(argv):
-            argv.insert(i + 2, "--")
+    i = next((i for i, token in enumerate(argv) if not token.startswith("-")), None)
+    if i is not None and argv[i] == "slopes" and "--" not in argv and i + 1 < len(argv):
+        argv.insert(i + 2, "--")
     return argv
 
 

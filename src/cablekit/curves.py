@@ -3,12 +3,12 @@
 A curve system fixes, for a surface of genus g with labeled boundary, a set
 of named simple closed curves together with their classes in H_1 of the
 capped-off surface (the nonzero coordinates in a fixed symplectic basis
-a_1, b_1, ..., a_g, b_g) and a table of recorded algebraic intersection
-numbers.  The recorded table is curated data about the geometric model; a
-consistency check confirms every recorded entry against the symplectic
-pairing of the stored classes, which catches transcription slips in
-figure-derived data.  Curves in different members of one group family count
-as disjoint without an entry; the check proves it from their handles.
+a_1, b_1, ..., a_g, b_g) and a table of recorded geometric intersection
+numbers of the model.  The recorded table is curated data about the
+geometric model and the only source of intersection answers; a pair it
+leaves out reads None.  A consistency check confirms every recorded entry
+against the absolute value of the symplectic pairing of the stored classes,
+which catches transcription slips in figure-derived data.
 
 Words evaluate to integer symplectic matrices: a right-handed twist about c
 acts on column vectors by x -> x + <x, [c]> [c], boundary-parallel and
@@ -114,16 +114,14 @@ class CurveSystem:
 
     Immutable by convention once built; the builders below finish with
     :meth:`check`, which re-derives every recorded intersection from the
-    stored classes and proves the group rule.
+    stored classes.
     """
 
-    __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "name",
-                 "groups")
+    __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "name")
 
     def __init__(self, genus: int, boundary_labels: tuple[str, ...], name: str = ""):
         self.genus, self.boundary_labels, self.name = genus, boundary_labels, name
-        # groups maps a curve to its (family, member)
-        self.curves, self.intersections, self.expansions, self.groups = {}, {}, {}, {}
+        self.curves, self.intersections, self.expansions = {}, {}, {}
 
     # -- construction helpers ---------------------------------------------
 
@@ -133,10 +131,9 @@ class CurveSystem:
         homology: Union[Sequence[int], Mapping[int, int]],
         nonseparating: bool = True,
         boundary_parallel: Optional[str] = None,
-        group: Optional[tuple] = None,
     ) -> None:
         """Declare a curve with its class, as all 2 * genus coordinates or as
-        a {coordinate: entry} map, and its (family, member) group, if any."""
+        a {coordinate: entry} map."""
         if name in self.curves:
             raise CurveSystemError(f"curve {name!r} already declared")
         n = self.dim
@@ -148,8 +145,6 @@ class CurveSystem:
             raise CurveSystemError(f"class for {name!r} has a coordinate outside 0..{n - 1}")
         support = {t: homology[t] for t in sorted(homology) if homology[t]}
         self.curves[name] = CurveInfo(support, n, nonseparating, boundary_parallel)
-        if group is not None:
-            self.groups[name] = group
 
     def add_boundary_curves(self) -> None:
         for label in self.boundary_labels:
@@ -179,31 +174,16 @@ class CurveSystem:
         except KeyError:
             raise UnresolvedCurveError(f"curve {name!r} not in system {self.name!r}")
 
-    def pairing(self, a: str, b: str) -> int:
-        return symplectic_pairing(self.curve(a).support, self.curve(b).support)
-
     def recorded_intersection(self, a: str, b: str) -> Optional[int]:
-        """The recorded intersection of `a` and `b`; without an entry, 0 for
-        curves in different members of one group family, else None."""
+        """The recorded intersection of `a` and `b`, or None without an entry."""
         self.curve(a), self.curve(b)
-        value = self.intersections.get(_pair_key(a, b))
-        ga, gb = self.groups.get(a), self.groups.get(b)
-        if value is None and ga and gb and ga[0] == gb[0] and ga != gb:
-            return 0
-        return value
+        return self.intersections.get(_pair_key(a, b))
 
     def check(self) -> None:
-        """Gate curated data, reading only nonzero coordinates: members of
-        one group family must use disjoint handles (a_i, b_i), every recorded
-        intersection must equal the symplectic pairing of the stored classes
-        up to sign (curve orientations are not tracked), and boundary-parallel
-        and separating curves must have zero class."""
-        owner: dict[tuple, tuple] = {}  # (family, handle) -> member using it
-        for name, group in self.groups.items():
-            for t in self.curve(name).support:
-                if owner.setdefault((group[0], t // 2), group) != group:
-                    raise CurveSystemError(f"{name!r} shares handle {t // 2 + 1} with another "
-                                           f"member of group family {group[0]!r}")
+        """Gate curated data, reading only nonzero coordinates: every
+        recorded intersection must equal the symplectic pairing of the stored
+        classes up to sign (curve orientations are not tracked), and
+        boundary-parallel and separating curves must have zero class."""
         for (a, b), value in self.intersections.items():
             if a not in self.curves or b not in self.curves:
                 self.curve(a), self.curve(b)  # raises UnresolvedCurveError

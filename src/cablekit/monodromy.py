@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from .classify import CableCoefficients, cabled_page, resolve, stabilization_count_pq_from_p1
 from .curves import CurveSystem, chain_classes
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window, window_shift
-from .words import FRACTIONAL, Generator, TwistWord
+from .words import DEHN, FRACTIONAL, Generator, TwistWord
 
 
 class MonodromyError(ValueError):
@@ -79,12 +79,12 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
 
     The page has genus p*g and one boundary.  Nodule chains carry block
     homology classes; the crossing curve x_j is v_{2g+1} on block j and
-    -v_{2g+1} on block j+1 (v the block chain).  Groups answer the
-    cross-nodule and nodule-boundary zeros, so the recorded table has
-    O(p g^2) entries and time and memory grow linearly in p.  Nodule boundary
-    twists come with registered nonseparating chain factorizations, so
-    mod-10 lengths can be computed.  The result is cached and must be
-    treated as immutable.
+    -v_{2g+1} on block j+1 (v the block chain).  The table records the
+    layout chains, less their cross-nodule pairs, and each nodule boundary
+    against its own nodule: O(p g^2) entries, time and memory linear in p.
+    Any other pair reads None.  Nodule boundary twists come with registered
+    nonseparating chain factorizations, so mod-10 lengths can be computed.
+    The result is cached and must be treated as immutable.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
@@ -94,23 +94,20 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     block = chain_classes(2 * g + 1, g)
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
-            sys.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v.items()},
-                          group=("nodule", i))
+            sys.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v.items()})
     # crossing curves: pair once with the last even-chain curve of each
     # neighboring nodule, zero with all other nodule curves.  The blocks are
     # orthogonal and w = -v_{2g+1} is the one class pairing to zero with
     # v_1..v_{2g-1} and to one with v_{2g}; x_j is -w on block j, +w on j+1.
-    # The crossing curves are one member of the "partial" family and each
-    # (zero-class) nodule boundary another.
     for j in range(1, p):
         cls = {2 * g * (j - 1) + t: x for t, x in block[-1].items()}
         cls.update({2 * g * j + t: -x for t, x in block[-1].items()})
-        sys.add_curve(f"x{j}", cls, group=("partial", 0))
+        sys.add_curve(f"x{j}", cls)
     for i in range(1, p + 1):
-        sys.add_curve(f"partial{i}", {}, nonseparating=False, group=("partial", i))
+        sys.add_curve(f"partial{i}", {}, nonseparating=False)
     sys.add_boundary_curves()
-    # recorded data: the layout chains, less the cross-nodule pairs that the
-    # nodule groups answer, and the nodule boundaries against their nodules
+    # recorded data: the layout chains, less their cross-nodule pairs, and
+    # the nodule boundaries against their nodules
     for j in range(1, p):
         layout = p1_layout(g, j)
         for a_idx, a in enumerate(layout):
@@ -155,11 +152,14 @@ def lift_to_nodule(word: TwistWord, chain: Sequence[str],
                    boundary: Optional[str] = None) -> TwistWord:
     """The lift of a page word onto one nodule, one rename per letter: the
     chain curve c_k becomes chain[k-1] and the boundary twist bdry_1 becomes
-    `boundary`.  Any other name raises MonodromyError: it is no curve of
-    the page, or a curve with no image on this nodule."""
+    `boundary`.  Any other letter raises MonodromyError: it is no Dehn
+    twist, no curve of the page, or a curve with no image on this nodule."""
     images = {f"c{k}": name for k, name in enumerate(chain, 1)}
     if boundary is not None:
         images["bdry_1"] = boundary
+    for letter in word:
+        if letter.kind != DEHN:
+            raise MonodromyError(f"only Dehn twists lift to a nodule, got {letter}")
 
     def lift(curve: str) -> str:
         if curve not in images:
@@ -266,9 +266,6 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
             for t, x in chain[k - 1].items():
                 cls[t] = cls.get(t, 0) + eps * x
         sys.add_curve(name, cls, nonseparating=any(cls.values()))
-    for a_i, a in enumerate(rho_names):
-        for b in rho_names[a_i + 1 :]:
-            sys.record_intersection(a, b, abs(sys.pairing(a, b)))
     for i, a in ((1, 2 * g - 2), (2, 2 * g)):  # the coordinates of a_g and a_{g+1}
         sys.add_curve(f"partial{i}", {}, nonseparating=False)
         if g:

@@ -67,6 +67,14 @@ class TestSlopes:
         code, _, err = run_cli(["slopes", "ncf", "1/2"], capsys)
         assert code == 2 and "error" in err
 
+    def test_file_named_slopes_is_no_subcommand(self, trefoil_path, tmp_path, monkeypatch,
+                                                capsys):
+        (tmp_path / "slopes").write_text(Path(trefoil_path).read_text())
+        monkeypatch.chdir(tmp_path)
+        argv = ["--json", "classify", "--book", "slopes", "--cable", "2,1"]
+        assert run_cli(argv, capsys) == run_cli([*argv[:3], trefoil_path, *argv[4:]], capsys)
+        assert run_cli(argv, capsys)[0] == 0
+
 
 class TestTorusKnot:
     def test_json(self, capsys):
@@ -302,6 +310,19 @@ class TestInputPaths:
         assert (code, out) == (2, "") and err.startswith("error: [Errno")
 
 
+class TestNestingBoundary:
+    @pytest.mark.parametrize("command", ["classify", "verify-word", "compose-cobordism"])
+    def test_deeply_nested_file_is_exit_2(self, trefoil_path, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {"classify": ["classify", "--book", str(deep), "--cable", "2,1"],
+                "verify-word": ["verify-word", "--system", "sigma22_g1", str(deep), str(deep)],
+                "compose-cobordism": ["compose-cobordism", "--page", trefoil_path, str(deep),
+                                      str(deep)]}[command]
+        assert run_cli(["--json", *argv], capsys) == (
+            2, "", f"error: {deep}: JSON nested too deeply\n")
+
+
 class TestWordBoundary:
     @pytest.mark.parametrize(
         "word",
@@ -408,6 +429,25 @@ class TestLiftBoundary:
             book = {"genus": 1, "components": [_DISK], "monodromy": word}
             assert self.run(tmp_path, command, book, word) == (
                 2, "", f"error: curve {curve} has no nodule model\n")
+
+    @pytest.mark.parametrize("cable", ["2,1", "2,2", "3,2"])
+    def test_letter_that_is_no_dehn_twist_is_refused(self, tmp_path, cable):
+        book = {"genus": 1, "components": [_DISK], "monodromy": [
+            *_dehn("c1"), {"kind": "fractional", "curve": "nowhere", "amount": "1/3"},
+            {"kind": "stab", "curve": "junk"}]}
+        assert self.run(tmp_path, ["monodromy", f"--cable={cable}"], book, []) == (
+            2, "", "error: only Dehn twists lift to a nodule, got delta_{1/3}(nowhere)\n")
+
+    @pytest.mark.parametrize("components", [[_DISK], [_DISK, _DISK]], ids=["connected",
+                                                                          "disconnected"])
+    def test_cobordism_refuses_letters_that_are_no_dehn_twists(self, tmp_path, components):
+        page, w1, w2 = (tmp_path / name for name in ("page.json", "w1.json", "w2.json"))
+        page.write_text(json.dumps({"genus": 1, "components": components}))
+        w1.write_text(json.dumps([{"kind": "stab", "curve": "s"}]))
+        w2.write_text(json.dumps([{"kind": "fractional", "curve": "1", "amount": "1/3"}]))
+        code, out, err = run_main(["compose-cobordism", "--page", str(page), str(w1), str(w2)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: only Dehn twists lift to a nodule, got ")
 
     @staticmethod
     def run(tmp_path, command, book, word):
@@ -791,6 +831,26 @@ class TestFuzzBoundary:
                 root.mkdir()
                 cases.append(_write_inputs(root, ["--json", *argv], book, words[j % len(words)],
                                            words[(i + j) % len(words)]))
+        # refusals that must hold under -O too: a letter that is no Dehn
+        # twist under every cable builder, and a file nested past the parser
+        fractional = {"genus": 1, "components": [_DISK], "monodromy": [
+            {"kind": "fractional", "curve": "nowhere", "amount": "1/3"}]}
+        refusals = {}
+        for cable in ("2,1", "2,2", "3,2"):
+            root = tmp_path / f"fractional_{cable}"
+            root.mkdir()
+            argv = _write_inputs(root, ["monodromy", "--book", "BOOK", f"--cable={cable}"],
+                                 fractional, None, None)
+            refusals[len(cases)] = "only Dehn twists lift to a nodule"
+            cases.append(argv)
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        (tmp_path / "page.json").write_text(json.dumps({"genus": 1, "components": [_DISK]}))
+        deep, page = str(tmp_path / "deep.json"), str(tmp_path / "page.json")
+        for argv in (["classify", "--book", deep, "--cable=2,1"],
+                     ["verify-word", "--system", "sigma22_g1", deep, deep],
+                     ["compose-cobordism", "--page", page, deep, deep]):
+            refusals[len(cases)] = "JSON nested too deeply"
+            cases.append(argv)
         proc = subprocess.run([sys.executable, "-O", "-m", "cli_runner"], input=json.dumps(cases),
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])})
@@ -798,4 +858,6 @@ class TestFuzzBoundary:
         results = json.loads(proc.stdout)
         bad = [(argv, code, err) for argv, (code, out, err) in zip(cases, results)
                if not _answers_cleanly(argv, code, out, err)]
-        assert len(results) == len(cases) == 66 and not bad, bad
+        assert len(results) == len(cases) == 72 and not bad, bad
+        for k, message in refusals.items():
+            assert results[k][0] == 2 and message in results[k][2], (cases[k], results[k])

@@ -50,7 +50,7 @@ class TestSystems:
         assert list(sys_.curves) == list(data["curves"])
         recorded = {tuple(sorted((a, b))): value for a, b, value in data["intersections"]}
         assert sys_.intersections == recorded and len(recorded) == len(data["intersections"])
-        assert sys_.expansions == {} == data.get("expansions", {}) and sys_.groups == {}
+        assert sys_.expansions == {} == data.get("expansions", {})
         sys_.check()
 
     def test_registries_gate_all_relations(self):

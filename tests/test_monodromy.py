@@ -34,7 +34,8 @@ from cablekit.monodromy import (
 from cablekit.classify import resolve
 from cablekit.library import shipped_scripts, sigma22_script_system
 from cablekit.openbook import BindingComponent, RationalOpenBook, validate
-from cablekit.words import DEHN, Generator, TwistWord
+from cablekit.rewrite import RelationRegistry, RewriteError, RewriteScript, Step, replay
+from cablekit.words import DEHN, FRACTIONAL, STAB, Generator, TwistWord
 from braid_reference import (
     BraidWord,
     braid_Bp,
@@ -215,16 +216,42 @@ def full_p1_table(g, p):
     return table
 
 
+def _nodule(name):
+    """The nodule of a curve n{i}_{k} or partial{i}, else None."""
+    if name.startswith("partial"):
+        return int(name[len("partial"):])
+    return int(name[1:].partition("_")[0]) if name.startswith("n") else None
+
+
 class TestP1RecordedTable:
     @pytest.mark.parametrize("g", range(1, 4))
     @pytest.mark.parametrize("p", range(1, 6))
     def test_groups_and_entries_answer_like_the_full_table(self, g, p):
+        # the system records the full table less its cross-nodule pairs and
+        # its crossing-curve/nodule-boundary pairs; those read None
         sys_ = cable_p1_system(g, p)
         table = full_p1_table(g, p)
+        for (a, b) in list(table):
+            na, nb = _nodule(a), _nodule(b)
+            if (na and nb and na != nb) or {a[0], b[0]} == {"x", "p"}:
+                del table[(a, b)]
         for a in sys_.curves:
             for b in sys_.curves:
                 key = (a, b) if a <= b else (b, a)
                 assert sys_.recorded_intersection(a, b) == table.get(key), (a, b)
+
+    @pytest.mark.parametrize("g", range(1, 4))
+    @pytest.mark.parametrize("p", range(2, 6))
+    def test_crossing_curves_never_commute_with_nodule_boundaries(self, g, p):
+        # x_j meets nodule j and nodule j+1, so it crosses both boundaries
+        reg = RelationRegistry(cable_p1_system(g, p))
+        script = RewriteScript("commute", (Step("commute", 0),))
+        for j in range(1, p):
+            for i in (j, j + 1):
+                for word in (TwistWord.twists(f"x{j}", f"partial{i}"),
+                             TwistWord.twists(f"partial{i}", f"x{j}")):
+                    with pytest.raises(RewriteError, match="recorded intersection is None"):
+                        replay(script, word, reg)
 
     @pytest.mark.parametrize("g, p", [(1, 1000), (3, 100)])
     def test_table_and_classes_grow_linearly_in_p(self, g, p):
@@ -660,10 +687,17 @@ BUILDERS_WITHOUT_SYSTEM = ("monodromy_p1_disconnected", "resolution_word_r0")
 OUTSIDE_THE_MODEL = ("alpha", "x1", "c1_2", "cusp")
 
 
+# Letters that are no Dehn twist and no builder's own
+FOREIGN_LETTERS = (Generator.fractional_boundary("nowhere", Fraction(1, 3)),
+                   Generator.stabilization_marker("junk"))
+
+
 class TestLiftModel:
     """A page word lifts onto a nodule of the system its builder returns:
     every returned word evaluates there, or the builder refuses the book.
-    A word naming a curve outside the model is refused by every builder."""
+    A word naming a curve outside the model is refused by every builder, and
+    so is a letter that is no Dehn twist: the only other letters of a built
+    word are the builder's own."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -672,8 +706,9 @@ class TestLiftModel:
         r = data.draw(st.sampled_from([1, 1, 2, 3, 4]), "order")
         names = sorted(chain_model(g, 1).curves)
         curves = st.one_of(st.sampled_from(names), st.sampled_from(OUTSIDE_THE_MODEL))
-        letters = st.lists(st.tuples(curves, st.sampled_from([1, -1])),
-                           max_size=4).map(lambda items: TwistWord.twists(*items))
+        dehn = st.builds(Generator.dehn_twist, curves, st.sampled_from([1, -1]))
+        letters = st.lists(st.one_of(dehn, dehn, dehn, st.sampled_from(FOREIGN_LETTERS)),
+                           max_size=4).map(lambda items: TwistWord(tuple(items)))
         phi, phi1, phi2 = (data.draw(letters, label) for label in ("phi", "phi1", "phi2"))
         apart = RationalOpenBook(genus=g, components=(BindingComponent(1, 0),) * 2,
                                  monodromy=phi)
@@ -684,6 +719,7 @@ class TestLiftModel:
         builds = {f"monodromy_p1_connected p={p}": (partial(monodromy_p1_connected, book, p), phi)
                   for p in range(1, 5)}
         builds["monodromy_22_connected"] = (partial(monodromy_22_connected, book), phi)
+        builds["monodromy_pq p,q=3,2"] = (partial(monodromy_pq, book, 3, 2), phi)
         builds["negative_cable_word"] = (partial(negative_cable_word, book), phi)
         builds["compose_cobordism_word"] = (
             partial(compose_cobordism_word, phi1, phi2, book), phi1.compose(phi2))
@@ -696,6 +732,9 @@ class TestLiftModel:
             except MonodromyError:
                 continue
             assert not any(x.curve in OUTSIDE_THE_MODEL for x in read), name
+            for x in cw.word:
+                assert x.kind == DEHN or (x.kind, x.curve) == (FRACTIONAL, "outer") or (
+                    x.kind == STAB and x.curve.startswith("cable_3_2_")), (name, x)
             if cw.system is None:
                 assert name.partition(" ")[0] in BUILDERS_WITHOUT_SYSTEM, name
             else:
