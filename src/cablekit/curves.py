@@ -27,7 +27,8 @@ the same exact matrix, compared under the same gate.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import Optional, Sequence, Union
 
 from . import _Frozen
 from .words import DEHN, Generator, TwistWord
@@ -225,34 +226,26 @@ class CurveSystem:
                     plan = plans[gen.curve] = (tuple(support.items()),
                                                tuple(_pairing_row(support).items()))
                 support, row = plan
-                if not support:
-                    continue
-                t, x = support[0]
-                col = delta.get(t)
-                mc = {r: x * y for r, y in col.items()} if col else {}  # becomes M c
-                mc[t] = mc.get(t, 0) + x
-                if len(support) > 1:
-                    for t, x in support[1:]:
-                        mc[t] = mc.get(t, 0) + x
-                        col = delta.get(t)
-                        if col:
-                            for r, y in col.items():
-                                mc[r] = mc.get(r, 0) + x * y
-                    mc = {r: v for r, v in mc.items() if v}
-                elif not mc[t]:  # the only entry that can cancel
-                    del mc[t]
+                mc: dict[int, int] = {}  # becomes M c
+                for t, x in support:
+                    mc[t] = mc.get(t, 0) + x
+                    col = delta.get(t)
+                    if col:
+                        for r, y in col.items():
+                            mc[r] = mc.get(r, 0) + x * y
                 for t, y in row:
                     y *= gen.sign
                     col = delta.get(t)
                     if col is None:
-                        delta[t] = {r: y * v for r, v in mc.items()}
+                        delta[t] = {r: y * v for r, v in mc.items() if v}
                         continue
                     for r, v in mc.items():
-                        v = col.get(r, 0) + y * v
                         if v:
-                            col[r] = v
-                        else:
-                            del col[r]
+                            v = col.get(r, 0) + y * v
+                            if v:
+                                col[r] = v
+                            else:
+                                del col[r]
                     if not col:
                         del delta[t]
         return delta

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, resolve, stabilization_count_pq_from_p1
-from .curves import CurveSystem, chain_classes
+from .curves import CurveSystem, CurveSystemError, chain_classes, chain_model
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window, window_shift
 from .words import DEHN, FRACTIONAL, Generator, TwistWord
 
@@ -74,6 +74,16 @@ def p1_layout(g: int, j: int) -> list[str]:
 
 
 @lru_cache(maxsize=None)
+def _nodule_block(g: int) -> tuple[dict[int, int], ...]:
+    """The chain classes of `chain_model(g)` once its chain relation has
+    passed the oracle; cached per genus, to be treated as immutable."""
+    model = chain_model(g)
+    chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
+    model.register_expansion("bdry_1", chain.power(4 * g + 2))
+    return tuple(model.curves[f"c{k}"].support for k in range(1, 2 * g + 2))
+
+
+@lru_cache(maxsize=None)
 def cable_p1_system(g: int, p: int) -> CurveSystem:
     """Curve system on the (p,1)-cable page of a genus-g one-boundary page.
 
@@ -82,16 +92,22 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     -v_{2g+1} on block j+1 (v the block chain).  The table records the
     layout chains, less their cross-nodule pairs, and each nodule boundary
     against its own nodule: O(p g^2) entries, time and memory linear in p.
-    Any other pair reads None.  Nodule boundary twists come with registered
-    nonseparating chain factorizations, so mod-10 lengths can be computed.
-    The result is cached and must be treated as immutable.
+    Any other pair reads None.  Each nodule boundary twist has the registered
+    factorization partial{i} = (n{i}_1 ... n{i}_{2g})^(4g+2), so mod-10
+    lengths can be computed.  The oracle checks it once per genus, on the
+    block (:func:`_nodule_block`); the build proves, in O(p g), each nodule
+    the block moved by 2g(i-1) coordinates, with nonseparating chain curves
+    and a separating boundary of zero class, or raises.  The move sends a_j,
+    b_j to a_{j+g(i-1)}, b_{j+g(i-1)}, an isometry of the form, so nodule i's
+    chain word has the block's delta moved, 0: that of partial{i}.  The
+    result is cached and must be treated as immutable.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
     if g < 1:
         raise MonodromyError("disk and annulus pages have no chain model here")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
-    block = chain_classes(2 * g + 1, g)
+    block = _nodule_block(g)
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
             sys.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v.items()})
@@ -106,22 +122,27 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     for i in range(1, p + 1):
         sys.add_curve(f"partial{i}", {}, nonseparating=False)
     sys.add_boundary_curves()
-    # recorded data: the layout chains, less their cross-nodule pairs, and
-    # the nodule boundaries against their nodules
+    # recorded data: the layout chains, less their cross-nodule pairs
     for j in range(1, p):
         layout = p1_layout(g, j)
         for a_idx, a in enumerate(layout):
             for b_idx in range(a_idx + 1, len(layout)):
                 if not a_idx < 2 * g < b_idx:
                     sys.record_intersection(a, layout[b_idx], int(b_idx == a_idx + 1))
+    # each nodule: its boundary against its curves, the proof that it is the
+    # checked block translated, and its boundary twist's factorization
     for i in range(1, p + 1):
-        for k in range(1, 2 * g + 2):
+        shift, boundary = 2 * g * (i - 1), sys.curves[f"partial{i}"]
+        for k, v in enumerate(block, 1):
             sys.record_intersection(f"partial{i}", f"n{i}_{k}", 0)
-    sys.check()
-    # nodule boundary twists factor through the even chain
-    for i in range(1, p + 1):
+            info = sys.curves[f"n{i}_{k}"]
+            if not info.nonseparating or info.support != {shift + t: x for t, x in v.items()}:
+                raise CurveSystemError(f"n{i}_{k} is not the block curve c{k} moved to nodule {i}")
+        if boundary.nonseparating or boundary.support:
+            raise CurveSystemError(f"partial{i} is not a separating curve of zero class")
         chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
-        sys.register_expansion(f"partial{i}", chain.power(4 * g + 2))
+        sys.expansions[f"partial{i}"] = chain.power(4 * g + 2)
+    sys.check()
     return sys
 
 

@@ -9,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablekit.curves import (
+    CurveSystem,
+    CurveSystemError,
     NonExpandableGeneratorError,
     algebraic_length,
+    chain_classes,
     chain_model,
     mod10_class,
 )
 from cablekit.monodromy import (
     MonodromyError,
+    _nodule_block,
     branch_point_count,
     cable_p1_system,
     compose_cobordism_word,
@@ -259,6 +263,102 @@ class TestP1RecordedTable:
         assert len(sys_.intersections) <= 10 * p * g * g
         assert sum(len(info.support) for info in sys_.curves.values()) <= 6 * p * g
         assert set(sys_.expansions) == {f"partial{i}" for i in range(1, p + 1)}
+
+
+def reference_cable_p1_system(g, p):
+    """Reference: the (p,1) system with each nodule's chain relation checked
+    on the oracle on its own, through register_expansion."""
+    sys_ = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
+    block = chain_classes(2 * g + 1, g)
+    for i in range(1, p + 1):
+        for k, v in enumerate(block, 1):
+            sys_.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v.items()})
+    for j in range(1, p):
+        cls = {2 * g * (j - 1) + t: x for t, x in block[-1].items()}
+        cls.update({2 * g * j + t: -x for t, x in block[-1].items()})
+        sys_.add_curve(f"x{j}", cls)
+    for i in range(1, p + 1):
+        sys_.add_curve(f"partial{i}", {}, nonseparating=False)
+    sys_.add_boundary_curves()
+    for j in range(1, p):
+        layout = p1_layout(g, j)
+        for a_idx, a in enumerate(layout):
+            for b_idx in range(a_idx + 1, len(layout)):
+                if not a_idx < 2 * g < b_idx:
+                    sys_.record_intersection(a, layout[b_idx], int(b_idx == a_idx + 1))
+    for i in range(1, p + 1):
+        for k in range(1, 2 * g + 2):
+            sys_.record_intersection(f"partial{i}", f"n{i}_{k}", 0)
+    sys_.check()
+    for i in range(1, p + 1):
+        chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
+        sys_.register_expansion(f"partial{i}", chain.power(4 * g + 2))
+    return sys_
+
+
+def _alter_curve(monkeypatch, system_name, curve, alter):
+    """Patch CurveSystem.add_curve so that `curve` of the system named
+    `system_name` is declared with alter(class, nonseparating)."""
+    add_curve = CurveSystem.add_curve
+
+    def altered(self, name, homology, nonseparating=True, boundary_parallel=None):
+        if (self.name, name) == (system_name, curve):
+            homology, nonseparating = alter(dict(homology), nonseparating)
+        add_curve(self, name, homology, nonseparating, boundary_parallel)
+
+    monkeypatch.setattr(CurveSystem, "add_curve", altered)
+
+
+class TestNoduleBlock:
+    """The chain relation is checked once per genus on the block, and each
+    nodule is proved a translate of it; the reference checks every nodule's
+    factorization on the oracle."""
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_system_equals_the_reference_that_checks_every_nodule(self, g):
+        for p in range(1, 7):
+            sys_, ref = cable_p1_system.__wrapped__(g, p), reference_cable_p1_system(g, p)
+            assert sys_.curves == ref.curves, (g, p)
+            assert sys_.intersections == ref.intersections, (g, p)
+            assert sys_.expansions == ref.expansions, (g, p)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_every_factorization_has_zero_delta_letter_by_letter(self, g):
+        for p in range(1, 7):
+            sys_ = cable_p1_system(g, p)
+            for i in range(1, p + 1):
+                word = sys_.expansions[f"partial{i}"]
+                assert len(word) == 2 * g * (4 * g + 2)
+                assert sys_.word_delta(word) == {}, (g, p, i)
+
+    def test_one_register_expansion_per_genus(self, monkeypatch):
+        calls = []
+        register = CurveSystem.register_expansion
+
+        def counting(self, name, word):
+            calls.append((self.name, name))
+            register(self, name, word)
+
+        monkeypatch.setattr(CurveSystem, "register_expansion", counting)
+        _nodule_block.cache_clear()
+        for g, p in [(2, 3), (2, 5), (2, 1), (3, 2), (3, 4)]:
+            cable_p1_system.__wrapped__(g, p)
+        assert calls == [("chain_g2", "bdry_1"), ("chain_g3", "bdry_1")]
+
+    @pytest.mark.parametrize("curve, alter, message", [
+        # a_1 added: the chain keeps its pairings, so check() and each
+        # nodule's relation pass, but nodule 3 is no translate of the block
+        ("n3_2", lambda cls, ns: ({0: 1, **cls}, ns), "n3_2 is not the block curve c2"),
+        # a nonseparating nodule boundary of zero class passes check() and
+        # the oracle, but would count as one twist in algebraic_length
+        ("partial3", lambda cls, ns: (cls, True), "partial3 is not a separating curve"),
+    ])
+    def test_nodule_that_is_no_translate_is_refused(self, curve, alter, message, monkeypatch):
+        _alter_curve(monkeypatch, "cable_p1_g2_p4", curve, alter)
+        with pytest.raises(CurveSystemError, match=message):
+            cable_p1_system.__wrapped__(2, 4)
+        # checking every nodule on the oracle lets both through
+        assert set(reference_cable_p1_system(2, 4).expansions) == {f"partial{i}" for i in range(1, 5)}
 
 
 def band_lifts(g):
