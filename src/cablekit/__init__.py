@@ -11,8 +11,8 @@ loads no layer that the caller does not use.
 
 _EXPORTS = {
     "slopes": ("MERIDIAN", "NegContinuedFraction", "Slope", "SlopeDomainError",
-               "eval_cont_frac", "exceptional_slopes", "farey_neighbors",
-               "farey_shortest_path", "neg_cont_frac"),
+               "eval_cont_frac", "exceptional_slopes", "farey_shortest_path",
+               "neg_cont_frac"),
     "lens": ("LensTorusKnot", "TrivialTorusKnotError", "boundary_count", "boundary_wrap",
              "euler_characteristic", "homological_order", "is_rational_unknot", "is_trivial"),
     "openbook": ("BindingComponent", "OpenBookError", "RationalOpenBook",
@@ -27,7 +27,7 @@ _EXPORTS = {
     "rewrite": ("RelationRegistry", "ReplayResult", "RewriteScript", "Step", "replay"),
     "monodromy": ("branch_point_count", "compose_cobordism_word", "monodromy_22_connected",
                   "monodromy_p1_connected", "monodromy_p1_disconnected", "monodromy_pq",
-                  "negative_cable_word", "resolution_word_r0", "stein_obstruction_Lppm1"),
+                  "negative_cable_word", "stein_obstruction_Lppm1"),
     "library": ("shipped_scripts",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

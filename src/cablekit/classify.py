@@ -10,9 +10,10 @@ Rational unknots are the lone exception: a negative cable with rq - ps = -1
 is again a rational unknot binding a tight structure.
 
 Page bookkeeping: cabled pages for integral books assemble |p| copies of
-the page with torus-link fiber pieces; resolutions of rational components
-glue one page copy to the local fiber of a lens-space torus link computed
-from the fiber invariants.
+the page with torus-link fiber pieces; the resolution of a rational
+component changes the page's Euler characteristic by the closed form
+-(r - 1)(l - s), read in the window (derived in :func:`resolve`).  Both
+return integral books with one boundary circle per binding component.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from . import _Frozen, lens
+from . import _Frozen
 from .openbook import (BindingComponent, OpenBookError, RationalOpenBook, normalize_to_window,
                        reframe, window_shift)
 from .slopes import Slope, ext_gcd, is_exceptional_slope
@@ -243,23 +244,24 @@ def cabled_page(book: RationalOpenBook, coeffs: CableCoefficients) -> RationalOp
     magnitudes = {abs(p) for p, _ in coeffs.pairs}
     if len(magnitudes) != 1:
         raise CableError("honest cabled pages need one |p| across components")
-    p_mag = magnitudes.pop()
-    chi_old = book.page_euler_char
-    chi = p_mag * chi_old
-    new_components = []
-    for (p, q), comp in zip(coeffs.pairs, book.components):
+    chi = magnitudes.pop() * book.page_euler_char
+    components: list[BindingComponent] = []
+    for p, q in coeffs.pairs:
         chi += abs(q) - abs(p * q)
-        for _ in range(gcd(abs(p), abs(q))):
-            new_components.append(BindingComponent(order=1, seifert_numerator=0))
-    boundary = len(new_components)
-    genus2 = 2 - chi - boundary
+        components += [BindingComponent(1, 0)] * gcd(p, q)
+    return _integral_book(chi, components)
+
+
+def _integral_book(chi: int, components: list[BindingComponent],
+                   monodromy: Optional[TwistWord] = None,
+                   metadata: tuple[tuple[str, str], ...] = ()) -> RationalOpenBook:
+    """The book with page Euler characteristic `chi` and binding
+    `components`, all integral, so one boundary circle each."""
+    genus2 = 2 - chi - len(components)
     if genus2 % 2:
-        raise CableError(f"non-integral genus from chi={chi}, boundary={boundary}")
-    return RationalOpenBook(
-        genus=genus2 // 2,
-        components=tuple(new_components),
-        is_rational_unknot_book=False,
-    )
+        raise OpenBookError(f"non-integral genus from chi={chi}, boundary={len(components)}")
+    return RationalOpenBook(genus2 // 2, tuple(components), monodromy=monodromy,
+                            metadata=metadata)
 
 
 def stabilization_count_pq_from_p1(p: int, q: int) -> tuple[int, str]:
@@ -280,13 +282,22 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
 
     l is read in the book's framing, like `--cable`: reframing the
     component by k into its window (-r < s + k r <= 0) reads l as l + k r,
-    which must exceed the Seifert numerator there.  The page gains, per
-    resolved component, the local torus-link fiber piece glued along the old
-    page's boundary circles at that component.  When every resolved
-    component reads (r, -1) with l = 0 in its window and a monodromy word
-    is present, the word is updated: the fractional boundary twists are
-    replaced by one positive boundary twist about each new boundary
-    component (a boundary multitwist acting first).
+    which must exceed the Seifert numerator there.  Each resolved component
+    becomes gcd(r, l) integral components, one boundary circle each.
+
+    Page count, in the window with n = gcd(r, s) and l > s: the page gains
+    the fiber of the (r, l)-curve on the Heegaard torus of the lens space
+    with parameters (r/n, s/n), glued along the n old boundary circles.  In
+    lens position the parameter s/n and the coefficient l move by one r/n
+    and one r (none when s = 0); the twist r s' - l' (r/n) is (r/n)(s - l)
+    either way, so the shift drops out.  The fiber's Euler characteristic
+    (r + (r/n)(l - s) - r (r/n)(l - s)) / (r/n) is n - (r - 1)(l - s), so
+    the page's drops by (r - 1)(l - s).
+
+    When every resolved component reads (r, -1) with l = 0 in its window
+    and a monodromy word is present, the word is updated: the fractional
+    boundary twists are replaced by one positive boundary twist about each
+    new boundary component (a boundary multitwist acting first).
     """
     rational = [i for i, c in enumerate(book.components) if c.order > 1]
     if len(l_coeffs) != len(rational):
@@ -294,52 +305,29 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
             f"need one l per rational component ({len(rational)}), got {len(l_coeffs)}"
         )
     chi = book.page_euler_char
-    boundary = book.boundary_count_of_page
-    new_components = [c for c in book.components if c.order == 1]
     multitwist_ok = True
     new_curves: list[str] = []
     for idx, l in zip(rational, l_coeffs):
-        k = window_shift(book.components[idx])
-        comp = reframe(book.components[idx], k)
-        r, s, n = comp.order, comp.seifert_numerator, comp.multiplicity
-        l += k * r
+        comp = book.components[idx]
+        k = window_shift(comp)
+        r, s, l = comp.order, comp.seifert_numerator + k * comp.order, l + k * comp.order
         if l <= s:
             raise OpenBookError(
                 f"resolution slope l={l} must exceed the Seifert numerator {s} (in the window)"
             )
-        if not (s == -1 and l == 0):
-            multitwist_ok = False
-        # local model: reframe the reduced page curve (r/n, s/n) into lens
-        # position 0 <= s < r, shifting the cable coefficient l along; in the
-        # window frame the shift is 0 for s = 0 and one longitude otherwise
-        r_hat, s_hat = r // n, s // n
-        k = 0 if s_hat == 0 else 1
-        s_lens = s_hat + k * r_hat
-        l_lens = l + k * r
-        K = lens.LensTorusKnot(r_hat, s_lens, r, l_lens)
-        chi_fiber = lens.euler_characteristic(K)
-        chi += chi_fiber - n
-        comps_here = gcd(r, l)
-        boundary += comps_here - n
-        for j in range(comps_here):
-            new_components.append(BindingComponent(order=1, seifert_numerator=0))
-            new_curves.append(f"rb{idx}_{j + 1}")
-    genus2 = 2 - chi - boundary
-    if genus2 % 2:
-        raise OpenBookError(f"non-integral genus from chi={chi}, b={boundary}")
+        multitwist_ok = multitwist_ok and (s, l) == (-1, 0)
+        chi -= (r - 1) * (l - s)
+        new_curves += [f"rb{idx}_{j}" for j in range(1, gcd(r, l) + 1)]
     word = None
     if book.monodromy is not None and multitwist_ok:
         kept = [g for g in book.monodromy if g.kind != "fractional"]
         word = TwistWord(
             tuple(kept) + tuple(Generator.dehn_twist(c, +1) for c in new_curves)
         )
-    return RationalOpenBook(
-        genus=genus2 // 2,
-        components=tuple(new_components),
-        is_rational_unknot_book=False,
-        monodromy=word,
-        metadata=book.metadata,
-    ).with_metadata(contact="unchanged by resolution (positive cables)")
+    components = [c for c in book.components if c.order == 1]
+    components += [BindingComponent(1, 0)] * len(new_curves)
+    return _integral_book(chi, components, word, book.metadata).with_metadata(
+        contact="unchanged by resolution (positive cables)")
 
 
 # -- surgery -----------------------------------------------------------------

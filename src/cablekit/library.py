@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from .classify import resolve
 from .curves import CurveSystem
 from .monodromy import (
     cable_p1_system,
@@ -32,7 +33,6 @@ from .monodromy import (
     monodromy_p1_connected,
     negative_cable_word,
     p1_layout,
-    resolution_word_r0,
 )
 from .openbook import BindingComponent, RationalOpenBook, positive_stabilize
 from .rewrite import RelationRegistry, RewriteScript, Step, replay
@@ -282,8 +282,7 @@ def negative_cable_bundle() -> ScriptBundle:
         ),
     )
     cabled = negative_cable_word(pattern)
-    resolved = resolution_word_r0(cabled.book)
-    start = resolved.word
+    start = resolve(cabled.book, [0]).monodromy
     block = garside_block(p1_layout(1, 1))
     expect = block.compose(_tw("D3g", "D2g", "D1g"))
     return ScriptBundle(negative_cable_refactor_script(), reg, start, expect)

@@ -14,9 +14,10 @@ nodule 1.  This module builds those words:
 * disconnected binding, (p, 1): a positive word of d(p-1) twists lifted
   from the band word of the unwound trivial braid.
 * (p, q): the (p, sgn q) word plus (|p|-1)(|q|-1) stabilization markers.
-* the negative-cable normal form for (r, -1)-books, the boundary-multitwist
-  resolution word, the length obstruction for the lens spaces L(p, p-1),
-  and the Stein-cobordism word gluing two monodromies into one.
+* the negative-cable normal form for (r, -1)-books, the length obstruction
+  for the lens spaces L(p, p-1), and the Stein-cobordism word gluing two
+  monodromies into one.  The boundary-multitwist resolution word is
+  `classify.resolve`'s.
 
 :func:`monodromy_pq` reads (p, q) in the book's own framing, as
 `classify_cable` and `cabled_page` do, and picks the builder; the
@@ -37,9 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .classify import CableCoefficients, cabled_page, resolve, stabilization_count_pq_from_p1
+from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
 from .curves import CurveSystem, CurveSystemError, chain_classes, chain_model
-from .openbook import BindingComponent, RationalOpenBook, normalize_to_window, window_shift
+from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import DEHN, FRACTIONAL, Generator, TwistWord
 
 
@@ -381,17 +382,6 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
     page = RationalOpenBook(genus=p * g, monodromy=word,
                             components=(BindingComponent(order=r, seifert_numerator=-1),))
     return CableWord(word, system, page)
-
-
-def resolution_word_r0(book: RationalOpenBook) -> CableWord:
-    """Word of the (r, 0)-resolution (0 read in the window) of a book whose
-    rational components are all in (r, -1)-form: `resolve` drops the
-    fractional boundary twists and appends one positive boundary twist for
-    each new boundary component (the boundary multitwist acts first)."""
-    resolved = resolve(book, [-window_shift(c) * c.order for c in book.components if c.order > 1])
-    if resolved.monodromy is None:
-        raise MonodromyError("multitwist resolution needs a monodromy word and (r, -1) components")
-    return CableWord(resolved.monodromy, None, resolved)
 
 
 class ObstructionReport:

@@ -112,17 +112,6 @@ class Slope(_Frozen):
 MERIDIAN = Slope(1, 0)
 
 
-def farey_neighbors(a: Slope, b: Slope) -> bool:
-    """True iff the two slopes share an edge of the Farey tessellation.
-
-    The edge criterion is |q_a*p_b - q_b*p_a| = 1; the meridian 1/0 is a
-    legal vertex (adjacent to every integer).
-    """
-    qa, pa = a.vector()
-    qb, pb = b.vector()
-    return abs(qa * pb - qb * pa) == 1
-
-
 def _det(u: tuple[int, int], w: tuple[int, int]) -> int:
     return u[0] * w[1] - w[0] * u[1]
 

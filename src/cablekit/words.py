@@ -176,16 +176,6 @@ class TwistWord(_Frozen):
             )
         )
 
-    def count(self, kind: Optional[str] = None, sign: Optional[int] = None) -> int:
-        n = 0
-        for g in self.generators:
-            if kind is not None and g.kind != kind:
-                continue
-            if sign is not None and g.sign != sign:
-                continue
-            n += 1
-        return n
-
     def is_positive(self) -> bool:
         """True when every generator is positive."""
         return all(g.sign > 0 for g in self.generators)

@@ -22,7 +22,8 @@ from cablekit.classify import (
     surgery_admissible,
 )
 from cablekit.lens import LensTorusKnot, euler_characteristic
-from cablekit.openbook import BindingComponent, OpenBookError, RationalOpenBook, validate
+from cablekit.openbook import (BindingComponent, OpenBookError, RationalOpenBook, reframe,
+                               validate, window_shift)
 from cablekit.slopes import Slope, exceptional_slopes
 from cablekit.words import Generator, TwistWord
 from fractions import Fraction
@@ -37,6 +38,59 @@ def cabled_page_assembled(book, coeffs):
     for p, q in coeffs.pairs:
         chi += euler_characteristic(LensTorusKnot(1, 0, p, q)) - abs(p)
     return chi
+
+
+def lens_model_resolve(book, l_coeffs):
+    """The resolution counted from the lens-space model, the slow reference
+    for `resolve`: per rational component, read in its window with n =
+    gcd(r, s), the fiber of the (r, l)-curve on the Heegaard torus of the
+    lens space (r/n, s/n), put in lens position (parameter s/n moved by r/n,
+    l by r, unless s = 0), is glued along the n old boundary circles; the
+    boundary circles are tallied by hand."""
+    rational = [i for i, c in enumerate(book.components) if c.order > 1]
+    if len(l_coeffs) != len(rational):
+        raise OpenBookError(
+            f"need one l per rational component ({len(rational)}), got {len(l_coeffs)}"
+        )
+    chi, boundary = book.page_euler_char, book.boundary_count_of_page
+    components = [c for c in book.components if c.order == 1]
+    multitwist_ok, new_curves = True, []
+    for idx, l in zip(rational, l_coeffs):
+        k = window_shift(book.components[idx])
+        comp = reframe(book.components[idx], k)
+        r, s, n = comp.order, comp.seifert_numerator, comp.multiplicity
+        l += k * r
+        if l <= s:
+            raise OpenBookError(
+                f"resolution slope l={l} must exceed the Seifert numerator {s} (in the window)"
+            )
+        multitwist_ok = multitwist_ok and (s, l) == (-1, 0)
+        r_hat, s_hat = r // n, s // n
+        shift = 0 if s_hat == 0 else 1
+        K = LensTorusKnot(r_hat, s_hat + shift * r_hat, r, l + shift * r)
+        chi += euler_characteristic(K) - n
+        boundary += gcd(r, l) - n
+        for j in range(gcd(r, l)):
+            components.append(BindingComponent(order=1, seifert_numerator=0))
+            new_curves.append(f"rb{idx}_{j + 1}")
+    genus2 = 2 - chi - boundary
+    if genus2 % 2:
+        raise OpenBookError(f"non-integral genus from chi={chi}, boundary={boundary}")
+    word = None
+    if book.monodromy is not None and multitwist_ok:
+        word = TwistWord(tuple(g for g in book.monodromy if g.kind != "fractional")
+                         + tuple(Generator.dehn_twist(c) for c in new_curves))
+    return RationalOpenBook(genus2 // 2, tuple(components), monodromy=word,
+                            metadata=book.metadata).with_metadata(
+        contact="unchanged by resolution (positive cables)")
+
+
+def resolution_outcome(resolver, book, l_coeffs):
+    """The resolved book, or the refusal's message."""
+    try:
+        return resolver(book, l_coeffs)
+    except OpenBookError as exc:
+        return f"refused: {exc}"
 
 
 def integral_book(genus=1, components=1, word=None):
@@ -284,7 +338,7 @@ class TestResolve:
         assert all(c.order == 1 for c in out.components)
         word = out.monodromy
         assert word is not None
-        assert word.count(sign=-1) == 2
+        assert sum(g.sign == -1 for g in word) == 2
         boundary_twists = [g for g in word if g.curve.startswith("rb")]
         assert len(boundary_twists) == 5
         assert all(g.sign == 1 for g in boundary_twists)
@@ -310,7 +364,42 @@ class TestResolve:
                 out = resolve(book, [l])
                 assert validate(out) == []
                 assert all(c.order == 1 for c in out.components)
-                assert (out.page_euler_char - book.page_euler_char) % 1 == 0
+                assert out == lens_model_resolve(book, [l])
+
+    def test_matches_the_lens_model_on_a_grid(self):
+        # every window numerator s of r <= 12 and l from s - 1 (refused) to
+        # s + 40; the component is framed k longitudes off its window, so
+        # the window's l reads l - k r there
+        for r in range(2, 13):
+            word = TwistWord.of(Generator.fractional_boundary("1", Fraction(1, r)),
+                                Generator.dehn_twist("c1", -1))
+            for s in range(-r + 1, 1):
+                for k in (0, -1, 2):
+                    book = RationalOpenBook(
+                        genus=1, monodromy=word,
+                        components=(BindingComponent(1, 3), BindingComponent(r, s - k * r)))
+                    for l in range(s - 1, s + 41):
+                        ls = [l - k * r]
+                        assert (resolution_outcome(resolve, book, ls)
+                                == resolution_outcome(lens_model_resolve, book, ls)), (r, s, k, l)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_lens_model_on_random_books(self, data):
+        components = data.draw(st.lists(
+            st.builds(BindingComponent, st.integers(1, 8), st.integers(-30, 30)),
+            min_size=1, max_size=3))
+        rational = sum(c.order > 1 for c in components)
+        word = data.draw(st.sampled_from([
+            None, TwistWord(()), TwistWord.of(Generator.fractional_boundary("1", Fraction(1, 3)),
+                                              Generator.dehn_twist("c1", -1))]))
+        book = RationalOpenBook(genus=data.draw(st.integers(0, 3)), components=tuple(components),
+                                monodromy=word)
+        ls = data.draw(st.one_of(
+            st.lists(st.integers(-40, 40), min_size=rational, max_size=rational),
+            st.lists(st.integers(-40, 40), max_size=3)))
+        assert resolution_outcome(resolve, book, ls) == resolution_outcome(lens_model_resolve,
+                                                                            book, ls)
 
     def test_multiplicity_bigger_than_one(self):
         book = RationalOpenBook(genus=1, components=(BindingComponent(4, -2),))

@@ -583,7 +583,7 @@ class TestDeterminism:
 
 
 # One golden --json case per subcommand, with the layers it may load.
-_BOOK = {"classify", "openbook", "words", "lens", "slopes"}
+_BOOK = {"classify", "openbook", "words", "slopes"}
 _WORDS = _BOOK | {"curves", "monodromy"}
 _ALL = _WORDS | {"rewrite", "library"}
 COLD_CASES = {
@@ -652,8 +652,8 @@ class TestColdImports:
 
 EXPORTS = {
     "slopes": ["MERIDIAN", "NegContinuedFraction", "Slope", "SlopeDomainError",
-               "eval_cont_frac", "exceptional_slopes", "farey_neighbors",
-               "farey_shortest_path", "neg_cont_frac"],
+               "eval_cont_frac", "exceptional_slopes", "farey_shortest_path",
+               "neg_cont_frac"],
     "lens": ["LensTorusKnot", "TrivialTorusKnotError", "boundary_count", "boundary_wrap",
              "euler_characteristic", "homological_order", "is_rational_unknot", "is_trivial"],
     "openbook": ["BindingComponent", "OpenBookError", "RationalOpenBook",
@@ -668,7 +668,7 @@ EXPORTS = {
     "rewrite": ["RelationRegistry", "ReplayResult", "RewriteScript", "Step", "replay"],
     "monodromy": ["branch_point_count", "compose_cobordism_word", "monodromy_22_connected",
                   "monodromy_p1_connected", "monodromy_p1_disconnected", "monodromy_pq",
-                  "negative_cable_word", "resolution_word_r0", "stein_obstruction_Lppm1"],
+                  "negative_cable_word", "stein_obstruction_Lppm1"],
     "library": ["shipped_scripts"],
 }
 
@@ -676,7 +676,7 @@ EXPORTS = {
 class TestLazyExports:
     def test_all_is_the_exported_names(self):
         names = [n for names in EXPORTS.values() for n in names]
-        assert len(names) == len(set(names)) == 59
+        assert len(names) == len(set(names)) == 57
         assert set(cablekit.__all__) == set(names)
         assert set(names) <= set(dir(cablekit))
 

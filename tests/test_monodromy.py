@@ -30,7 +30,6 @@ from cablekit.monodromy import (
     monodromy_pq,
     negative_cable_word,
     p1_layout,
-    resolution_word_r0,
     rho_p1_rotation,
     sigma22_cover_system,
     stein_obstruction_Lppm1,
@@ -48,6 +47,7 @@ from braid_reference import (
     lift_through_double_cover,
     r22_braid,
 )
+from test_classify import lens_model_resolve
 from test_words_curves import (
     dense_extract_transvection_class,
     dense_word_matrix,
@@ -442,12 +442,12 @@ class TestConnectedP1:
 class TestPq:
     def test_marker_counts(self):
         book = connected_book(1, TwistWord(()))
-        assert monodromy_pq(book, 3, 4).word.count(kind="stab") == 6
-        assert monodromy_pq(book, 3, 1).word.count(kind="stab") == 0
+        assert sum(x.kind == STAB for x in monodromy_pq(book, 3, 4).word) == 6
+        assert sum(x.kind == STAB for x in monodromy_pq(book, 3, 1).word) == 0
         # a connected (2,2) is the rotation word, not (2,1) plus a marker
         assert monodromy_pq(book, 2, 2).word == monodromy_22_connected(book).word
         apart = disconnected_book(1, 2)
-        assert monodromy_pq(apart, 2, 2).word.count(kind="stab") == 1
+        assert sum(x.kind == STAB for x in monodromy_pq(apart, 2, 2).word) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(MonodromyError):
@@ -582,6 +582,9 @@ class TestNegativeCable:
 
 
 class TestResolutionWord:
+    """The boundary-multitwist word of `resolve` on (r, -1)-books, l = 0 in
+    the window."""
+
     def test_fig_lens_space_golden(self):
         # left trefoil book, -5 surgery, (5,0)-resolution: five positive
         # boundary twists and the two original negative twists
@@ -590,11 +593,11 @@ class TestResolutionWord:
 
         trefoil = connected_book(1, TwistWord.twists(("c1", -1), ("c2", -1)))
         surgered = induced_open_book_from_surgery(trefoil, 0, Slope(-5))
-        cw = resolution_word_r0(surgered)
-        assert (cw.book.genus, cw.book.boundary_count_of_page) == (1, 5)
-        assert cw.word.count(sign=-1) == 2
-        assert cw.word.count(sign=1) == 5
-        assert [g.curve for g in cw.word if g.sign > 0] == [
+        resolved = resolve(surgered, [0])
+        assert (resolved.genus, resolved.boundary_count_of_page) == (1, 5)
+        assert sum(x.sign == -1 for x in resolved.monodromy) == 2
+        assert sum(x.sign == 1 for x in resolved.monodromy) == 5
+        assert [g.curve for g in resolved.monodromy if g.sign > 0] == [
             f"rb0_{k}" for k in range(1, 6)
         ]
 
@@ -604,31 +607,32 @@ class TestResolutionWord:
             components=(BindingComponent(1, 0),),
             monodromy=TwistWord.twists("c1"),
         )
-        cw = resolution_word_r0(book)
-        assert cw.word == book.monodromy
+        assert resolve(book, []).monodromy == book.monodromy
 
     def test_only_r_minus_1_components_with_a_word_resolve(self):
         pattern = TestNegativeCable().make_pattern(3)
         for book in (pattern.with_monodromy(None),
                      RationalOpenBook(genus=1, components=(BindingComponent(3, -2),),
                                       monodromy=TwistWord.twists("c1"))):
-            with pytest.raises(MonodromyError, match="^multitwist resolution needs"):
-                resolution_word_r0(book)
+            assert resolve(book, [0]).monodromy is None
 
     def test_reframed_book_resolves_to_the_same_word(self):
-        # (3, 2) is the (3, -1) component reframed by 1
+        # (3, 2) is the (3, -1) component reframed by 1, which reads l = 0
+        # of the window as 3
         pattern = TestNegativeCable().make_pattern(3)
         framed = RationalOpenBook(genus=1, components=(BindingComponent(3, 2),),
                                   monodromy=pattern.monodromy)
-        a, b = resolution_word_r0(framed), resolution_word_r0(pattern)
-        assert (a.word, a.book.genus) == (b.word, b.book.genus)
+        a, b = resolve(framed, [3]), resolve(pattern, [0])
+        assert (a.monodromy, a.genus) == (b.monodromy, b.genus)
 
     def test_chi_matches_resolve(self):
+        # the (3, 0)-resolution of a (3, -1) component takes (r - 1)(l - s) = 2
+        # from the page's Euler characteristic, as the lens-space model does
         pattern = TestNegativeCable().make_pattern(3)
-        resolved_book = resolve(pattern, [0])
-        cw = resolution_word_r0(pattern)
-        assert cw.book.page_euler_char == resolved_book.page_euler_char
-        assert validate(cw.book) == []
+        resolved = resolve(pattern, [0])
+        assert resolved.page_euler_char == pattern.page_euler_char - 2
+        assert resolved.page_euler_char == lens_model_resolve(pattern, [0]).page_euler_char
+        assert validate(resolved) == []
 
 
 class TestObstruction:
@@ -780,7 +784,7 @@ def connected_builds(g, word):
 # Builders whose words name no curve system.  The list may only shrink: the
 # disconnected (p,1) word also stands for the disconnected-page words of
 # monodromy_pq and compose_cobordism_word, which are built on it.
-BUILDERS_WITHOUT_SYSTEM = ("monodromy_p1_disconnected", "resolution_word_r0")
+BUILDERS_WITHOUT_SYSTEM = ("monodromy_p1_disconnected",)
 
 # Page names that are neither a chain curve c_k nor a boundary twist; some
 # name a curve of a cable page (x1, or the band curve c1_2 of a disconnected one)
@@ -862,7 +866,6 @@ class TestLiftModel:
     def test_builders_without_a_system_are_the_named_list(self):
         words = {
             "monodromy_p1_disconnected": monodromy_p1_disconnected(disconnected_book(1, 2), 2),
-            "resolution_word_r0": resolution_word_r0(TestNegativeCable().make_pattern(2)),
         }
         assert tuple(words) == BUILDERS_WITHOUT_SYSTEM
         assert all(cw.system is None for cw in words.values())

@@ -16,12 +16,18 @@ from cablekit.slopes import (
     bfs_interval_path_length,
     eval_cont_frac,
     exceptional_slopes,
-    farey_neighbors,
     farey_shortest_path,
     is_exceptional_slope,
     mediant_farey_graph,
     neg_cont_frac,
 )
+
+
+def farey_neighbors(a, b):
+    """True iff the two slopes share an edge of the Farey tessellation:
+    |q_a*p_b - q_b*p_a| = 1; the meridian 1/0 is adjacent to every integer."""
+    (qa, pa), (qb, pb) = a.vector(), b.vector()
+    return abs(qa * pb - qb * pa) == 1
 
 
 def increment_rule_exceptional(seifert):
