@@ -19,7 +19,6 @@ return integral books with one boundary circle per binding component.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -382,6 +381,7 @@ def induced_open_book_from_surgery(
     comps[component_index] = new_comp
     word = book.monodromy
     if word is not None and comp.is_integral and b == 1 and a < 0:
+        from fractions import Fraction
         # integer -r surgery on an integral component: the page behavior at
         # the new component is a right-handed 1/r fractional twist
         word = word.compose(

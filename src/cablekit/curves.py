@@ -113,9 +113,10 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 class CurveSystem:
     """Named curves with homology data on a fixed model surface.
 
-    Immutable by convention once built; the builders below finish with
-    :meth:`check`, which re-derives every recorded intersection from the
-    stored classes.
+    Immutable by convention once built.  Every builder but one finishes with
+    :meth:`check`, which re-derives each recorded intersection from the
+    stored classes; `monodromy.cable_p1_system` checks one layout per genus
+    and proves every layout a translate of it.
     """
 
     __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "name")
@@ -138,13 +139,15 @@ class CurveSystem:
         if name in self.curves:
             raise CurveSystemError(f"curve {name!r} already declared")
         n = self.dim
-        if not isinstance(homology, Mapping):
+        # a plain dict skips the isinstance check against the Mapping ABC, which is slow
+        if homology.__class__ is not dict and not isinstance(homology, Mapping):
             if len(homology) != n:
                 raise CurveSystemError(f"class for {name!r} has length {len(homology)}, need {n}")
             homology = dict(enumerate(homology))
-        if not all(0 <= t < n for t in homology):
+        keys = sorted(homology)
+        if keys and not (0 <= keys[0] and keys[-1] < n):
             raise CurveSystemError(f"class for {name!r} has a coordinate outside 0..{n - 1}")
-        support = {t: homology[t] for t in sorted(homology) if homology[t]}
+        support = {t: homology[t] for t in keys if homology[t]}
         self.curves[name] = CurveInfo(support, n, nonseparating, boundary_parallel)
 
     def add_boundary_curves(self) -> None:
@@ -331,13 +334,12 @@ def chain_classes(count: int, genus: int) -> list[dict[int, int]]:
         else:
             i = (idx - 1) // 2  # a_i + a_{i+1}, with a_0 = a_{genus+1} = 0
             out.append({t: (-1) ** i for t in (2 * i - 2, 2 * i) if 0 <= t < 2 * genus})
-    # verify the chain pattern
-    for i, u in enumerate(out):
-        for j in range(i + 1, len(out)):
-            want = 1 if j == i + 1 else 0
-            got = symplectic_pairing(u, out[j])
-            if abs(got) != want:
-                raise CurveSystemError(f"chain solver failed at ({i+1},{j+1}): {got}")
+    # verify the chain pattern: v_2i lies on b_i alone and v_2i+1 on a_i and
+    # a_i+1, so a pair that is no neighbour pairs to zero
+    for i in range(1, len(out)):
+        got = symplectic_pairing(out[i - 1], out[i])
+        if abs(got) != 1:
+            raise CurveSystemError(f"chain solver failed at ({i},{i+1}): {got}")
     return out
 
 

@@ -37,7 +37,6 @@ from .monodromy import (
 from .openbook import BindingComponent, RationalOpenBook, positive_stabilize
 from .rewrite import RelationRegistry, RewriteScript, Step, replay
 from .words import Generator, TwistWord
-from fractions import Fraction
 
 
 def _h1(a1: int = 0, b1: int = 0, a2: int = 0, b2: int = 0) -> tuple[int, ...]:
@@ -271,6 +270,7 @@ def negative_cable_refactor_script() -> RewriteScript:
 def negative_cable_bundle() -> ScriptBundle:
     """Script (c): the resolved (2,-1)-cable word of (Sigma_{1,1},
     delta_{1/3} o boundary^2) refactors into 18 positive twists."""
+    from fractions import Fraction
     reg = resolved_registry()
     pattern = RationalOpenBook(
         genus=1,

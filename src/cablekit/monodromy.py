@@ -34,12 +34,11 @@ and j+1 is "x{j}".
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
-from .curves import CurveSystem, CurveSystemError, chain_classes, chain_model
+from .curves import CurveSystem, CurveSystemError, chain_classes, chain_model, symplectic_pairing
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import DEHN, FRACTIONAL, Generator, TwistWord
 
@@ -75,13 +74,27 @@ def p1_layout(g: int, j: int) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def _nodule_block(g: int) -> tuple[dict[int, int], ...]:
+def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     """The chain classes of `chain_model(g)` once its chain relation has
-    passed the oracle; cached per genus, to be treated as immutable."""
+    passed the oracle, the classes of layout 1 (:func:`p1_layout`) and its
+    recorded entries (index, index, value), each checked against the
+    pairing; cached per genus, to be treated as immutable."""
     model = chain_model(g)
     chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
     model.register_expansion("bdry_1", chain.power(4 * g + 2))
-    return tuple(model.curves[f"c{k}"].support for k in range(1, 2 * g + 2))
+    block = tuple(model.curves[f"c{k}"].support for k in range(1, 2 * g + 2))
+    # the crossing curve pairs once with the last even-chain curve of each
+    # nodule, zero with all other nodule curves.  The blocks are orthogonal
+    # and w = -v_{2g+1} is the one class pairing to zero with v_1..v_{2g-1}
+    # and to one with v_{2g}; x1 is -w on block 1, +w on block 2.
+    x1 = {**block[-1], **{2 * g + t: -x for t, x in block[-1].items()}}
+    layout = (*block[:-1], x1, *({2 * g + t: x for t, x in v.items()} for v in block[-2::-1]))
+    entries = tuple((a, b, int(b == a + 1)) for a in range(4 * g + 1)
+                    for b in range(a + 1, 4 * g + 1) if not a < 2 * g < b)
+    for a, b, value in entries:
+        if abs(symplectic_pairing(layout[a], layout[b])) != value:
+            raise CurveSystemError(f"layout 1 records {a},{b} = {value}, but the classes differ")
+    return block, layout, entries
 
 
 @lru_cache(maxsize=None)
@@ -95,65 +108,68 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     against its own nodule: O(p g^2) entries, time and memory linear in p.
     Any other pair reads None.  Each nodule boundary twist has the registered
     factorization partial{i} = (n{i}_1 ... n{i}_{2g})^(4g+2), so mod-10
-    lengths can be computed.  The oracle checks it once per genus, on the
-    block (:func:`_nodule_block`); the build proves, in O(p g), each nodule
-    the block moved by 2g(i-1) coordinates, with nonseparating chain curves
-    and a separating boundary of zero class, or raises.  The move sends a_j,
-    b_j to a_{j+g(i-1)}, b_{j+g(i-1)}, an isometry of the form, so nodule i's
-    chain word has the block's delta moved, 0: that of partial{i}.  The
-    result is cached and must be treated as immutable.
+    lengths can be computed.  The oracle checks it, and the pairing the
+    entries of layout 1, once per genus (:func:`_nodule_block`).  The build
+    proves, in O(p g), nodule i the block and x_i the template's x1 moved by
+    2g(i-1) coordinates, all nonseparating, and each boundary separating of
+    zero class, or raises.  The move sends a_k, b_k to a_{k+g(i-1)},
+    b_{k+g(i-1)}, an isometry of the form, so layout i's entries hold as
+    layout 1's do, nodule i's chain word has the block's delta moved, 0:
+    that of partial{i}, and a zero class pairs to 0 with every curve.  The
+    whole-table check() would prove nothing more.  The result is cached and
+    must be treated as immutable.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
     if g < 1:
         raise MonodromyError("disk and annulus pages have no chain model here")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
-    block = _nodule_block(g)
+    block, layout, entries = _nodule_block(g)
+    x1 = layout[2 * g]
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
             sys.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v.items()})
-    # crossing curves: pair once with the last even-chain curve of each
-    # neighboring nodule, zero with all other nodule curves.  The blocks are
-    # orthogonal and w = -v_{2g+1} is the one class pairing to zero with
-    # v_1..v_{2g-1} and to one with v_{2g}; x_j is -w on block j, +w on j+1.
     for j in range(1, p):
-        cls = {2 * g * (j - 1) + t: x for t, x in block[-1].items()}
-        cls.update({2 * g * j + t: -x for t, x in block[-1].items()})
-        sys.add_curve(f"x{j}", cls)
+        sys.add_curve(f"x{j}", {2 * g * (j - 1) + t: x for t, x in x1.items()})
     for i in range(1, p + 1):
         sys.add_curve(f"partial{i}", {}, nonseparating=False)
     sys.add_boundary_curves()
     # recorded data: the layout chains, less their cross-nodule pairs
     for j in range(1, p):
-        layout = p1_layout(g, j)
-        for a_idx, a in enumerate(layout):
-            for b_idx in range(a_idx + 1, len(layout)):
-                if not a_idx < 2 * g < b_idx:
-                    sys.record_intersection(a, layout[b_idx], int(b_idx == a_idx + 1))
-    # each nodule: its boundary against its curves, the proof that it is the
-    # checked block translated, and its boundary twist's factorization
+        names = p1_layout(g, j)
+        for a, b, value in entries:
+            sys.record_intersection(names[a], names[b], value)
+    # the proof that each curve is the checked template translated; each
+    # nodule's boundary against its curves and its twist's factorization
+    for j in range(1, p):
+        info, shift = sys.curves[f"x{j}"], 2 * g * (j - 1)
+        if not info.nonseparating or info.support != {shift + t: x for t, x in x1.items()}:
+            raise CurveSystemError(f"x{j} is not the crossing curve x1 moved to layout {j}")
     for i in range(1, p + 1):
-        shift, boundary = 2 * g * (i - 1), sys.curves[f"partial{i}"]
+        shift = 2 * g * (i - 1)
         for k, v in enumerate(block, 1):
             sys.record_intersection(f"partial{i}", f"n{i}_{k}", 0)
             info = sys.curves[f"n{i}_{k}"]
             if not info.nonseparating or info.support != {shift + t: x for t, x in v.items()}:
                 raise CurveSystemError(f"n{i}_{k} is not the block curve c{k} moved to nodule {i}")
-        if boundary.nonseparating or boundary.support:
-            raise CurveSystemError(f"partial{i} is not a separating curve of zero class")
         chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
         sys.expansions[f"partial{i}"] = chain.power(4 * g + 2)
-    sys.check()
+    for name in [f"partial{i}" for i in range(1, p + 1)] + ["bdry_outer"]:
+        if sys.curves[name].nonseparating or sys.curves[name].support:
+            raise CurveSystemError(f"{name} is not a separating curve of zero class")
     return sys
+
+
+@lru_cache(maxsize=None)
+def _garside_pattern(m: int) -> tuple[int, ...]:
+    """The chain indices, letter by letter, of the Garside block over m curves."""
+    return tuple(k for start in range(m - 1, -1, -1) for k in range(start, m))
 
 
 def garside_block(chain: Sequence[str]) -> TwistWord:
     """(D_m) o (D_{m-1} D_m) o ... o (D_1 ... D_m) over the chain curves."""
-    names: list[str] = []
-    m = len(chain)
-    for start in range(m - 1, -1, -1):
-        names.extend(chain[start:])
-    return TwistWord.twists(*names)
+    letters = [Generator.dehn_twist(name) for name in chain]
+    return TwistWord(tuple(map(letters.__getitem__, _garside_pattern(len(chain)))))
 
 
 def rho_p1_rotation(g: int, p: int) -> TwistWord:
@@ -161,12 +177,12 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
     negative nodule boundary twists, then one block per adjacent nodule
     pair, each a negative boundary twist followed by the positive Garside
     block of its layout chain."""
-    gens: list[Generator] = []
-    for j in range(p, 1, -1):
-        gens.append(Generator.dehn_twist(f"partial{j}", -1))
+    gens = [Generator.dehn_twist(f"partial{j}", -1) for j in range(p, 1, -1)]
+    pattern = _garside_pattern(4 * g + 1)
     for j in range(1, p):
+        letters = [Generator.dehn_twist(name) for name in p1_layout(g, j)]
         gens.append(Generator.dehn_twist(f"partial{j}", -1))
-        gens.extend(garside_block(p1_layout(g, j)).generators)
+        gens.extend(map(letters.__getitem__, pattern))
     return TwistWord(tuple(gens))
 
 
@@ -376,6 +392,7 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
     phi = lift_to_nodule(TwistWord(tuple(g_ for g_ in word_in if g_.kind != FRACTIONAL)),
                          _p1_chain(g, 1), "partial1")
     system = cable_p1_system(g, p)
+    from fractions import Fraction
     word = TwistWord((Generator.fractional_boundary("outer", Fraction(1, r)),
                       *rho_p1_rotation(g, p).inverse(),
                       *TwistWord.twists(("partial1", -1)).power(r - 2), *phi))

@@ -10,7 +10,6 @@ implicitly).  Braids reach a word only through their lift to Dehn twists.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from . import _Frozen
@@ -62,6 +61,7 @@ class Generator(_Frozen):
     @staticmethod
     def fractional_boundary(boundary: str, amount: Fraction) -> "Generator":
         """Right-handed (amount > 0) fractional twist along a boundary collar."""
+        from fractions import Fraction  # imported here: most CLI calls build no fraction
         amount = Fraction(amount)
         return Generator(FRACTIONAL, boundary, 1 if amount > 0 else -1, amount)
 
@@ -100,6 +100,7 @@ class Generator(_Frozen):
                 raise WordError(f"word letter {key!r} must be a string, got {obj[key]!r}")
         amount = None
         if obj.get("amount") is not None:
+            from fractions import Fraction
             try:
                 num, den = str(obj["amount"]).split("/")
                 amount = Fraction(int(num), int(den))

@@ -16,6 +16,7 @@ from cablekit.curves import (
     chain_classes,
     chain_model,
     mod10_class,
+    symplectic_pairing,
 )
 from cablekit.monodromy import (
     MonodromyError,
@@ -345,10 +346,63 @@ class TestNoduleBlock:
             cable_p1_system.__wrapped__(g, p)
         assert calls == [("chain_g2", "bdry_1"), ("chain_g3", "bdry_1")]
 
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_every_system_passes_the_whole_table_check(self, g):
+        # the build proves each layout a translate of the checked layout 1
+        # in place of check(); check() itself still finds nothing
+        for p in range(1, 7):
+            cable_p1_system(g, p).check()
+
+    def test_pairings_are_made_once_per_genus(self, monkeypatch):
+        # once the genus is cached, a build pairs no classes, whatever p
+        import cablekit.curves
+        import cablekit.monodromy
+
+        calls = [0]
+
+        def counting(u, v):
+            calls[0] += 1
+            return symplectic_pairing(u, v)
+
+        for module in (cablekit.curves, cablekit.monodromy):
+            monkeypatch.setattr(module, "symplectic_pairing", counting)
+        _nodule_block.cache_clear()
+        cable_p1_system.__wrapped__(2, 2)
+        # the cold genus pairs chain_model(2)'s table and layout 1's entries
+        assert calls[0] >= len(_nodule_block(2)[2])
+        counts = []
+        for p in (2, 50):
+            calls[0] = 0
+            sys_ = cable_p1_system.__wrapped__(2, p)
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
+        sys_.check()  # the counter sees the pairings of the generic check
+        assert calls[0] - counts[1] == len(sys_.intersections)
+
+    def test_outer_boundary_of_nonzero_class_is_refused(self, monkeypatch):
+        # the generic check() refuses it too, as it did before the build
+        # stopped calling it
+        _alter_curve(monkeypatch, "cable_p1_g2_p3", "bdry_outer", lambda cls, ns: ({0: 1}, ns))
+        with pytest.raises(CurveSystemError, match="bdry_outer is not a separating curve"):
+            cable_p1_system.__wrapped__(2, 3)
+        with pytest.raises(CurveSystemError, match="boundary-parallel 'bdry_outer'"):
+            reference_cable_p1_system(2, 3)
+
+    def test_a_layout_template_that_fails_the_pairing_is_refused(self, monkeypatch):
+        import cablekit.monodromy
+
+        monkeypatch.setattr(cablekit.monodromy, "symplectic_pairing", lambda u, v: 0)
+        _nodule_block.cache_clear()  # a call that raises is not cached
+        with pytest.raises(CurveSystemError, match="layout 1 records 0,1 = 1"):
+            cable_p1_system.__wrapped__(2, 3)
+
     @pytest.mark.parametrize("curve, alter, message", [
         # a_1 added: the chain keeps its pairings, so check() and each
         # nodule's relation pass, but nodule 3 is no translate of the block
         ("n3_2", lambda cls, ns: ({0: 1, **cls}, ns), "n3_2 is not the block curve c2"),
+        # a_1 added to the crossing curve of layout 2: it meets no recorded
+        # partner there, so check() passes, but x2 is no translate of x1
+        ("x2", lambda cls, ns: ({0: 1, **cls}, ns), "x2 is not the crossing curve x1"),
         # a nonseparating nodule boundary of zero class passes check() and
         # the oracle, but would count as one twist in algebraic_length
         ("partial3", lambda cls, ns: (cls, True), "partial3 is not a separating curve"),
@@ -925,7 +979,38 @@ class TestLiftModel:
                         assert cw.word[-1].curve == image[curve], name
 
 
+def reference_garside_block(chain):
+    """Reference: the Garside block spelled letter by letter, one suffix of
+    the chain after another."""
+    names = []
+    for start in range(len(chain) - 1, -1, -1):
+        names.extend(chain[start:])
+    return TwistWord.twists(*names)
+
+
+def reference_rho_p1_rotation(g, p):
+    """Reference: the rotation word built block by block through
+    reference_garside_block."""
+    gens = []
+    for j in range(p, 1, -1):
+        gens.append(Generator.dehn_twist(f"partial{j}", -1))
+    for j in range(1, p):
+        gens.append(Generator.dehn_twist(f"partial{j}", -1))
+        gens.extend(reference_garside_block(p1_layout(g, j)).generators)
+    return TwistWord(tuple(gens))
+
+
 class TestRotationStructure:
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_rotation_equals_the_letter_by_letter_reference(self, g):
+        for p in range(1, 7):
+            assert rho_p1_rotation(g, p) == reference_rho_p1_rotation(g, p), (g, p)
+
+    def test_garside_block_equals_the_letter_by_letter_reference(self):
+        for m in range(0, 12):
+            chain = [f"c{k}" for k in range(1, m + 1)]
+            assert garside_block(chain) == reference_garside_block(chain), m
+
     def test_layout_chain_length(self):
         for g in range(1, 5):
             assert len(p1_layout(g, 1)) == 4 * g + 1

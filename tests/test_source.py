@@ -74,6 +74,27 @@ def test_no_dataclasses(path):
     assert not any(name.partition(".")[0] == "dataclasses" for name in _imported(tree)), path.name
 
 
+def _module_level(tree):
+    """The nodes that run at import: everything outside function bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_fractions(path):
+    # `fractions` brings `decimal` and `numbers` along, about 3 ms of every
+    # CLI call; it is imported only where a fraction is built
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imports = [node for node in _module_level(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {name for node in imports
+                for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]}
+    assert not any(name.partition(".")[0] == "fractions" for name in imported), path.name
+
+
 def test_cli_takes_no_builder_from_monodromy():
     # `monodromy_pq` reads the cable pair and picks the builder; the CLI
     # calls it and keeps no copy of that route

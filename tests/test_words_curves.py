@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,10 @@ from cablekit.curves import (
     NonExpandableGeneratorError,
     UnresolvedCurveError,
     algebraic_length,
+    chain_classes,
     chain_model,
     mod10_class,
+    symplectic_pairing,
     words_equal_on_homology,
 )
 from cablekit.library import lantern_genus3_model
@@ -493,6 +496,33 @@ class TestPeriodicDelta:
         assert counted[0] == 2 * g + 1
         cable_p1_system.__wrapped__(g, p + 1)
         assert counted[0] == 2 * g + 1
+
+
+def reference_chain_classes(count, genus):
+    """Reference: chain_classes with every pair of classes checked."""
+    out = [{2 * (idx // 2) - 1: (-1) ** (idx // 2 + 1)} if idx % 2 == 0 else
+           {t: (-1) ** (idx // 2) for t in (idx - 3, idx - 1) if 0 <= t < 2 * genus}
+           for idx in range(1, count + 1)]
+    for i, u in enumerate(out):
+        for j in range(i + 1, len(out)):
+            got = symplectic_pairing(u, out[j])
+            if abs(got) != (1 if j == i + 1 else 0):
+                raise CurveSystemError(f"chain solver failed at ({i+1},{j+1}): {got}")
+    return out
+
+
+class TestChainClasses:
+    def test_neighbour_check_agrees_with_the_all_pairs_reference(self):
+        # chains longer than 2 genus + 1 leave the surface and are refused
+        for genus in range(21):
+            for count in range(1, 42):
+                try:
+                    expected = reference_chain_classes(count, genus)
+                except CurveSystemError as exc:
+                    with pytest.raises(CurveSystemError, match=re.escape(str(exc))):
+                        chain_classes(count, genus)
+                else:
+                    assert chain_classes(count, genus) == expected, (count, genus)
 
 
 class TestSparseClasses:
