@@ -255,12 +255,15 @@ def _integral_book(chi: int, components: list[BindingComponent],
                    monodromy: Optional[TwistWord] = None,
                    metadata: tuple[tuple[str, str], ...] = ()) -> RationalOpenBook:
     """The book with page Euler characteristic `chi` and binding
-    `components`, all integral, so one boundary circle each."""
-    genus2 = 2 - chi - len(components)
-    if genus2 % 2:
-        raise OpenBookError(f"non-integral genus from chi={chi}, boundary={len(components)}")
-    return RationalOpenBook(genus2 // 2, tuple(components), monodromy=monodromy,
-                            metadata=metadata)
+    `components`, all integral, so one boundary circle each.  The genus
+    (2 - chi - b)/2 is whole: a page has chi + b = 2 - 2g; a resolution adds
+    (r-1)(s-l) + gcd(r, l) - gcd(r, s), even, since for odd r, r-1 is even
+    and both gcds are odd, and for even r, r-1 is odd and gcd(r, x) has the
+    parity of x; a cabled page of m integral components has chi + b =
+    |p|(2 - 2g - m) + sum(|q| - |pq| + gcd(p, q)), each summand of the
+    parity of |p|, so the total is |p|(2 - 2g) = 0 mod 2."""
+    return RationalOpenBook((2 - chi - len(components)) // 2, tuple(components),
+                            monodromy=monodromy, metadata=metadata)
 
 
 def stabilization_count_pq_from_p1(p: int, q: int) -> tuple[int, str]:

@@ -28,12 +28,14 @@ def _emit(args, payload: dict, pretty: str) -> None:
 
 
 def _read_json(path: str):
-    """The JSON document in the file `path`; nesting too deep for the parser is exit 2."""
+    """The JSON document in the file `path`; a decode failure is exit 2 and names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise UsageError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # bad JSON, bad UTF-8, an integer past the digit limit
+            raise UsageError(f"{path}: {exc}") from None
 
 
 def _load_book(path: str) -> RationalOpenBook:
@@ -191,11 +193,10 @@ def cmd_verify_word(args) -> int:
 
 
 def cmd_replay_script(args) -> None:
-    from . import library
-    bundles = library.shipped_scripts()
-    if args.name not in bundles:
-        raise UsageError(f"unknown script {args.name!r}; pick from {sorted(bundles)}")
-    bundle = bundles[args.name]
+    from .library import SCRIPT_BUILDERS
+    if args.name not in SCRIPT_BUILDERS:
+        raise UsageError(f"unknown script {args.name!r}; pick from {sorted(SCRIPT_BUILDERS)}")
+    bundle = SCRIPT_BUILDERS[args.name]()
     result = bundle.replay()
     payload = {
         "script": args.name,

@@ -4,8 +4,11 @@ A curve system fixes, for a surface of genus g with labeled boundary, a set
 of named simple closed curves together with their classes in H_1 of the
 capped-off surface (the nonzero coordinates in a fixed symplectic basis
 a_1, b_1, ..., a_g, b_g) and a table of recorded geometric intersection
-numbers of the model.  The recorded table is curated data about the
-geometric model and the only source of intersection answers; a pair it
+numbers of the model.  A curve stores its class alone: on the capped
+surface it is nonseparating exactly when its class is nonzero, since a dual
+curve meets a nonseparating curve once and a separating one bounds a
+subsurface (Farb-Margalit 1.3).  The recorded table is curated data about
+the geometric model and the only source of intersection answers; a pair it
 leaves out reads None.  A consistency check confirms every recorded entry
 against the absolute value of the symplectic pairing of the stored classes,
 which catches transcription slips in figure-derived data.
@@ -20,9 +23,9 @@ module never claims more than that.
 The oracle, :meth:`CurveSystem.word_delta`, keeps M - I by its nonzero
 sparse columns; a twist is a rank-one update costing the sizes of the
 columns it touches, never the dimension.  ``word_matrix`` is its dense view.
-A registered factorization that is a power w^k of a shorter word is checked
-by evaluating w once and squaring its delta, (I + a)(I + b) - I = a + b + ab:
-the same exact matrix, compared under the same gate.
+A registered factorization is a period w and a power k; it is checked by
+evaluating w once and squaring its delta, (I + a)(I + b) - I = a + b + ab:
+the same exact matrix as w^k, compared under the same gate.
 """
 
 from __future__ import annotations
@@ -82,20 +85,21 @@ def _delta_power(delta: Delta, k: int) -> Delta:
 
 
 class CurveInfo(_Frozen):
-    __slots__ = ("support", "dim", "nonseparating", "boundary_parallel")
+    __slots__ = ("support", "dim")
 
-    def __init__(self, support: dict[int, int],  # the nonzero coordinates, ascending
-                 dim: int, nonseparating: bool, boundary_parallel: Optional[str] = None):
+    def __init__(self, support: dict[int, int], dim: int):  # support: nonzero, ascending
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "nonseparating", nonseparating)
-        object.__setattr__(self, "boundary_parallel", boundary_parallel)
 
     def __eq__(self, other):
         if other.__class__ is not CurveInfo:
             return NotImplemented
-        return (self.support, self.dim, self.nonseparating, self.boundary_parallel) == (
-            other.support, other.dim, other.nonseparating, other.boundary_parallel)
+        return (self.support, self.dim) == (other.support, other.dim)
+
+    @property
+    def nonseparating(self) -> bool:
+        """A nonzero class, on the capped surface (see the module docstring)."""
+        return bool(self.support)
 
     @property
     def homology(self) -> tuple[int, ...]:
@@ -127,13 +131,7 @@ class CurveSystem:
 
     # -- construction helpers ---------------------------------------------
 
-    def add_curve(
-        self,
-        name: str,
-        homology: Union[Sequence[int], Mapping[int, int]],
-        nonseparating: bool = True,
-        boundary_parallel: Optional[str] = None,
-    ) -> None:
+    def add_curve(self, name: str, homology: Union[Sequence[int], Mapping[int, int]]) -> None:
         """Declare a curve with its class, as all 2 * genus coordinates or as
         a {coordinate: entry} map."""
         if name in self.curves:
@@ -148,27 +146,27 @@ class CurveSystem:
         if keys and not (0 <= keys[0] and keys[-1] < n):
             raise CurveSystemError(f"class for {name!r} has a coordinate outside 0..{n - 1}")
         support = {t: homology[t] for t in keys if homology[t]}
-        self.curves[name] = CurveInfo(support, n, nonseparating, boundary_parallel)
+        self.curves[name] = CurveInfo(support, n)
 
     def add_boundary_curves(self) -> None:
         for label in self.boundary_labels:
-            self.add_curve(f"bdry_{label}", {}, nonseparating=False, boundary_parallel=label)
+            self.add_curve(f"bdry_{label}", {})
 
     def record_intersection(self, a: str, b: str, value: int) -> None:
         self.intersections[_pair_key(a, b)] = value
 
-    def register_expansion(self, name: str, word: TwistWord) -> None:
-        """Register a nonseparating-twist factorization of the positive twist
-        about `name`, verified on homology."""
-        for g in word:
-            if g.kind != DEHN or not self.curve(g.curve).nonseparating:
-                raise CurveSystemError(
-                    f"expansion of {name!r} must use nonseparating twists"
-                )
+    def register_expansion(self, name: str, period: TwistWord, k: int) -> None:
+        """Register the factorization period^k of the positive twist about
+        `name`, a power k >= 1 of nonseparating twists, verified on homology
+        by evaluating `period` once and squaring its delta."""
+        if any(g.kind != DEHN or not self.curve(g.curve).nonseparating for g in period):
+            raise CurveSystemError(f"expansion of {name!r} must use nonseparating twists")
+        if k < 1:
+            raise CurveSystemError(f"expansion of {name!r} needs a power k >= 1, got {k}")
         lhs = self.word_delta(TwistWord.of(Generator.dehn_twist(name, 1)))
-        if self._periodic_delta(word) != lhs:
+        if _delta_power(self.word_delta(period), k) != lhs:
             raise CurveSystemError(f"expansion of {name!r} fails the homology oracle")
-        self.expansions[name] = word
+        self.expansions[name] = (period, k)
 
     # -- queries -------------------------------------------------------------
 
@@ -186,8 +184,7 @@ class CurveSystem:
     def check(self) -> None:
         """Gate curated data, reading only nonzero coordinates: every
         recorded intersection must equal the symplectic pairing of the stored
-        classes up to sign (curve orientations are not tracked), and
-        boundary-parallel and separating curves must have zero class."""
+        classes up to sign (curve orientations are not tracked)."""
         for (a, b), value in self.intersections.items():
             if a not in self.curves or b not in self.curves:
                 self.curve(a), self.curve(b)  # raises UnresolvedCurveError
@@ -196,11 +193,6 @@ class CurveSystem:
                 raise CurveSystemError(
                     f"recorded intersection {a},{b} = {value} but classes pair to {got}"
                 )
-        for name, info in self.curves.items():
-            if info.boundary_parallel is not None and info.support:
-                raise CurveSystemError(f"boundary-parallel {name!r} has nonzero class")
-            if not info.nonseparating and info.support:
-                raise CurveSystemError(f"separating curve {name!r} has nonzero class")
 
     # -- the oracle ----------------------------------------------------------
 
@@ -253,15 +245,6 @@ class CurveSystem:
                         del delta[t]
         return delta
 
-    def _periodic_delta(self, word: TwistWord) -> Delta:
-        """word_delta(word), evaluating the shortest period w of `word` = w^k once
-        and squaring its delta; a word that is no power is evaluated as it is."""
-        gens, n = word.generators, len(word)
-        d = next((d for d in range(1, n // 2 + 1) if not n % d and gens[d:] == gens[:-d]), n)
-        if d == n:
-            return self.word_delta(word)
-        return _delta_power(self.word_delta(TwistWord(gens[:d])), n // d)
-
     def word_matrix(self, word: TwistWord) -> Matrix:
         """The matrix of `word`: the dense, row-major view I + word_delta."""
         n = self.dim
@@ -285,14 +268,15 @@ class NonExpandableGeneratorError(CurveSystemError):
 
 def algebraic_length(word: TwistWord, sys: CurveSystem) -> int:
     """Signed count of nonseparating twists, a twist about a curve with a
-    registered factorization counting as the signed length of that
-    factorization (which holds nonseparating twists only)."""
+    registered factorization period^k counting as k times the signed length
+    of the period (which holds nonseparating twists only)."""
     total = 0
     for gen in word:
         if gen.kind == DEHN and sys.curve(gen.curve).nonseparating:
             total += gen.sign
         elif gen.kind == DEHN and gen.curve in sys.expansions:
-            total += gen.sign * sum(g.sign for g in sys.expansions[gen.curve])
+            period, k = sys.expansions[gen.curve]
+            total += gen.sign * k * sum(g.sign for g in period)
         else:
             raise NonExpandableGeneratorError(
                 f"{gen} is not a nonseparating twist and has no registered factorization"

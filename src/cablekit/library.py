@@ -58,7 +58,7 @@ def _script_page(name: str, labels: tuple[str, ...], separating: tuple[str, ...]
     for (i, a), (j, b) in combinations(enumerate(chain), 2):
         sys.record_intersection(a, b, int(j == i + 1))
     for curve in separating:
-        sys.add_curve(curve, _h1(), nonseparating=False)
+        sys.add_curve(curve, _h1())
     return sys
 
 
@@ -88,7 +88,7 @@ def sigma22_script_system() -> CurveSystem:
     d1, d2, d3 = _h1(a1=-1, a2=1), _h1(a1=-1, b1=1, a2=1, b2=-1), _h1(b1=1, b2=-1)
     u1 = _h1(a1=-3, b1=-2, a2=-2, b2=-4)
     for curve, cls in {
-        "gamma": _h1(),  # the stabilization curve: nonseparating, of zero class
+        "gamma": _h1(),  # the stabilization curve: of zero class, so separating
         "d1": d1, "d2": d2, "d3": d3,
         "c1": c1, "c2": _h1(a1=2, b1=3, a2=3, b2=3), "c3": _h1(a1=3, b1=3, a2=2, b2=3),
         "c4": c4, "cp1": c1, "cp4": c4,
@@ -222,7 +222,7 @@ def resolved_system() -> CurveSystem:
     sys = _script_page("resolved_neg_cable_g1", ("1", "2", "3"),
                        ("partial1", "partial2", "dpartial", "D1g", "D2g", "D3g", "eps", "eps2"))
     for label in sys.boundary_labels:
-        sys.add_curve(f"rb0_{label}", _h1(), nonseparating=False, boundary_parallel=label)
+        sys.add_curve(f"rb0_{label}", _h1())
     for a, b in [*combinations(("partial1", "partial2", "rb0_1", "rb0_2", "rb0_3", "eps"), 2),
                  *product(("D1g", "D2g"), ("partial2", "rb0_3", "eps"))]:
         sys.record_intersection(a, b, 0)
@@ -348,10 +348,13 @@ def lantern_genus3_model() -> tuple[CurveSystem, RelationRegistry]:
     return sys, reg
 
 
+SCRIPT_BUILDERS = {
+    "stabilize_21_to_22": stabilization_bundle,
+    "garside_square_boundary": garside_square_bundle,
+    "negative_cable_positive_refactor": negative_cable_bundle,
+    "genlantern_from_two_lanterns": genlantern_derivation_bundle,
+}
+
+
 def shipped_scripts() -> dict[str, ScriptBundle]:
-    return {
-        "stabilize_21_to_22": stabilization_bundle(),
-        "garside_square_boundary": garside_square_bundle(),
-        "negative_cable_positive_refactor": negative_cable_bundle(),
-        "genlantern_from_two_lanterns": genlantern_derivation_bundle(),
-    }
+    return {name: build() for name, build in SCRIPT_BUILDERS.items()}

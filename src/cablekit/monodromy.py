@@ -81,7 +81,7 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     pairing; cached per genus, to be treated as immutable."""
     model = chain_model(g)
     chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
-    model.register_expansion("bdry_1", chain.power(4 * g + 2))
+    model.register_expansion("bdry_1", chain, 4 * g + 2)
     block = tuple(model.curves[f"c{k}"].support for k in range(1, 2 * g + 2))
     # the crossing curve pairs once with the last even-chain curve of each
     # nodule, zero with all other nodule curves.  The blocks are orthogonal
@@ -107,17 +107,17 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     layout chains, less their cross-nodule pairs, and each nodule boundary
     against its own nodule: O(p g^2) entries, time and memory linear in p.
     Any other pair reads None.  Each nodule boundary twist has the registered
-    factorization partial{i} = (n{i}_1 ... n{i}_{2g})^(4g+2), so mod-10
-    lengths can be computed.  The oracle checks it, and the pairing the
-    entries of layout 1, once per genus (:func:`_nodule_block`).  The build
-    proves, in O(p g), nodule i the block and x_i the template's x1 moved by
-    2g(i-1) coordinates, all nonseparating, and each boundary separating of
-    zero class, or raises.  The move sends a_k, b_k to a_{k+g(i-1)},
-    b_{k+g(i-1)}, an isometry of the form, so layout i's entries hold as
-    layout 1's do, nodule i's chain word has the block's delta moved, 0:
-    that of partial{i}, and a zero class pairs to 0 with every curve.  The
-    whole-table check() would prove nothing more.  The result is cached and
-    must be treated as immutable.
+    factorization partial{i} = (n{i}_1 ... n{i}_{2g})^(4g+2), stored as its
+    2g-letter period and the power 4g+2, so mod-10 lengths can be computed.
+    The oracle checks it, and the pairing the entries of layout 1, once per
+    genus (:func:`_nodule_block`).  The build proves, in O(p g), nodule i
+    the block and x_i the template's x1 moved by 2g(i-1) coordinates, and
+    each boundary of zero class, or raises.  The move sends a_k, b_k to
+    a_{k+g(i-1)}, b_{k+g(i-1)}, an isometry of the form, so layout i's
+    entries hold as layout 1's do, nodule i's chain word has the block's
+    delta moved, 0: that of partial{i}, and a zero class pairs to 0 with
+    every curve.  The whole-table check() would prove nothing more.  The
+    result is cached and must be treated as immutable.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
@@ -132,7 +132,7 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     for j in range(1, p):
         sys.add_curve(f"x{j}", {2 * g * (j - 1) + t: x for t, x in x1.items()})
     for i in range(1, p + 1):
-        sys.add_curve(f"partial{i}", {}, nonseparating=False)
+        sys.add_curve(f"partial{i}", {})
     sys.add_boundary_curves()
     # recorded data: the layout chains, less their cross-nodule pairs
     for j in range(1, p):
@@ -142,20 +142,19 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     # the proof that each curve is the checked template translated; each
     # nodule's boundary against its curves and its twist's factorization
     for j in range(1, p):
-        info, shift = sys.curves[f"x{j}"], 2 * g * (j - 1)
-        if not info.nonseparating or info.support != {shift + t: x for t, x in x1.items()}:
+        shift = 2 * g * (j - 1)
+        if sys.curves[f"x{j}"].support != {shift + t: x for t, x in x1.items()}:
             raise CurveSystemError(f"x{j} is not the crossing curve x1 moved to layout {j}")
     for i in range(1, p + 1):
         shift = 2 * g * (i - 1)
         for k, v in enumerate(block, 1):
             sys.record_intersection(f"partial{i}", f"n{i}_{k}", 0)
-            info = sys.curves[f"n{i}_{k}"]
-            if not info.nonseparating or info.support != {shift + t: x for t, x in v.items()}:
+            if sys.curves[f"n{i}_{k}"].support != {shift + t: x for t, x in v.items()}:
                 raise CurveSystemError(f"n{i}_{k} is not the block curve c{k} moved to nodule {i}")
         chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
-        sys.expansions[f"partial{i}"] = chain.power(4 * g + 2)
+        sys.expansions[f"partial{i}"] = (chain, 4 * g + 2)
     for name in [f"partial{i}" for i in range(1, p + 1)] + ["bdry_outer"]:
-        if sys.curves[name].nonseparating or sys.curves[name].support:
+        if sys.curves[name].support:
             raise CurveSystemError(f"{name} is not a separating curve of zero class")
     return sys
 
@@ -294,7 +293,7 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
     chain = chain_classes(4 * g + 1, 2 * g)
     for k, cls in enumerate(chain, 1):
-        sys.add_curve(f"e{k}", cls, nonseparating=bool(cls))
+        sys.add_curve(f"e{k}", cls)
     rho_names = tuple(f"rho22_{i}" for i in range(1, 2 * g + 2))
     for i, name in enumerate(rho_names, 1):
         sign = (-1) ** max(0, (2 * g - i) // 2)
@@ -303,9 +302,9 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
             eps = sign * (-1) ** max(0, k - 2 * g - 1)
             for t, x in chain[k - 1].items():
                 cls[t] = cls.get(t, 0) + eps * x
-        sys.add_curve(name, cls, nonseparating=any(cls.values()))
+        sys.add_curve(name, cls)
     for i, a in ((1, 2 * g - 2), (2, 2 * g)):  # the coordinates of a_g and a_{g+1}
-        sys.add_curve(f"partial{i}", {}, nonseparating=False)
+        sys.add_curve(f"partial{i}", {})
         if g:
             *covered, end = _e_chain(g, i)
             sys.add_curve(end, {a: 1})

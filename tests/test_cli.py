@@ -164,6 +164,16 @@ class TestWordsAndScripts:
         payload = json.loads(out)
         assert payload["all_positive"] and payload["verified"]
 
+    @pytest.mark.parametrize("name", ["stabilize_21_to_22", "garside_square_boundary"])
+    def test_replay_builds_only_the_bundle_it_replays(self, capsys, monkeypatch, name):
+        from cablekit import library
+        built = []
+        for key, build in library.SCRIPT_BUILDERS.items():
+            monkeypatch.setitem(library.SCRIPT_BUILDERS, key,
+                                lambda key=key, build=build: built.append(key) or build())
+        assert run_cli(["--json", "replay-script", name], capsys)[0] == 0
+        assert built == [name]
+
     def test_replay_unknown_exit_2(self, capsys):
         code, _, err = run_cli(["replay-script", "nope"], capsys)
         assert code == 2
@@ -321,6 +331,24 @@ class TestNestingBoundary:
                                       str(deep)]}[command]
         assert run_cli(["--json", *argv], capsys) == (
             2, "", f"error: {deep}: JSON nested too deeply\n")
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"genus": 1, ', "Expecting property name"),
+        ("[1, 2, 3]".encode("utf-16"), "'utf-8' codec can't decode"),
+        (b"[" + b"7" * 5000 + b"]", "sys.set_int_max_str_digits()"),
+    ], ids=["truncated", "not-utf-8", "5000-digit-integer"])
+    def test_file_that_does_not_decode_is_named(self, trefoil_path, tmp_path, capsys,
+                                                content, reason):
+        # compose-cobordism reads three files; the message names the bad one
+        word = tmp_path / "word.json"
+        word.write_text(json.dumps(TwistWord.twists("c1").to_json()))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for argv in (["classify", "--book", str(bad), "--cable", "2,1"],
+                     ["compose-cobordism", "--page", trefoil_path, str(word), str(bad)]):
+            code, out, err = run_cli(["--json", *argv], capsys)
+            assert (code, out) == (2, "") and err.startswith(f"error: {bad}: "), err
+            assert reason in err and err.count("\n") == 1, err
 
 
 class TestWordBoundary:
@@ -813,7 +841,7 @@ class TestFuzzBoundary:
                  {"genus": 3, "components": [_DISK], "monodromy": [{"kind": "x", "curve": "c1"}]}]
         words = [None, 7, [{"kind": "dehn", "curve": "c1", "sign": True}],
                  [{"kind": "fractional", "curve": "1", "amount": "1/0"}]]
-        cases = []
+        cases, refusals = [], {}
         for i, (name, argv) in enumerate([
             ("slopes", ["slopes", "exceptional", "1/3"]),
             ("torus-knot", ["torus-knot", "--r=0", "--s=0", "--k=0", "--l=0"]),
@@ -829,13 +857,14 @@ class TestFuzzBoundary:
             for j, book in enumerate(books):
                 root = tmp_path / f"{name}_{j}"
                 root.mkdir()
+                if book is None and "BOOK" in argv:  # the book, a `{`, is read first
+                    refusals[len(cases)] = f"error: {root / 'BOOK'}: Expecting property name"
                 cases.append(_write_inputs(root, ["--json", *argv], book, words[j % len(words)],
                                            words[(i + j) % len(words)]))
         # refusals that must hold under -O too: a letter that is no Dehn
         # twist under every cable builder, and a file nested past the parser
         fractional = {"genus": 1, "components": [_DISK], "monodromy": [
             {"kind": "fractional", "curve": "nowhere", "amount": "1/3"}]}
-        refusals = {}
         for cable in ("2,1", "2,2", "3,2"):
             root = tmp_path / f"fractional_{cable}"
             root.mkdir()

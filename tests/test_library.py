@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cablekit.curves import words_equal_on_homology
+from cablekit.curves import NonExpandableGeneratorError, algebraic_length, words_equal_on_homology
 from cablekit.library import (
     genlantern_derivation_bundle,
     lantern_genus3_model,
@@ -43,15 +43,25 @@ class TestSystems:
         sys_ = build()
         assert (sys_.genus, list(sys_.boundary_labels), sys_.name) == (
             data["genus"], data["boundary_labels"], data["name"])
-        assert {name: (list(info.homology), info.nonseparating, info.boundary_parallel)
+        # the curated flags agree with the flag derived from the class, and
+        # every boundary-parallel curve of the data has zero class
+        assert {name: (list(info.homology), info.nonseparating)
                 for name, info in sys_.curves.items()} == {
-            name: (c["homology"], c.get("nonseparating", True), c.get("boundary_parallel"))
+            name: (c["homology"], c.get("nonseparating", True))
             for name, c in data["curves"].items()}
+        assert not any(sys_.curve(name).support for name, c in data["curves"].items()
+                       if c.get("boundary_parallel") is not None)
         assert list(sys_.curves) == list(data["curves"])
         recorded = {tuple(sorted((a, b))): value for a, b, value in data["intersections"]}
         assert sys_.intersections == recorded and len(recorded) == len(data["intersections"])
         assert sys_.expansions == {} == data.get("expansions", {})
         sys_.check()
+
+    def test_twist_about_the_stabilization_curve_has_no_algebraic_length(self):
+        # gamma has zero class, so it separates the capped page, and it has no
+        # registered factorization into nonseparating twists
+        with pytest.raises(NonExpandableGeneratorError, match=r"^D_gamma is not"):
+            algebraic_length(TwistWord.twists("gamma"), sigma22_script_system())
 
     def test_registries_gate_all_relations(self):
         for reg in (sigma22_registry(), resolved_registry()):

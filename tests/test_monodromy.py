@@ -72,15 +72,17 @@ def connected_book(genus, word=None):
 
 def _expand_to_nonseparating(word, sys_):
     """The word with each twist about a curve with a registered factorization
-    replaced by that factorization (inverted for a negative twist): the
-    reference for `algebraic_length`, which only sums the signs."""
+    period^k replaced by period^k spelled letter by letter (inverted for a
+    negative twist): the reference for `algebraic_length`, which only sums
+    the signs of the period."""
     out = []
     for gen in word:
         if gen.kind == DEHN and sys_.curve(gen.curve).nonseparating:
             out.append(gen)
             continue
         if gen.kind == DEHN and gen.curve in sys_.expansions:
-            expansion = sys_.expansions[gen.curve]
+            period, k = sys_.expansions[gen.curve]
+            expansion = period.power(k)
             if gen.sign < 0:
                 expansion = expansion.inverse()
             out.extend(_expand_to_nonseparating(expansion, sys_))
@@ -264,6 +266,8 @@ class TestP1RecordedTable:
         assert len(sys_.intersections) <= 10 * p * g * g
         assert sum(len(info.support) for info in sys_.curves.values()) <= 6 * p * g
         assert set(sys_.expansions) == {f"partial{i}" for i in range(1, p + 1)}
+        # each factorization is kept as its 2g-letter period and the power 4g+2
+        assert sum(len(period) for period, _ in sys_.expansions.values()) <= 2 * p * g
 
 
 def reference_cable_p1_system(g, p):
@@ -279,7 +283,7 @@ def reference_cable_p1_system(g, p):
         cls.update({2 * g * j + t: -x for t, x in block[-1].items()})
         sys_.add_curve(f"x{j}", cls)
     for i in range(1, p + 1):
-        sys_.add_curve(f"partial{i}", {}, nonseparating=False)
+        sys_.add_curve(f"partial{i}", {})
     sys_.add_boundary_curves()
     for j in range(1, p):
         layout = p1_layout(g, j)
@@ -293,19 +297,19 @@ def reference_cable_p1_system(g, p):
     sys_.check()
     for i in range(1, p + 1):
         chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
-        sys_.register_expansion(f"partial{i}", chain.power(4 * g + 2))
+        sys_.register_expansion(f"partial{i}", chain, 4 * g + 2)
     return sys_
 
 
 def _alter_curve(monkeypatch, system_name, curve, alter):
     """Patch CurveSystem.add_curve so that `curve` of the system named
-    `system_name` is declared with alter(class, nonseparating)."""
+    `system_name` is declared with the class alter(class)."""
     add_curve = CurveSystem.add_curve
 
-    def altered(self, name, homology, nonseparating=True, boundary_parallel=None):
+    def altered(self, name, homology):
         if (self.name, name) == (system_name, curve):
-            homology, nonseparating = alter(dict(homology), nonseparating)
-        add_curve(self, name, homology, nonseparating, boundary_parallel)
+            homology = alter(dict(homology))
+        add_curve(self, name, homology)
 
     monkeypatch.setattr(CurveSystem, "add_curve", altered)
 
@@ -328,17 +332,18 @@ class TestNoduleBlock:
         for p in range(1, 7):
             sys_ = cable_p1_system(g, p)
             for i in range(1, p + 1):
-                word = sys_.expansions[f"partial{i}"]
-                assert len(word) == 2 * g * (4 * g + 2)
+                period, k = sys_.expansions[f"partial{i}"]
+                word = period.power(k)
+                assert (len(period), k) == (2 * g, 4 * g + 2)
                 assert sys_.word_delta(word) == {}, (g, p, i)
 
     def test_one_register_expansion_per_genus(self, monkeypatch):
         calls = []
         register = CurveSystem.register_expansion
 
-        def counting(self, name, word):
+        def counting(self, name, period, k):
             calls.append((self.name, name))
-            register(self, name, word)
+            register(self, name, period, k)
 
         monkeypatch.setattr(CurveSystem, "register_expansion", counting)
         _nodule_block.cache_clear()
@@ -380,13 +385,9 @@ class TestNoduleBlock:
         assert calls[0] - counts[1] == len(sys_.intersections)
 
     def test_outer_boundary_of_nonzero_class_is_refused(self, monkeypatch):
-        # the generic check() refuses it too, as it did before the build
-        # stopped calling it
-        _alter_curve(monkeypatch, "cable_p1_g2_p3", "bdry_outer", lambda cls, ns: ({0: 1}, ns))
+        _alter_curve(monkeypatch, "cable_p1_g2_p3", "bdry_outer", lambda cls: {0: 1})
         with pytest.raises(CurveSystemError, match="bdry_outer is not a separating curve"):
             cable_p1_system.__wrapped__(2, 3)
-        with pytest.raises(CurveSystemError, match="boundary-parallel 'bdry_outer'"):
-            reference_cable_p1_system(2, 3)
 
     def test_a_layout_template_that_fails_the_pairing_is_refused(self, monkeypatch):
         import cablekit.monodromy
@@ -399,13 +400,10 @@ class TestNoduleBlock:
     @pytest.mark.parametrize("curve, alter, message", [
         # a_1 added: the chain keeps its pairings, so check() and each
         # nodule's relation pass, but nodule 3 is no translate of the block
-        ("n3_2", lambda cls, ns: ({0: 1, **cls}, ns), "n3_2 is not the block curve c2"),
+        ("n3_2", lambda cls: {0: 1, **cls}, "n3_2 is not the block curve c2"),
         # a_1 added to the crossing curve of layout 2: it meets no recorded
         # partner there, so check() passes, but x2 is no translate of x1
-        ("x2", lambda cls, ns: ({0: 1, **cls}, ns), "x2 is not the crossing curve x1"),
-        # a nonseparating nodule boundary of zero class passes check() and
-        # the oracle, but would count as one twist in algebraic_length
-        ("partial3", lambda cls, ns: (cls, True), "partial3 is not a separating curve"),
+        ("x2", lambda cls: {0: 1, **cls}, "x2 is not the crossing curve x1"),
     ])
     def test_nodule_that_is_no_translate_is_refused(self, curve, alter, message, monkeypatch):
         _alter_curve(monkeypatch, "cable_p1_g2_p4", curve, alter)

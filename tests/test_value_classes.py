@@ -134,8 +134,6 @@ class CableVerdictTwin:
 class CurveInfoTwin:
     support: dict
     dim: int
-    nonseparating: bool
-    boundary_parallel: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ CASES = {
         st.none() | _small, st.none() | _names, _names]),
     CurveInfo: (CurveInfoTwin, [st.dictionaries(st.integers(0, 3), st.integers(-2, 2).filter(bool),
                                                 max_size=2),
-                                st.integers(2, 4), st.booleans(), st.none() | _names]),
+                                st.integers(2, 4)]),
     Relation: (RelationTwin, [_names, _words, _words]),
     Step: (StepTwin, [st.sampled_from(["apply", "cancel"]), st.integers(0, 2), _names, _names,
                       st.sampled_from([1, -1])]),

@@ -14,6 +14,7 @@ from cablekit.curves import (
     CurveSystemError,
     NonExpandableGeneratorError,
     UnresolvedCurveError,
+    _delta_power,
     algebraic_length,
     chain_classes,
     chain_model,
@@ -444,46 +445,76 @@ def _count_word_delta_letters(monkeypatch) -> list[int]:
     return counted
 
 
-class TestPeriodicDelta:
-    """register_expansion evaluates the shortest period of a factorization
-    w^k once and squares its delta; the letter-by-letter word_delta of the
-    whole word is the reference."""
+def _with_own_expansions(sys_: CurveSystem) -> CurveSystem:
+    """A system sharing the curves and the table of the cached `sys_`, with
+    an empty factorization table of its own to register into."""
+    out = CurveSystem(sys_.genus, sys_.boundary_labels, sys_.name)
+    out.curves, out.intersections = sys_.curves, sys_.intersections
+    return out
+
+
+class TestRegisterExpansion:
+    """register_expansion(name, period, k) evaluates the period once and
+    squares its delta; the letter-by-letter word_delta of period^k is the
+    reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(_system_and_word([key for key in _SYSTEM_KEYS if key[0] != "sigma22"]),
-           st.integers(0, 20))
-    def test_squaring_matches_the_letter_by_letter_delta(self, case, k):
-        sys_, w = case
-        word = w.power(k)
-        want = sys_.word_delta(word)
+           st.integers(1, 20), st.data())
+    def test_gate_matches_the_letter_by_letter_delta(self, case, k, data):
+        sys_, period = case
+        want = sys_.word_delta(period.power(k))
         with pytest.MonkeyPatch.context() as mp:
             counted = _count_word_delta_letters(mp)
-            assert sys_._periodic_delta(word) == want
-        assert counted[0] <= len(w)
+            assert _delta_power(sys_.word_delta(period), k) == want
+        assert counted[0] == len(period)
+        # the gate takes a power of nonseparating twists with the twist's delta
+        name = data.draw(st.sampled_from(sorted(sys_.curves)))
+        lhs = sys_.word_delta(TwistWord.twists(name))
+        letters_ok = all(g.kind == DEHN and sys_.curve(g.curve).support for g in period)
+        own = _with_own_expansions(sys_)
+        if letters_ok and want == lhs:
+            own.register_expansion(name, period, k)
+            assert own.expansions == {name: (period, k)}
+        else:
+            message = "fails the homology oracle" if letters_ok else "must use nonseparating"
+            with pytest.raises(CurveSystemError, match=message):
+                own.register_expansion(name, period, k)
+            assert own.expansions == {}
 
-    @pytest.mark.parametrize("letters", [("c1", "c2") * 2 + ("c1",), ("c1", "c2") * 3 + ("c1",),
-                                         ("c2", "c2", ("c2", -1)), ("c1", "c3", "c1", "c2")])
-    def test_word_that_is_no_power_is_evaluated_letter_by_letter(self, letters, monkeypatch):
-        # the first two repeat under a shift by 2, which does not divide their length
-        cm = chain_model(2)
-        word = TwistWord.twists(*letters)
-        want = cm.word_delta(word)
+    @pytest.mark.parametrize("period, k, message", [
+        (TwistWord.twists("c1", "bdry_1"), 1, "must use nonseparating twists"),
+        (TwistWord.of(Generator.fractional_boundary("1", Fraction(1, 2))), 1,
+         "must use nonseparating twists"),
+        (TwistWord.twists("c1", "c2"), 0, "needs a power k >= 1, got 0"),
+        (TwistWord.twists("c1", "c2"), -6, "needs a power k >= 1, got -6"),
+    ])
+    def test_letters_and_power_are_refused_before_the_oracle(self, period, k, message,
+                                                            monkeypatch):
         counted = _count_word_delta_letters(monkeypatch)
-        assert cm._periodic_delta(word) == want and counted[0] == len(word)
+        cm = chain_model(1)
+        with pytest.raises(CurveSystemError, match=message):
+            cm.register_expansion("bdry_1", period, k)
+        assert counted[0] == 0 and cm.expansions == {}
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_chain_relation_passes_and_near_misses_are_refused(self, g, monkeypatch):
         chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
         good = chain.power(4 * g + 2)
         swapped = TwistWord((good[1], good[0]) + good.generators[2:])  # no power
-        counted = _count_word_delta_letters(monkeypatch)
-        for word in (chain.power(4 * g + 1), chain.power(4 * g + 3), swapped):
-            with pytest.raises(CurveSystemError, match="fails the homology oracle"):
-                chain_model(g).register_expansion("bdry_1", word)
-        assert counted[0] == 2 * (1 + 2 * g) + 1 + len(swapped)
+        misses = [(chain, 4 * g + 1), (chain, 4 * g + 3), (swapped, 1)]
+        # the letter-by-letter reference: only chain^(4g+2) is the boundary twist
         cm = chain_model(g)
-        cm.register_expansion("bdry_1", good)
-        assert cm.expansions == {"bdry_1": good}
+        lhs = cm.word_delta(TwistWord.twists("bdry_1"))
+        assert cm.word_delta(good) == lhs
+        assert all(cm.word_delta(period.power(k)) != lhs for period, k in misses)
+        counted = _count_word_delta_letters(monkeypatch)
+        for period, k in misses:
+            with pytest.raises(CurveSystemError, match="fails the homology oracle"):
+                chain_model(g).register_expansion("bdry_1", period, k)
+        assert counted[0] == 2 * (1 + 2 * g) + 1 + len(swapped)
+        cm.register_expansion("bdry_1", chain, 4 * g + 2)
+        assert cm.expansions == {"bdry_1": (chain, 4 * g + 2)}
 
     @pytest.mark.parametrize("g, p", [(4, 4), (1, 1000)])
     def test_cold_cable_system_evaluates_each_boundary_period_once(self, g, p, monkeypatch):
