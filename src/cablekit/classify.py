@@ -6,8 +6,8 @@ coorientation when the p's are negative; a negative cable on a component
 with |p| > 1 gives at best a virtually overtwisted structure, and is
 overtwisted outright whenever its slope is not one of the finitely many
 exceptional slopes of that component (or whenever p and q share a factor).
-Rational unknots are the lone exception: a negative cable with rq - ps = -1
-is again a rational unknot binding a tight structure.
+Rational unknots (bindings of disk pages) are the lone exception: a
+negative cable with rq - ps = -1 is again one, binding a tight structure.
 
 Page bookkeeping: cabled pages for integral books assemble |p| copies of
 the page with torus-link fiber pieces; the resolution of a rational
@@ -80,7 +80,7 @@ class CableCoefficients(_Frozen):
         q + k p.  Verdicts, pages and words are computed in this framing."""
         shifts = [window_shift(c) for c in book.components]
         window = RationalOpenBook(book.genus, tuple(map(reframe, book.components, shifts)),
-                                  book.is_rational_unknot_book, book.monodromy, book.metadata)
+                                  book.monodromy, book.metadata)
         return window, CableCoefficients(tuple(
             (p, q + k * p) for (p, q), k in zip(self.pairs, shifts)))
 
@@ -144,7 +144,8 @@ def hopf_delta(p: int, q: int, genus: int) -> int:
 
 def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVerdict:
     """The verdict of cabling `book` by `coeffs`, decided in the window
-    framing; negative p's mirror to positive ones on the structure -xi."""
+    framing; negative p's mirror to positive ones on the structure -xi.  A
+    disk page makes the binding a rational unknot, read from the page alone."""
     coeffs.validate(book)
     book, coeffs = coeffs.in_window(book)
     pairs, side = coeffs.pairs, "xi"
@@ -169,13 +170,11 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
         return CableVerdict(kind, signs, hopf_delta=delta)
 
     # rational unknot exception: a negative cable at a Farey neighbor of the
-    # Seifert slope gives another rational unknot, hence stays tight
-    if book.is_rational_unknot_book and len(negatives) == 1:
-        i = negatives[0]
-        p, q = pairs[i]
-        comp = book.components[i]
-        r, s = comp.order, comp.seifert_numerator
-        if r * q - p * s == -1:
+    # Seifert slope gives another rational unknot, hence stays tight.  A disk
+    # page has one component, so it is the negative one
+    if book.is_rational_unknot_book:
+        (p, q), comp = pairs[0], book.components[0]
+        if comp.order * q - p * comp.seifert_numerator == -1:
             return CableVerdict(
                 VerdictKind.RATIONAL_UNKNOT_CABLE,
                 signs,
@@ -194,9 +193,7 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
             exceptional.append(i)
     all_exceptional = exceptional is not None and len(exceptional) == len(negatives)
 
-    delta = None
-    if integral_connected and not (book.genus == 0 and pairs[0][1] == -1):
-        delta = hopf_delta(*pairs[0], book.genus)
+    delta = hopf_delta(*pairs[0], book.genus) if integral_connected else None
 
     if all_exceptional:
         return CableVerdict(
@@ -399,7 +396,6 @@ def induced_open_book_from_surgery(
     out = RationalOpenBook(
         genus=book.genus,
         components=tuple(comps),
-        is_rational_unknot_book=False,
         monodromy=word,
         metadata=book.metadata,
     )

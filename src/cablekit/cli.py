@@ -55,6 +55,9 @@ def _load_word(path: str) -> TwistWord:
 def cmd_slopes(args) -> None:
     from .slopes import (Slope, eval_cont_frac, exceptional_slopes, farey_shortest_path,
                          neg_cont_frac)
+    if (args.target is None) == (args.op == "path"):
+        count = "two slopes" if args.target is None else "one slope"
+        raise UsageError(f"slopes {args.op} takes {count}")
     if args.op == "exceptional":
         values = exceptional_slopes(Slope.parse(args.slope))
         _emit(args, {"exceptional_slopes": [str(s) for s in values]},

@@ -23,9 +23,10 @@ module never claims more than that.
 The oracle, :meth:`CurveSystem.word_delta`, keeps M - I by its nonzero
 sparse columns; a twist is a rank-one update costing the sizes of the
 columns it touches, never the dimension.  ``word_matrix`` is its dense view.
-A registered factorization is a period w and a power k; it is checked by
-evaluating w once and squaring its delta, (I + a)(I + b) - I = a + b + ab:
-the same exact matrix as w^k, compared under the same gate.
+A registered factorization is a chain of m curves, m even, whose length
+fixes the power 2m + 2 of the chain relation; it is checked by evaluating
+the chain once and squaring its delta, (I + a)(I + b) - I = a + b + ab: the
+same exact matrix as the power, compared under the same gate.
 """
 
 from __future__ import annotations
@@ -155,18 +156,22 @@ class CurveSystem:
     def record_intersection(self, a: str, b: str, value: int) -> None:
         self.intersections[_pair_key(a, b)] = value
 
-    def register_expansion(self, name: str, period: TwistWord, k: int) -> None:
-        """Register the factorization period^k of the positive twist about
-        `name`, a power k >= 1 of nonseparating twists, verified on homology
-        by evaluating `period` once and squaring its delta."""
-        if any(g.kind != DEHN or not self.curve(g.curve).nonseparating for g in period):
-            raise CurveSystemError(f"expansion of {name!r} must use nonseparating twists")
-        if k < 1:
-            raise CurveSystemError(f"expansion of {name!r} needs a power k >= 1, got {k}")
+    def register_expansion(self, name: str, chain: TwistWord) -> None:
+        """Register the chain relation (T_c1 ... T_cm)^(2m+2) = T_name of a
+        chain of m curves, m even (Farb-Margalit, Prop. 4.12).  The letters
+        must be positive twists whose classes pair to +-1 for neighbours and
+        0 for every other pair, so each is nonseparating; the relation is
+        verified on homology by evaluating the chain once and squaring."""
+        m, cls = len(chain), lambda i: self.curve(chain[i].curve).support
+        if m < 2 or m % 2 or any(g.kind != DEHN or g.sign != 1 for g in chain) or any(
+                abs(symplectic_pairing(cls(i), cls(j))) != (j == i + 1)
+                for i in range(m) for j in range(i + 1, m)):
+            raise CurveSystemError(
+                f"expansion of {name!r} must be an even chain of positive twists")
         lhs = self.word_delta(TwistWord.of(Generator.dehn_twist(name, 1)))
-        if _delta_power(self.word_delta(period), k) != lhs:
+        if _delta_power(self.word_delta(chain), 2 * m + 2) != lhs:
             raise CurveSystemError(f"expansion of {name!r} fails the homology oracle")
-        self.expansions[name] = (period, k)
+        self.expansions[name] = chain
 
     # -- queries -------------------------------------------------------------
 
@@ -268,15 +273,14 @@ class NonExpandableGeneratorError(CurveSystemError):
 
 def algebraic_length(word: TwistWord, sys: CurveSystem) -> int:
     """Signed count of nonseparating twists, a twist about a curve with a
-    registered factorization period^k counting as k times the signed length
-    of the period (which holds nonseparating twists only)."""
+    registered chain of m positive twists counting as m(2m + 2) of them."""
     total = 0
     for gen in word:
         if gen.kind == DEHN and sys.curve(gen.curve).nonseparating:
             total += gen.sign
         elif gen.kind == DEHN and gen.curve in sys.expansions:
-            period, k = sys.expansions[gen.curve]
-            total += gen.sign * k * sum(g.sign for g in period)
+            m = len(sys.expansions[gen.curve])
+            total += gen.sign * m * (2 * m + 2)
         else:
             raise NonExpandableGeneratorError(
                 f"{gen} is not a nonseparating twist and has no registered factorization"

@@ -81,7 +81,7 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     pairing; cached per genus, to be treated as immutable."""
     model = chain_model(g)
     chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
-    model.register_expansion("bdry_1", chain, 4 * g + 2)
+    model.register_expansion("bdry_1", chain)
     block = tuple(model.curves[f"c{k}"].support for k in range(1, 2 * g + 2))
     # the crossing curve pairs once with the last even-chain curve of each
     # nodule, zero with all other nodule curves.  The blocks are orthogonal
@@ -108,7 +108,7 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     against its own nodule: O(p g^2) entries, time and memory linear in p.
     Any other pair reads None.  Each nodule boundary twist has the registered
     factorization partial{i} = (n{i}_1 ... n{i}_{2g})^(4g+2), stored as its
-    2g-letter period and the power 4g+2, so mod-10 lengths can be computed.
+    2g-letter chain, whose length fixes the power, for the mod-10 lengths.
     The oracle checks it, and the pairing the entries of layout 1, once per
     genus (:func:`_nodule_block`).  The build proves, in O(p g), nodule i
     the block and x_i the template's x1 moved by 2g(i-1) coordinates, and
@@ -152,7 +152,7 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
             if sys.curves[f"n{i}_{k}"].support != {shift + t: x for t, x in v.items()}:
                 raise CurveSystemError(f"n{i}_{k} is not the block curve c{k} moved to nodule {i}")
         chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
-        sys.expansions[f"partial{i}"] = (chain, 4 * g + 2)
+        sys.expansions[f"partial{i}"] = chain
     for name in [f"partial{i}" for i in range(1, p + 1)] + ["bdry_outer"]:
         if sys.curves[name].support:
             raise CurveSystemError(f"{name} is not a separating curve of zero class")

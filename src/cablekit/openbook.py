@@ -1,11 +1,12 @@
 """Combinatorial model of (rational) open book decompositions.
 
-A book records its page topology (genus and boundary circle count), the
-Seifert data of each binding component, and optionally a monodromy word.
-Binding data lives in a chosen framing: the page approaches a component of
-order r as an (r, s)-curve, so the Seifert slope is s/r and gcd(r, s)
-boundary circles of the page lie on that component.  Integral components
-have r = 1, and in the page framing s = 0.
+A book records its page genus, the Seifert data of each binding component,
+and optionally a monodromy word; these fix the page's boundary circle count
+and whether the binding is a rational unknot (exactly when the page is a
+disk).  Binding data lives in a chosen framing: the page approaches a
+component of order r as an (r, s)-curve, so the Seifert slope is s/r and
+gcd(r, s) boundary circles of the page lie on that component.  Integral
+components have r = 1, and in the page framing s = 0.
 
 Values are immutable; operations return new books.
 """
@@ -101,16 +102,15 @@ def normalize_to_window(c: BindingComponent) -> BindingComponent:
 
 
 class RationalOpenBook(_Frozen):
-    """Page topology plus per-component binding data and an optional word."""
+    """Page genus, per-component binding data and an optional word."""
 
-    __slots__ = ("genus", "components", "is_rational_unknot_book", "monodromy", "metadata")
+    __slots__ = ("genus", "components", "monodromy", "metadata")
 
     def __init__(self, genus: int, components: tuple[BindingComponent, ...],
-                 is_rational_unknot_book: bool = False, monodromy: Optional[TwistWord] = None,
+                 monodromy: Optional[TwistWord] = None,
                  metadata: tuple[tuple[str, str], ...] = ()):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "components", tuple(components))
-        object.__setattr__(self, "is_rational_unknot_book", is_rational_unknot_book)
         object.__setattr__(self, "monodromy", monodromy)
         object.__setattr__(self, "metadata", metadata)
 
@@ -128,6 +128,11 @@ class RationalOpenBook(_Frozen):
         return 2 - 2 * self.genus - self.boundary_count_of_page
 
     @property
+    def is_rational_unknot_book(self) -> bool:
+        """The binding is a rational unknot exactly when the page is a disk."""
+        return self.genus == 0 and self.boundary_count_of_page == 1
+
+    @property
     def is_integral(self) -> bool:
         return all(c.is_integral for c in self.components)
 
@@ -136,14 +141,13 @@ class RationalOpenBook(_Frozen):
         return len(self.components) == 1
 
     def with_monodromy(self, word: Optional[TwistWord]) -> "RationalOpenBook":
-        return RationalOpenBook(self.genus, self.components, self.is_rational_unknot_book,
-                                word, self.metadata)
+        return RationalOpenBook(self.genus, self.components, word, self.metadata)
 
     def with_metadata(self, **notes: str) -> "RationalOpenBook":
         merged = dict(self.metadata)
         merged.update(notes)
-        return RationalOpenBook(self.genus, self.components, self.is_rational_unknot_book,
-                                self.monodromy, tuple(sorted(merged.items())))
+        return RationalOpenBook(self.genus, self.components, self.monodromy,
+                                tuple(sorted(merged.items())))
 
     def to_json(self) -> dict:
         obj = {
@@ -173,20 +177,17 @@ class RationalOpenBook(_Frozen):
             if not isinstance(metadata, dict) or not all(
                     isinstance(v, str) for v in metadata.values()):
                 raise OpenBookError("book field 'metadata' must be an object of strings")
-            if not isinstance(obj.get("rational_unknot", False), bool):
-                raise OpenBookError("book field 'rational_unknot' must be true or false")
-            book = RationalOpenBook(
-                genus=genus,
-                components=tuple(BindingComponent.from_json(c) for c in components),
-                is_rational_unknot_book=obj.get("rational_unknot", False),
-                monodromy=word,
-                metadata=tuple(sorted(metadata.items())),
-            )
+            book = RationalOpenBook(genus, tuple(map(BindingComponent.from_json, components)),
+                                    word, tuple(sorted(metadata.items())))
             if ("boundary_count_of_page" in obj
                     and _json_int(obj, "boundary_count_of_page") != book.boundary_count_of_page):
                 raise OpenBookError(
                     f"boundary count mismatch: page has {obj['boundary_count_of_page']} boundary "
                     f"circles but component multiplicities total {book.boundary_count_of_page}")
+            disk = book.is_rational_unknot_book
+            if obj.get("rational_unknot", disk) is not disk:
+                raise OpenBookError(f"book field 'rational_unknot' is {obj['rational_unknot']!r}, "
+                                    f"but it is {disk}: true exactly for a disk page")
             return book
         except KeyError as exc:
             raise OpenBookError(f"book JSON is missing the required key {exc}") from None
@@ -199,10 +200,6 @@ def validate(book: RationalOpenBook) -> list[str]:
         problems.append(f"negative genus {book.genus}")
     if not book.components:
         problems.append("no binding components")
-    if book.is_rational_unknot_book and (
-        book.genus != 0 or book.boundary_count_of_page != 1
-    ):
-        problems.append("rational unknot flag requires a disk page")
     return problems
 
 
@@ -254,7 +251,6 @@ def positive_stabilize(
     return RationalOpenBook(
         genus=genus,
         components=tuple(comps),
-        is_rational_unknot_book=False,
         monodromy=word,
         metadata=book.metadata,
     )

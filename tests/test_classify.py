@@ -101,12 +101,8 @@ def integral_book(genus=1, components=1, word=None):
     )
 
 
-def rational_book(r, s, genus=1, unknot=False):
-    return RationalOpenBook(
-        genus=0 if unknot else genus,
-        components=(BindingComponent(r, s),),
-        is_rational_unknot_book=unknot,
-    )
+def rational_book(r, s, genus=1):
+    return RationalOpenBook(genus=genus, components=(BindingComponent(r, s),))
 
 
 class TestCableSign:
@@ -164,10 +160,27 @@ class TestClassify:
         assert peak < 1 << 20
 
     def test_rational_unknot_cable(self):
-        book = rational_book(3, -1, unknot=True)
+        book = rational_book(3, -1, genus=0)  # a disk page: a rational unknot
         # 3*(-2) - (-1)*5 = -1
         v = classify_cable(book, CableCoefficients(((5, -2),)))
         assert v.kind is VerdictKind.RATIONAL_UNKNOT_CABLE
+
+    def test_disk_page_farey_neighbour_cables_are_rational_unknot_cables(self):
+        # every disk page with r <= 9 in its window, cabled with 2 <= |p| <= 6
+        # and |q| <= 6 along a pair that, mirrored to p > 0, has rq - ps = -1
+        hits = 0
+        for r in range(1, 10):
+            for s in range(1 - r, 1):
+                if gcd(r, s) != 1:
+                    continue
+                book = RationalOpenBook(0, (BindingComponent(r, s),))
+                for p in (*range(-6, -1), *range(2, 7)):
+                    for q in range(-6, 7):
+                        if (1 if p > 0 else -1) * (r * q - p * s) == -1:
+                            hits += 1
+                            v = classify_cable(book, CableCoefficients(((p, q),)))
+                            assert v.kind is VerdictKind.RATIONAL_UNKNOT_CABLE, (r, s, p, q)
+        assert hits == 54
 
     def test_non_coprime_negative_overtwisted(self):
         v = classify_cable(integral_book(), CableCoefficients(((4, -2),)))
@@ -182,11 +195,7 @@ class TestClassify:
         assert v.kind is VerdictKind.SAME_CONTACT
 
     def test_unknot_p_minus_one_cable_routes_to_rational_unknot(self):
-        unknot = RationalOpenBook(
-            genus=0,
-            components=(BindingComponent(1, 0),),
-            is_rational_unknot_book=True,
-        )
+        unknot = RationalOpenBook(genus=0, components=(BindingComponent(1, 0),))
         v = classify_cable(unknot, CableCoefficients(((5, -1),)))
         assert v.kind is VerdictKind.RATIONAL_UNKNOT_CABLE
 

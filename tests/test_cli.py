@@ -67,6 +67,14 @@ class TestSlopes:
         code, _, err = run_cli(["slopes", "ncf", "1/2"], capsys)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["slopes", "path", "-1"], "slopes path takes two slopes"),
+        (["slopes", "exceptional", "-1/3", "-1/2"], "slopes exceptional takes one slope"),
+        (["slopes", "ncf", "-3/7", "-1/2"], "slopes ncf takes one slope"),
+    ], ids=["path", "exceptional", "ncf"])
+    def test_slope_count_is_checked(self, capsys, argv, message):
+        assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
     def test_file_named_slopes_is_no_subcommand(self, trefoil_path, tmp_path, monkeypatch,
                                                 capsys):
         (tmp_path / "slopes").write_text(Path(trefoil_path).read_text())
@@ -488,14 +496,14 @@ class TestLiftBoundary:
         return run_main([*command, "--page", str(path), str(word_path), str(word_path)])
 
 
-def _framed_book(genus, r, s, unknot=False):
+def _framed_book(genus, r, s):
     """A one-component book in the framing with Seifert numerator s, with
     a word on its chain (after a 1/r fractional twist when r > 1)."""
     word = [{"kind": "dehn", "curve": f"c{i}", "sign": 1} for i in range(1, 2 * genus + 1)]
     if r > 1:
         word.insert(0, {"kind": "fractional", "curve": "bdry_1", "amount": f"1/{r}"})
     return {"genus": genus, "components": [{"order": r, "seifert_numerator": s}],
-            "rational_unknot": unknot, "monodromy": word}
+            "monodromy": word}
 
 
 def _page_view(result):
@@ -528,7 +536,6 @@ class TestWindowFraming:
         s = data.draw(st.integers(1 - r, 0), "window numerator")
         k = data.draw(st.integers(-6, 6) if r == 1 else st.integers(-2, 2), "reframing")
         genus = data.draw(st.integers(0, 2), "genus")
-        unknot = genus == 0 and data.draw(st.booleans(), "unknot")
         command = data.draw(st.sampled_from(["classify", "cable-page", "monodromy", "resolve",
                                              "surgery", "compose-cobordism"]), "command")
         tmp = tmp_path_factory.mktemp("framing")
@@ -549,8 +556,8 @@ class TestWindowFraming:
             p = data.draw(st.sampled_from([1, 2, 3, 4, 5, -2, -3]), "p")
             q = data.draw(st.integers(-8, 8), "window q")
             framed_flags, window_flags = [f"--cable={p},{q + k * p}"], [f"--cable={p},{q}"]
-        framed = self.run(tmp, command, _framed_book(genus, r, s + k * r, unknot), *framed_flags)
-        window = self.run(tmp, command, _framed_book(genus, r, s, unknot), *window_flags)
+        framed = self.run(tmp, command, _framed_book(genus, r, s + k * r), *framed_flags)
+        window = self.run(tmp, command, _framed_book(genus, r, s), *window_flags)
         assert view(framed) == view(window), (command, framed, window)
         assert framed[0] in (0, 2)
 
@@ -790,8 +797,9 @@ _CABLE = st.integers(0, 5).flatmap(lambda i: (
     else st.lists(_PAIR, min_size=2, max_size=3).map(";".join) if i == 1 else _PAIR))
 _INT = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["x", "1.5", ""]))
 _SUBCOMMAND = {
-    "slopes": st.tuples(st.sampled_from(["exceptional", "path", "ncf", "x"]), _SLOPE, _SLOPE)
-    .map(lambda t: ["slopes", *t[: 3 if t[0] == "path" else 2]]),
+    "slopes": st.tuples(st.sampled_from(["exceptional", "path", "ncf", "x"]),
+                        st.lists(_SLOPE, min_size=1, max_size=2)).map(
+        lambda t: ["slopes", t[0], *t[1]]),
     "torus-knot": st.lists(_INT, min_size=4, max_size=4).map(
         lambda v: ["torus-knot", *(f"--{n}={x}" for n, x in zip("rskl", v))]),
     "classify": _CABLE.map(lambda c: ["classify", "--book", "BOOK", f"--cable={c}"]),
@@ -890,3 +898,57 @@ class TestFuzzBoundary:
         assert len(results) == len(cases) == 72 and not bad, bad
         for k, message in refusals.items():
             assert results[k][0] == 2 and message in results[k][2], (cases[k], results[k])
+
+
+class TestRationalUnknot:
+    """A binding is a rational unknot exactly when its page is a disk: the
+    book commands read that from the page and print it, and a book file
+    that states it otherwise is refused."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_disk_cable_along_q_minus_one_is_a_rational_unknot_cable(self, p):
+        code, out, err = run_main(["--json", "classify", "--book",
+                                   str(GOLDEN / "inputs" / "disk.json"), f"--cable={p},-1"])
+        assert (code, err) == (0, "") and json.loads(out)["kind"] == "RationalUnknotCable"
+
+    def test_surgered_disk_book_is_a_rational_unknot(self, tmp_path):
+        code, out, err = run_main(["--json", "surgery", "--book",
+                                   str(GOLDEN / "inputs" / "disk.json"), "--coefficient=-3"])
+        book = json.loads(out)["book"]
+        assert (code, err) == (0, "") and book["rational_unknot"] is True
+        path = tmp_path / "surgered.json"
+        path.write_text(json.dumps(book))
+        code, out, err = run_main(["--json", "classify", "--book", str(path), "--cable=2,-1"])
+        assert (code, err) == (0, "") and json.loads(out)["kind"] == "RationalUnknotCable"
+
+    @pytest.mark.parametrize("book", [
+        {"genus": 0, "components": [_DISK], "rational_unknot": False},
+        {"genus": 1, "components": [_DISK], "rational_unknot": True},
+        {"genus": 0, "components": [{"order": 3, "seifert_numerator": 0}],
+         "rational_unknot": True},
+    ], ids=["disk_false", "genus1_true", "three_circles_true"])
+    def test_flag_other_than_the_page_is_exit_2(self, tmp_path, book):
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(book))
+        code, out, err = run_main(["--json", "classify", "--book", str(path), "--cable=2,-1"])
+        assert (code, out) == (2, "") and err.startswith("error: book field 'rational_unknot'")
+
+    FLAGS = {"cable-page": _PAIR.map("--cable={}".format),
+             "monodromy": _PAIR.map("--cable={}".format),
+             "resolve": _INT.map("--l={}".format),
+             "surgery": _SLOPE.map("--coefficient={}".format)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(book=_VALID_BOOK, data=st.data())
+    def test_printed_books_state_the_derived_flag(self, tmp_path_factory, book, data):
+        command = data.draw(st.sampled_from(sorted(self.FLAGS)))
+        path = tmp_path_factory.mktemp("printed") / "book.json"
+        path.write_text(json.dumps(book))
+        code, out, _ = run_main(["--json", command, "--book", str(path),
+                                 data.draw(self.FLAGS[command])])
+        if code:
+            return
+        payload = json.loads(out)
+        printed = payload.get("book") or payload.get("page") or payload
+        assert printed["rational_unknot"] is (
+            printed["genus"] == 0 and printed["boundary_count_of_page"] == 1), (command, out)

@@ -71,18 +71,18 @@ def connected_book(genus, word=None):
 
 
 def _expand_to_nonseparating(word, sys_):
-    """The word with each twist about a curve with a registered factorization
-    period^k replaced by period^k spelled letter by letter (inverted for a
-    negative twist): the reference for `algebraic_length`, which only sums
-    the signs of the period."""
+    """The word with each twist about a curve with a registered chain of m
+    curves replaced by the chain's power 2m + 2 spelled letter by letter
+    (inverted for a negative twist): the reference for `algebraic_length`,
+    which only counts m(2m + 2)."""
     out = []
     for gen in word:
         if gen.kind == DEHN and sys_.curve(gen.curve).nonseparating:
             out.append(gen)
             continue
         if gen.kind == DEHN and gen.curve in sys_.expansions:
-            period, k = sys_.expansions[gen.curve]
-            expansion = period.power(k)
+            chain = sys_.expansions[gen.curve]
+            expansion = chain.power(2 * len(chain) + 2)
             if gen.sign < 0:
                 expansion = expansion.inverse()
             out.extend(_expand_to_nonseparating(expansion, sys_))
@@ -266,8 +266,8 @@ class TestP1RecordedTable:
         assert len(sys_.intersections) <= 10 * p * g * g
         assert sum(len(info.support) for info in sys_.curves.values()) <= 6 * p * g
         assert set(sys_.expansions) == {f"partial{i}" for i in range(1, p + 1)}
-        # each factorization is kept as its 2g-letter period and the power 4g+2
-        assert sum(len(period) for period, _ in sys_.expansions.values()) <= 2 * p * g
+        # each factorization is kept as its 2g-letter chain
+        assert sum(len(chain) for chain in sys_.expansions.values()) <= 2 * p * g
 
 
 def reference_cable_p1_system(g, p):
@@ -297,7 +297,7 @@ def reference_cable_p1_system(g, p):
     sys_.check()
     for i in range(1, p + 1):
         chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
-        sys_.register_expansion(f"partial{i}", chain, 4 * g + 2)
+        sys_.register_expansion(f"partial{i}", chain)
     return sys_
 
 
@@ -332,18 +332,17 @@ class TestNoduleBlock:
         for p in range(1, 7):
             sys_ = cable_p1_system(g, p)
             for i in range(1, p + 1):
-                period, k = sys_.expansions[f"partial{i}"]
-                word = period.power(k)
-                assert (len(period), k) == (2 * g, 4 * g + 2)
-                assert sys_.word_delta(word) == {}, (g, p, i)
+                chain = sys_.expansions[f"partial{i}"]
+                assert len(chain) == 2 * g
+                assert sys_.word_delta(chain.power(4 * g + 2)) == {}, (g, p, i)
 
     def test_one_register_expansion_per_genus(self, monkeypatch):
         calls = []
         register = CurveSystem.register_expansion
 
-        def counting(self, name, period, k):
+        def counting(self, name, chain):
             calls.append((self.name, name))
-            register(self, name, period, k)
+            register(self, name, chain)
 
         monkeypatch.setattr(CurveSystem, "register_expansion", counting)
         _nodule_block.cache_clear()

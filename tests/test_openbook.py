@@ -31,22 +31,21 @@ class TestValidate:
     def test_trefoil_valid(self):
         assert validate(trefoil_book()) == []
 
-    def test_disk_page_flag_is_advisory(self):
-        # an order-5 disk-page book without the rational-unknot flag is fine;
-        # the flag is set by constructor helpers, not forced by validation
+    def test_disk_page_book_is_a_rational_unknot(self):
+        # an order-5 disk-page book is valid, and its binding is a rational
+        # unknot, as the lens-space count of the same knot says
         book = RationalOpenBook(
             genus=0, components=(BindingComponent(5, -1),)
         )
-        assert validate(book) == []
+        assert validate(book) == [] and book.is_rational_unknot_book
         assert is_rational_unknot(LensTorusKnot(5, 4, 1, 0))
+        assert not RationalOpenBook(0, (BindingComponent(5, 0),)).is_rational_unknot_book
 
     def test_flag_requires_disk(self):
-        book = RationalOpenBook(
-            genus=1,
-            components=(BindingComponent(1, 0),),
-            is_rational_unknot_book=True,
-        )
-        assert any("disk page" in p for p in validate(book))
+        obj = {"genus": 1, "components": [{"order": 1, "seifert_numerator": 0}],
+               "rational_unknot": True}
+        with pytest.raises(OpenBookError, match="'rational_unknot' is True, but it is False"):
+            RationalOpenBook.from_json(obj)
 
 
 class TestReframe:
@@ -134,11 +133,11 @@ class TestJson:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 3),
-           st.lists(st.tuples(st.integers(1, 6), st.integers(-12, 12)), min_size=1, max_size=3),
-           st.booleans())
-    def test_round_trip_keeps_the_derived_counts(self, genus, pairs, unknot):
-        book = RationalOpenBook(genus, tuple(BindingComponent(r, s) for r, s in pairs), unknot)
+           st.lists(st.tuples(st.integers(1, 6), st.integers(-12, 12)), min_size=1, max_size=3))
+    def test_round_trip_keeps_the_derived_counts(self, genus, pairs):
+        book = RationalOpenBook(genus, tuple(BindingComponent(r, s) for r, s in pairs))
         obj = book.to_json()
         assert obj["boundary_count_of_page"] == sum(gcd(r, s) for r, s in pairs)
+        assert obj["rational_unknot"] is (genus == 0 and obj["boundary_count_of_page"] == 1)
         assert [c["multiplicity"] for c in obj["components"]] == [gcd(r, s) for r, s in pairs]
         assert RationalOpenBook.from_json(obj) == book

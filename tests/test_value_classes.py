@@ -87,7 +87,6 @@ class BindingComponentTwin:
 class RationalOpenBookTwin:
     genus: int
     components: tuple
-    is_rational_unknot_book: bool = False
     monodromy: Optional[TwistWord] = None
     metadata: tuple = field(default_factory=tuple)
 
@@ -176,7 +175,7 @@ CASES = {
     TwistWord: (TwistWordTwin, [st.lists(_generators, max_size=3)]),
     BindingComponent: (BindingComponentTwin, [st.integers(0, 4), st.integers(-4, 4)]),
     RationalOpenBook: (RationalOpenBookTwin, [
-        st.integers(0, 1), st.lists(_components, max_size=2), st.booleans(),
+        st.integers(0, 1), st.lists(_components, max_size=2),
         st.none() | _words, st.sampled_from([(), (("contact", "unchanged"),)])]),
     LensTorusKnot: (LensTorusKnotTwin, [st.integers(0, 4), st.integers(-1, 3), _small, _small]),
     CableCoefficients: (CableCoefficientsTwin, [_pairs]),

@@ -453,68 +453,106 @@ def _with_own_expansions(sys_: CurveSystem) -> CurveSystem:
     return out
 
 
+def _is_even_chain(sys_: CurveSystem, word: TwistWord) -> bool:
+    """Reference: an even number m >= 2 of positive twists whose classes
+    pair to +-1 for neighbours and 0 for every other pair."""
+    if len(word) < 2 or len(word) % 2 or any(g.kind != DEHN or g.sign != 1 for g in word):
+        return False
+    classes = [sys_.curve(g.curve).support for g in word]
+    return all(abs(symplectic_pairing(u, classes[j])) == (j == i + 1)
+               for i, u in enumerate(classes) for j in range(i + 1, len(classes)))
+
+
 class TestRegisterExpansion:
-    """register_expansion(name, period, k) evaluates the period once and
-    squares its delta; the letter-by-letter word_delta of period^k is the
-    reference."""
+    """register_expansion(name, chain) refuses every word that is no even
+    chain of positive twists, then evaluates the chain once and squares its
+    delta up to the power 2m + 2 that its length m fixes; the letter-by-letter
+    word_delta of the power is the reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(_system_and_word([key for key in _SYSTEM_KEYS if key[0] != "sigma22"]),
            st.integers(1, 20), st.data())
     def test_gate_matches_the_letter_by_letter_delta(self, case, k, data):
-        sys_, period = case
-        want = sys_.word_delta(period.power(k))
+        sys_, word = case
+        want = sys_.word_delta(word.power(k))
         with pytest.MonkeyPatch.context() as mp:
             counted = _count_word_delta_letters(mp)
-            assert _delta_power(sys_.word_delta(period), k) == want
-        assert counted[0] == len(period)
-        # the gate takes a power of nonseparating twists with the twist's delta
-        name = data.draw(st.sampled_from(sorted(sys_.curves)))
+            assert _delta_power(sys_.word_delta(word), k) == want
+        assert counted[0] == len(word)
+        # the gate: on a chain model, half the draws are runs of its chain
+        chain = [name for name in sys_.curves if re.fullmatch(r"c\d+", name)]
+        if chain and data.draw(st.booleans()):
+            start = data.draw(st.integers(0, len(chain) - 1))
+            word = TwistWord.twists(*chain[start:data.draw(st.integers(start, len(chain)))])
+        names = sorted(sys_.curves)
+        zero = [name for name in names if not sys_.curves[name].support]
+        name = data.draw(st.sampled_from(zero) | st.sampled_from(names))
         lhs = sys_.word_delta(TwistWord.twists(name))
-        letters_ok = all(g.kind == DEHN and sys_.curve(g.curve).support for g in period)
+        is_chain = _is_even_chain(sys_, word)
         own = _with_own_expansions(sys_)
-        if letters_ok and want == lhs:
-            own.register_expansion(name, period, k)
-            assert own.expansions == {name: (period, k)}
+        if is_chain and sys_.word_delta(word.power(2 * len(word) + 2)) == lhs:
+            own.register_expansion(name, word)
+            assert own.expansions == {name: word}
         else:
-            message = "fails the homology oracle" if letters_ok else "must use nonseparating"
+            message = "fails the homology oracle" if is_chain else "must be an even chain"
             with pytest.raises(CurveSystemError, match=message):
-                own.register_expansion(name, period, k)
+                own.register_expansion(name, word)
             assert own.expansions == {}
 
-    @pytest.mark.parametrize("period, k, message", [
-        (TwistWord.twists("c1", "bdry_1"), 1, "must use nonseparating twists"),
-        (TwistWord.of(Generator.fractional_boundary("1", Fraction(1, 2))), 1,
-         "must use nonseparating twists"),
-        (TwistWord.twists("c1", "c2"), 0, "needs a power k >= 1, got 0"),
-        (TwistWord.twists("c1", "c2"), -6, "needs a power k >= 1, got -6"),
-    ])
-    def test_letters_and_power_are_refused_before_the_oracle(self, period, k, message,
-                                                            monkeypatch):
+    @pytest.mark.parametrize("word", [
+        TwistWord.twists("c1", ("c1", -1)),
+        TwistWord.twists("c1", "c1"),
+        TwistWord.twists("c1", "c2", "c1", "c2"),
+        TwistWord(()),
+        TwistWord.twists("c1"),
+        TwistWord.twists("c1", "c2", "c3"),
+        TwistWord.twists("c1", "bdry_1"),
+        TwistWord.of(Generator.fractional_boundary("1", Fraction(1, 2))),
+    ], ids=["inverse", "repeat", "chain_twice", "empty", "odd", "odd_3", "zero_class",
+            "fractional"])
+    def test_words_that_are_no_even_chain_are_refused_before_the_oracle(self, word,
+                                                                          monkeypatch):
         counted = _count_word_delta_letters(monkeypatch)
         cm = chain_model(1)
-        with pytest.raises(CurveSystemError, match=message):
-            cm.register_expansion("bdry_1", period, k)
+        with pytest.raises(CurveSystemError, match="must be an even chain of positive twists"):
+            cm.register_expansion("bdry_1", word)
         assert counted[0] == 0 and cm.expansions == {}
+
+    def test_the_chain_fixes_the_power(self):
+        # (c1 c2)^6 = T_d (Farb-Margalit, Prop. 4.12); on homology (c1 c2)^12
+        # and ^18 read the same, but no registration can store those powers
+        cm = chain_model(1)
+        cm.register_expansion("bdry_1", TwistWord.twists("c1", "c2"))
+        assert algebraic_length(TwistWord.twists("bdry_1"), cm) == 12
+        lhs = cm.word_delta(TwistWord.twists("bdry_1"))
+        assert all(cm.word_delta(TwistWord.twists("c1", "c2").power(k)) == lhs for k in (12, 18))
+        with pytest.raises(CurveSystemError, match="must be an even chain"):
+            chain_model(1).register_expansion("bdry_1", TwistWord.twists("c1", "c2", "c1", "c2"))
+
+    def test_name_of_nonzero_class_fails_the_oracle(self):
+        cm = chain_model(1)
+        with pytest.raises(CurveSystemError, match="fails the homology oracle"):
+            cm.register_expansion("c1", TwistWord.twists("c1", "c2"))
+        assert cm.expansions == {}
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_chain_relation_passes_and_near_misses_are_refused(self, g, monkeypatch):
         chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
-        good = chain.power(4 * g + 2)
-        swapped = TwistWord((good[1], good[0]) + good.generators[2:])  # no power
-        misses = [(chain, 4 * g + 1), (chain, 4 * g + 3), (swapped, 1)]
-        # the letter-by-letter reference: only chain^(4g+2) is the boundary twist
+        # the letter-by-letter reference: the chain relation of c1..c2g holds
+        # on homology, and its power is no twist about a curve of nonzero class
         cm = chain_model(g)
         lhs = cm.word_delta(TwistWord.twists("bdry_1"))
-        assert cm.word_delta(good) == lhs
-        assert all(cm.word_delta(period.power(k)) != lhs for period, k in misses)
+        assert cm.word_delta(chain.power(4 * g + 2)) == lhs
+        misses = ["c1", f"c{2 * g + 1}"]
+        assert all(cm.word_delta(TwistWord.twists(name)) != lhs for name in misses)
         counted = _count_word_delta_letters(monkeypatch)
-        for period, k in misses:
+        for name in misses:
             with pytest.raises(CurveSystemError, match="fails the homology oracle"):
-                chain_model(g).register_expansion("bdry_1", period, k)
-        assert counted[0] == 2 * (1 + 2 * g) + 1 + len(swapped)
-        cm.register_expansion("bdry_1", chain, 4 * g + 2)
-        assert cm.expansions == {"bdry_1": (chain, 4 * g + 2)}
+                cm.register_expansion(name, chain)
+        cm.register_expansion("bdry_1", chain)
+        assert counted[0] == 3 * (1 + 2 * g)
+        assert cm.expansions == {"bdry_1": chain}
+        assert algebraic_length(TwistWord.twists("bdry_1"), cm) == 2 * g * (4 * g + 2)
 
     @pytest.mark.parametrize("g, p", [(4, 4), (1, 1000)])
     def test_cold_cable_system_evaluates_each_boundary_period_once(self, g, p, monkeypatch):
