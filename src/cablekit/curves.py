@@ -23,10 +23,12 @@ module never claims more than that.
 The oracle, :meth:`CurveSystem.word_delta`, keeps M - I by its nonzero
 sparse columns; a twist is a rank-one update costing the sizes of the
 columns it touches, never the dimension.  ``word_matrix`` is its dense view.
-A registered factorization is a chain of m curves, m even, whose length
-fixes the power 2m + 2 of the chain relation; it is checked by evaluating
-the chain once and squaring its delta, (I + a)(I + b) - I = a + b + ab: the
-same exact matrix as the power, compared under the same gate.
+``_delta_power`` raises a delta to a power by squaring, (I + a)(I + b) - I
+= a + b + ab: the same exact matrix as the power spelled letter by letter.
+A system's ``expansions`` map a zero-class curve to a chain of m curves, m
+even, whose power 2m + 2 is the curve's twist (the chain relation); only
+`monodromy.cable_p1_system` fills them, with the nodule chains whose
+relation `monodromy._nodule_block` checks once per genus.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections.abc import Mapping
 from typing import Optional, Sequence, Union
 
 from . import _Frozen
-from .words import DEHN, Generator, TwistWord
+from .words import DEHN, TwistWord
 
 Matrix = tuple[tuple[int, ...], ...]
 Delta = dict[int, dict[int, int]]  # M - I as {column: {row: entry}}, nonzero only
@@ -120,8 +122,8 @@ class CurveSystem:
 
     Immutable by convention once built.  Every builder but one finishes with
     :meth:`check`, which re-derives each recorded intersection from the
-    stored classes; `monodromy.cable_p1_system` checks one layout per genus
-    and proves every layout a translate of it.
+    stored classes; `monodromy.cable_p1_system` installs translates of one
+    layout checked once per genus.
     """
 
     __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "name")
@@ -155,23 +157,6 @@ class CurveSystem:
 
     def record_intersection(self, a: str, b: str, value: int) -> None:
         self.intersections[_pair_key(a, b)] = value
-
-    def register_expansion(self, name: str, chain: TwistWord) -> None:
-        """Register the chain relation (T_c1 ... T_cm)^(2m+2) = T_name of a
-        chain of m curves, m even (Farb-Margalit, Prop. 4.12).  The letters
-        must be positive twists whose classes pair to +-1 for neighbours and
-        0 for every other pair, so each is nonseparating; the relation is
-        verified on homology by evaluating the chain once and squaring."""
-        m, cls = len(chain), lambda i: self.curve(chain[i].curve).support
-        if m < 2 or m % 2 or any(g.kind != DEHN or g.sign != 1 for g in chain) or any(
-                abs(symplectic_pairing(cls(i), cls(j))) != (j == i + 1)
-                for i in range(m) for j in range(i + 1, m)):
-            raise CurveSystemError(
-                f"expansion of {name!r} must be an even chain of positive twists")
-        lhs = self.word_delta(TwistWord.of(Generator.dehn_twist(name, 1)))
-        if _delta_power(self.word_delta(chain), 2 * m + 2) != lhs:
-            raise CurveSystemError(f"expansion of {name!r} fails the homology oracle")
-        self.expansions[name] = chain
 
     # -- queries -------------------------------------------------------------
 
@@ -272,8 +257,8 @@ class NonExpandableGeneratorError(CurveSystemError):
 
 
 def algebraic_length(word: TwistWord, sys: CurveSystem) -> int:
-    """Signed count of nonseparating twists, a twist about a curve with a
-    registered chain of m positive twists counting as m(2m + 2) of them."""
+    """Signed count of nonseparating twists, a twist about a curve whose
+    expansion is a chain of m positive twists counting as m(2m + 2) of them."""
     total = 0
     for gen in word:
         if gen.kind == DEHN and sys.curve(gen.curve).nonseparating:

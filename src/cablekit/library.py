@@ -131,23 +131,18 @@ def sigma22_registry() -> RelationRegistry:
         _tw(("beta", -1), ("partial2", -1)),
         _tw(("cp4", -1), ("c3", -1), ("c2", -1), ("cp1", -1), "delta1"),
     )
-    conj = reg.register_conjugation
-    conj("conj_d2_c4", Generator.dehn_twist("d2"), Generator.dehn_twist("c4"), "e2t")
-    conj("conj_e2_cp4", Generator.dehn_twist("e2t"), Generator.dehn_twist("cp4", -1), "delta2")
-    conj("conj_d3_c4", Generator.dehn_twist("d3"), Generator.dehn_twist("c4"), "e3t")
-    conj("conj_e3_cp4", Generator.dehn_twist("e3t"), Generator.dehn_twist("cp4", -1), "delta3")
-    reg.register(
-        "conj_delta2_c1", _tw("delta2", "c1"), _tw("u1", "delta2")
-    )
-    reg.register(
-        "conj_delta3_u1", _tw("delta3", "u1"), _tw("cp4", "delta3")
-    )
-    reg.register(
-        "conj_delta2_cp1inv", _tw("delta2", ("cp1", -1)), _tw(("v1", -1), "delta2")
-    )
-    reg.register(
-        "conj_delta3_v1inv", _tw("delta3", ("v1", -1)), _tw(("c4", -1), "delta3")
-    )
+    # conjugations: each slides one twist past another, renaming one curve
+    for name, lhs, rhs in [
+        ("conj_d2_c4", _tw("d2", "c4"), _tw("c4", "e2t")),
+        ("conj_e2_cp4", _tw("e2t", ("cp4", -1)), _tw(("cp4", -1), "delta2")),
+        ("conj_d3_c4", _tw("d3", "c4"), _tw("c4", "e3t")),
+        ("conj_e3_cp4", _tw("e3t", ("cp4", -1)), _tw(("cp4", -1), "delta3")),
+        ("conj_delta2_c1", _tw("delta2", "c1"), _tw("u1", "delta2")),
+        ("conj_delta3_u1", _tw("delta3", "u1"), _tw("cp4", "delta3")),
+        ("conj_delta2_cp1inv", _tw("delta2", ("cp1", -1)), _tw(("v1", -1), "delta2")),
+        ("conj_delta3_v1inv", _tw("delta3", ("v1", -1)), _tw(("c4", -1), "delta3")),
+    ]:
+        reg.register(name, lhs, rhs)
     return reg
 
 

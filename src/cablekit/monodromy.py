@@ -38,7 +38,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
-from .curves import CurveSystem, CurveSystemError, chain_classes, chain_model, symplectic_pairing
+from .curves import (CurveSystem, CurveSystemError, _delta_power, chain_classes, chain_model,
+                     symplectic_pairing)
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import DEHN, FRACTIONAL, Generator, TwistWord
 
@@ -75,13 +76,17 @@ def p1_layout(g: int, j: int) -> list[str]:
 
 @lru_cache(maxsize=None)
 def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
-    """The chain classes of `chain_model(g)` once its chain relation has
-    passed the oracle, the classes of layout 1 (:func:`p1_layout`) and its
-    recorded entries (index, index, value), each checked against the
-    pairing; cached per genus, to be treated as immutable."""
+    """The (p,1) page model of genus g, checked here and nowhere else: the
+    chain classes of `chain_model(g)`, the classes of layout 1
+    (:func:`p1_layout`) and its recorded entries (index, index, value).
+    The chain relation (T_c1 ... T_c2g)^(4g+2) = T_bdry_1 (Farb-Margalit,
+    Prop. 4.12) must hold on homology, where bdry_1 has zero class, so the
+    power's delta must be empty; each entry must equal the pairing.  Cached
+    per genus, to be treated as immutable."""
     model = chain_model(g)
     chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
-    model.register_expansion("bdry_1", chain)
+    if _delta_power(model.word_delta(chain), 4 * g + 2):
+        raise CurveSystemError(f"the genus-{g} chain relation fails the homology oracle")
     block = tuple(model.curves[f"c{k}"].support for k in range(1, 2 * g + 2))
     # the crossing curve pairs once with the last even-chain curve of each
     # nodule, zero with all other nodule curves.  The blocks are orthogonal
@@ -106,18 +111,19 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     -v_{2g+1} on block j+1 (v the block chain).  The table records the
     layout chains, less their cross-nodule pairs, and each nodule boundary
     against its own nodule: O(p g^2) entries, time and memory linear in p.
-    Any other pair reads None.  Each nodule boundary twist has the registered
-    factorization partial{i} = (n{i}_1 ... n{i}_{2g})^(4g+2), stored as its
-    2g-letter chain, whose length fixes the power, for the mod-10 lengths.
-    The oracle checks it, and the pairing the entries of layout 1, once per
-    genus (:func:`_nodule_block`).  The build proves, in O(p g), nodule i
-    the block and x_i the template's x1 moved by 2g(i-1) coordinates, and
-    each boundary of zero class, or raises.  The move sends a_k, b_k to
-    a_{k+g(i-1)}, b_{k+g(i-1)}, an isometry of the form, so layout i's
-    entries hold as layout 1's do, nodule i's chain word has the block's
-    delta moved, 0: that of partial{i}, and a zero class pairs to 0 with
-    every curve.  The whole-table check() would prove nothing more.  The
-    result is cached and must be treated as immutable.
+    Any other pair reads None.  Each nodule boundary partial{i} has zero
+    class, and its twist the expansion (n{i}_1 ... n{i}_{2g})^(4g+2), stored
+    as its 2g-letter chain, for the mod-10 lengths.
+
+    The build checks nothing: it installs :func:`_nodule_block`'s checked
+    model, nodule i the block and x_i the template's x1, moved by 2g(i-1)
+    coordinates.  The move sends a_k, b_k to a_{k+g(i-1)}, b_{k+g(i-1)},
+    an isometry of the form, so layout i's entries hold as layout 1's do,
+    nodule i's chain word has the block's delta moved, empty as the block's
+    is, and a zero class pairs to 0 with every curve.  The tests compare the
+    build with a reference that runs the whole-table check() and every
+    nodule's relation letter by letter.  The result is cached and must be
+    treated as immutable.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
@@ -139,23 +145,11 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
         names = p1_layout(g, j)
         for a, b, value in entries:
             sys.record_intersection(names[a], names[b], value)
-    # the proof that each curve is the checked template translated; each
-    # nodule's boundary against its curves and its twist's factorization
-    for j in range(1, p):
-        shift = 2 * g * (j - 1)
-        if sys.curves[f"x{j}"].support != {shift + t: x for t, x in x1.items()}:
-            raise CurveSystemError(f"x{j} is not the crossing curve x1 moved to layout {j}")
     for i in range(1, p + 1):
-        shift = 2 * g * (i - 1)
-        for k, v in enumerate(block, 1):
-            sys.record_intersection(f"partial{i}", f"n{i}_{k}", 0)
-            if sys.curves[f"n{i}_{k}"].support != {shift + t: x for t, x in v.items()}:
-                raise CurveSystemError(f"n{i}_{k} is not the block curve c{k} moved to nodule {i}")
-        chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
-        sys.expansions[f"partial{i}"] = chain
-    for name in [f"partial{i}" for i in range(1, p + 1)] + ["bdry_outer"]:
-        if sys.curves[name].support:
-            raise CurveSystemError(f"{name} is not a separating curve of zero class")
+        chain = _p1_chain(g, i)
+        for name in chain:
+            sys.record_intersection(f"partial{i}", name, 0)
+        sys.expansions[f"partial{i}"] = TwistWord.twists(*chain[:-1])
     return sys
 
 

@@ -52,19 +52,6 @@ class RelationRegistry:
         self.relations[name] = rel
         return rel
 
-    def register_conjugation(
-        self, name: str, moving: Generator, past: Generator, image_curve: str
-    ) -> Relation:
-        """Register T_moving o T_past = T_past o T_image, the slide of a twist
-        past another; the image curve must be declared in the system and is
-        verified by the oracle (its class must be the transvection image)."""
-        image = Generator(moving.kind, image_curve, moving.sign)
-        return self.register(
-            name,
-            TwistWord.of(moving, past),
-            TwistWord.of(past, image),
-        )
-
     def get(self, name: str) -> Relation:
         try:
             return self.relations[name]

@@ -12,6 +12,7 @@ from cablekit.curves import (
     CurveSystem,
     CurveSystemError,
     NonExpandableGeneratorError,
+    _delta_power,
     algebraic_length,
     chain_classes,
     chain_model,
@@ -71,7 +72,7 @@ def connected_book(genus, word=None):
 
 
 def _expand_to_nonseparating(word, sys_):
-    """The word with each twist about a curve with a registered chain of m
+    """The word with each twist about a curve whose expansion is a chain of m
     curves replaced by the chain's power 2m + 2 spelled letter by letter
     (inverted for a negative twist): the reference for `algebraic_length`,
     which only counts m(2m + 2)."""
@@ -271,8 +272,8 @@ class TestP1RecordedTable:
 
 
 def reference_cable_p1_system(g, p):
-    """Reference: the (p,1) system with each nodule's chain relation checked
-    on the oracle on its own, through register_expansion."""
+    """Reference: the (p,1) system with the whole-table check() and each
+    nodule's chain relation checked on the oracle letter by letter."""
     sys_ = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
     block = chain_classes(2 * g + 1, g)
     for i in range(1, p + 1):
@@ -297,27 +298,15 @@ def reference_cable_p1_system(g, p):
     sys_.check()
     for i in range(1, p + 1):
         chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
-        sys_.register_expansion(f"partial{i}", chain)
+        assert sys_.word_delta(chain.power(4 * g + 2)) == {}, (g, p, i)
+        sys_.expansions[f"partial{i}"] = chain
     return sys_
 
 
-def _alter_curve(monkeypatch, system_name, curve, alter):
-    """Patch CurveSystem.add_curve so that `curve` of the system named
-    `system_name` is declared with the class alter(class)."""
-    add_curve = CurveSystem.add_curve
-
-    def altered(self, name, homology):
-        if (self.name, name) == (system_name, curve):
-            homology = alter(dict(homology))
-        add_curve(self, name, homology)
-
-    monkeypatch.setattr(CurveSystem, "add_curve", altered)
-
-
 class TestNoduleBlock:
-    """The chain relation is checked once per genus on the block, and each
-    nodule is proved a translate of it; the reference checks every nodule's
-    factorization on the oracle."""
+    """The chain relation and layout 1 are checked once per genus on the
+    block, and each build installs translates of it; the reference checks
+    the whole table and every nodule's chain relation on the oracle."""
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_system_equals_the_reference_that_checks_every_nodule(self, g):
@@ -336,24 +325,25 @@ class TestNoduleBlock:
                 assert len(chain) == 2 * g
                 assert sys_.word_delta(chain.power(4 * g + 2)) == {}, (g, p, i)
 
-    def test_one_register_expansion_per_genus(self, monkeypatch):
+    def test_one_chain_relation_per_genus(self, monkeypatch):
+        import cablekit.monodromy
+
         calls = []
-        register = CurveSystem.register_expansion
 
-        def counting(self, name, chain):
-            calls.append((self.name, name))
-            register(self, name, chain)
+        def counting(delta, k):
+            calls.append(k)
+            return _delta_power(delta, k)
 
-        monkeypatch.setattr(CurveSystem, "register_expansion", counting)
+        monkeypatch.setattr(cablekit.monodromy, "_delta_power", counting)
         _nodule_block.cache_clear()
         for g, p in [(2, 3), (2, 5), (2, 1), (3, 2), (3, 4)]:
             cable_p1_system.__wrapped__(g, p)
-        assert calls == [("chain_g2", "bdry_1"), ("chain_g3", "bdry_1")]
+        assert calls == [4 * 2 + 2, 4 * 3 + 2]
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_every_system_passes_the_whole_table_check(self, g):
-        # the build proves each layout a translate of the checked layout 1
-        # in place of check(); check() itself still finds nothing
+        # the build installs translates of the checked layout 1 in place of
+        # check(); check() itself still finds nothing
         for p in range(1, 7):
             cable_p1_system(g, p).check()
 
@@ -383,11 +373,6 @@ class TestNoduleBlock:
         sys_.check()  # the counter sees the pairings of the generic check
         assert calls[0] - counts[1] == len(sys_.intersections)
 
-    def test_outer_boundary_of_nonzero_class_is_refused(self, monkeypatch):
-        _alter_curve(monkeypatch, "cable_p1_g2_p3", "bdry_outer", lambda cls: {0: 1})
-        with pytest.raises(CurveSystemError, match="bdry_outer is not a separating curve"):
-            cable_p1_system.__wrapped__(2, 3)
-
     def test_a_layout_template_that_fails_the_pairing_is_refused(self, monkeypatch):
         import cablekit.monodromy
 
@@ -396,20 +381,17 @@ class TestNoduleBlock:
         with pytest.raises(CurveSystemError, match="layout 1 records 0,1 = 1"):
             cable_p1_system.__wrapped__(2, 3)
 
-    @pytest.mark.parametrize("curve, alter, message", [
-        # a_1 added: the chain keeps its pairings, so check() and each
-        # nodule's relation pass, but nodule 3 is no translate of the block
-        ("n3_2", lambda cls: {0: 1, **cls}, "n3_2 is not the block curve c2"),
-        # a_1 added to the crossing curve of layout 2: it meets no recorded
-        # partner there, so check() passes, but x2 is no translate of x1
-        ("x2", lambda cls: {0: 1, **cls}, "x2 is not the crossing curve x1"),
-    ])
-    def test_nodule_that_is_no_translate_is_refused(self, curve, alter, message, monkeypatch):
-        _alter_curve(monkeypatch, "cable_p1_g2_p4", curve, alter)
-        with pytest.raises(CurveSystemError, match=message):
-            cable_p1_system.__wrapped__(2, 4)
-        # checking every nodule on the oracle lets both through
-        assert set(reference_cable_p1_system(2, 4).expansions) == {f"partial{i}" for i in range(1, 5)}
+    @pytest.mark.parametrize("g", range(1, 5))
+    @pytest.mark.parametrize("miss", [-1, 1])
+    def test_a_chain_relation_that_fails_the_oracle_is_refused(self, g, miss, monkeypatch):
+        import cablekit.monodromy
+
+        # the near miss 4g+1 or 4g+3 in place of the power 4g+2
+        monkeypatch.setattr(cablekit.monodromy, "_delta_power",
+                            lambda delta, k: _delta_power(delta, k + miss))
+        _nodule_block.cache_clear()  # a call that raises is not cached
+        with pytest.raises(CurveSystemError, match=f"genus-{g} chain relation fails"):
+            cable_p1_system.__wrapped__(g, 3)
 
 
 def band_lifts(g):

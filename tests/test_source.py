@@ -154,3 +154,37 @@ def test_every_definition_is_used(path):
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and read[node.name] == _names_read(node)[node.name]]  # beyond its own body
     assert not unused, f"{path.name} defines {unused}, which nothing outside the tests names"
+
+
+def _scoped(node, scope):
+    """Every node below `node` with the name of its innermost enclosing
+    function, or `scope` outside any."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def _fills_expansions(node):
+    """Whether `node` stores an item into some `.expansions`, or calls one of
+    its mutating methods."""
+    def is_expansions(target):
+        return isinstance(target, ast.Attribute) and target.attr == "expansions"
+
+    if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+        return is_expansions(node.value)
+    if isinstance(node, ast.AugAssign):
+        return is_expansions(node.target)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"update", "setdefault", "pop", "popitem", "clear"}
+            and is_expansions(node.func.value))
+
+
+def test_only_the_cable_p1_builder_fills_expansions():
+    # an expansion counts m(2m + 2) letters in the algebraic length on the
+    # strength of a chain relation that `monodromy._nodule_block` checks once
+    # per genus for the (p,1) nodule chains; nothing else may store one
+    writers = {(path.stem, scope) for path in SOURCES
+               for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), None)
+               if _fills_expansions(node)}
+    assert writers == {("monodromy", "cable_p1_system")}

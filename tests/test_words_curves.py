@@ -445,126 +445,59 @@ def _count_word_delta_letters(monkeypatch) -> list[int]:
     return counted
 
 
-def _with_own_expansions(sys_: CurveSystem) -> CurveSystem:
-    """A system sharing the curves and the table of the cached `sys_`, with
-    an empty factorization table of its own to register into."""
-    out = CurveSystem(sys_.genus, sys_.boundary_labels, sys_.name)
-    out.curves, out.intersections = sys_.curves, sys_.intersections
-    return out
-
-
-def _is_even_chain(sys_: CurveSystem, word: TwistWord) -> bool:
-    """Reference: an even number m >= 2 of positive twists whose classes
-    pair to +-1 for neighbours and 0 for every other pair."""
-    if len(word) < 2 or len(word) % 2 or any(g.kind != DEHN or g.sign != 1 for g in word):
-        return False
-    classes = [sys_.curve(g.curve).support for g in word]
-    return all(abs(symplectic_pairing(u, classes[j])) == (j == i + 1)
-               for i, u in enumerate(classes) for j in range(i + 1, len(classes)))
-
-
-class TestRegisterExpansion:
-    """register_expansion(name, chain) refuses every word that is no even
-    chain of positive twists, then evaluates the chain once and squares its
-    delta up to the power 2m + 2 that its length m fixes; the letter-by-letter
-    word_delta of the power is the reference."""
+class TestChainRelation:
+    """_delta_power squares a delta up to a power, against the letter-by-letter
+    word_delta of the power, and _nodule_block checks the chain relation of
+    c1..c2g through it, once per genus, on the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(_system_and_word([key for key in _SYSTEM_KEYS if key[0] != "sigma22"]),
-           st.integers(1, 20), st.data())
-    def test_gate_matches_the_letter_by_letter_delta(self, case, k, data):
+           st.integers(1, 20))
+    def test_delta_power_matches_the_letter_by_letter_delta(self, case, k):
         sys_, word = case
         want = sys_.word_delta(word.power(k))
         with pytest.MonkeyPatch.context() as mp:
             counted = _count_word_delta_letters(mp)
             assert _delta_power(sys_.word_delta(word), k) == want
         assert counted[0] == len(word)
-        # the gate: on a chain model, half the draws are runs of its chain
-        chain = [name for name in sys_.curves if re.fullmatch(r"c\d+", name)]
-        if chain and data.draw(st.booleans()):
-            start = data.draw(st.integers(0, len(chain) - 1))
-            word = TwistWord.twists(*chain[start:data.draw(st.integers(start, len(chain)))])
-        names = sorted(sys_.curves)
-        zero = [name for name in names if not sys_.curves[name].support]
-        name = data.draw(st.sampled_from(zero) | st.sampled_from(names))
-        lhs = sys_.word_delta(TwistWord.twists(name))
-        is_chain = _is_even_chain(sys_, word)
-        own = _with_own_expansions(sys_)
-        if is_chain and sys_.word_delta(word.power(2 * len(word) + 2)) == lhs:
-            own.register_expansion(name, word)
-            assert own.expansions == {name: word}
-        else:
-            message = "fails the homology oracle" if is_chain else "must be an even chain"
-            with pytest.raises(CurveSystemError, match=message):
-                own.register_expansion(name, word)
-            assert own.expansions == {}
 
-    @pytest.mark.parametrize("word", [
-        TwistWord.twists("c1", ("c1", -1)),
-        TwistWord.twists("c1", "c1"),
-        TwistWord.twists("c1", "c2", "c1", "c2"),
-        TwistWord(()),
-        TwistWord.twists("c1"),
-        TwistWord.twists("c1", "c2", "c3"),
-        TwistWord.twists("c1", "bdry_1"),
-        TwistWord.of(Generator.fractional_boundary("1", Fraction(1, 2))),
-    ], ids=["inverse", "repeat", "chain_twice", "empty", "odd", "odd_3", "zero_class",
-            "fractional"])
-    def test_words_that_are_no_even_chain_are_refused_before_the_oracle(self, word,
-                                                                          monkeypatch):
-        counted = _count_word_delta_letters(monkeypatch)
-        cm = chain_model(1)
-        with pytest.raises(CurveSystemError, match="must be an even chain of positive twists"):
-            cm.register_expansion("bdry_1", word)
-        assert counted[0] == 0 and cm.expansions == {}
-
-    def test_the_chain_fixes_the_power(self):
-        # (c1 c2)^6 = T_d (Farb-Margalit, Prop. 4.12); on homology (c1 c2)^12
-        # and ^18 read the same, but no registration can store those powers
-        cm = chain_model(1)
-        cm.register_expansion("bdry_1", TwistWord.twists("c1", "c2"))
-        assert algebraic_length(TwistWord.twists("bdry_1"), cm) == 12
-        lhs = cm.word_delta(TwistWord.twists("bdry_1"))
-        assert all(cm.word_delta(TwistWord.twists("c1", "c2").power(k)) == lhs for k in (12, 18))
-        with pytest.raises(CurveSystemError, match="must be an even chain"):
-            chain_model(1).register_expansion("bdry_1", TwistWord.twists("c1", "c2", "c1", "c2"))
-
-    def test_name_of_nonzero_class_fails_the_oracle(self):
-        cm = chain_model(1)
-        with pytest.raises(CurveSystemError, match="fails the homology oracle"):
-            cm.register_expansion("c1", TwistWord.twists("c1", "c2"))
-        assert cm.expansions == {}
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_the_chain_fixes_the_power(self, p):
+        # (n{i}_1 n{i}_2)^6 = T_partial{i} (Farb-Margalit, Prop. 4.12); on
+        # homology the powers 12 and 18 read the same, but the stored chain
+        # has two letters and so counts 2 * 6
+        sys_ = cable_p1_system(1, p)
+        for i in range(1, p + 1):
+            chain = sys_.expansions[f"partial{i}"]
+            assert chain == TwistWord.twists(f"n{i}_1", f"n{i}_2")
+            assert all(sys_.word_delta(chain.power(k)) == {} for k in (6, 12, 18))
+            assert algebraic_length(TwistWord.twists(f"partial{i}"), sys_) == 12
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
-    def test_chain_relation_passes_and_near_misses_are_refused(self, g, monkeypatch):
+    def test_chain_relation_holds_and_its_near_misses_fail(self, g):
         chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
         # the letter-by-letter reference: the chain relation of c1..c2g holds
-        # on homology, and its power is no twist about a curve of nonzero class
+        # on homology, where bdry_1 has zero class
         cm = chain_model(g)
-        lhs = cm.word_delta(TwistWord.twists("bdry_1"))
-        assert cm.word_delta(chain.power(4 * g + 2)) == lhs
-        misses = ["c1", f"c{2 * g + 1}"]
-        assert all(cm.word_delta(TwistWord.twists(name)) != lhs for name in misses)
-        counted = _count_word_delta_letters(monkeypatch)
-        for name in misses:
-            with pytest.raises(CurveSystemError, match="fails the homology oracle"):
-                cm.register_expansion(name, chain)
-        cm.register_expansion("bdry_1", chain)
-        assert counted[0] == 3 * (1 + 2 * g)
-        assert cm.expansions == {"bdry_1": chain}
-        assert algebraic_length(TwistWord.twists("bdry_1"), cm) == 2 * g * (4 * g + 2)
+        assert cm.word_delta(TwistWord.twists("bdry_1")) == {}
+        assert cm.word_delta(chain.power(4 * g + 2)) == {}
+        _nodule_block(g)
+        delta = cm.word_delta(chain)
+        assert _delta_power(delta, 4 * g + 1) and _delta_power(delta, 4 * g + 3)
+        sys_ = cable_p1_system(g, 1)
+        assert algebraic_length(TwistWord.twists("partial1"), sys_) == 2 * g * (4 * g + 2)
 
     @pytest.mark.parametrize("g, p", [(4, 4), (1, 1000)])
-    def test_cold_cable_system_evaluates_each_boundary_period_once(self, g, p, monkeypatch):
-        # the chain relation is checked once per genus, on the block: one
-        # letter for the boundary twist and 2g for the period of its
-        # factorization; every nodule is proved a translate of the block
+    def test_cold_cable_system_evaluates_the_block_chain_once(self, g, p, monkeypatch):
+        # the chain relation is checked once per genus, on the block: the 2g
+        # letters of the chain, whose delta is squared up to the power 4g+2;
+        # a build at a cached genus evaluates nothing
         _nodule_block.cache_clear()
         counted = _count_word_delta_letters(monkeypatch)
         cable_p1_system.__wrapped__(g, p)
-        assert counted[0] == 2 * g + 1
+        assert counted[0] == 2 * g
         cable_p1_system.__wrapped__(g, p + 1)
-        assert counted[0] == 2 * g + 1
+        assert counted[0] == 2 * g
 
 
 def reference_chain_classes(count, genus):
