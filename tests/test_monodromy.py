@@ -325,6 +325,26 @@ class TestNoduleBlock:
                 assert len(chain) == 2 * g
                 assert sys_.word_delta(chain.power(4 * g + 2)) == {}, (g, p, i)
 
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_every_expansion_is_an_even_chain_its_curve_bounds(self, g):
+        # algebraic_length counts an expansion of m letters as m(2m + 2) on
+        # the strength of the chain relation, which needs an even chain of
+        # positive twists (neighbours pair to +-1, all other pairs to 0)
+        # about a zero-class curve recorded disjoint from every chain curve
+        for p in range(1, 7):
+            sys_ = cable_p1_system(g, p)
+            assert set(sys_.expansions) == {f"partial{i}" for i in range(1, p + 1)}
+            for name, chain in sys_.expansions.items():
+                m = len(chain)
+                assert m >= 2 and m % 2 == 0, (g, p, name)
+                assert all(x.kind == DEHN and x.sign == 1 for x in chain), (g, p, name)
+                classes = [sys_.curve(x.curve).support for x in chain]
+                assert all(abs(symplectic_pairing(u, classes[j])) == (j == i + 1)
+                           for i, u in enumerate(classes) for j in range(i + 1, m)), (g, p, name)
+                assert not sys_.curve(name).support, (g, p, name)
+                assert all(sys_.recorded_intersection(name, x.curve) == 0
+                           for x in chain), (g, p, name)
+
     def test_one_chain_relation_per_genus(self, monkeypatch):
         import cablekit.monodromy
 
