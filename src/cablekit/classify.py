@@ -183,15 +183,11 @@ def classify_cable(book: RationalOpenBook, coeffs: CableCoefficients) -> CableVe
                 "rational unknot and the structure stays tight",
             )
 
-    exceptional = []
-    for i in negatives:
-        p, q = pairs[i]
-        if gcd(abs(p), abs(q)) > 1:
-            exceptional = None  # non-coprime negative cable: overtwisted
-            break
-        if is_exceptional_slope(Slope(q, p), book.components[i].seifert_slope):
-            exceptional.append(i)
-    all_exceptional = exceptional is not None and len(exceptional) == len(negatives)
+    # a non-coprime negative cable is overtwisted, so it is never exceptional
+    all_exceptional = all(
+        gcd(p, q) == 1 and is_exceptional_slope(Slope(q, p), book.components[i].seifert_slope)
+        for i, (p, q) in enumerate(pairs) if i in negatives
+    )
 
     delta = hopf_delta(*pairs[0], book.genus) if integral_connected else None
 

@@ -80,15 +80,14 @@ def _require_fibered(K: LensTorusKnot) -> None:
 
 
 def euler_characteristic(K: LensTorusKnot) -> int:
-    """Euler characteristic of the fiber surface of a non-trivial class."""
+    """Euler characteristic of the fiber surface of a non-trivial class.
+
+    It is (|k| + |t| - |kt|)/gcd(r, k) with t = ks - lr, an exact division:
+    gcd(r, k) divides k and r, hence t, hence the numerator."""
     _require_fibered(K)
     k, l, r, s = K.k, K.l, K.r, K.s
     twist = k * s - l * r
-    num = abs(k) + abs(twist) - abs(k * twist)
-    g = gcd(r, k)
-    if num % g:
-        raise ValueError(f"Euler characteristic {num}/{g} of {K} is not integral")
-    return num // g
+    return (abs(k) + abs(twist) - abs(k * twist)) // gcd(r, k)
 
 
 def boundary_count(K: LensTorusKnot) -> int:
@@ -96,17 +95,12 @@ def boundary_count(K: LensTorusKnot) -> int:
 
     For a knot this is gcd(r, k^2)/gcd(r, k).  A link with c parallel
     components contributes c times the count of its reduced class (the
-    closed-form gcd identity in the knot case needs gcd(k, l) = 1).
+    closed-form gcd identity in the knot case needs gcd(k, l) = 1).  The
+    division is exact: gcd(r, k) divides r and k^2, hence gcd(r, k^2).
     """
     _require_fibered(K)
-    c = K.component_count
-    k = K.k // c
-    r = K.r
-    b = gcd(r, k * k)
-    g = gcd(r, k)
-    if b % g:
-        raise ValueError(f"boundary count {b}/{g} of {K} is not integral")
-    return c * (b // g)
+    k = K.k // K.component_count
+    return K.component_count * (gcd(K.r, k * k) // gcd(K.r, k))
 
 
 def homological_order(K: LensTorusKnot) -> int:

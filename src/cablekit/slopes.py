@@ -213,7 +213,7 @@ def eval_cont_frac(cf: NegContinuedFraction) -> Slope:
     for r in reversed(cf.terms):
         den_num = r * x_den - x_num  # r - x, over denominator x_den
         if den_num == 0:
-            raise ZeroDivisionError(f"partial denominator vanishes in {list(cf.terms)}")
+            raise SlopeDomainError(f"partial denominator vanishes in {list(cf.terms)}")
         x_num, x_den = x_den, den_num
     return Slope(x_num, x_den)
 

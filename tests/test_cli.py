@@ -684,52 +684,22 @@ class TestColdImports:
         )
         assert run.stdout.strip() == "['cablekit', 'cablekit.cli']"
 
-
-EXPORTS = {
-    "slopes": ["MERIDIAN", "NegContinuedFraction", "Slope", "SlopeDomainError",
-               "eval_cont_frac", "exceptional_slopes", "farey_shortest_path",
-               "neg_cont_frac"],
-    "lens": ["LensTorusKnot", "TrivialTorusKnotError", "boundary_count", "boundary_wrap",
-             "euler_characteristic", "homological_order", "is_rational_unknot", "is_trivial"],
-    "openbook": ["BindingComponent", "OpenBookError", "RationalOpenBook",
-                 "normalize_to_window", "positive_stabilize", "reframe", "validate"],
-    "classify": ["CableCoefficients", "CableError", "CableSign", "CableVerdict", "VerdictKind",
-                 "cable_sign", "cabled_page", "classify_cable", "hopf_delta",
-                 "induced_open_book_from_surgery", "resolve",
-                 "stabilization_count_pq_from_p1", "surgery_admissible"],
-    "words": ["Generator", "TwistWord"],
-    "curves": ["CurveSystem", "algebraic_length", "chain_model", "mod10_class",
-               "words_equal_on_homology"],
-    "rewrite": ["RelationRegistry", "ReplayResult", "RewriteScript", "Step", "replay"],
-    "monodromy": ["branch_point_count", "compose_cobordism_word", "monodromy_22_connected",
-                  "monodromy_p1_connected", "monodromy_p1_disconnected", "monodromy_pq",
-                  "negative_cable_word", "stein_obstruction_Lppm1"],
-    "library": ["shipped_scripts"],
-}
-
-
-class TestLazyExports:
-    def test_all_is_the_exported_names(self):
-        names = [n for names in EXPORTS.values() for n in names]
-        assert len(names) == len(set(names)) == 57
-        assert set(cablekit.__all__) == set(names)
-        assert set(names) <= set(dir(cablekit))
-
-    @pytest.mark.parametrize("module", sorted(EXPORTS))
-    def test_names_are_the_submodule_objects(self, module):
-        home = __import__(f"cablekit.{module}", fromlist=["_"])
-        for name in EXPORTS[module]:
-            assert getattr(cablekit, name) is getattr(home, name)
-        scope = {}
-        exec(f"from cablekit import {', '.join(EXPORTS[module])}", scope)
-        assert all(scope[n] is getattr(home, n) for n in EXPORTS[module])
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            cablekit.no_such_name  # noqa: B018
-        with pytest.raises(ImportError):
-            exec("from cablekit import no_such_name", {})
-        assert cablekit.__version__ == "0.1.0"
+    def test_the_package_binds_no_layer_name(self):
+        # a fresh interpreter: importing a layer binds the layer module on the
+        # package, never the names the layer defines
+        run = subprocess.run(
+            [sys.executable, "-c", "import cablekit\n"
+             "try:\n    from cablekit import classify_cable\n"
+             "except ImportError:\n    print(sorted(dir(cablekit)))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert run.stdout, "`from cablekit import classify_cable` imported a layer's name"
+        layers = [__import__(f"cablekit.{p.stem}", fromlist=["_"])
+                  for p in Path(SRC, "cablekit").glob("*.py") if p.stem != "__init__"]
+        defined = {name for layer in layers for name, obj in vars(layer).items()
+                   if getattr(obj, "__module__", None) == layer.__name__}
+        assert "classify_cable" in defined and "TwistWord" in defined
+        assert not set(ast.literal_eval(run.stdout)) & defined
 
 
 # -- fuzzing the input boundary ------------------------------------------------

@@ -94,7 +94,12 @@ class TestInvariants:
         K = LensTorusKnot(r, s, k, l)
         if is_trivial(K):
             return
-        assert isinstance(euler_characteristic(K), int)
+        # the closed forms divide exactly: nothing is lost to floor division
+        twist = k * s - l * r
+        assert euler_characteristic(K) * gcd(r, k) == abs(k) + abs(twist) - abs(k * twist)
+        c = K.component_count
+        knot_k = k // c
+        assert boundary_count(K) * gcd(r, knot_k) == c * gcd(r, knot_k * knot_k)
         assert boundary_count(K) >= 1
         assert (euler_characteristic(K) - boundary_count(K)) % 2 == 0
 

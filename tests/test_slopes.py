@@ -93,7 +93,7 @@ class TestContinuedFractions:
         assert eval_cont_frac(NegContinuedFraction([-3, -2, -1])) == Slope(-1, 2)
 
     def test_eval_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(SlopeDomainError, match="partial denominator vanishes"):
             eval_cont_frac(NegContinuedFraction([-2, -1, -2]))
 
     def test_domain(self):

@@ -142,11 +142,10 @@ def _names_read_by_package_and_bench():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_definition_is_used(path):
-    # a function or class that only the tests call belongs in the tests, and
-    # an export of `cablekit.__all__` is no exception.  Definitions and uses
-    # are matched by bare name, so any read of the same name, `obj.parse`
-    # say, counts as a use: the guard catches only dead definitions whose
-    # names are read nowhere else.
+    # a function or class that only the tests call belongs in the tests,
+    # public name or not.  Definitions and uses are matched by bare name, so
+    # any read of the same name, `obj.parse` say, counts as a use: the guard
+    # catches only dead definitions whose names are read nowhere else.
     read = _names_read_by_package_and_bench()
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = [node.name for node in ast.walk(tree)

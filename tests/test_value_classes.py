@@ -11,6 +11,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -248,8 +249,9 @@ def test_value_class_matches_its_dataclass_twin(cls, data):
 
 
 def test_every_frozen_value_class_has_a_twin():
-    frozen = {obj for module in cablekit._EXPORTS
-              for obj in vars(__import__(f"cablekit.{module}", fromlist=["_"])).values()
+    modules = [__import__(f"cablekit.{path.stem}", fromlist=["_"])
+               for path in Path(cablekit.__file__).parent.glob("*.py") if path.stem != "__init__"]
+    frozen = {obj for module in modules for obj in vars(module).values()
               if isinstance(obj, type) and issubclass(obj, cablekit._Frozen)}
     assert frozen - {cablekit._Frozen} == set(CASES)
 
