@@ -179,7 +179,6 @@ def cmd_obstruction(args) -> None:
 
 def cmd_verify_word(args) -> int:
     from . import library
-    from .curves import words_equal_on_homology
     systems = {
         "sigma22_g1": library.sigma22_script_system,
         "resolved_neg_cable_g1": library.resolved_system,
@@ -189,7 +188,7 @@ def cmd_verify_word(args) -> int:
     sys_ = systems[args.system]()
     w1 = _load_word(args.word1)
     w2 = _load_word(args.word2)
-    equal = words_equal_on_homology(w1, w2, sys_)
+    equal = sys_.word_delta(w1) == sys_.word_delta(w2)
     _emit(args, {"equal_on_homology": equal},
           "equal on homology" if equal else "NOT equal on homology")
     return 0 if equal else 2

@@ -120,10 +120,10 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 class CurveSystem:
     """Named curves with homology data on a fixed model surface.
 
-    Immutable by convention once built.  Every builder but one finishes with
-    :meth:`check`, which re-derives each recorded intersection from the
-    stored classes; `monodromy.cable_p1_system` installs translates of one
-    layout checked once per genus.
+    Each builder returns a system of the caller's own, and only checked
+    model data is cached.  A builder finishes with :meth:`check`, which
+    re-derives each recorded intersection from the stored classes, or, for
+    the `monodromy` cable pages, installs data checked once per genus.
     """
 
     __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "name")
@@ -243,10 +243,6 @@ class CurveSystem:
             for i, x in col.items():
                 rows[i][j] += x
         return tuple(map(tuple, rows))
-
-
-def words_equal_on_homology(w1: TwistWord, w2: TwistWord, sys: CurveSystem) -> bool:
-    return sys.word_delta(w1) == sys.word_delta(w2)
 
 
 # -- algebraic length and the mod-10 class ----------------------------------

@@ -76,13 +76,13 @@ def p1_layout(g: int, j: int) -> list[str]:
 
 @lru_cache(maxsize=None)
 def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
-    """The (p,1) page model of genus g, checked here and nowhere else: the
-    chain classes of `chain_model(g)`, the classes of layout 1
-    (:func:`p1_layout`) and its recorded entries (index, index, value).
-    The chain relation (T_c1 ... T_c2g)^(4g+2) = T_bdry_1 (Farb-Margalit,
-    Prop. 4.12) must hold on homology, where bdry_1 has zero class, so the
-    power's delta must be empty; each entry must equal the pairing.  Cached
-    per genus, to be treated as immutable."""
+    """The (p,1) page model of genus g, checked here once per genus and
+    nowhere else: the chain classes of `chain_model(g)` and the classes of
+    layout 1 (:func:`p1_layout`), each as its (coordinate, entry) pairs, and
+    layout 1's recorded entries (index, index, value).  The chain relation
+    (T_c1 ... T_c2g)^(4g+2) = T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold
+    on homology, where bdry_1 has zero class, so the power's delta must be
+    empty; each entry must equal the pairing."""
     model = chain_model(g)
     chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
     if _delta_power(model.word_delta(chain), 4 * g + 2):
@@ -99,10 +99,9 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     for a, b, value in entries:
         if abs(symplectic_pairing(layout[a], layout[b])) != value:
             raise CurveSystemError(f"layout 1 records {a},{b} = {value}, but the classes differ")
-    return block, layout, entries
+    return tuple(tuple(v.items()) for v in block), tuple(tuple(v.items()) for v in layout), entries
 
 
-@lru_cache(maxsize=None)
 def cable_p1_system(g: int, p: int) -> CurveSystem:
     """Curve system on the (p,1)-cable page of a genus-g one-boundary page.
 
@@ -122,8 +121,7 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     nodule i's chain word has the block's delta moved, empty as the block's
     is, and a zero class pairs to 0 with every curve.  The tests compare the
     build with a reference that runs the whole-table check() and every
-    nodule's relation letter by letter.  The result is cached and must be
-    treated as immutable.
+    nodule's relation letter by letter.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
@@ -131,12 +129,11 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
         raise MonodromyError("disk and annulus pages have no chain model here")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
     block, layout, entries = _nodule_block(g)
-    x1 = layout[2 * g]
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
-            sys.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v.items()})
+            sys.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v})
     for j in range(1, p):
-        sys.add_curve(f"x{j}", {2 * g * (j - 1) + t: x for t, x in x1.items()})
+        sys.add_curve(f"x{j}", {2 * g * (j - 1) + t: x for t, x in layout[2 * g]})
     for i in range(1, p + 1):
         sys.add_curve(f"partial{i}", {})
     sys.add_boundary_curves()
@@ -259,7 +256,6 @@ def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
     return CableWord(rotation.compose(phi), None, _page(book, p, 1))
 
 
-@lru_cache(maxsize=None)
 def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     """Curve system of the (2,2)-cable page (genus 2g, two boundaries) as
     the double cover of the disk branched over 4g+2 points: the covering
@@ -278,12 +274,22 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     them.  The lift of c{2g+1} lies there and pairs +-1 with e{2g} only
     (the chain argument of Farb-Margalit ch. 4): n1_{2g+1} = a_g, as in
     `cable_p1_system`.  Mirrored on e{4g+1}..e{2g+2}, n2_{2g+1} = a_{g+1}.
-    A nodule boundary separates, so partial{i} has zero class.  The system
-    is built once per genus and cached; it must be treated as immutable.
-    At g = 0 the page is an annulus: the one chain curve and the one
-    rotation curve are its core, of zero class, and nodules have no chain."""
+    A nodule boundary separates, so partial{i} has zero class.  At g = 0 the
+    page is an annulus: the one chain curve and the one rotation curve are
+    its core, of zero class, and nodules have no chain."""
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
+    curves, entries, rho_names = _cover22_model(g)
+    sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
+    sys.curves.update(curves)
+    sys.intersections.update(entries)
+    return sys, rho_names
+
+
+@lru_cache(maxsize=None)
+def _cover22_model(g: int) -> tuple[tuple, tuple, tuple[str, ...]]:
+    """The page of :func:`sigma22_cover_system`, checked once per genus: its
+    curves and recorded entries as item pairs, and the rotation curve names."""
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
     chain = chain_classes(4 * g + 1, 2 * g)
     for k, cls in enumerate(chain, 1):
@@ -306,7 +312,7 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
                 sys.record_intersection(name, end, int(k == 2 * g))
     sys.add_boundary_curves()
     sys.check()
-    return sys, rho_names
+    return tuple(sys.curves.items()), tuple(sys.intersections.items()), rho_names
 
 
 def _e_chain(g: int, i: int) -> list[str]:
@@ -319,9 +325,8 @@ def _e_chain(g: int, i: int) -> list[str]:
 
 def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
     """The (2,2)-cable monodromy: 2g+1 positive twists about the rotation
-    curves, then the lift of the monodromy on nodule 1 (the chain of
-    :func:`_e_chain` and partial1).  The rotation curves come from the
-    cached :func:`sigma22_cover_system`.
+    curves of :func:`sigma22_cover_system`, then the lift of the monodromy
+    on nodule 1 (the chain of :func:`_e_chain` and partial1).
     """
     _require_integral_connected(book)
     g = book.genus

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import _Frozen
-from .curves import CurveSystem, words_equal_on_homology
+from .curves import CurveSystem
 from .words import Generator, TwistWord
 
 
@@ -46,7 +46,7 @@ class RelationRegistry:
     def register(self, name: str, lhs: TwistWord, rhs: TwistWord) -> Relation:
         if name in self.relations:
             raise RelationOracleError(f"relation {name!r} already registered")
-        if not words_equal_on_homology(lhs, rhs, self.system):
+        if self.system.word_delta(lhs) != self.system.word_delta(rhs):
             raise RelationOracleError(f"relation {name!r} fails the homology oracle")
         rel = Relation(name, lhs, rhs)
         self.relations[name] = rel

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cablekit.curves import (
+    CurveInfo,
     CurveSystem,
     CurveSystemError,
     NonExpandableGeneratorError,
@@ -21,6 +22,7 @@ from cablekit.curves import (
 )
 from cablekit.monodromy import (
     MonodromyError,
+    _cover22_model,
     _nodule_block,
     branch_point_count,
     cable_p1_system,
@@ -94,6 +96,12 @@ def _expand_to_nonseparating(word, sys_):
     return TwistWord(tuple(out))
 
 
+def system_value(sys_):
+    """A curve system by value: what two builds of one page must share."""
+    return (sys_.genus, sys_.boundary_labels, sys_.name, sys_.curves, sys_.intersections,
+            sys_.expansions)
+
+
 def disconnected_book(genus, n):
     return RationalOpenBook(
         genus=genus,
@@ -162,16 +170,19 @@ class TestConnected22:
         disk = connected_book(0, TwistWord(()))
         for cw in (monodromy_22_connected(disk),
                    compose_cobordism_word(TwistWord(()), TwistWord(()), disk)):
-            assert cw.system is sys_ and cw.word == TwistWord.twists("rho22_1")
+            assert system_value(cw.system) == system_value(sys_)
+            assert cw.word == TwistWord.twists("rho22_1")
         assert (cw.book.genus, cw.book.boundary_count_of_page) == (0, 2)
         with pytest.raises(MonodromyError, match="g >= 0, got -1"):
             sigma22_cover_system(-1)
 
     def test_cover_system_built_once_per_genus(self):
-        sigma22_cover_system.cache_clear()
+        # each call builds a system of its own from the model, which is
+        # built and checked once per genus
+        _cover22_model.cache_clear()
         monodromy_22_connected(connected_book(2, TwistWord.twists("c1")))
         compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2"), connected_book(2))
-        assert sigma22_cover_system.cache_info().misses == 1
+        assert _cover22_model.cache_info().misses == 1
 
     def test_lifts_refuse_names_outside_the_system(self):
         # a name like "cusp" or "c²" is no curve of the page model and is
@@ -311,7 +322,7 @@ class TestNoduleBlock:
     @pytest.mark.parametrize("g", range(1, 5))
     def test_system_equals_the_reference_that_checks_every_nodule(self, g):
         for p in range(1, 7):
-            sys_, ref = cable_p1_system.__wrapped__(g, p), reference_cable_p1_system(g, p)
+            sys_, ref = cable_p1_system(g, p), reference_cable_p1_system(g, p)
             assert sys_.curves == ref.curves, (g, p)
             assert sys_.intersections == ref.intersections, (g, p)
             assert sys_.expansions == ref.expansions, (g, p)
@@ -357,7 +368,7 @@ class TestNoduleBlock:
         monkeypatch.setattr(cablekit.monodromy, "_delta_power", counting)
         _nodule_block.cache_clear()
         for g, p in [(2, 3), (2, 5), (2, 1), (3, 2), (3, 4)]:
-            cable_p1_system.__wrapped__(g, p)
+            cable_p1_system(g, p)
         assert calls == [4 * 2 + 2, 4 * 3 + 2]
 
     @pytest.mark.parametrize("g", range(1, 5))
@@ -381,13 +392,13 @@ class TestNoduleBlock:
         for module in (cablekit.curves, cablekit.monodromy):
             monkeypatch.setattr(module, "symplectic_pairing", counting)
         _nodule_block.cache_clear()
-        cable_p1_system.__wrapped__(2, 2)
+        cable_p1_system(2, 2)
         # the cold genus pairs chain_model(2)'s table and layout 1's entries
         assert calls[0] >= len(_nodule_block(2)[2])
         counts = []
         for p in (2, 50):
             calls[0] = 0
-            sys_ = cable_p1_system.__wrapped__(2, p)
+            sys_ = cable_p1_system(2, p)
             counts.append(calls[0])
         assert counts[0] == counts[1]
         sys_.check()  # the counter sees the pairings of the generic check
@@ -399,7 +410,7 @@ class TestNoduleBlock:
         monkeypatch.setattr(cablekit.monodromy, "symplectic_pairing", lambda u, v: 0)
         _nodule_block.cache_clear()  # a call that raises is not cached
         with pytest.raises(CurveSystemError, match="layout 1 records 0,1 = 1"):
-            cable_p1_system.__wrapped__(2, 3)
+            cable_p1_system(2, 3)
 
     @pytest.mark.parametrize("g", range(1, 5))
     @pytest.mark.parametrize("miss", [-1, 1])
@@ -411,7 +422,7 @@ class TestNoduleBlock:
                             lambda delta, k: _delta_power(delta, k + miss))
         _nodule_block.cache_clear()  # a call that raises is not cached
         with pytest.raises(CurveSystemError, match=f"genus-{g} chain relation fails"):
-            cable_p1_system.__wrapped__(g, 3)
+            cable_p1_system(g, 3)
 
 
 def band_lifts(g):
@@ -485,11 +496,46 @@ class TestConnectedP1:
         cw = monodromy_p1_connected(connected_book(1, word), 1)
         assert [x.curve for x in cw.word] == ["n1_1", "n1_2"]
         # the page is the bare cabled page, as for every other p
-        assert cw.book.monodromy is None and cw.system is cable_p1_system(1, 1)
+        assert cw.book.monodromy is None
+        assert system_value(cw.system) == system_value(cable_p1_system(1, 1))
 
     def test_page_data(self):
         cw = monodromy_p1_connected(connected_book(1, TwistWord(())), 2)
         assert (cw.book.genus, cw.book.boundary_count_of_page) == (2, 1)
+
+
+FRESH_BUILDS = {
+    "cable_p1_system": lambda: cable_p1_system(2, 3),
+    "sigma22_cover_system": lambda: sigma22_cover_system(2)[0],
+    "(3,1)": lambda: monodromy_pq(connected_book(1, TwistWord.twists("c1")), 3, 1).system,
+    "(2,2)": lambda: monodromy_pq(connected_book(1, TwistWord.twists("c1")), 2, 2).system,
+    "(3,4)": lambda: monodromy_pq(connected_book(1, TwistWord.twists("c1")), 3, 4).system,
+    "(2,-1)": lambda: monodromy_pq(
+        RationalOpenBook(genus=1, components=(BindingComponent(3, -1),)), 2, -1).system,
+}
+
+
+class TestFreshSystems:
+    """Only checked model data is cached: every call builds a system of the
+    caller's own, and a change to it reaches no later call."""
+
+    @pytest.mark.parametrize("build", FRESH_BUILDS.values(), ids=FRESH_BUILDS.keys())
+    def test_each_call_returns_a_fresh_system(self, build):
+        first, second = build(), build()
+        assert first is not second
+        assert system_value(first) == system_value(second)
+        first.add_curve("stray", {})
+        first.record_intersection("stray", next(iter(second.curves)), 0)
+        first.expansions["stray"] = TwistWord(())
+        assert system_value(build()) == system_value(second)
+
+    def test_the_caches_hold_tuples_and_frozen_values(self):
+        def frozen(x):
+            return (isinstance(x, (int, str, CurveInfo))
+                    or isinstance(x, tuple) and all(map(frozen, x)))
+
+        for g in range(4):
+            assert frozen(_cover22_model(g)) and (g == 0 or frozen(_nodule_block(g))), g
 
 
 class TestPq:
@@ -623,7 +669,7 @@ class TestNegativeCable:
     def test_every_r_carries_the_p1_system(self):
         for r in (2, 3, 4):
             cw = negative_cable_word(self.make_pattern(r))
-            assert cw.system is cable_p1_system(1, r - 1)
+            assert system_value(cw.system) == system_value(cable_p1_system(1, r - 1))
             cw.system.word_delta(cw.word)
 
     def test_genus_0_is_refused_for_every_r(self):

@@ -187,3 +187,21 @@ def test_only_the_cable_p1_builder_fills_expansions():
                for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), None)
                if _fills_expansions(node)}
     assert writers == {("monodromy", "cable_p1_system")}
+
+
+def _is_cache(decorator):
+    """Whether a decorator is functools' lru_cache or cache, called or not."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in {"lru_cache", "cache"}
+
+
+def test_no_cached_function_returns_a_curve_system():
+    # a cached CurveSystem would be one mutable object shared by every
+    # caller; the builders cache checked model data and build a fresh system
+    cached = [f"{path.name}:{node.name}" for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(map(_is_cache, node.decorator_list)) and node.returns is not None
+              and "CurveSystem" in ast.unparse(node.returns)]
+    assert not cached, f"{cached} cache a CurveSystem"
