@@ -45,8 +45,6 @@ class VerdictKind(Enum):
 class CableSign(Enum):
     POSITIVE = "Positive"
     NEGATIVE = "Negative"
-    EQUALS_SEIFERT = "EqualsSeifert"
-    EQUALS_MERIDIAN = "EqualsMeridian"
 
 
 class CableCoefficients(_Frozen):
@@ -118,10 +116,9 @@ class CableVerdict(_Frozen):
 
 
 def cable_sign(cable: Slope, seifert: Slope) -> CableSign:
-    if cable.is_meridian:
-        return CableSign.EQUALS_MERIDIAN
-    if cable == seifert:
-        return CableSign.EQUALS_SEIFERT
+    """The sign of a cable slope against its component's Seifert slope.  The
+    domain is what `CableCoefficients.validate` admits: a finite cable slope
+    (p != 0) other than the Seifert slope."""
     return CableSign.POSITIVE if cable > seifert else CableSign.NEGATIVE
 
 

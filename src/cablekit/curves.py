@@ -34,7 +34,7 @@ relation `monodromy._nodule_block` checks once per genus.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from . import _Frozen
 from .words import DEHN, TwistWord
@@ -94,11 +94,6 @@ class CurveInfo(_Frozen):
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "dim", dim)
 
-    def __eq__(self, other):
-        if other.__class__ is not CurveInfo:
-            return NotImplemented
-        return (self.support, self.dim) == (other.support, other.dim)
-
     @property
     def nonseparating(self) -> bool:
         """A nonzero class, on the capped surface (see the module docstring)."""
@@ -134,17 +129,11 @@ class CurveSystem:
 
     # -- construction helpers ---------------------------------------------
 
-    def add_curve(self, name: str, homology: Union[Sequence[int], Mapping[int, int]]) -> None:
-        """Declare a curve with its class, as all 2 * genus coordinates or as
-        a {coordinate: entry} map."""
+    def add_curve(self, name: str, homology: Mapping[int, int]) -> None:
+        """Declare a curve with its class, a {coordinate: entry} map."""
         if name in self.curves:
             raise CurveSystemError(f"curve {name!r} already declared")
         n = self.dim
-        # a plain dict skips the isinstance check against the Mapping ABC, which is slow
-        if homology.__class__ is not dict and not isinstance(homology, Mapping):
-            if len(homology) != n:
-                raise CurveSystemError(f"class for {name!r} has length {len(homology)}, need {n}")
-            homology = dict(enumerate(homology))
         keys = sorted(homology)
         if keys and not (0 <= keys[0] and keys[-1] < n):
             raise CurveSystemError(f"class for {name!r} has a coordinate outside 0..{n - 1}")

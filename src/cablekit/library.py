@@ -39,9 +39,9 @@ from .rewrite import RelationRegistry, RewriteScript, Step, replay
 from .words import Generator, TwistWord
 
 
-def _h1(a1: int = 0, b1: int = 0, a2: int = 0, b2: int = 0) -> tuple[int, ...]:
+def _h1(a1: int = 0, b1: int = 0, a2: int = 0, b2: int = 0) -> dict[int, int]:
     """The class a1*a_1 + b1*b_1 + a2*a_2 + b2*b_2 of a genus-2 script page."""
-    return (a1, b1, a2, b2)
+    return {0: a1, 1: b1, 2: a2, 3: b2}
 
 
 def _script_page(name: str, labels: tuple[str, ...], separating: tuple[str, ...]) -> CurveSystem:
@@ -315,20 +315,11 @@ def lantern_genus3_model() -> tuple[CurveSystem, RelationRegistry]:
     seven lantern curves nonseparating; the relation passes the oracle with
     a nontrivial matrix identity."""
     sys = CurveSystem(genus=3, boundary_labels=("1",), name="lantern_genus3")
-    a1 = (1, 0, 0, 0, 0, 0)
-    a2 = (0, 0, 1, 0, 0, 0)
-    a3 = (0, 0, 0, 0, 1, 0)
-    def add(*vs):
-        return tuple(sum(x) for x in zip(*vs))
-    def neg(v):
-        return tuple(-x for x in v)
-    sys.add_curve("L1", a1)
-    sys.add_curve("L2", a2)
-    sys.add_curve("L3", a3)
-    sys.add_curve("L4", neg(add(a1, a2, a3)))
-    sys.add_curve("x12", add(a1, a2))
-    sys.add_curve("x23", add(a2, a3))
-    sys.add_curve("x13", add(a1, a3))
+    classes = {"L1": {0: 1}, "L2": {2: 1}, "L3": {4: 1},  # a_1, a_2, a_3
+               "L4": {0: -1, 2: -1, 4: -1},
+               "x12": {0: 1, 2: 1}, "x23": {2: 1, 4: 1}, "x13": {0: 1, 4: 1}}
+    for curve, cls in classes.items():
+        sys.add_curve(curve, cls)
     for pair in [("L1", "L2"), ("L1", "L3"), ("L1", "L4"), ("L2", "L3"),
                  ("L2", "L4"), ("L3", "L4")]:
         sys.record_intersection(*pair, 0)

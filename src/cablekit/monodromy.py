@@ -168,11 +168,9 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
     pair, each a negative boundary twist followed by the positive Garside
     block of its layout chain."""
     gens = [Generator.dehn_twist(f"partial{j}", -1) for j in range(p, 1, -1)]
-    pattern = _garside_pattern(4 * g + 1)
     for j in range(1, p):
-        letters = [Generator.dehn_twist(name) for name in p1_layout(g, j)]
         gens.append(Generator.dehn_twist(f"partial{j}", -1))
-        gens.extend(map(letters.__getitem__, pattern))
+        gens.extend(garside_block(p1_layout(g, j)))
     return TwistWord(tuple(gens))
 
 
@@ -188,13 +186,13 @@ def lift_to_nodule(word: TwistWord, chain: Sequence[str],
     for letter in word:
         if letter.kind != DEHN:
             raise MonodromyError(f"only Dehn twists lift to a nodule, got {letter}")
-
-    def lift(curve: str) -> str:
+    keys = [(letter.curve, letter.sign) for letter in word]
+    lifts = {}
+    for curve, sign in dict.fromkeys(keys):
         if curve not in images:
             raise MonodromyError(f"curve {curve} has no nodule model")
-        return images[curve]
-
-    return word.map_curves(lift)
+        lifts[curve, sign] = Generator.dehn_twist(images[curve], sign)
+    return TwistWord(tuple(map(lifts.__getitem__, keys)))
 
 
 def _p1_chain(g: int, i: int) -> list[str]:

@@ -45,11 +45,6 @@ class BindingComponent(_Frozen):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "seifert_numerator", seifert_numerator)
 
-    def __eq__(self, other):
-        if other.__class__ is not BindingComponent:
-            return NotImplemented
-        return (self.order, self.seifert_numerator) == (other.order, other.seifert_numerator)
-
     def __repr__(self):
         return f"BindingComponent{(self.order, self.seifert_numerator)}"
 
@@ -113,11 +108,6 @@ class RationalOpenBook(_Frozen):
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "monodromy", monodromy)
         object.__setattr__(self, "metadata", metadata)
-
-    def __eq__(self, other):
-        if other.__class__ is not RationalOpenBook:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in RationalOpenBook.__slots__)
 
     @property
     def boundary_count_of_page(self) -> int:

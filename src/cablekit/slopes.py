@@ -46,11 +46,6 @@ class Slope(_Frozen):
         object.__setattr__(self, "numerator", q)
         object.__setattr__(self, "denominator", p)
 
-    def __eq__(self, other):
-        if other.__class__ is not Slope:
-            return NotImplemented
-        return (self.numerator, self.denominator) == (other.numerator, other.denominator)
-
     def __hash__(self):
         return hash((self.numerator, self.denominator))
 
@@ -183,7 +178,7 @@ def farey_shortest_path(start: Slope, end: Slope) -> list[Slope]:
     return path[::-1] if flip else path
 
 
-class NegContinuedFraction:
+class NegContinuedFraction(_Frozen):
     """An expansion [r_0, ..., r_k] of the nest 1/(r_0 - 1/(r_1 - ...)).
 
     :func:`neg_cont_frac` returns the canonical form, every term <= -2;
@@ -193,12 +188,10 @@ class NegContinuedFraction:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = tuple(int(t) for t in terms)
-        if not self.terms:
+        terms = tuple(int(t) for t in terms)
+        if not terms:
             raise SlopeDomainError("empty continued fraction")
-
-    def __eq__(self, other):
-        return isinstance(other, NegContinuedFraction) and self.terms == other.terms
+        object.__setattr__(self, "terms", terms)
 
     def __hash__(self):
         return hash(self.terms)

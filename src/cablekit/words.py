@@ -10,7 +10,7 @@ implicitly).  Braids reach a word only through their lift to Dehn twists.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import _Frozen
 
@@ -45,12 +45,6 @@ class Generator(_Frozen):
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "amount", amount)
-
-    def __eq__(self, other):
-        if other.__class__ is not Generator:
-            return NotImplemented
-        return (self.kind, self.curve, self.sign, self.amount) == (
-            other.kind, other.curve, other.sign, other.amount)
 
     # -- constructors -------------------------------------------------------
 
@@ -125,11 +119,6 @@ class TwistWord(_Frozen):
     def __post_init__(self):
         """Runs once per built word; bench/tracing.py wraps it to count letters."""
 
-    def __eq__(self, other):
-        if other.__class__ is not TwistWord:
-            return NotImplemented
-        return self.generators == other.generators
-
     @staticmethod
     def of(*gens: Generator) -> "TwistWord":
         return TwistWord(gens)
@@ -166,16 +155,6 @@ class TwistWord(_Frozen):
 
     def inverse(self) -> "TwistWord":
         return TwistWord(tuple(g.inverse() for g in reversed(self.generators)))
-
-    def map_curves(self, fn: Callable[[str], str]) -> "TwistWord":
-        """Rename the curve of every Dehn twist by `fn`; other generator
-        kinds pass through unchanged."""
-        return TwistWord(
-            tuple(
-                Generator(DEHN, fn(g.curve), g.sign) if g.kind == DEHN else g
-                for g in self.generators
-            )
-        )
 
     def is_positive(self) -> bool:
         """True when every generator is positive."""

@@ -109,8 +109,6 @@ class TestCableSign:
     def test_examples(self):
         assert cable_sign(Slope(3, 2), Slope(0)) is CableSign.POSITIVE
         assert cable_sign(Slope(-2, 3), Slope(-1, 3)) is CableSign.NEGATIVE
-        assert cable_sign(Slope(-1, 3), Slope(-1, 3)) is CableSign.EQUALS_SEIFERT
-        assert cable_sign(Slope(1, 0), Slope(0)) is CableSign.EQUALS_MERIDIAN
 
 
 class TestCoefficients:

@@ -205,3 +205,12 @@ def test_no_cached_function_returns_a_curve_system():
               and any(map(_is_cache, node.decorator_list)) and node.returns is not None
               and "CurveSystem" in ast.unparse(node.returns)]
     assert not cached, f"{cached} cache a CurveSystem"
+
+
+def test_only_frozen_defines_equality():
+    # every value class compares by its fields through `_Frozen.__eq__`; a
+    # class with its own comparison would follow a second rule
+    defining = [f"{path.name}:{node.name}" for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ClassDef) and "__eq__" in _defined(node)]
+    assert defining == ["__init__.py:_Frozen"]

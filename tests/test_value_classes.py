@@ -2,9 +2,10 @@
 
 The package declares its value classes as plain slotted classes, because
 importing `dataclasses` and building each decorated class costs every CLI
-call about 20 ms.  The twins below are the frozen dataclasses those classes
-replaced, with the same fields, defaults and checks; they are the slow
-reference for constructors, equality and hashing.
+call about 20 ms.  The twins below are frozen dataclasses with the same
+fields, defaults and checks; they are the slow reference for constructors,
+equality and hashing.  Every value class compares by its fields, as its
+twin does.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from cablekit.curves import CurveInfo
 from cablekit.lens import LensTorusKnot
 from cablekit.openbook import BindingComponent, OpenBookError, RationalOpenBook
 from cablekit.rewrite import Relation, RewriteScript, Step
-from cablekit.slopes import Slope, SlopeDomainError
+from cablekit.slopes import NegContinuedFraction, Slope, SlopeDomainError
 from cablekit.words import FRACTIONAL, Generator, TwistWord
 
 
@@ -43,6 +44,19 @@ class SlopeTwin:
             q, p = -q, -p
         object.__setattr__(self, "numerator", q)
         object.__setattr__(self, "denominator", p)
+
+
+@dataclass(frozen=True)
+class NegContinuedFractionTwin:
+    terms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(int(t) for t in self.terms))
+        if not self.terms:
+            raise SlopeDomainError("empty continued fraction")
+
+    def __hash__(self):  # the class hashes its terms, not the tuple of its fields
+        return hash(self.terms)
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,8 @@ _pairs = st.lists(st.tuples(st.sampled_from([1, 2, "2", "x"]), _small), max_size
 
 CASES = {
     Slope: (SlopeTwin, [st.integers(-6, 6), st.integers(-6, 6)]),
+    NegContinuedFraction: (NegContinuedFractionTwin, [
+        st.lists(st.integers(-3, -1) | st.sampled_from(["-2", "x"]), max_size=2)]),
     Generator: (GeneratorTwin, [st.sampled_from(["dehn", FRACTIONAL, "stab", "braid"]), _names,
                                 st.integers(-2, 2),
                                 st.none() | st.fractions(-2, 2, max_denominator=3)]),
@@ -234,12 +250,11 @@ def test_value_class_matches_its_dataclass_twin(cls, data):
     (a, ref_a), (b, ref_b) = built
     if isinstance(a, type):
         return
-    # a class without its own __eq__ compares by identity: nothing in the
-    # package, the tests or the bench compares its values
-    if "__eq__" in vars(cls):
-        assert (a == a, a != a) == (True, False)
-        if not isinstance(b, type):
-            assert (a == b) == (ref_a == ref_b) and (a != b) == (ref_a != ref_b)
+    # equal fields make equal values: a second build of the same call included
+    again = _build(cls, names, *calls[0])
+    assert (a == a, a != a, a == again, a != again) == (True, False, True, False)
+    if not isinstance(b, type):
+        assert (a == b) == (ref_a == ref_b) and (a != b) == (ref_a != ref_b)
     if vars(cls).get("__hash__") is not None:
         assert hash(a) == hash(ref_a)
     assert a != _fields(a, names) and not a == _fields(a, names)

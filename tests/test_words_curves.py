@@ -74,18 +74,6 @@ class TestWordAlgebra:
         assert g == Generator.fractional_boundary("1", Fraction(amount))
         assert TwistWord.of(g).is_positive() == (g.amount > 0)
 
-    def test_map_curves_renames_dehn_twists_only(self):
-        w = TwistWord.of(
-            Generator.dehn_twist("a", -1),
-            Generator.fractional_boundary("a", Fraction(1, 3)),
-            Generator.stabilization_marker("a"),
-            Generator.dehn_twist("b"),
-        )
-        out = w.map_curves(lambda c: c.upper())
-        assert out == TwistWord.of(
-            Generator.dehn_twist("A", -1), *w[1:3], Generator.dehn_twist("B")
-        )
-
     def test_json_round_trip(self):
         w = TwistWord.of(
             Generator.dehn_twist("a", -1),
@@ -407,7 +395,7 @@ class TestWordDelta:
         # mixed signs in the pairing row make the orientation of the class
         # depend on which column it is read from: the first, as densely
         sys_ = CurveSystem(genus=2, boundary_labels=("1",))
-        sys_.add_curve("c", cls)
+        sys_.add_curve("c", dict(enumerate(cls)))
         word = TwistWord.twists(("c", sign))
         support, got_sign = extract_transvection_class(sys_.word_delta(word))
         got = tuple(support.get(t, 0) for t in range(sys_.dim))
@@ -525,15 +513,13 @@ class TestChainClasses:
 
 
 class TestSparseClasses:
-    def test_map_and_sequence_forms_agree(self):
+    def test_map_form_keeps_the_nonzero_entries_in_order(self):
         sys_ = CurveSystem(genus=2, boundary_labels=("1",))
-        sys_.add_curve("u", (1, 0, -2, 0))
         sys_.add_curve("v", {2: -2, 0: 1, 3: 0})
-        assert sys_.curve("u") == sys_.curve("v")
         assert sys_.curve("v").homology == (1, 0, -2, 0)
         assert sys_.curve("v").support == {0: 1, 2: -2}
 
-    @pytest.mark.parametrize("cls", [(1, 0, 0), {4: 1}, {-1: 1}])
+    @pytest.mark.parametrize("cls", [{4: 1}, {-1: 1}])
     def test_coordinates_outside_the_surface_are_rejected(self, cls):
         sys_ = CurveSystem(genus=2, boundary_labels=("1",))
         with pytest.raises(CurveSystemError, match="class for 'w'"):
