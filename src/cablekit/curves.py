@@ -227,7 +227,9 @@ class CurveSystem:
     def word_matrix(self, word: TwistWord) -> Matrix:
         """The matrix of `word`: the dense, row-major view I + word_delta."""
         n = self.dim
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 1
         for j, col in self.word_delta(word).items():
             for i, x in col.items():
                 rows[i][j] += x

@@ -38,8 +38,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
-from .curves import (CurveSystem, CurveSystemError, _delta_power, chain_classes, chain_model,
-                     symplectic_pairing)
+from .curves import (CurveInfo, CurveSystem, CurveSystemError, _delta_power, _pair_key,
+                     chain_classes, chain_model, symplectic_pairing)
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import DEHN, FRACTIONAL, Generator, TwistWord
 
@@ -115,13 +115,16 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     as its 2g-letter chain, for the mod-10 lengths.
 
     The build checks nothing: it installs :func:`_nodule_block`'s checked
-    model, nodule i the block and x_i the template's x1, moved by 2g(i-1)
-    coordinates.  The move sends a_k, b_k to a_{k+g(i-1)}, b_{k+g(i-1)},
-    an isometry of the form, so layout i's entries hold as layout 1's do,
-    nodule i's chain word has the block's delta moved, empty as the block's
-    is, and a zero class pairs to 0 with every curve.  The tests compare the
-    build with a reference that runs the whole-table check() and every
-    nodule's relation letter by letter.
+    model as CurveInfos straight into `curves`, nodule i the block and x_i
+    the template's x1, moved by 2g(i-1) coordinates.  The move sends a_k, b_k
+    to a_{k+g(i-1)}, b_{k+g(i-1)}, an isometry of the form, so layout i's
+    entries hold as layout 1's do, nodule i's chain word has the block's
+    delta moved, empty as the block's is, and a zero class pairs to 0 with
+    every curve.  Neither refusal of `add_curve` can fire: every name differs
+    by prefix or index, and the moved classes keep the template's nonzero,
+    ascending entries, nodule i's below 2gi and x_i's below 2g(i+1) <= dim.
+    The tests compare the build with a reference that runs the whole-table
+    check() and every nodule's relation letter by letter.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
@@ -129,24 +132,23 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
         raise MonodromyError("disk and annulus pages have no chain model here")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
     block, layout, entries = _nodule_block(g)
+    n, curves = sys.dim, sys.curves
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
-            sys.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v})
+            curves[f"n{i}_{k}"] = CurveInfo({2 * g * (i - 1) + t: x for t, x in v}, n)
     for j in range(1, p):
-        sys.add_curve(f"x{j}", {2 * g * (j - 1) + t: x for t, x in layout[2 * g]})
+        curves[f"x{j}"] = CurveInfo({2 * g * (j - 1) + t: x for t, x in layout[2 * g]}, n)
     for i in range(1, p + 1):
-        sys.add_curve(f"partial{i}", {})
+        curves[f"partial{i}"] = CurveInfo({}, n)
     sys.add_boundary_curves()
     # recorded data: the layout chains, less their cross-nodule pairs
     for j in range(1, p):
         names = p1_layout(g, j)
-        for a, b, value in entries:
-            sys.record_intersection(names[a], names[b], value)
+        sys.intersections.update({_pair_key(names[a], names[b]): value for a, b, value in entries})
     for i in range(1, p + 1):
         chain = _p1_chain(g, i)
-        for name in chain:
-            sys.record_intersection(f"partial{i}", name, 0)
-        sys.expansions[f"partial{i}"] = TwistWord.twists(*chain[:-1])
+        sys.intersections.update({_pair_key(f"partial{i}", name): 0 for name in chain})
+        sys.expansions[f"partial{i}"] = TwistWord(tuple(map(Generator.dehn_twist, chain[:-1])))
     return sys
 
 
@@ -166,11 +168,17 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
     """The rotation word of the connected-binding (p,1)-cable: leading
     negative nodule boundary twists, then one block per adjacent nodule
     pair, each a negative boundary twist followed by the positive Garside
-    block of its layout chain."""
-    gens = [Generator.dehn_twist(f"partial{j}", -1) for j in range(p, 1, -1)]
-    for j in range(1, p):
-        gens.append(Generator.dehn_twist(f"partial{j}", -1))
-        gens.extend(garside_block(p1_layout(g, j)))
+    block of its layout chain, laid out from the Garside pattern over one
+    shared Generator per distinct (curve, sign)."""
+    layouts = [p1_layout(g, j) for j in range(1, p)]
+    names = dict.fromkeys(name for layout in layouts for name in layout)
+    twist = {name: Generator.dehn_twist(name) for name in names}
+    bdry = [Generator.dehn_twist(f"partial{j}", -1) for j in range(1, p + 1)]
+    gens, pattern = bdry[:0:-1], _garside_pattern(4 * g + 1)
+    for j, layout in enumerate(layouts, 1):
+        letters = [twist[name] for name in layout]
+        gens.append(bdry[j - 1])
+        gens.extend(map(letters.__getitem__, pattern))
     return TwistWord(tuple(gens))
 
 

@@ -154,7 +154,11 @@ class TwistWord(_Frozen):
         return TwistWord(self.generators * n)
 
     def inverse(self) -> "TwistWord":
-        return TwistWord(tuple(g.inverse() for g in reversed(self.generators)))
+        """The inverted letters in reverse order, one Generator per distinct letter."""
+        gens = self.generators[::-1]
+        keys = [(g.kind, g.curve, g.sign, g.amount) for g in gens]
+        made = {key: g.inverse() for key, g in dict(zip(keys, gens)).items()}
+        return TwistWord(tuple(map(made.__getitem__, keys)))
 
     def is_positive(self) -> bool:
         """True when every generator is positive."""

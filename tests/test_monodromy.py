@@ -356,6 +356,22 @@ class TestNoduleBlock:
                 assert all(sys_.recorded_intersection(name, x.curve) == 0
                            for x in chain), (g, p, name)
 
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_the_direct_install_holds_what_add_curve_would_refuse(self, g):
+        # the build writes CurveInfos straight into `curves`, past the two
+        # refusals of add_curve: a name declared twice and a coordinate
+        # outside the surface
+        for p in range(1, 7):
+            sys_, ref = cable_p1_system(g, p), reference_cable_p1_system(g, p)
+            assert len(sys_.curves) == p * (2 * g + 1) + (p - 1) + p + 1, (g, p)
+            assert list(sys_.curves) == list(ref.curves), (g, p)
+            for name, info in sys_.curves.items():
+                coords = list(info.support)
+                assert info.dim == sys_.dim and coords == sorted(coords), (g, p, name)
+                assert all(0 <= t < sys_.dim and info.support[t] for t in coords), (g, p, name)
+            assert (sys_.name, sys_.genus, sys_.boundary_labels) == (
+                ref.name, ref.genus, ref.boundary_labels), (g, p)
+
     def test_one_chain_relation_per_genus(self, monkeypatch):
         import cablekit.monodromy
 
@@ -1050,6 +1066,14 @@ class TestRotationStructure:
     def test_rotation_equals_the_letter_by_letter_reference(self, g):
         for p in range(1, 7):
             assert rho_p1_rotation(g, p) == reference_rho_p1_rotation(g, p), (g, p)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_rotation_holds_one_generator_per_distinct_letter(self, g):
+        # layouts j and j+1 share nodule j+1's chain and each block repeats
+        # its letters, yet every (curve, sign) is one object
+        for p in range(1, 7):
+            word = rho_p1_rotation(g, p)
+            assert len({id(x) for x in word}) == len({(x.curve, x.sign) for x in word}), (g, p)
 
     def test_garside_block_equals_the_letter_by_letter_reference(self):
         for m in range(0, 12):

@@ -52,6 +52,26 @@ class TestWordAlgebra:
         assert w == TwistWord(tuple(Generator.dehn_twist(c, s) for c, s in letters))
         assert w[0] is w[1] and w[2] is w[4] and len({id(g) for g in w}) == 3
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_inverse_shares_one_generator_per_distinct_letter(self, seed):
+        # every letter is built afresh, so equal letters start as distinct objects
+        pool = [lambda: Generator.dehn_twist("a"), lambda: Generator.dehn_twist("a", -1),
+                lambda: Generator.dehn_twist("b", -1),
+                lambda: Generator.fractional_boundary("1", Fraction(1, 2)),
+                lambda: Generator.fractional_boundary("1", Fraction(-2, 3)),
+                lambda: Generator.stabilization_marker("s"),
+                lambda: Generator.stabilization_marker("s", -1)]
+        rng = random.Random(seed)
+        w = TwistWord(tuple(rng.choice(pool)() for _ in range(rng.randrange(0, 40))))
+        reference = tuple(g.inverse() for g in reversed(w.generators))
+        for inv, copies in ((w.inverse(), 1), (w.power(-3), 3)):
+            assert inv.generators == reference * copies
+            distinct = []
+            for g in inv:
+                if g not in distinct:
+                    distinct.append(g)
+            assert len({id(g) for g in inv}) == len(distinct), seed
+
     def test_fractional(self):
         g = Generator.fractional_boundary("1", Fraction(-2, 5))
         assert g.sign == -1 and g.inverse().amount == Fraction(2, 5)
