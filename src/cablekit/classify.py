@@ -256,13 +256,12 @@ def _integral_book(chi: int, components: list[BindingComponent],
                             monodromy=monodromy, metadata=metadata)
 
 
-def stabilization_count_pq_from_p1(p: int, q: int) -> tuple[int, str]:
+def stabilization_count_pq_from_p1(p: int, q: int) -> int:
     """(|p| - 1)(|q| - 1) stabilizations relate the (p, sgn q)- and (p, q)-
     cables; they are positive when pq > 0 and negative when pq < 0."""
     if p == 0 or q == 0:
         raise CableError("need p != 0 and q != 0")
-    count = (abs(p) - 1) * (abs(q) - 1)
-    return count, ("positive" if p * q > 0 else "negative")
+    return (abs(p) - 1) * (abs(q) - 1)
 
 
 # -- resolution --------------------------------------------------------------
@@ -289,7 +288,8 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
     When every resolved component reads (r, -1) with l = 0 in its window
     and a monodromy word is present, the word is updated: the fractional
     boundary twists are replaced by one positive boundary twist about each
-    new boundary component (a boundary multitwist acting first).
+    new boundary component (a boundary multitwist acting first).  A book
+    with no rational component keeps its word unchanged.
     """
     rational = [i for i, c in enumerate(book.components) if c.order > 1]
     if len(l_coeffs) != len(rational):
@@ -310,12 +310,11 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
         multitwist_ok = multitwist_ok and (s, l) == (-1, 0)
         chi -= (r - 1) * (l - s)
         new_curves += [f"rb{idx}_{j}" for j in range(1, gcd(r, l) + 1)]
-    word = None
-    if book.monodromy is not None and multitwist_ok:
-        kept = [g for g in book.monodromy if g.kind != "fractional"]
-        word = TwistWord(
-            tuple(kept) + tuple(Generator.dehn_twist(c, +1) for c in new_curves)
-        )
+    word = book.monodromy
+    if word is not None and rational:
+        kept = tuple(g for g in word if g.kind != "fractional")
+        added = tuple(Generator.dehn_twist(c, +1) for c in new_curves)
+        word = TwistWord(kept + added) if multitwist_ok else None
     components = [c for c in book.components if c.order == 1]
     components += [BindingComponent(1, 0)] * len(new_curves)
     return _integral_book(chi, components, word, book.metadata).with_metadata(

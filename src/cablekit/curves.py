@@ -25,8 +25,8 @@ sparse columns; a twist is a rank-one update costing the sizes of the
 columns it touches, never the dimension.  ``word_matrix`` is its dense view.
 ``_delta_power`` raises a delta to a power by squaring, (I + a)(I + b) - I
 = a + b + ab: the same exact matrix as the power spelled letter by letter.
-A system's ``expansions`` map a zero-class curve to a chain of m curves, m
-even, whose power 2m + 2 is the curve's twist (the chain relation); only
+A system's ``expansions`` map a zero-class curve to the names of a chain of
+m curves, m even, whose power 2m + 2 is its twist (the chain relation); only
 `monodromy.cable_p1_system` fills them, with the nodule chains whose
 relation `monodromy._nodule_block` checks once per genus.
 """
@@ -37,7 +37,7 @@ from collections.abc import Mapping
 from typing import Optional
 
 from . import _Frozen
-from .words import DEHN, TwistWord
+from .words import DEHN, FRACTIONAL, TwistWord
 
 Matrix = tuple[tuple[int, ...], ...]
 Delta = dict[int, dict[int, int]]  # M - I as {column: {row: entry}}, nonzero only
@@ -187,8 +187,9 @@ class CurveSystem:
         s * (M c) * rho(c) to M, rho(c) the pairing row of c: M c is read
         from the columns in the support of c (a column without a delta is
         e_t) and only the columns in the support of rho(c) change.  Zero
-        classes, fractional twists and stabilization markers act trivially;
-        the first unknown curve raises.
+        classes, fractional twists and stabilization markers act trivially.
+        The first unknown curve, or fractional letter about no boundary of
+        the system, raises; markers name no curve, so they are not resolved.
         """
         delta: Delta = {}
         plans: dict[str, tuple] = {}  # curve -> (support of c, of rho(c))
@@ -222,6 +223,8 @@ class CurveSystem:
                                 del col[r]
                     if not col:
                         del delta[t]
+            elif gen.kind == FRACTIONAL and gen.curve not in self.boundary_labels:
+                raise UnresolvedCurveError(f"boundary {gen.curve!r} not in system {self.name!r}")
         return delta
 
     def word_matrix(self, word: TwistWord) -> Matrix:

@@ -44,21 +44,16 @@ class LensTorusKnot(_Frozen):
     def component_count(self) -> int:
         return gcd(self.k, self.l)
 
-    def reduced_class(self) -> tuple[int, int]:
-        """The underlying knot class (k, l)/gcd(k, l)."""
-        c = self.component_count
-        return (self.k // c, self.l // c)
-
 
 def is_trivial(K: LensTorusKnot) -> bool:
     """True iff the underlying knot bounds a disk in the lens space.
 
     That happens exactly for the meridians of the two Heegaard solid tori,
     the classes +-(0, 1) and +-(r, s).  For a link class the test is applied
-    to the reduced class, so e.g. (0, n) counts as trivial.
+    to the reduced class (k, l)/gcd(k, l), so e.g. (0, n) counts as trivial.
     """
-    kl = K.reduced_class()
-    return kl in ((0, 1), (0, -1), (K.r, K.s), (-K.r, -K.s))
+    c = K.component_count
+    return (K.k // c, K.l // c) in ((0, 1), (0, -1), (K.r, K.s), (-K.r, -K.s))
 
 
 def is_rational_unknot(K: LensTorusKnot) -> bool:

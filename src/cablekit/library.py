@@ -47,9 +47,10 @@ def _h1(a1: int = 0, b1: int = 0, a2: int = 0, b2: int = 0) -> dict[int, int]:
 def _script_page(name: str, labels: tuple[str, ...], separating: tuple[str, ...]) -> CurveSystem:
     """What both genus-2 script pages start from: the chain n1_1, n1_2, x1,
     n2_2, n2_1 of the (2,1)-cable page with its ten recorded intersections,
-    then the zero-class separating curves `separating`.  n1_1, n1_2 and n2_1
-    carry the classes of cable_p1_system(1, 2); x1 and n2_2 are oriented the
-    other way on nodule 2, as -a1 - a2 and -b2."""
+    then the zero-class separating curves `separating`.  Their classes are
+    the images of cable_p1_system(1, 2)'s under the symplectic map fixing a1,
+    b1 and negating a2, b2, with n2_1 reversed; twists do not see a curve's
+    orientation, so a homology fact replayed here holds on the cable page."""
     sys = CurveSystem(genus=2, boundary_labels=labels, name=name)
     chain = {"n1_1": _h1(a1=1), "n1_2": _h1(b1=1), "x1": _h1(a1=-1, a2=-1),
              "n2_2": _h1(b2=-1), "n2_1": _h1(a2=1)}
@@ -146,8 +147,20 @@ def sigma22_registry() -> RelationRegistry:
     return reg
 
 
-def stabilize_21_to_22_script() -> RewriteScript:
-    return RewriteScript("stabilize_21_to_22", (
+def stabilization_bundle() -> ScriptBundle:
+    """Script (a): the (2,1)-cable word of (T^2, D_1 o D_2) plus one positive
+    stabilization replays to D_delta3 o D_delta2 o D_delta1 o phi-lift."""
+    reg = sigma22_registry()
+    base = RationalOpenBook(
+        genus=1,
+        components=(BindingComponent(order=1, seifert_numerator=0),),
+        monodromy=TwistWord.twists("c1", "c2"),
+    )
+    cable = monodromy_p1_connected(base, 2)
+    cable_book = cable.book.with_monodromy(cable.word)
+    start = positive_stabilize(cable_book, 0, mode="same", curve_name="gamma").monodromy
+    expect = _tw("delta3", "delta2", "delta1", "n1_1", "n1_2")
+    script = RewriteScript("stabilize_21_to_22", (
         Step("commute", 18),  # gamma past the second monodromy twist
         Step("commute", 17),  # gamma past the first monodromy twist
         Step("apply", 0, relation="rho21_dform"),
@@ -173,33 +186,17 @@ def stabilize_21_to_22_script() -> RewriteScript:
         Step("apply", 1, relation="conj_delta3_v1inv"),
         Step("cancel", 0),  # c4 pair
     ))
-
-
-def stabilization_bundle() -> ScriptBundle:
-    """Script (a): the (2,1)-cable word of (T^2, D_1 o D_2) plus one positive
-    stabilization replays to D_delta3 o D_delta2 o D_delta1 o phi-lift."""
-    reg = sigma22_registry()
-    base = RationalOpenBook(
-        genus=1,
-        components=(BindingComponent(order=1, seifert_numerator=0),),
-        monodromy=TwistWord.twists("c1", "c2"),
-    )
-    cable = monodromy_p1_connected(base, 2)
-    cable_book = cable.book.with_monodromy(cable.word)
-    start = positive_stabilize(cable_book, 0, mode="same", curve_name="gamma").monodromy
-    expect = _tw("delta3", "delta2", "delta1", "n1_1", "n1_2")
-    return ScriptBundle(stabilize_21_to_22_script(), reg, start, expect)
+    return ScriptBundle(script, reg, start, expect)
 
 
 # -- the Garside square -------------------------------------------------------
 
 
-def garside_square_bundle(g: int = 1) -> ScriptBundle:
+def garside_square_bundle() -> ScriptBundle:
     """Script (b): the square of the lifted Garside block is the boundary
-    twist of the (2,1)-cable page."""
-    sys = cable_p1_system(g, 2)
-    reg = RelationRegistry(sys)
-    block = garside_block(p1_layout(g, 1))
+    twist of the (2,1)-cable page of genus one."""
+    reg = RelationRegistry(cable_p1_system(1, 2))
+    block = garside_block(p1_layout(1, 1))
     reg.register("garside_square", block.compose(block), _tw("bdry_outer"))
     script = RewriteScript("garside_square_boundary",
                            (Step("apply", 0, relation="garside_square"),))
@@ -251,17 +248,6 @@ def resolved_registry() -> RelationRegistry:
     return reg
 
 
-def negative_cable_refactor_script() -> RewriteScript:
-    return RewriteScript("negative_cable_positive_refactor", (
-        Step("commute", 16),  # partial2 past the inverse boundary twist
-        Step("cancel", 15),  # partial1 pair
-        Step("commute", 15),
-        Step("commute", 16),
-        Step("apply", 15, relation="genlantern"),
-        Step("apply", 0, relation="garside_consume"),
-    ))
-
-
 def negative_cable_bundle() -> ScriptBundle:
     """Script (c): the resolved (2,-1)-cable word of (Sigma_{1,1},
     delta_{1/3} o boundary^2) refactors into 18 positive twists."""
@@ -280,7 +266,15 @@ def negative_cable_bundle() -> ScriptBundle:
     start = resolve(cabled.book, [0]).monodromy
     block = garside_block(p1_layout(1, 1))
     expect = block.compose(_tw("D3g", "D2g", "D1g"))
-    return ScriptBundle(negative_cable_refactor_script(), reg, start, expect)
+    script = RewriteScript("negative_cable_positive_refactor", (
+        Step("commute", 16),  # partial2 past the inverse boundary twist
+        Step("cancel", 15),  # partial1 pair
+        Step("commute", 15),
+        Step("commute", 16),
+        Step("apply", 15, relation="genlantern"),
+        Step("apply", 0, relation="garside_consume"),
+    ))
+    return ScriptBundle(script, reg, start, expect)
 
 
 def genlantern_derivation_bundle() -> ScriptBundle:

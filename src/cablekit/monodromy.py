@@ -112,7 +112,7 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     against its own nodule: O(p g^2) entries, time and memory linear in p.
     Any other pair reads None.  Each nodule boundary partial{i} has zero
     class, and its twist the expansion (n{i}_1 ... n{i}_{2g})^(4g+2), stored
-    as its 2g-letter chain, for the mod-10 lengths.
+    as the names of its 2g-curve chain, for the mod-10 lengths.
 
     The build checks nothing: it installs :func:`_nodule_block`'s checked
     model as CurveInfos straight into `curves`, nodule i the block and x_i
@@ -148,7 +148,7 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     for i in range(1, p + 1):
         chain = _p1_chain(g, i)
         sys.intersections.update({_pair_key(f"partial{i}", name): 0 for name in chain})
-        sys.expansions[f"partial{i}"] = TwistWord(tuple(map(Generator.dehn_twist, chain[:-1])))
+        sys.expansions[f"partial{i}"] = tuple(chain[:-1])
     return sys
 
 
@@ -286,7 +286,7 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
     curves, entries, rho_names = _cover22_model(g)
-    sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
+    sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
     sys.curves.update(curves)
     sys.intersections.update(entries)
     return sys, rho_names
@@ -296,7 +296,7 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
 def _cover22_model(g: int) -> tuple[tuple, tuple, tuple[str, ...]]:
     """The page of :func:`sigma22_cover_system`, checked once per genus: its
     curves and recorded entries as item pairs, and the rotation curve names."""
-    sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"sigma22_g{g}")
+    sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
     chain = chain_classes(4 * g + 1, 2 * g)
     for k, cls in enumerate(chain, 1):
         sys.add_curve(f"e{k}", cls)
@@ -369,12 +369,9 @@ def monodromy_pq(book: RationalOpenBook, p: int, q: int) -> CableWord:
         base = monodromy_p1_disconnected(book, p)
     if q == 1:
         return base
-    count, _ = stabilization_count_pq_from_p1(p, q)
-    markers = tuple(
-        Generator.stabilization_marker(f"cable_{p}_{q}_{i}") for i in range(count)
-    )
-    cp = _page(book, p, q)
-    return CableWord(base.word.compose(TwistWord(markers)), base.system, cp, base.notes)
+    markers = tuple(Generator.stabilization_marker(f"cable_{p}_{q}_{i}")
+                    for i in range(stabilization_count_pq_from_p1(p, q)))
+    return CableWord(base.word.compose(TwistWord(markers)), base.system, _page(book, p, q))
 
 
 # -- negative cables, resolution words, the obstruction ----------------------

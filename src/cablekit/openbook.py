@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import _Frozen
 from .slopes import Slope
-from .words import Generator, TwistWord
+from .words import TwistWord
 
 
 class OpenBookError(ValueError):
@@ -236,8 +236,7 @@ def positive_stabilize(
 
     word = book.monodromy
     if word is not None:
-        name = curve_name or f"stab{len(word)}"
-        word = word.append(Generator.dehn_twist(name, +1))
+        word = word.compose(TwistWord.twists(curve_name or f"stab{len(word)}"))
     return RationalOpenBook(
         genus=genus,
         components=tuple(comps),

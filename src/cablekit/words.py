@@ -140,10 +140,6 @@ class TwistWord(_Frozen):
     def __getitem__(self, i):
         return self.generators[i]
 
-    def append(self, gen: Generator) -> "TwistWord":
-        """Precompose: the new generator acts before the existing word."""
-        return TwistWord(self.generators + (gen,))
-
     def compose(self, other: "TwistWord") -> "TwistWord":
         """self after other: other acts first."""
         return TwistWord(self.generators + other.generators)

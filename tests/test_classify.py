@@ -76,8 +76,8 @@ def lens_model_resolve(book, l_coeffs):
     genus2 = 2 - chi - boundary
     if genus2 % 2:
         raise OpenBookError(f"non-integral genus from chi={chi}, boundary={boundary}")
-    word = None
-    if book.monodromy is not None and multitwist_ok:
+    word = book.monodromy if not rational else None
+    if book.monodromy is not None and rational and multitwist_ok:
         word = TwistWord(tuple(g for g in book.monodromy if g.kind != "fractional")
                          + tuple(Generator.dehn_twist(c) for c in new_curves))
     return RationalOpenBook(genus2 // 2, tuple(components), monodromy=word,
@@ -323,9 +323,9 @@ class TestCabledPage:
 
 class TestStabilizationCount:
     def test_examples(self):
-        assert stabilization_count_pq_from_p1(3, 4) == (6, "positive")
-        assert stabilization_count_pq_from_p1(5, 1) == (0, "positive")
-        assert stabilization_count_pq_from_p1(2, -3) == (2, "negative")
+        assert stabilization_count_pq_from_p1(3, 4) == 6
+        assert stabilization_count_pq_from_p1(5, 1) == 0
+        assert stabilization_count_pq_from_p1(2, -3) == 2
 
 
 class TestResolve:
@@ -354,6 +354,14 @@ class TestResolve:
         book = integral_book(genus=2)
         out = resolve(book, [])
         assert out.genus == 2 and out.boundary_count_of_page == 1
+
+    def test_an_integral_book_keeps_its_word(self):
+        # with no rational component there is no multitwist to replace the
+        # fractional letters by, so the word is kept as it is, not dropped
+        word = TwistWord.of(Generator.fractional_boundary("zzz", Fraction(1, 2)),
+                            Generator.dehn_twist("c1", -1))
+        for w in (word, TwistWord(()), None):
+            assert resolve(integral_book(genus=1, word=w), []).monodromy == w
 
     def test_resolution_slope_error(self):
         book = rational_book(3, -1)

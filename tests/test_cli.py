@@ -210,6 +210,19 @@ class TestWordsAndScripts:
         )
         assert (code, json.loads(out), err) == (2, {"equal_on_homology": False}, "")
 
+    @pytest.mark.parametrize("curve", ["zzz", "c1"])
+    def test_verify_word_refuses_a_fractional_twist_about_no_boundary(self, tmp_path, capsys,
+                                                                     curve):
+        # a fractional twist acts trivially on homology only as a twist about
+        # a boundary of the system; c1 is a curve of the page, no boundary
+        word, empty = tmp_path / "w.json", tmp_path / "e.json"
+        word.write_text(json.dumps([{"kind": "fractional", "curve": curve, "amount": "5/2"}]))
+        empty.write_text("[]")
+        code, out, err = run_cli(
+            ["verify-word", "--system", "sigma22_g1", str(word), str(empty)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: boundary {curve!r} not in system 'sigma22_g1_script'\n"
+
     def test_compose_cobordism(self, trefoil_path, tmp_path, capsys):
         w = tmp_path / "w.json"
         w.write_text(json.dumps(TwistWord.twists("c1").to_json()))

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cablekit.curves import NonExpandableGeneratorError, algebraic_length
+from cablekit.curves import (NonExpandableGeneratorError, algebraic_length, chain_model,
+                             symplectic_pairing)
 from cablekit.library import (
     genlantern_derivation_bundle,
     lantern_genus3_model,
@@ -17,6 +18,7 @@ from cablekit.library import (
     sigma22_script_system,
     stabilization_bundle,
 )
+from cablekit.monodromy import cable_p1_system, sigma22_cover_system
 from cablekit.words import TwistWord
 
 # the curve systems as they shipped in JSON before they were declared in Python
@@ -56,6 +58,35 @@ class TestSystems:
         assert sys_.intersections == recorded and len(recorded) == len(data["intersections"])
         assert sys_.expansions == {} == data.get("expansions", {})
         sys_.check()
+
+    def test_every_system_has_its_own_name(self):
+        # an error names its system, and verify-word picks one by name
+        names = [chain_model(1).name, cable_p1_system(1, 2).name,
+                 sigma22_cover_system(1)[0].name, sigma22_script_system().name,
+                 resolved_system().name, lantern_genus3_model()[0].name]
+        assert names == ["chain_g1", "cable_p1_g1_p2", "cover22_g1", "sigma22_g1_script",
+                         "resolved_neg_cable_g1", "lantern_genus3"]
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("build", [sigma22_script_system, resolved_system])
+    def test_the_script_chain_is_the_cable_chain_under_an_isometry(self, build):
+        # the map fixing a1, b1 and negating a2, b2 preserves the pairing and
+        # sends each chain class of cable_p1_system(1, 2) to +- its class on
+        # the script page, n2_1 reversed: twists do not see the sign, so the
+        # (2,1)-cable word replayed there proves a fact about the cable page
+        def iso(cls):
+            return {t: x if t < 2 else -x for t, x in cls.items()}
+
+        basis = [{t: 1} for t in range(4)]
+        assert all(symplectic_pairing(iso(u), iso(v)) == symplectic_pairing(u, v)
+                   for u in basis for v in basis)
+        cable, script = cable_p1_system(1, 2), build()
+        signs = {}
+        for name in ("n1_1", "n1_2", "x1", "n2_2", "n2_1"):
+            image, want = iso(cable.curve(name).support), script.curve(name).support
+            negated = {t: -x for t, x in want.items()}
+            signs[name] = 1 if image == want else -1 if image == negated else 0
+        assert signs == {"n1_1": 1, "n1_2": 1, "x1": 1, "n2_2": 1, "n2_1": -1}
 
     def test_twist_about_the_stabilization_curve_has_no_algebraic_length(self):
         # gamma has zero class, so it separates the capped page, and it has no

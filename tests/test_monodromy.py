@@ -85,7 +85,7 @@ def _expand_to_nonseparating(word, sys_):
             continue
         if gen.kind == DEHN and gen.curve in sys_.expansions:
             chain = sys_.expansions[gen.curve]
-            expansion = chain.power(2 * len(chain) + 2)
+            expansion = TwistWord.twists(*chain).power(2 * len(chain) + 2)
             if gen.sign < 0:
                 expansion = expansion.inverse()
             out.extend(_expand_to_nonseparating(expansion, sys_))
@@ -308,8 +308,8 @@ def reference_cable_p1_system(g, p):
             sys_.record_intersection(f"partial{i}", f"n{i}_{k}", 0)
     sys_.check()
     for i in range(1, p + 1):
-        chain = TwistWord.twists(*[f"n{i}_{k}" for k in range(1, 2 * g + 1)])
-        assert sys_.word_delta(chain.power(4 * g + 2)) == {}, (g, p, i)
+        chain = tuple(f"n{i}_{k}" for k in range(1, 2 * g + 1))
+        assert sys_.word_delta(TwistWord.twists(*chain).power(4 * g + 2)) == {}, (g, p, i)
         sys_.expansions[f"partial{i}"] = chain
     return sys_
 
@@ -332,28 +332,29 @@ class TestNoduleBlock:
         for p in range(1, 7):
             sys_ = cable_p1_system(g, p)
             for i in range(1, p + 1):
-                chain = sys_.expansions[f"partial{i}"]
+                chain = TwistWord.twists(*sys_.expansions[f"partial{i}"])
                 assert len(chain) == 2 * g
                 assert sys_.word_delta(chain.power(4 * g + 2)) == {}, (g, p, i)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_every_expansion_is_an_even_chain_its_curve_bounds(self, g):
-        # algebraic_length counts an expansion of m letters as m(2m + 2) on
-        # the strength of the chain relation, which needs an even chain of
-        # positive twists (neighbours pair to +-1, all other pairs to 0)
-        # about a zero-class curve recorded disjoint from every chain curve
+        # algebraic_length counts an expansion of m curves as m(2m + 2)
+        # positive twists on the strength of the chain relation, which needs
+        # an even chain (neighbours pair to +-1, all other pairs to 0) of
+        # curves of the system, about a zero-class curve recorded disjoint
+        # from every chain curve
         for p in range(1, 7):
             sys_ = cable_p1_system(g, p)
             assert set(sys_.expansions) == {f"partial{i}" for i in range(1, p + 1)}
             for name, chain in sys_.expansions.items():
                 m = len(chain)
                 assert m >= 2 and m % 2 == 0, (g, p, name)
-                assert all(x.kind == DEHN and x.sign == 1 for x in chain), (g, p, name)
-                classes = [sys_.curve(x.curve).support for x in chain]
+                assert isinstance(chain, tuple) and all(isinstance(x, str) for x in chain)
+                classes = [sys_.curve(x).support for x in chain]
                 assert all(abs(symplectic_pairing(u, classes[j])) == (j == i + 1)
                            for i, u in enumerate(classes) for j in range(i + 1, m)), (g, p, name)
                 assert not sys_.curve(name).support, (g, p, name)
-                assert all(sys_.recorded_intersection(name, x.curve) == 0
+                assert all(sys_.recorded_intersection(name, x) == 0
                            for x in chain), (g, p, name)
 
     @pytest.mark.parametrize("g", range(1, 5))
@@ -371,6 +372,35 @@ class TestNoduleBlock:
                 assert all(0 <= t < sys_.dim and info.support[t] for t in coords), (g, p, name)
             assert (sys_.name, sys_.genus, sys_.boundary_labels) == (
                 ref.name, ref.genus, ref.boundary_labels), (g, p)
+
+    def test_a_cold_build_makes_no_word_outside_the_chain_check(self, monkeypatch):
+        # an expansion is stored as its chain's curve names, so the build
+        # makes no TwistWord and no Generator; only _nodule_block's chain
+        # relation, checked once per genus, evaluates a word
+        import cablekit.monodromy
+
+        built, checking = [], [False]
+        for cls in (Generator, TwistWord):
+            def counting(self, *args, init=cls.__init__, **kwargs):
+                if not checking[0]:
+                    built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        def chain_check(g):
+            checking[0] = True
+            try:
+                return _nodule_block(g)
+            finally:
+                checking[0] = False
+
+        monkeypatch.setattr(cablekit.monodromy, "_nodule_block", chain_check)
+        for g in range(1, 4):
+            for p in range(1, 6):
+                _nodule_block.cache_clear()
+                cable_p1_system(g, p)
+                assert built == [], (g, p)
 
     def test_one_chain_relation_per_genus(self, monkeypatch):
         import cablekit.monodromy
@@ -542,7 +572,7 @@ class TestFreshSystems:
         assert system_value(first) == system_value(second)
         first.add_curve("stray", {})
         first.record_intersection("stray", next(iter(second.curves)), 0)
-        first.expansions["stray"] = TwistWord(())
+        first.expansions["stray"] = ()
         assert system_value(build()) == system_value(second)
 
     def test_the_caches_hold_tuples_and_frozen_values(self):
