@@ -28,7 +28,10 @@ columns it touches, never the dimension.  ``word_matrix`` is its dense view.
 A system's ``expansions`` map a zero-class curve to the names of a chain of
 m curves, m even, whose power 2m + 2 is its twist (the chain relation); only
 `monodromy.cable_p1_system` fills them, with the nodule chains whose
-relation `monodromy._nodule_block` checks once per genus.
+relation `monodromy._nodule_block` checks once per genus.  Its ``blocks``
+map a curve to the run of names it starts and their positive twists' delta,
+applied in one product where a word spells the run out; only the same
+builder fills them, with the Garside blocks `_nodule_block` evaluates.
 """
 
 from __future__ import annotations
@@ -76,6 +79,13 @@ def _delta_product(a: Delta, b: Delta) -> Delta:
     return {j: col for j, col in out.items() if col}
 
 
+def _spells(gens: tuple, i: int, names: tuple[str, ...]) -> bool:
+    """Whether gens[i:] begins with the positive Dehn twists about `names`."""
+    part = gens[i:i + len(names)]
+    return len(part) == len(names) and all(
+        x.kind == DEHN and x.sign == 1 and x.curve == c for x, c in zip(part, names))
+
+
 def _delta_power(delta: Delta, k: int) -> Delta:
     """The delta of (I + delta)^k for k >= 1, by repeated squaring."""
     if k == 1:
@@ -121,11 +131,12 @@ class CurveSystem:
     the `monodromy` cable pages, installs data checked once per genus.
     """
 
-    __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "name")
+    __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "blocks",
+                 "name")
 
     def __init__(self, genus: int, boundary_labels: tuple[str, ...], name: str = ""):
         self.genus, self.boundary_labels, self.name = genus, boundary_labels, name
-        self.curves, self.intersections, self.expansions = {}, {}, {}
+        self.curves, self.intersections, self.expansions, self.blocks = {}, {}, {}, {}
 
     # -- construction helpers ---------------------------------------------
 
@@ -186,15 +197,24 @@ class CurveSystem:
         Right-multiplying by the twist about c with sign s adds
         s * (M c) * rho(c) to M, rho(c) the pairing row of c: M c is read
         from the columns in the support of c (a column without a delta is
-        e_t) and only the columns in the support of rho(c) change.  Zero
-        classes, fractional twists and stabilization markers act trivially.
+        e_t) and only the columns in the support of rho(c) change.  A run
+        of `blocks` the word spells out, every letter compared, costs one
+        product with its delta, so fewer than len(word) letters may be
+        evaluated.  Zero classes, fractional twists and markers act trivially.
         The first unknown curve, or fractional letter about no boundary of
         the system, raises; markers name no curve, so they are not resolved.
         """
         delta: Delta = {}
         plans: dict[str, tuple] = {}  # curve -> (support of c, of rho(c))
-        for gen in word:
+        gens, blocks, skip = word.generators, self.blocks, 0
+        for i, gen in enumerate(gens):
+            if i < skip:
+                continue
             if gen.kind == DEHN:
+                block = blocks.get(gen.curve) if gen.sign == 1 else None
+                if block and _spells(gens, i, block[0]):
+                    delta, skip = _delta_product(delta, block[1]), i + len(block[0])
+                    continue
                 plan = plans.get(gen.curve)
                 if plan is None:
                     support = self.curve(gen.curve).support

@@ -75,11 +75,13 @@ def p1_layout(g: int, j: int) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
+def _nodule_block(g: int) -> tuple[tuple, tuple, tuple, tuple]:
     """The (p,1) page model of genus g, checked here once per genus and
     nowhere else: the chain classes of `chain_model(g)` and the classes of
     layout 1 (:func:`p1_layout`), each as its (coordinate, entry) pairs, and
-    layout 1's recorded entries (index, index, value).  The chain relation
+    layout 1's recorded entries (index, index, value) and the delta of its
+    Garside block as (column, ((row, entry), ...)) pairs, evaluated letter
+    by letter on a genus-2g system of layout 1's classes.  The chain relation
     (T_c1 ... T_c2g)^(4g+2) = T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold
     on homology, where bdry_1 has zero class, so the power's delta must be
     empty; each entry must equal the pairing."""
@@ -99,7 +101,12 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     for a, b, value in entries:
         if abs(symplectic_pairing(layout[a], layout[b])) != value:
             raise CurveSystemError(f"layout 1 records {a},{b} = {value}, but the classes differ")
-    return tuple(tuple(v.items()) for v in block), tuple(tuple(v.items()) for v in layout), entries
+    names = p1_layout(g, 1)
+    pair = CurveSystem(genus=2 * g, boundary_labels=(), name=f"layout1_g{g}")
+    pair.curves.update((name, CurveInfo(v, 4 * g)) for name, v in zip(names, layout))
+    turn = pair.word_delta(garside_block(names))
+    return (tuple(tuple(v.items()) for v in block), tuple(tuple(v.items()) for v in layout),
+            entries, tuple((j, tuple(col.items())) for j, col in turn.items()))
 
 
 def cable_p1_system(g: int, p: int) -> CurveSystem:
@@ -120,18 +127,21 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     to a_{k+g(i-1)}, b_{k+g(i-1)}, an isometry of the form, so layout i's
     entries hold as layout 1's do, nodule i's chain word has the block's
     delta moved, empty as the block's is, and a zero class pairs to 0 with
-    every curve.  Neither refusal of `add_curve` can fire: every name differs
-    by prefix or index, and the moved classes keep the template's nonzero,
-    ascending entries, nodule i's below 2gi and x_i's below 2g(i+1) <= dim.
-    The tests compare the build with a reference that runs the whole-table
-    check() and every nodule's relation letter by letter.
+    every curve.  Twists about layout j's classes change and read only the
+    4g coordinates from 2g(j-1) on, so `blocks` holds, under its first curve,
+    layout j's Garside block with layout 1's block delta moved by 2g(j-1).
+    Neither refusal of `add_curve` can fire: every name differs by prefix or
+    index, and the moved classes keep the template's nonzero, ascending
+    entries, nodule i's below 2gi and x_i's below 2g(i+1) <= dim.  The tests
+    compare the build with a reference that runs the whole-table check() and
+    every nodule's relation and layout's block letter by letter.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
     if g < 1:
         raise MonodromyError("disk and annulus pages have no chain model here")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
-    block, layout, entries = _nodule_block(g)
+    block, layout, entries, turn = _nodule_block(g)
     n, curves = sys.dim, sys.curves
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
@@ -141,10 +151,12 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     for i in range(1, p + 1):
         curves[f"partial{i}"] = CurveInfo({}, n)
     sys.add_boundary_curves()
-    # recorded data: the layout chains, less their cross-nodule pairs
+    # recorded data: the layout chains, less their cross-nodule pairs, and blocks
     for j in range(1, p):
-        names = p1_layout(g, j)
+        names, s = p1_layout(g, j), 2 * g * (j - 1)
         sys.intersections.update({_pair_key(names[a], names[b]): value for a, b, value in entries})
+        letters = tuple(map(names.__getitem__, _garside_pattern(4 * g + 1)))
+        sys.blocks[letters[0]] = (letters, {c + s: {r + s: x for r, x in col} for c, col in turn})
     for i in range(1, p + 1):
         chain = _p1_chain(g, i)
         sys.intersections.update({_pair_key(f"partial{i}", name): 0 for name in chain})

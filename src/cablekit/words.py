@@ -152,9 +152,11 @@ class TwistWord(_Frozen):
     def inverse(self) -> "TwistWord":
         """The inverted letters in reverse order, one Generator per distinct letter."""
         gens = self.generators[::-1]
-        keys = [(g.kind, g.curve, g.sign, g.amount) for g in gens]
-        made = {key: g.inverse() for key, g in dict(zip(keys, gens)).items()}
-        return TwistWord(tuple(map(made.__getitem__, keys)))
+        objects = dict(zip(map(id, gens), gens))
+        keys = [(g.kind, g.curve, g.sign, g.amount) for g in objects.values()]
+        made = {key: g.inverse() for key, g in dict(zip(keys, objects.values())).items()}
+        inverse = dict(zip(objects, map(made.__getitem__, keys)))
+        return TwistWord(tuple(map(inverse.__getitem__, map(id, gens))))
 
     def is_positive(self) -> bool:
         """True when every generator is positive."""

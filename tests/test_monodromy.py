@@ -13,7 +13,9 @@ from cablekit.curves import (
     CurveSystem,
     CurveSystemError,
     NonExpandableGeneratorError,
+    UnresolvedCurveError,
     _delta_power,
+    _delta_product,
     algebraic_length,
     chain_classes,
     chain_model,
@@ -28,6 +30,7 @@ from cablekit.monodromy import (
     cable_p1_system,
     compose_cobordism_word,
     garside_block,
+    lift_to_nodule,
     monodromy_22_connected,
     monodromy_p1_connected,
     monodromy_p1_disconnected,
@@ -311,6 +314,11 @@ def reference_cable_p1_system(g, p):
         chain = tuple(f"n{i}_{k}" for k in range(1, 2 * g + 1))
         assert sys_.word_delta(TwistWord.twists(*chain).power(4 * g + 2)) == {}, (g, p, i)
         sys_.expansions[f"partial{i}"] = chain
+    # each layout's Garside block, evaluated letter by letter on this system
+    # before any block is installed
+    blocks = [garside_block(p1_layout(g, j)) for j in range(1, p)]
+    blocks = [(tuple(x.curve for x in word), sys_.word_delta(word)) for word in blocks]
+    sys_.blocks.update((letters[0], (letters, delta)) for letters, delta in blocks)
     return sys_
 
 
@@ -326,6 +334,7 @@ class TestNoduleBlock:
             assert sys_.curves == ref.curves, (g, p)
             assert sys_.intersections == ref.intersections, (g, p)
             assert sys_.expansions == ref.expansions, (g, p)
+            assert sys_.blocks == ref.blocks, (g, p)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_every_factorization_has_zero_delta_letter_by_letter(self, g):
@@ -469,6 +478,88 @@ class TestNoduleBlock:
         _nodule_block.cache_clear()  # a call that raises is not cached
         with pytest.raises(CurveSystemError, match=f"genus-{g} chain relation fails"):
             cable_p1_system(g, 3)
+
+
+class TestBlockFastPath:
+    """word_delta applies a (p,1) layout's Garside block as its stored delta
+    wherever a word spells the block out; the slow reference is the same
+    system with `blocks` emptied, which evaluates every letter, and the dense
+    letter-by-letter product."""
+
+    @staticmethod
+    def words(g, p, rng):
+        """(name, word, blocks the fast path applies) for the rotation, its
+        compositions with a lift of a random page word, its powers and
+        inverse, and rotations whose last block is cut short, holds a
+        foreign letter or has one letter's sign flipped."""
+        rotation = rho_p1_rotation(g, p)
+        page = TwistWord.twists(*((f"c{rng.randrange(1, 2 * g + 2)}", rng.choice([1, -1]))
+                                  for _ in range(8)), ("bdry_1", -1))
+        phi = lift_to_nodule(page, [f"n1_{k}" for k in range(1, 2 * g + 2)], "partial1")
+        n, gens = p - 1, rotation.generators
+        out = [("rotation", rotation, n), ("rotation o phi", rotation.compose(phi), n),
+               ("phi o rotation", phi.compose(rotation), n),
+               ("rotation^2", rotation.power(2), 2 * n), ("rotation^3", rotation.power(3), 3 * n),
+               ("inverse", rotation.inverse(), 0),
+               ("rotation o inverse", rotation.compose(rotation.inverse()), n)]
+        if p > 1:
+            size = (4 * g + 1) * (2 * g + 1)
+            start = len(gens) - size  # the last block's first letter
+            inside = start + rng.randrange(1, size)
+            foreign = Generator.dehn_twist(rng.choice(["n1_1", "x1", f"n{p}_1"]))
+            flipped = gens[inside].inverse()
+            out += [("cut short", TwistWord(gens[:-rng.randrange(1, size)]), n - 1),
+                    ("last letter only", TwistWord(gens[:start + 1]), n - 1),
+                    ("foreign letter", TwistWord(gens[:inside] + (foreign,) + gens[inside:]),
+                     n - 1),
+                    ("sign flipped", TwistWord(gens[:inside] + (flipped,) + gens[inside + 1:]),
+                     n - 1)]
+        return out
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_matches_the_letter_by_letter_oracle(self, g, monkeypatch):
+        import cablekit.curves
+
+        applied = [0]
+
+        def counting(a, b):
+            applied[0] += 1
+            return _delta_product(a, b)
+
+        monkeypatch.setattr(cablekit.curves, "_delta_product", counting)
+        rng = random.Random(g)
+        for p in range(1, 7):
+            sys_, slow = cable_p1_system(g, p), cable_p1_system(g, p)
+            slow.blocks = {}
+            assert len(sys_.blocks) == p - 1
+            for name, word, blocks in self.words(g, p, rng):
+                applied[0] = 0
+                want = slow.word_delta(word)
+                assert applied[0] == 0
+                assert sys_.word_delta(word) == want, (g, p, name)
+                assert applied[0] == blocks, (g, p, name)
+                if g * p <= 4:
+                    assert sys_.word_matrix(word) == dense_word_matrix(sys_, word), (g, p, name)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_the_block_delta_is_the_dense_product(self, g):
+        # layout j's stored delta is layout 1's moved; layout 1's block on
+        # the genus-2g page against the dense product of its letters
+        sys_ = cable_p1_system(g, 2)
+        (letters, delta), = sys_.blocks.values()
+        want = {}
+        for i, row in enumerate(dense_word_matrix(sys_, TwistWord.twists(*letters))):
+            for j, x in enumerate(row):
+                if x != (i == j):
+                    want.setdefault(j, {})[i] = x - (i == j)
+        assert delta == want
+        assert sum(map(len, delta.values())) == 8 * g
+
+    def test_an_unknown_curve_after_a_block_raises_in_letter_order(self):
+        sys_ = cable_p1_system(2, 3)
+        word = rho_p1_rotation(2, 3).compose(TwistWord.twists("zzz", "yyy"))
+        with pytest.raises(UnresolvedCurveError, match="curve 'zzz' not in system"):
+            sys_.word_delta(word)
 
 
 def band_lifts(g):

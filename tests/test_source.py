@@ -164,29 +164,40 @@ def _scoped(node, scope):
         yield from _scoped(child, inner)
 
 
-def _fills_expansions(node):
-    """Whether `node` stores an item into some `.expansions`, or calls one of
+def _fills(node, attr):
+    """Whether `node` stores an item into some `.<attr>`, or calls one of
     its mutating methods."""
-    def is_expansions(target):
-        return isinstance(target, ast.Attribute) and target.attr == "expansions"
+    def is_attr(target):
+        return isinstance(target, ast.Attribute) and target.attr == attr
 
     if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
-        return is_expansions(node.value)
+        return is_attr(node.value)
     if isinstance(node, ast.AugAssign):
-        return is_expansions(node.target)
+        return is_attr(node.target)
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in {"update", "setdefault", "pop", "popitem", "clear"}
-            and is_expansions(node.func.value))
+            and is_attr(node.func.value))
+
+
+def _writers(attr):
+    """(module, function) of every write into some `.<attr>` in the sources."""
+    return {(path.stem, scope) for path in SOURCES
+            for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), None)
+            if _fills(node, attr)}
 
 
 def test_only_the_cable_p1_builder_fills_expansions():
     # an expansion counts m(2m + 2) letters in the algebraic length on the
     # strength of a chain relation that `monodromy._nodule_block` checks once
     # per genus for the (p,1) nodule chains; nothing else may store one
-    writers = {(path.stem, scope) for path in SOURCES
-               for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), None)
-               if _fills_expansions(node)}
-    assert writers == {("monodromy", "cable_p1_system")}
+    assert _writers("expansions") == {("monodromy", "cable_p1_system")}
+
+
+def test_only_the_cable_p1_builder_fills_blocks():
+    # the oracle applies a block's stored delta in place of its letters on
+    # the strength of `monodromy._nodule_block`, which evaluates layout 1's
+    # Garside block once per genus; nothing else may store one
+    assert _writers("blocks") == {("monodromy", "cable_p1_system")}
 
 
 def _is_cache(decorator):

@@ -496,13 +496,14 @@ class TestChainRelation:
     def test_cold_cable_system_evaluates_the_block_chain_once(self, g, p, monkeypatch):
         # the chain relation is checked once per genus, on the block: the 2g
         # letters of the chain, whose delta is squared up to the power 4g+2;
-        # a build at a cached genus evaluates nothing
+        # layout 1's Garside block, (4g+1)(2g+1) letters, is evaluated once
+        # per genus too; a build at a cached genus evaluates nothing
         _nodule_block.cache_clear()
         counted = _count_word_delta_letters(monkeypatch)
         cable_p1_system(g, p)
-        assert counted[0] == 2 * g
+        assert counted[0] == 2 * g + (4 * g + 1) * (2 * g + 1)
         cable_p1_system(g, p + 1)
-        assert counted[0] == 2 * g
+        assert counted[0] == 2 * g + (4 * g + 1) * (2 * g + 1)
 
 
 def reference_chain_classes(count, genus):
