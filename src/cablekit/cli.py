@@ -66,14 +66,12 @@ def cmd_slopes(args) -> None:
         path = farey_shortest_path(Slope.parse(args.slope), Slope.parse(args.target))
         _emit(args, {"path": [str(s) for s in path]},
               " -> ".join(str(s) for s in path))
-    elif args.op == "ncf":
+    else:  # "ncf": argparse's choices refuse any other op with exit 2
         s = Slope.parse(args.slope)
         cf = neg_cont_frac(s)
         if eval_cont_frac(cf) != s:
             raise UsageError(f"expansion {list(cf.terms)} does not evaluate to {s}")
         _emit(args, {"terms": list(cf.terms)}, str(list(cf.terms)))
-    else:
-        raise UsageError(f"unknown slopes op {args.op!r}")
 
 
 def cmd_torus_knot(args) -> None:

@@ -9,9 +9,9 @@ surface it is nonseparating exactly when its class is nonzero, since a dual
 curve meets a nonseparating curve once and a separating one bounds a
 subsurface (Farb-Margalit 1.3).  The recorded table is curated data about
 the geometric model and the only source of intersection answers; a pair it
-leaves out reads None.  A consistency check confirms every recorded entry
-against the absolute value of the symplectic pairing of the stored classes,
-which catches transcription slips in figure-derived data.
+leaves out reads None.  Only ``record_intersection`` fills it; ``check()``
+confirms each entry against the absolute symplectic pairing of the stored
+classes, catching figure slips.  The `monodromy` cable pages record none.
 
 Words evaluate to integer symplectic matrices: a right-handed twist about c
 acts on column vectors by x -> x + <x, [c]> [c], boundary-parallel and
@@ -126,9 +126,9 @@ class CurveSystem:
     """Named curves with homology data on a fixed model surface.
 
     Each builder returns a system of the caller's own, and only checked
-    model data is cached.  A builder finishes with :meth:`check`, which
-    re-derives each recorded intersection from the stored classes, or, for
-    the `monodromy` cable pages, installs data checked once per genus.
+    model data is cached.  A builder that records intersections finishes
+    with :meth:`check`, which re-derives each from the stored classes; a
+    `monodromy` cable page records none and installs data checked per genus.
     """
 
     __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "blocks",

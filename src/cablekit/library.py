@@ -46,7 +46,7 @@ def _h1(a1: int = 0, b1: int = 0, a2: int = 0, b2: int = 0) -> dict[int, int]:
 
 def _script_page(name: str, labels: tuple[str, ...], separating: tuple[str, ...]) -> CurveSystem:
     """What both genus-2 script pages start from: the chain n1_1, n1_2, x1,
-    n2_2, n2_1 of the (2,1)-cable page with its ten recorded intersections,
+    n2_2, n2_1 of the (2,1)-cable page, recording its ten pairs' intersections,
     then the zero-class separating curves `separating`.  Their classes are
     the images of cable_p1_system(1, 2)'s under the symplectic map fixing a1,
     b1 and negating a2, b2, with n2_1 reversed; twists do not see a curve's

@@ -35,11 +35,12 @@ and j+1 is "x{j}".
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
-from .curves import (CurveInfo, CurveSystem, CurveSystemError, _delta_power, _pair_key,
-                     chain_classes, chain_model, symplectic_pairing)
+from .curves import (CurveInfo, CurveSystem, CurveSystemError, _delta_power, chain_classes,
+                     chain_model, symplectic_pairing)
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import DEHN, FRACTIONAL, Generator, TwistWord
 
@@ -75,16 +76,16 @@ def p1_layout(g: int, j: int) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def _nodule_block(g: int) -> tuple[tuple, tuple, tuple, tuple]:
+def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     """The (p,1) page model of genus g, checked here once per genus and
     nowhere else: the chain classes of `chain_model(g)` and the classes of
     layout 1 (:func:`p1_layout`), each as its (coordinate, entry) pairs, and
-    layout 1's recorded entries (index, index, value) and the delta of its
-    Garside block as (column, ((row, entry), ...)) pairs, evaluated letter
-    by letter on a genus-2g system of layout 1's classes.  The chain relation
-    (T_c1 ... T_c2g)^(4g+2) = T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold
-    on homology, where bdry_1 has zero class, so the power's delta must be
-    empty; each entry must equal the pairing."""
+    the delta of layout 1's Garside block as (column, ((row, entry), ...))
+    pairs, evaluated letter by letter on a genus-2g system of layout 1's
+    classes.  The chain relation (T_c1 ... T_c2g)^(4g+2) = T_bdry_1
+    (Farb-Margalit, Prop. 4.12) must hold on homology, where bdry_1 has zero
+    class, so the power's delta must be empty.  Every pair of layout 1 is
+    checked, not recorded: neighbours pair to +-1, others to 0 (a chain)."""
     model = chain_model(g)
     chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
     if _delta_power(model.word_delta(chain), 4 * g + 2):
@@ -96,9 +97,8 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple, tuple]:
     # and to one with v_{2g}; x1 is -w on block 1, +w on block 2.
     x1 = {**block[-1], **{2 * g + t: -x for t, x in block[-1].items()}}
     layout = (*block[:-1], x1, *({2 * g + t: x for t, x in v.items()} for v in block[-2::-1]))
-    entries = tuple((a, b, int(b == a + 1)) for a in range(4 * g + 1)
-                    for b in range(a + 1, 4 * g + 1) if not a < 2 * g < b)
-    for a, b, value in entries:
+    for a, b in combinations(range(4 * g + 1), 2):
+        value = int(b == a + 1)
         if abs(symplectic_pairing(layout[a], layout[b])) != value:
             raise CurveSystemError(f"layout 1 records {a},{b} = {value}, but the classes differ")
     names = p1_layout(g, 1)
@@ -106,7 +106,7 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple, tuple]:
     pair.curves.update((name, CurveInfo(v, 4 * g)) for name, v in zip(names, layout))
     turn = pair.word_delta(garside_block(names))
     return (tuple(tuple(v.items()) for v in block), tuple(tuple(v.items()) for v in layout),
-            entries, tuple((j, tuple(col.items())) for j, col in turn.items()))
+            tuple((j, tuple(col.items())) for j, col in turn.items()))
 
 
 def cable_p1_system(g: int, p: int) -> CurveSystem:
@@ -114,34 +114,33 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
 
     The page has genus p*g and one boundary.  Nodule chains carry block
     homology classes; the crossing curve x_j is v_{2g+1} on block j and
-    -v_{2g+1} on block j+1 (v the block chain).  The table records the
-    layout chains, less their cross-nodule pairs, and each nodule boundary
-    against its own nodule: O(p g^2) entries, time and memory linear in p.
-    Any other pair reads None.  Each nodule boundary partial{i} has zero
-    class, and its twist the expansion (n{i}_1 ... n{i}_{2g})^(4g+2), stored
-    as the names of its 2g-curve chain, for the mod-10 lengths.
+    -v_{2g+1} on block j+1 (v the block chain).  The page records no
+    intersection, so every pair reads None, and a `commute` step refuses on
+    it.  Each nodule boundary partial{i} has zero class, and its twist the
+    expansion (n{i}_1 ... n{i}_{2g})^(4g+2), stored as the names of its
+    2g-curve chain, for the mod-10 lengths.  Time and memory are linear in p.
 
     The build checks nothing: it installs :func:`_nodule_block`'s checked
     model as CurveInfos straight into `curves`, nodule i the block and x_i
     the template's x1, moved by 2g(i-1) coordinates.  The move sends a_k, b_k
-    to a_{k+g(i-1)}, b_{k+g(i-1)}, an isometry of the form, so layout i's
-    entries hold as layout 1's do, nodule i's chain word has the block's
-    delta moved, empty as the block's is, and a zero class pairs to 0 with
-    every curve.  Twists about layout j's classes change and read only the
-    4g coordinates from 2g(j-1) on, so `blocks` holds, under its first curve,
+    to a_{k+g(i-1)}, b_{k+g(i-1)}, an isometry of the form, so layout i is a
+    chain as layout 1 is, nodule i's chain word has the block's delta
+    moved, empty as the block's is, and a zero class pairs to 0 with every
+    curve.  Twists about layout j's classes change and read only the 4g
+    coordinates from 2g(j-1) on, so `blocks` holds, under its first curve,
     layout j's Garside block with layout 1's block delta moved by 2g(j-1).
     Neither refusal of `add_curve` can fire: every name differs by prefix or
     index, and the moved classes keep the template's nonzero, ascending
     entries, nodule i's below 2gi and x_i's below 2g(i+1) <= dim.  The tests
-    compare the build with a reference that runs the whole-table check() and
-    every nodule's relation and layout's block letter by letter.
+    compare the build with a reference that runs check() on a recorded table
+    and every nodule's relation and layout's block letter by letter.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
     if g < 1:
         raise MonodromyError("disk and annulus pages have no chain model here")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
-    block, layout, entries, turn = _nodule_block(g)
+    block, layout, turn = _nodule_block(g)
     n, curves = sys.dim, sys.curves
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
@@ -150,17 +149,12 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
         curves[f"x{j}"] = CurveInfo({2 * g * (j - 1) + t: x for t, x in layout[2 * g]}, n)
     for i in range(1, p + 1):
         curves[f"partial{i}"] = CurveInfo({}, n)
+        sys.expansions[f"partial{i}"] = tuple(_p1_chain(g, i)[:-1])
     sys.add_boundary_curves()
-    # recorded data: the layout chains, less their cross-nodule pairs, and blocks
     for j in range(1, p):
         names, s = p1_layout(g, j), 2 * g * (j - 1)
-        sys.intersections.update({_pair_key(names[a], names[b]): value for a, b, value in entries})
         letters = tuple(map(names.__getitem__, _garside_pattern(4 * g + 1)))
         sys.blocks[letters[0]] = (letters, {c + s: {r + s: x for r, x in col} for c, col in turn})
-    for i in range(1, p + 1):
-        chain = _p1_chain(g, i)
-        sys.intersections.update({_pair_key(f"partial{i}", name): 0 for name in chain})
-        sys.expansions[f"partial{i}"] = tuple(chain[:-1])
     return sys
 
 
@@ -294,20 +288,20 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     `cable_p1_system`.  Mirrored on e{4g+1}..e{2g+2}, n2_{2g+1} = a_{g+1}.
     A nodule boundary separates, so partial{i} has zero class.  At g = 0 the
     page is an annulus: the one chain curve and the one rotation curve are
-    its core, of zero class, and nodules have no chain."""
+    its core, of zero class, and nodules have no chain.  The page records no
+    intersection, so every pair reads None and a `commute` step refuses."""
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
-    curves, entries, rho_names = _cover22_model(g)
+    curves, rho_names = _cover22_model(g)
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
     sys.curves.update(curves)
-    sys.intersections.update(entries)
     return sys, rho_names
 
 
 @lru_cache(maxsize=None)
-def _cover22_model(g: int) -> tuple[tuple, tuple, tuple[str, ...]]:
-    """The page of :func:`sigma22_cover_system`, checked once per genus: its
-    curves and recorded entries as item pairs, and the rotation curve names."""
+def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...]]:
+    """The page of :func:`sigma22_cover_system`, checked once per genus, as
+    its curves' item pairs and rotation names; chain-end entries stay here."""
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
     chain = chain_classes(4 * g + 1, 2 * g)
     for k, cls in enumerate(chain, 1):
@@ -330,7 +324,7 @@ def _cover22_model(g: int) -> tuple[tuple, tuple, tuple[str, ...]]:
                 sys.record_intersection(name, end, int(k == 2 * g))
     sys.add_boundary_curves()
     sys.check()
-    return tuple(sys.curves.items()), tuple(sys.intersections.items()), rho_names
+    return tuple(sys.curves.items()), rho_names
 
 
 def _e_chain(g: int, i: int) -> list[str]:

@@ -295,21 +295,27 @@ def mediant_farey_graph(bound: int) -> dict[Slope, set[Slope]]:
 def bfs_interval_path_length(
     graph: dict[Slope, set[Slope]], start: Slope, end: Slope
 ) -> int:
-    """Edge count of a shortest path inside [start, end], by breadth-first search."""
+    """Edge count of a shortest path inside [start, end], by breadth-first
+    search over (numerator, denominator) pairs, bounded by cross-products."""
     if start == end:
         return 0
     lo, hi = (start, end) if start < end else (end, start)
-    frontier = [start]
-    dist = {start: 0}
+    (lq, lp), (hq, hp), goal = lo.vector(), hi.vector(), end.vector()
+    frontier, seen, length = [start], {start.vector()}, 0
     while frontier:
-        nxt = []
+        nxt, length = [], length + 1
         for v in frontier:
             for w in graph.get(v, ()):
-                if w in dist or w < lo or hi < w:
+                q, p = key = w.numerator, w.denominator
+                if key in seen:
                     continue
-                dist[w] = dist[v] + 1
-                if w == end:
-                    return dist[w]
+                if not p:
+                    w._finite()  # the meridian is not ordered: raises
+                if q * lp < lq * p or hq * p < q * hp:
+                    continue
+                if key == goal:
+                    return length
+                seen.add(key)
                 nxt.append(w)
         frontier = nxt
     raise SlopeDomainError(f"no interval path from {start} to {end} in bounded graph")

@@ -276,6 +276,8 @@ class TestHopfDelta:
             hopf_delta(2, -1, 0)  # unknot with q = -1
         with pytest.raises(CableError):
             hopf_delta(2, 3, 1)  # positive cable
+        with pytest.raises(CableError, match="^genus must be nonnegative$"):
+            hopf_delta(2, -1, -1)
 
     def test_classify_reports_delta(self):
         book = integral_book(genus=1)

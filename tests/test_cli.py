@@ -75,6 +75,10 @@ class TestSlopes:
     def test_slope_count_is_checked(self, capsys, argv, message):
         assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 
+    def test_an_unknown_op_is_refused_by_the_parser(self, capsys):
+        code, out, err = run_cli(["slopes", "bogus", "1/2"], capsys)
+        assert (code, out) == (2, "") and "invalid choice" in err and "bogus" in err
+
     def test_file_named_slopes_is_no_subcommand(self, trefoil_path, tmp_path, monkeypatch,
                                                 capsys):
         (tmp_path / "slopes").write_text(Path(trefoil_path).read_text())

@@ -112,13 +112,21 @@ class TestStabilize:
 
     def test_bad_modes(self):
         disk = RationalOpenBook(genus=0, components=(BindingComponent(1, 0),))
-        with pytest.raises(OpenBookError):
+        with pytest.raises(OpenBookError, match="^join mode needs two distinct components$"):
             positive_stabilize(disk, 0, mode="join", join_index=0)
-        with pytest.raises(OpenBookError):
+        with pytest.raises(OpenBookError, match="^unknown stabilization mode 'weird'$"):
             positive_stabilize(disk, 0, mode="weird")
         rational = RationalOpenBook(genus=0, components=(BindingComponent(3, -1),))
         with pytest.raises(OpenBookError):
             positive_stabilize(rational, 0, mode="same")
+        with pytest.raises(OpenBookError, match="^no component 1$"):
+            positive_stabilize(disk, 1)
+        with pytest.raises(OpenBookError, match="^join mode needs a valid second component"):
+            positive_stabilize(disk, 0, mode="join")
+        mixed = RationalOpenBook(genus=0, components=(BindingComponent(1, 0),
+                                                      BindingComponent(3, -1)))
+        with pytest.raises(OpenBookError, match="^stabilization arcs require an integral"):
+            positive_stabilize(mixed, 0, mode="join", join_index=1)
 
 
 class TestJson:

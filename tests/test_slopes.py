@@ -160,6 +160,17 @@ class TestFarey:
             got = len(farey_shortest_path(a, b)) - 1
             assert got == want, (a, b, got, want)
 
+    def test_bfs_oracle_refusals(self):
+        unordered = "^the meridian is not ordered against finite slopes$"
+        with pytest.raises(SlopeDomainError, match=unordered):
+            bfs_interval_path_length(mediant_farey_graph(3), MERIDIAN, Slope(1))
+        # the meridian as a neighbour is met before the end, two edges away
+        graph = {Slope(0): {MERIDIAN, Slope(1, 2)}, Slope(1, 2): {Slope(1)}}
+        with pytest.raises(SlopeDomainError, match=unordered):
+            bfs_interval_path_length(graph, Slope(0), Slope(1))
+        with pytest.raises(SlopeDomainError, match="^no interval path from 0 to 5 in bounded"):
+            bfs_interval_path_length(mediant_farey_graph(3), Slope(0), Slope(5))
+
 
 class TestExceptional:
     def test_examples(self):

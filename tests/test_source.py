@@ -200,6 +200,12 @@ def test_only_the_cable_p1_builder_fills_blocks():
     assert _writers("blocks") == {("monodromy", "cable_p1_system")}
 
 
+def test_only_record_intersection_fills_intersections():
+    # a recorded 0 lets a `commute` step fire; one method writes entries, and
+    # the cable pages, which install data checked once per genus, call none
+    assert _writers("intersections") == {("curves", "record_intersection")}
+
+
 def _is_cache(decorator):
     """Whether a decorator is functools' lru_cache or cache, called or not."""
     target = decorator.func if isinstance(decorator, ast.Call) else decorator

@@ -546,6 +546,13 @@ class TestSparseClasses:
         with pytest.raises(CurveSystemError, match="class for 'w'"):
             sys_.add_curve("w", cls)
 
+    def test_a_name_declared_twice_is_rejected(self):
+        sys_ = CurveSystem(genus=1, boundary_labels=("1",))
+        sys_.add_curve("v", {0: 1})
+        with pytest.raises(CurveSystemError, match="^curve 'v' already declared$"):
+            sys_.add_curve("v", {1: 1})
+        assert sys_.curve("v").support == {0: 1}
+
 
 class TestLengths:
     def test_empty(self):
@@ -647,10 +654,40 @@ class TestReplayEngine:
         out = replay(RewriteScript("t", ()), w, self.reg)
         assert out.word == w
 
+    @pytest.mark.parametrize("step, message", [
+        (Step("apply", 0, relation="nope"), "^relation 'nope' is not registered$"),
+        (Step("commute", 1), "^no adjacent pair at 1$"),
+        (Step("swap", 0), "^unknown step kind 'swap'$"),
+    ], ids=["unregistered", "no-pair", "unknown-kind"])
+    def test_a_step_that_cannot_fire_is_refused(self, step, message):
+        with pytest.raises(RewriteError, match=message):
+            replay(RewriteScript("t", (step,)), TwistWord.twists("c1", "c3"), self.reg)
+
+    def test_a_wrong_unchecked_entry_fails_the_final_oracle_check(self):
+        # c1 and c2 meet once; a zero recorded without check() lets the
+        # commute fire, and the replay's final comparison refuses the word
+        sys_ = chain_model(1)
+        sys_.record_intersection("c1", "c2", 0)
+        script = RewriteScript("bad_commute", (Step("commute", 0),))
+        with pytest.raises(RewriteError,
+                           match="^replay of 'bad_commute' changed the homology matrix$"):
+            replay(script, TwistWord.twists("c1", "c2"), RelationRegistry(sys_))
+
+    def test_a_final_word_other_than_expect_is_refused(self):
+        script = RewriteScript("swap", (Step("commute", 0),))
+        word = TwistWord.twists("c1", "c3")
+        message = f"replay of 'swap' produced {TwistWord.twists('c3', 'c1')}, expected {word}"
+        with pytest.raises(RewriteError, match=f"^{re.escape(message)}$"):
+            replay(script, word, self.reg, expect=word)
+
 
 class TestMod10Invariance:
     def test_invariant_under_free_steps_and_relations(self):
         sys_ = cable_p1_system(1, 2)
+        # the cable page records nothing; the commute case reads this one
+        # entry, which check() confirms against the classes
+        sys_.record_intersection("n1_1", "x1", 0)
+        sys_.check()
         reg = RelationRegistry(sys_)
         reg.register(
             "garside_sq_words",
@@ -683,6 +720,11 @@ class TestChainModelEdgeCases:
         cm = chain_model(0, 2)
         assert [n for n in cm.curves if n.startswith("c")] == []
         assert len(cm.boundary_labels) == 2
+
+    @pytest.mark.parametrize("genus, boundaries", [(-1, 1), (1, 0)])
+    def test_a_negative_genus_or_no_boundary_is_refused(self, genus, boundaries):
+        with pytest.raises(CurveSystemError, match="^need genus >= 0 and at least one boundary$"):
+            chain_model(genus, boundaries)
 
     def test_documented_genus_one_classes(self):
         cm = chain_model(1)
