@@ -53,8 +53,7 @@ def _load_word(path: str) -> TwistWord:
 
 
 def cmd_slopes(args) -> None:
-    from .slopes import (Slope, eval_cont_frac, exceptional_slopes, farey_shortest_path,
-                         neg_cont_frac)
+    from .slopes import Slope, exceptional_slopes, farey_shortest_path, neg_cont_frac
     if (args.target is None) == (args.op == "path"):
         count = "two slopes" if args.target is None else "one slope"
         raise UsageError(f"slopes {args.op} takes {count}")
@@ -67,10 +66,7 @@ def cmd_slopes(args) -> None:
         _emit(args, {"path": [str(s) for s in path]},
               " -> ".join(str(s) for s in path))
     else:  # "ncf": argparse's choices refuse any other op with exit 2
-        s = Slope.parse(args.slope)
-        cf = neg_cont_frac(s)
-        if eval_cont_frac(cf) != s:
-            raise UsageError(f"expansion {list(cf.terms)} does not evaluate to {s}")
+        cf = neg_cont_frac(Slope.parse(args.slope))
         _emit(args, {"terms": list(cf.terms)}, str(list(cf.terms)))
 
 
@@ -287,13 +283,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _shield_negative_slopes(argv):
-    """Let bare negative slopes like -1/3 ride as positionals of the subcommand `slopes`."""
-    argv = list(argv)
-    i = next((i for i, token in enumerate(argv) if not token.startswith("-")), None)
-    if i is not None and argv[i] == "slopes" and "--" not in argv and i + 1 < len(argv):
-        argv.insert(i + 2, "--")
-    return argv
+def _read_negative_values(argv):
+    """Read each token that starts with '-' and a digit (-2,1, -1/3) as a value:
+    joined to the option before it (`--cable=-2,1`), or else put behind a `--`.
+    Tokens after a `--` of the caller's are values already and stay as they are."""
+    out = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + list(argv[i:])
+        if token[:1] == "-" and token[1:2].isdecimal():
+            if out and out[-1].startswith("-") and "=" not in out[-1]:
+                out[-1] += "=" + token
+                continue
+            return out + ["--", *argv[i:]]
+        out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
@@ -301,7 +305,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_shield_negative_slopes(argv))
+        args = parser.parse_args(_read_negative_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

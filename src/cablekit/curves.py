@@ -30,8 +30,8 @@ m curves, m even, whose power 2m + 2 is its twist (the chain relation); only
 `monodromy.cable_p1_system` fills them, with the nodule chains whose
 relation `monodromy._nodule_block` checks once per genus.  Its ``blocks``
 map a curve to the run of names it starts and their positive twists' delta,
-applied in one product where a word spells the run out; only the same
-builder fills them, with the Garside blocks `_nodule_block` evaluates.
+applied in one in-place product where a word spells the run out; only the
+same builder fills them, with the Garside blocks `_nodule_block` evaluates.
 """
 
 from __future__ import annotations
@@ -67,16 +67,21 @@ def _pairing_row(support: Mapping[int, int]) -> dict[int, int]:
 
 
 def _delta_product(a: Delta, b: Delta) -> Delta:
-    """The delta of (I + a)(I + b), that is a + b + ab, nonzero entries only."""
-    out = {j: dict(col) for j, col in a.items()}
+    """The delta of (I + a)(I + b), that is a + b + ab, written into `a`: the
+    columns of b's support are computed from the old `a`, then stored as new
+    columns; the others stay the same objects, so the cost follows b."""
+    new = {}
     for j, bcol in b.items():
-        col = out.setdefault(j, {})
+        col = dict(a.get(j, ()))
         for r, y in bcol.items():
             col[r] = col.get(r, 0) + y
             for i, x in a.get(r, {}).items():
                 col[i] = col.get(i, 0) + x * y
-        out[j] = {i: x for i, x in col.items() if x}
-    return {j: col for j, col in out.items() if col}
+        new[j] = {i: x for i, x in col.items() if x}
+    a.update(new)
+    for j in [j for j, col in new.items() if not col]:
+        del a[j]
+    return a
 
 
 def _spells(gens: tuple, i: int, names: tuple[str, ...]) -> bool:
@@ -90,7 +95,7 @@ def _delta_power(delta: Delta, k: int) -> Delta:
     """The delta of (I + delta)^k for k >= 1, by repeated squaring."""
     if k == 1:
         return delta
-    even = _delta_power(_delta_product(delta, delta), k // 2)
+    even = _delta_power(_delta_product(dict(delta), delta), k // 2)
     return _delta_product(even, delta) if k & 1 else even
 
 

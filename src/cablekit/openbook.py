@@ -45,9 +45,6 @@ class BindingComponent(_Frozen):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "seifert_numerator", seifert_numerator)
 
-    def __repr__(self):
-        return f"BindingComponent{(self.order, self.seifert_numerator)}"
-
     @property
     def multiplicity(self) -> int:
         """The boundary circles of the page on this component, gcd(r, s);

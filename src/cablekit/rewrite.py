@@ -99,6 +99,8 @@ class ReplayResult:
 def _apply_step(word: TwistWord, step: Step, registry: RelationRegistry) -> TwistWord:
     gens = list(word.generators)
     i = step.position
+    if not 0 <= i <= len(gens):
+        raise RewriteError(f"position {i} is outside the word of length {len(gens)}")
     if step.kind == "apply":
         rel = registry.get(step.relation)
         n = len(rel.lhs)

@@ -135,7 +135,11 @@ def _hull_runs(u: tuple[int, int], w: tuple[int, int]):
     of the convex hull of the nonzero lattice points in cone(u, w), from u to
     w.  Consecutive members pair to determinant -1, slopes increase strictly,
     and the chain realizes the shortest Farey path from slope(u) to slope(w)
-    through the closed slope interval.
+    through the closed slope interval.  The walk cannot leave the cone:
+    det(v, e) = det(v, z) = -1 by the Bezout identity of `ext_gcd`, so
+    v + n e stays primitive, and dnext = dzw + t d with t = ceil(dzw / |d|)
+    gives d < dnext <= 0, so each run raises d = det(v, w) strictly, up to 0
+    at v = w.
     """
     v = u
     while v != w:
@@ -149,8 +153,6 @@ def _hull_runs(u: tuple[int, int], w: tuple[int, int]):
         t = -((-dzw) // (-d))  # ceil(dzw / |d|)
         e = (z[0] + (t - 1) * v[0], z[1] + (t - 1) * v[1])  # the step to the next member
         dnext = d + _det(e, w)
-        if not (d < dnext <= 0 and _det(v, e) == -1):
-            raise SlopeDomainError(f"hull walk from {u} to {w} left the cone after {v}")
         # the walk keeps the step e while det(v + j*e, w) = d + j*(dnext - d) <= 0
         n = -d // (dnext - d)
         yield v, e, n
@@ -181,8 +183,8 @@ def farey_shortest_path(start: Slope, end: Slope) -> list[Slope]:
 class NegContinuedFraction(_Frozen):
     """An expansion [r_0, ..., r_k] of the nest 1/(r_0 - 1/(r_1 - ...)).
 
-    :func:`neg_cont_frac` returns the canonical form, every term <= -2;
-    :func:`eval_cont_frac` evaluates any terms.
+    :func:`neg_cont_frac` returns the canonical form, every term <= -2, of
+    a slope in (-1, 0); the terms evaluate back to that slope.
     """
 
     __slots__ = ("terms",)
@@ -196,23 +198,12 @@ class NegContinuedFraction(_Frozen):
     def __hash__(self):
         return hash(self.terms)
 
-    def __repr__(self):
-        return f"NegContinuedFraction({list(self.terms)})"
-
-
-def eval_cont_frac(cf: NegContinuedFraction) -> Slope:
-    """Evaluate the nested fraction.  Raises on a vanishing partial denominator."""
-    x_num, x_den = 0, 1  # value hanging below the innermost term
-    for r in reversed(cf.terms):
-        den_num = r * x_den - x_num  # r - x, over denominator x_den
-        if den_num == 0:
-            raise SlopeDomainError(f"partial denominator vanishes in {list(cf.terms)}")
-        x_num, x_den = x_den, den_num
-    return Slope(x_num, x_den)
-
 
 def neg_cont_frac(s: Slope) -> NegContinuedFraction:
-    """Canonical expansion (all terms <= -2) of a slope in (-1, 0)."""
+    """Canonical expansion (all terms <= -2) of a slope in (-1, 0).  It
+    evaluates back to s: each step writes the running value num/den as
+    1/(r - x), x = (den - r num)/(-num) the value of the rest of the nest,
+    and x in (-1, 0] keeps r - x from vanishing while |num| falls to 0."""
     if s.is_meridian or not (Slope(-1) < s < Slope(0)):
         raise SlopeDomainError(f"{s} is not in (-1, 0)")
     terms = []

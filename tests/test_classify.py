@@ -165,8 +165,10 @@ class TestClassify:
 
     def test_disk_page_farey_neighbour_cables_are_rational_unknot_cables(self):
         # every disk page with r <= 9 in its window, cabled with 2 <= |p| <= 6
-        # and |q| <= 6 along a pair that, mirrored to p > 0, has rq - ps = -1
-        hits = 0
+        # and |q| <= 6 along a pair that, mirrored to p > 0, has rq - ps = -1;
+        # the other negative pairs of the loop, rq - ps < -1 mirrored, are
+        # decided like any negative cable
+        hits, others = 0, 0
         for r in range(1, 10):
             for s in range(1 - r, 1):
                 if gcd(r, s) != 1:
@@ -174,11 +176,18 @@ class TestClassify:
                 book = RationalOpenBook(0, (BindingComponent(r, s),))
                 for p in (*range(-6, -1), *range(2, 7)):
                     for q in range(-6, 7):
-                        if (1 if p > 0 else -1) * (r * q - p * s) == -1:
+                        det = (1 if p > 0 else -1) * (r * q - p * s)
+                        if det == -1:
                             hits += 1
                             v = classify_cable(book, CableCoefficients(((p, q),)))
                             assert v.kind is VerdictKind.RATIONAL_UNKNOT_CABLE, (r, s, p, q)
+                        elif det < 0:
+                            others += 1
+                            v = classify_cable(book, CableCoefficients(((p, q),)))
+                            assert v.per_component_signs == (CableSign.NEGATIVE,), (r, s, p, q)
+                            assert v.kind is not VerdictKind.RATIONAL_UNKNOT_CABLE, (r, s, p, q)
         assert hits == 54
+        assert others == 1206
 
     def test_non_coprime_negative_overtwisted(self):
         v = classify_cable(integral_book(), CableCoefficients(((4, -2),)))

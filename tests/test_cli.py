@@ -122,6 +122,9 @@ class TestClassify:
         assert code == 2
 
 
+_DISK = {"order": 1, "seifert_numerator": 0}
+
+
 class TestPipelines:
     def test_surgery_then_resolve_round_trip(self, trefoil_path, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -144,6 +147,17 @@ class TestPipelines:
             ["--json", "cable-page", "--book", trefoil_path, "--cable", "2,1"], capsys
         )
         assert json.loads(out)["genus"] == 2
+
+    @pytest.mark.parametrize("command, first, cable, message", [
+        ("cable-page", _DISK, "2,1;3,1", "honest cabled pages need one |p| across components"),
+        ("monodromy", {"order": 3, "seifert_numerator": -1}, "2,1",
+         "cable words are built for integral books"),
+    ], ids=["two-magnitudes-of-p", "rational-disconnected-binding"])
+    def test_two_component_book_refusal(self, tmp_path, command, first, cable, message):
+        book = tmp_path / "two.json"
+        book.write_text(json.dumps({"genus": 1, "components": [first, _DISK]}))
+        assert run_main([command, "--book", str(book), "--cable", cable]) == (
+            2, "", f"error: {message}\n")
 
     def test_monodromy(self, trefoil_path, capsys):
         code, out, _ = run_cli(
@@ -236,9 +250,6 @@ class TestWordsAndScripts:
         )
         assert code == 0
         assert json.loads(out)["certificate"]["conjugation_lands_on_nodule_1"]
-
-
-_DISK = {"order": 1, "seifert_numerator": 0}
 
 
 class TestBookBoundary:
@@ -434,6 +445,38 @@ class TestPairBoundary:
             "--page", trefoil_path]
         code, out, err = run_cli(["--json", command, *context, str(word), str(word)], capsys)
         assert _names_its_argument(code, out, err, "'amount'"), err
+
+
+class TestNegativeValues:
+    """A value that starts with '-' and a digit is read as a value, written
+    after its option or joined to it with '='; bare slopes of `slopes` too."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--cable", "-2,1"],
+        ["cable-page", "--cable", "-2,1"],
+        ["surgery", "--coefficient", "-1/3"],
+        ["resolve", "--l", "-1,0"],
+    ], ids=["classify", "cable-page", "surgery", "resolve"])
+    def test_split_value_answers_as_the_joined_one(self, trefoil_path, tmp_path, argv):
+        book = trefoil_path
+        if argv[0] == "resolve":  # l = -1 exceeds the Seifert numerator -2
+            book = tmp_path / "rational2.json"
+            book.write_text(json.dumps({"genus": 1, "components": [
+                {"order": 3, "seifert_numerator": -2}, {"order": 2, "seifert_numerator": -1}]}))
+        command, flag, value = argv
+        split = run_main(["--json", command, "--book", str(book), flag, value])
+        assert split == run_main(["--json", command, "--book", str(book), f"{flag}={value}"])
+        assert split[0] == 0 and split[2] == "", split
+
+    @pytest.mark.parametrize("argv", [
+        ["slopes", "path", "-1", "-3/7"],
+        ["slopes", "exceptional", "-1/3"],
+        ["slopes", "ncf", "-3/7"],
+    ], ids=["path", "exceptional", "ncf"])
+    def test_bare_slopes_answer_as_after_a_double_dash(self, argv):
+        plain = run_main(["--json", *argv])
+        assert plain == run_main(["--json", *argv[:2], "--", *argv[2:]])
+        assert plain[0] == 0 and plain[2] == "", plain
 
 
 def _dehn(*curves):

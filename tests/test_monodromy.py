@@ -24,6 +24,7 @@ from cablekit.curves import (
 )
 from cablekit.monodromy import (
     MonodromyError,
+    ObstructionReport,
     _cover22_model,
     _nodule_block,
     branch_point_count,
@@ -557,6 +558,28 @@ class TestBlockFastPath:
         assert delta == want
         assert sum(map(len, delta.values())) == 8 * g
 
+    def test_a_block_product_rewrites_only_the_block_columns(self):
+        # the size rule: a block costs its own columns, not the running
+        # delta's; the product is written into the running delta itself
+        sys_, slow = cable_p1_system(2, 5), cable_p1_system(2, 5)
+        slow.blocks = {}
+        rotation = rho_p1_rotation(2, 5)
+        letters, block = sys_.blocks["n3_1"]
+        delta = sys_.word_delta(rotation)
+        before = dict(delta)
+        assert before.keys() - block.keys()
+        assert _delta_product(delta, block) is delta
+        assert all(delta[j] is col for j, col in before.items() if j not in block)
+        # the same exact value as the block's letters evaluated after the rotation's
+        assert delta == slow.word_delta(TwistWord(rotation.generators + tuple(
+            Generator.dehn_twist(c) for c in letters)))
+
+    def test_the_rotation_at_p_1000_matches_the_letter_by_letter_oracle(self):
+        sys_, slow = cable_p1_system(1, 1000), cable_p1_system(1, 1000)
+        slow.blocks = {}
+        rotation = rho_p1_rotation(1, 1000)
+        assert sys_.word_delta(rotation) == slow.word_delta(rotation)
+
     def test_an_unknown_curve_after_a_block_raises_in_letter_order(self):
         sys_ = cable_p1_system(2, 3)
         word = rho_p1_rotation(2, 3).compose(TwistWord.twists("zzz", "yyy"))
@@ -887,6 +910,14 @@ class TestObstruction:
         # 15 Garside twists - 24 expanded boundary twists + 2 monodromy twists
         assert report.algebraic_length == -7
         assert "OBSTRUCTED" in report.summary()
+
+    def test_summary_of_agreeing_residues_claims_no_obstruction(self):
+        # every p obstructs, so only a report built by hand has agreeing residues
+        report = ObstructionReport(p=5, algebraic_length=-1, mod10_length=9, required_mod10=9,
+                                   filling_euler_characteristic=6,
+                                   positive_factorization_length=9, obstructed=False,
+                                   word_length=20)
+        assert report.summary() == "L(5,4): residues agree; no obstruction"
 
 
 class TestCobordism:

@@ -14,13 +14,23 @@ from cablekit.slopes import (
     Slope,
     SlopeDomainError,
     bfs_interval_path_length,
-    eval_cont_frac,
     exceptional_slopes,
     farey_shortest_path,
     is_exceptional_slope,
     mediant_farey_graph,
     neg_cont_frac,
 )
+
+
+def eval_cont_frac(cf):
+    """Evaluate the nested fraction.  Raises on a vanishing partial denominator."""
+    x_num, x_den = 0, 1  # value hanging below the innermost term
+    for r in reversed(cf.terms):
+        den_num = r * x_den - x_num  # r - x, over denominator x_den
+        if den_num == 0:
+            raise SlopeDomainError(f"partial denominator vanishes in {list(cf.terms)}")
+        x_num, x_den = x_den, den_num
+    return Slope(x_num, x_den)
 
 
 def farey_neighbors(a, b):
@@ -65,6 +75,8 @@ class TestSlope:
         assert str(Slope(1, 0)) == "inf"
         assert str(Slope(-3, 7)) == "-3/7"
         assert str(Slope(4, 1)) == "4"
+        # the assertion messages of these tests print slopes by their repr
+        assert repr(Slope(2, -6)) == "Slope(-1/3)" and repr(MERIDIAN) == "Slope(inf)"
 
     def test_parse_round_trip(self):
         for text in ["-3/7", "5", "inf", "0", "-1"]:
@@ -159,6 +171,8 @@ class TestFarey:
             want = bfs_interval_path_length(graph, a, b)
             got = len(farey_shortest_path(a, b)) - 1
             assert got == want, (a, b, got, want)
+        for a in verts:
+            assert bfs_interval_path_length(graph, a, a) == 0 == len(farey_shortest_path(a, a)) - 1
 
     def test_bfs_oracle_refusals(self):
         unordered = "^the meridian is not ordered against finite slopes$"

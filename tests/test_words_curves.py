@@ -658,7 +658,10 @@ class TestReplayEngine:
         (Step("apply", 0, relation="nope"), "^relation 'nope' is not registered$"),
         (Step("commute", 1), "^no adjacent pair at 1$"),
         (Step("swap", 0), "^unknown step kind 'swap'$"),
-    ], ids=["unregistered", "no-pair", "unknown-kind"])
+        (Step("commute", -1), "^position -1 is outside the word of length 2$"),
+        (Step("insert", 7, curve="c4"), "^position 7 is outside the word of length 2$"),
+    ], ids=["unregistered", "no-pair", "unknown-kind", "commute-before-start",
+            "insert-past-end"])
     def test_a_step_that_cannot_fire_is_refused(self, step, message):
         with pytest.raises(RewriteError, match=message):
             replay(RewriteScript("t", (step,)), TwistWord.twists("c1", "c3"), self.reg)
