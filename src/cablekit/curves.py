@@ -29,9 +29,9 @@ A system's ``expansions`` map a zero-class curve to the names of a chain of
 m curves, m even, whose power 2m + 2 is its twist (the chain relation); only
 `monodromy.cable_p1_system` fills them, with the nodule chains whose
 relation `monodromy._nodule_block` checks once per genus.  Its ``blocks``
-map a curve to the run of names it starts and their positive twists' delta,
-applied in one in-place product where a word spells the run out; only the
-same builder fills them, with the Garside blocks `_nodule_block` evaluates.
+map (curve, sign) to the run of names the curve starts and their twists'
+delta, applied in one in-place product where a word spells the run out with
+that sign; only the same builder fills them, with `_nodule_block`'s blocks.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ def _delta_product(a: Delta, b: Delta) -> Delta:
     return a
 
 
-def _spells(gens: tuple, i: int, names: tuple[str, ...]) -> bool:
-    """Whether gens[i:] begins with the positive Dehn twists about `names`."""
+def _spells(gens: tuple, i: int, names: tuple[str, ...], sign: int) -> bool:
+    """Whether gens[i:] begins with the Dehn twists of `sign` about `names`."""
     part = gens[i:i + len(names)]
     return len(part) == len(names) and all(
-        x.kind == DEHN and x.sign == 1 and x.curve == c for x, c in zip(part, names))
+        x.kind == DEHN and x.sign == sign and x.curve == c for x, c in zip(part, names))
 
 
 def _delta_power(delta: Delta, k: int) -> Delta:
@@ -203,11 +203,12 @@ class CurveSystem:
         s * (M c) * rho(c) to M, rho(c) the pairing row of c: M c is read
         from the columns in the support of c (a column without a delta is
         e_t) and only the columns in the support of rho(c) change.  A run
-        of `blocks` the word spells out, every letter compared, costs one
-        product with its delta, so fewer than len(word) letters may be
-        evaluated.  Zero classes, fractional twists and markers act trivially.
-        The first unknown curve, or fractional letter about no boundary of
-        the system, raises; markers name no curve, so they are not resolved.
+        of `blocks` the word spells out, every letter and sign compared,
+        costs one product with its delta, so fewer than len(word) letters
+        may be evaluated.  Zero classes, fractional twists and markers act
+        trivially.  The first unknown curve, or fractional letter about no
+        boundary of the system, raises; markers name no curve, so they are
+        not resolved.
         """
         delta: Delta = {}
         plans: dict[str, tuple] = {}  # curve -> (support of c, of rho(c))
@@ -216,8 +217,8 @@ class CurveSystem:
             if i < skip:
                 continue
             if gen.kind == DEHN:
-                block = blocks.get(gen.curve) if gen.sign == 1 else None
-                if block and _spells(gens, i, block[0]):
+                block = blocks.get((gen.curve, gen.sign))
+                if block and _spells(gens, i, block[0], gen.sign):
                     delta, skip = _delta_product(delta, block[1]), i + len(block[0])
                     continue
                 plan = plans.get(gen.curve)
@@ -329,30 +330,3 @@ def chain_classes(count: int, genus: int) -> list[dict[int, int]]:
         if abs(got) != 1:
             raise CurveSystemError(f"chain solver failed at ({i},{i+1}): {got}")
     return out
-
-
-def chain_model(genus: int, extra_boundaries: int = 1) -> CurveSystem:
-    """The standard chain c_1..c_{2g+1} on a genus-g surface with boundary.
-
-    For genus 0 there are no chain curves, only boundary-parallel ones.
-    Boundary labels are "1", "2", ....
-    """
-    if genus < 0 or extra_boundaries < 1:
-        raise CurveSystemError("need genus >= 0 and at least one boundary")
-    labels = tuple(str(i + 1) for i in range(extra_boundaries))
-    sys = CurveSystem(genus=genus, boundary_labels=labels, name=f"chain_g{genus}")
-    if genus > 0:
-        classes = chain_classes(2 * genus + 1, genus)
-        names = [f"c{i}" for i in range(1, 2 * genus + 2)]
-        for name, cls in zip(names, classes):
-            sys.add_curve(name, cls)
-        for i, a in enumerate(names):
-            for j in range(i + 1, len(names)):
-                sys.record_intersection(a, names[j], 1 if j == i + 1 else 0)
-    sys.add_boundary_curves()
-    for label in labels:
-        for i in range(1, 2 * genus + 2):
-            if genus > 0:
-                sys.record_intersection(f"bdry_{label}", f"c{i}", 0)
-    sys.check()
-    return sys

@@ -23,13 +23,13 @@ nodule 1.  This module builds those words:
 `classify_cable` and `cabled_page` do, and picks the builder; the
 fixed-pair builders take the window pair, whatever the book's framing.
 
-Curve naming: a page word names the curves of `curves.chain_model(g, 1)`,
-the chain c1..c{2g+1} (none on a disk page) and bdry_1.  On nodule i of a
-connected-binding cable, :func:`lift_to_nodule` maps c_k to the k-th curve
-of the nodule chain, which ends in "n{i}_{2g+1}", and bdry_1 to the nodule
-boundary "partial{i}"; a disconnected binding lifts the chain only, and
-every other name is refused.  The crossing curve between (p, 1)-nodules j
-and j+1 is "x{j}".
+Curve naming: a page word names the chain c1..c{2g+1}, of the classes
+`curves.chain_classes(2g+1, g)` (none on a disk page), and bdry_1.  On
+nodule i of a connected-binding cable, :func:`lift_to_nodule` maps c_k to
+the k-th curve of the nodule chain, which ends in "n{i}_{2g+1}", and bdry_1
+to the nodule boundary "partial{i}"; a disconnected binding lifts the chain
+only, and every other name is refused.  The crossing curve between (p,
+1)-nodules j and j+1 is "x{j}".
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
 from .curves import (CurveInfo, CurveSystem, CurveSystemError, _delta_power, chain_classes,
-                     chain_model, symplectic_pairing)
+                     symplectic_pairing)
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
 from .words import DEHN, FRACTIONAL, Generator, TwistWord
 
@@ -78,19 +78,30 @@ def p1_layout(g: int, j: int) -> list[str]:
 @lru_cache(maxsize=None)
 def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     """The (p,1) page model of genus g, checked here once per genus and
-    nowhere else: the chain classes of `chain_model(g)` and the classes of
-    layout 1 (:func:`p1_layout`), each as its (coordinate, entry) pairs, and
-    the delta of layout 1's Garside block as (column, ((row, entry), ...))
-    pairs, evaluated letter by letter on a genus-2g system of layout 1's
-    classes.  The chain relation (T_c1 ... T_c2g)^(4g+2) = T_bdry_1
-    (Farb-Margalit, Prop. 4.12) must hold on homology, where bdry_1 has zero
-    class, so the power's delta must be empty.  Every pair of layout 1 is
-    checked, not recorded: neighbours pair to +-1, others to 0 (a chain)."""
-    model = chain_model(g)
-    chain = TwistWord.twists(*[f"c{k}" for k in range(1, 2 * g + 1)])
-    if _delta_power(model.word_delta(chain), 4 * g + 2):
+    nowhere else: the classes v_1..v_{2g+1} of `chain_classes(2g+1, g)` and
+    those of layout 1 (:func:`p1_layout`), each as its (coordinate, entry)
+    pairs, and the delta of layout 1's Garside block as (column, ((row,
+    entry), ...)) pairs.  The chain relation (T_c1 ... T_c2g)^(4g+2) =
+    T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold on homology, where bdry_1
+    has zero class, so the power's delta must be empty.  Every pair of
+    layout 1 is checked, not recorded: neighbours pair to +-1, others to 0
+    (a chain); so is every pair of c1..c{2g+1}, as x1 is v_{2g+1} on nodule 1.
+
+    The block's delta is :func:`_half_twist`, none of its letters evaluated.
+    The block is the half twist of the chain c_1..c_m of layout 1, m = 4g+1:
+    the lift of the braid half twist, which turns the disk by pi, so it
+    carries c_i to c_{m+1-i} (Farb-Margalit, ch. 9) and their classes u_i
+    to e_i u_{m+1-i}, e_i = +-1.  It keeps <u_i, u_{i+1}> = s_i, so e_{i+1} =
+    -e_i s_i s_{m-i}, and x1 = u_{2g+1} is fixed, e_{2g+1} = 1: the lift
+    turns c_{2g+1} by pi, keeping its orientation.  Here s_i = 1 for i <=
+    2g+1 and -1 beyond, so every other e_i is -1: on homology the block is
+    minus the swap of the two nodules, an involution.  The check that it
+    sends each u_i to +-u_{m+1-i} costs O(g)."""
+    block = chain_classes(2 * g + 1, g)
+    nodule = CurveSystem(genus=g, boundary_labels=(), name=f"nodule_g{g}")
+    nodule.curves.update((f"c{k}", CurveInfo(v, 2 * g)) for k, v in enumerate(block[:-1], 1))
+    if _delta_power(nodule.word_delta(TwistWord.twists(*nodule.curves)), 4 * g + 2):
         raise CurveSystemError(f"the genus-{g} chain relation fails the homology oracle")
-    block = tuple(model.curves[f"c{k}"].support for k in range(1, 2 * g + 2))
     # the crossing curve pairs once with the last even-chain curve of each
     # nodule, zero with all other nodule curves.  The blocks are orthogonal
     # and w = -v_{2g+1} is the one class pairing to zero with v_1..v_{2g-1}
@@ -101,12 +112,22 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
         value = int(b == a + 1)
         if abs(symplectic_pairing(layout[a], layout[b])) != value:
             raise CurveSystemError(f"layout 1 records {a},{b} = {value}, but the classes differ")
-    names = p1_layout(g, 1)
-    pair = CurveSystem(genus=2 * g, boundary_labels=(), name=f"layout1_g{g}")
-    pair.curves.update((name, CurveInfo(v, 4 * g)) for name, v in zip(names, layout))
-    turn = pair.word_delta(garside_block(names))
+    turn = _half_twist(g)
+    for i, (u, mirror) in enumerate(zip(layout, reversed(layout)), 1):
+        image = dict(u)
+        for t, x in u.items():
+            for r, y in turn[t].items():
+                image[r] = image.get(r, 0) + x * y
+        image = {t: x for t, x in image.items() if x}
+        if image != mirror and image != {t: -x for t, x in mirror.items()}:
+            raise CurveSystemError(f"the half twist sends class {i} to no +-class {4 * g + 2 - i}")
     return (tuple(tuple(v.items()) for v in block), tuple(tuple(v.items()) for v in layout),
             tuple((j, tuple(col.items())) for j, col in turn.items()))
+
+
+def _half_twist(g: int) -> dict[int, dict[int, int]]:
+    """Layout 1's Garside block delta in closed form (see :func:`_nodule_block`)."""
+    return {t: {t: -1, (t + 2 * g) % (4 * g): -1} for t in range(4 * g)}
 
 
 def cable_p1_system(g: int, p: int) -> CurveSystem:
@@ -127,13 +148,14 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     chain as layout 1 is, nodule i's chain word has the block's delta
     moved, empty as the block's is, and a zero class pairs to 0 with every
     curve.  Twists about layout j's classes change and read only the 4g
-    coordinates from 2g(j-1) on, so `blocks` holds, under its first curve,
-    layout j's Garside block with layout 1's block delta moved by 2g(j-1).
+    coordinates from 2g(j-1) on, so `blocks` holds layout j's Garside block
+    under (its first curve, 1) and its inverse under (that curve, -1), with
+    one dict, layout 1's block delta moved by 2g(j-1): it is an involution.
     Neither refusal of `add_curve` can fire: every name differs by prefix or
     index, and the moved classes keep the template's nonzero, ascending
     entries, nodule i's below 2gi and x_i's below 2g(i+1) <= dim.  The tests
     compare the build with a reference that runs check() on a recorded table
-    and every nodule's relation and layout's block letter by letter.
+    and every nodule's relation and layout's blocks letter by letter.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
@@ -154,7 +176,9 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     for j in range(1, p):
         names, s = p1_layout(g, j), 2 * g * (j - 1)
         letters = tuple(map(names.__getitem__, _garside_pattern(4 * g + 1)))
-        sys.blocks[letters[0]] = (letters, {c + s: {r + s: x for r, x in col} for c, col in turn})
+        delta = {c + s: {r + s: x for r, x in col} for c, col in turn}
+        sys.blocks[names[-1], 1] = letters, delta
+        sys.blocks[names[-1], -1] = letters[::-1], delta
     return sys
 
 

@@ -16,7 +16,6 @@ from cablekit.classify import (
     induced_open_book_from_surgery,
     resolve,
 )
-from cablekit.curves import chain_model
 from cablekit.lens import (
     LensTorusKnot,
     boundary_count,
@@ -51,7 +50,7 @@ from cablekit.slopes import (
     mediant_farey_graph,
 )
 from cablekit.words import Generator, TwistWord
-from test_words_curves import identity_matrix
+from test_words_curves import chain_model, identity_matrix
 
 
 def _report(criterion: str, elapsed: float, limit: float) -> None:

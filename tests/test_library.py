@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cablekit.curves import (NonExpandableGeneratorError, algebraic_length, chain_model,
-                             symplectic_pairing)
+from cablekit.curves import NonExpandableGeneratorError, algebraic_length, symplectic_pairing
 from cablekit.library import (
     genlantern_derivation_bundle,
     lantern_genus3_model,
@@ -20,6 +19,7 @@ from cablekit.library import (
 )
 from cablekit.monodromy import cable_p1_system, sigma22_cover_system
 from cablekit.words import TwistWord
+from test_words_curves import chain_model
 
 # the curve systems as they shipped in JSON before they were declared in Python
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -18,7 +18,6 @@ from cablekit.curves import (
     _delta_product,
     algebraic_length,
     chain_classes,
-    chain_model,
     mod10_class,
     symplectic_pairing,
 )
@@ -26,6 +25,7 @@ from cablekit.monodromy import (
     MonodromyError,
     ObstructionReport,
     _cover22_model,
+    _half_twist,
     _nodule_block,
     branch_point_count,
     cable_p1_system,
@@ -57,6 +57,7 @@ from braid_reference import (
 )
 from test_classify import lens_model_resolve
 from test_words_curves import (
+    chain_model,
     dense_extract_transvection_class,
     dense_word_matrix,
     identity_matrix,
@@ -319,18 +320,53 @@ def reference_cable_p1_system(g, p):
         chain = tuple(f"n{i}_{k}" for k in range(1, 2 * g + 1))
         assert sys_.word_delta(TwistWord.twists(*chain).power(4 * g + 2)) == {}, (g, p, i)
         sys_.expansions[f"partial{i}"] = chain
-    # each layout's Garside block, evaluated letter by letter on this system
-    # before any block is installed
-    blocks = [garside_block(p1_layout(g, j)) for j in range(1, p)]
-    blocks = [(tuple(x.curve for x in word), sys_.word_delta(word)) for word in blocks]
-    sys_.blocks.update((letters[0], (letters, delta)) for letters, delta in blocks)
+    # each layout's Garside block and its inverse, evaluated letter by letter
+    # on this system before any block is installed
+    words = [garside_block(p1_layout(g, j)) for j in range(1, p)]
+    words += [word.inverse() for word in words]
+    blocks = [(word[0], tuple(x.curve for x in word), sys_.word_delta(word)) for word in words]
+    sys_.blocks.update(((first.curve, first.sign), (letters, delta))
+                       for first, letters, delta in blocks)
     return sys_
 
 
 class TestNoduleBlock:
     """The chain relation and layout 1 are checked once per genus on the
     block, and each build installs translates of it; the reference checks
-    the whole table and every nodule's chain relation on the oracle."""
+    the whole table and every nodule's chain relation on the oracle, and
+    evaluates every block letter by letter."""
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_the_closed_form_is_the_letter_by_letter_block(self, g):
+        # layout 1's Garside block and its inverse, evaluated letter by
+        # letter on the genus-2g page of layout 1's classes, are both the
+        # closed form, minus the swap of the two nodules: an involution
+        turn = {j: dict(col) for j, col in _nodule_block(g)[2]}
+        n = 2 * g
+        assert turn == {t: {t: -1, (t + n) % (2 * n): -1} for t in range(2 * n)}
+        ref = reference_cable_p1_system(g, 2)
+        assert ref.blocks.keys() == {("n2_1", 1), ("n2_1", -1)}
+        for sign in (1, -1):
+            assert ref.blocks["n2_1", sign][1] == turn, (g, sign)
+        assert _delta_product(dict(turn), turn) == {}
+
+    @pytest.mark.parametrize("g", range(1, 4))
+    def test_a_closed_form_with_a_moved_mirror_is_refused(self, g, monkeypatch):
+        # the runtime check: the closed form must send each layout class to
+        # +- its mirror; moving one column's mirror entry by one row breaks it
+        import cablekit.monodromy
+
+        n = 2 * g
+        for t in range(2 * n):
+            def moved(g, t=t):
+                turn = _half_twist(g)
+                turn[t] = {t: -1, (t + n + 1) % (2 * n): -1}
+                return turn
+
+            monkeypatch.setattr(cablekit.monodromy, "_half_twist", moved)
+            _nodule_block.cache_clear()  # a call that raises is not cached
+            with pytest.raises(CurveSystemError, match=r"^the half twist sends class \d+ to no"):
+                cable_p1_system(g, 3)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_system_equals_the_reference_that_checks_every_nodule(self, g):
@@ -452,8 +488,7 @@ class TestNoduleBlock:
             monkeypatch.setattr(module, "symplectic_pairing", counting)
         _nodule_block.cache_clear()
         cable_p1_system(2, 2)
-        # the cold genus pairs chain_model(2)'s table and every pair of
-        # layout 1's 4g + 1 = 9 curves
+        # the cold genus pairs every pair of layout 1's 4g + 1 = 9 curves
         assert calls[0] >= 9 * 8 // 2
         counts = []
         for p in (2, 50):
@@ -484,27 +519,32 @@ class TestNoduleBlock:
 
 
 class TestBlockFastPath:
-    """word_delta applies a (p,1) layout's Garside block as its stored delta
-    wherever a word spells the block out; the slow reference is the same
-    system with `blocks` emptied, which evaluates every letter, and the dense
-    letter-by-letter product."""
+    """word_delta applies a (p,1) layout's Garside block, or its inverse, as
+    its stored delta wherever a word spells the block out; the slow reference
+    is the same system with `blocks` emptied, which evaluates every letter,
+    and the dense letter-by-letter product."""
 
     @staticmethod
     def words(g, p, rng):
         """(name, word, blocks the fast path applies) for the rotation, its
         compositions with a lift of a random page word, its powers and
-        inverse, and rotations whose last block is cut short, holds a
-        foreign letter or has one letter's sign flipped."""
+        inverse, the negative cable word, rotations whose last block is cut
+        short, holds a foreign letter or has one letter's sign flipped, and
+        inverses whose last inverse block is cut short or has one letter's
+        sign flipped."""
         rotation = rho_p1_rotation(g, p)
         page = TwistWord.twists(*((f"c{rng.randrange(1, 2 * g + 2)}", rng.choice([1, -1]))
                                   for _ in range(8)), ("bdry_1", -1))
         phi = lift_to_nodule(page, [f"n1_{k}" for k in range(1, 2 * g + 2)], "partial1")
-        n, gens = p - 1, rotation.generators
+        book = RationalOpenBook(genus=g, components=(BindingComponent(p + 1, -1),),
+                                monodromy=page)
+        n, gens, inverse = p - 1, rotation.generators, rotation.inverse().generators
         out = [("rotation", rotation, n), ("rotation o phi", rotation.compose(phi), n),
                ("phi o rotation", phi.compose(rotation), n),
                ("rotation^2", rotation.power(2), 2 * n), ("rotation^3", rotation.power(3), 3 * n),
-               ("inverse", rotation.inverse(), 0),
-               ("rotation o inverse", rotation.compose(rotation.inverse()), n)]
+               ("inverse", rotation.inverse(), n),
+               ("rotation o inverse", rotation.compose(rotation.inverse()), 2 * n),
+               ("negative cable word", negative_cable_word(book).word, n)]
         if p > 1:
             size = (4 * g + 1) * (2 * g + 1)
             start = len(gens) - size  # the last block's first letter
@@ -517,6 +557,14 @@ class TestBlockFastPath:
                      n - 1),
                     ("sign flipped", TwistWord(gens[:inside] + (flipped,) + gens[inside + 1:]),
                      n - 1)]
+            # the inverse ends in layout 1's inverse block, then p boundary twists
+            start = len(inverse) - p - size
+            inside = start + rng.randrange(size)
+            flipped = inverse[inside].inverse()
+            out += [("inverse cut short",
+                     TwistWord(inverse[:start + rng.randrange(1, size)] + inverse[-p:]), n - 1),
+                    ("inverse sign flipped",
+                     TwistWord(inverse[:inside] + (flipped,) + inverse[inside + 1:]), n - 1)]
         return out
 
     @pytest.mark.parametrize("g", range(1, 5))
@@ -534,7 +582,7 @@ class TestBlockFastPath:
         for p in range(1, 7):
             sys_, slow = cable_p1_system(g, p), cable_p1_system(g, p)
             slow.blocks = {}
-            assert len(sys_.blocks) == p - 1
+            assert len(sys_.blocks) == 2 * (p - 1)
             for name, word, blocks in self.words(g, p, rng):
                 applied[0] = 0
                 want = slow.word_delta(word)
@@ -544,19 +592,22 @@ class TestBlockFastPath:
                 if g * p <= 4:
                     assert sys_.word_matrix(word) == dense_word_matrix(sys_, word), (g, p, name)
 
-    @pytest.mark.parametrize("g", range(1, 5))
+    @pytest.mark.parametrize("g", range(1, 9))
     def test_the_block_delta_is_the_dense_product(self, g):
-        # layout j's stored delta is layout 1's moved; layout 1's block on
-        # the genus-2g page against the dense product of its letters
+        # layout j's stored deltas are layout 1's moved; layout 1's block and
+        # its inverse on the genus-2g page against the dense product of
+        # their letters
         sys_ = cable_p1_system(g, 2)
-        (letters, delta), = sys_.blocks.values()
-        want = {}
-        for i, row in enumerate(dense_word_matrix(sys_, TwistWord.twists(*letters))):
-            for j, x in enumerate(row):
-                if x != (i == j):
-                    want.setdefault(j, {})[i] = x - (i == j)
-        assert delta == want
-        assert sum(map(len, delta.values())) == 8 * g
+        assert sys_.blocks.keys() == {("n2_1", 1), ("n2_1", -1)}
+        for (_, sign), (letters, delta) in sys_.blocks.items():
+            want = {}
+            word = TwistWord.twists(*((c, sign) for c in letters))
+            for i, row in enumerate(dense_word_matrix(sys_, word)):
+                for j, x in enumerate(row):
+                    if x != (i == j):
+                        want.setdefault(j, {})[i] = x - (i == j)
+            assert delta == want, (g, sign)
+            assert sum(map(len, delta.values())) == 8 * g
 
     def test_a_block_product_rewrites_only_the_block_columns(self):
         # the size rule: a block costs its own columns, not the running
@@ -564,7 +615,7 @@ class TestBlockFastPath:
         sys_, slow = cable_p1_system(2, 5), cable_p1_system(2, 5)
         slow.blocks = {}
         rotation = rho_p1_rotation(2, 5)
-        letters, block = sys_.blocks["n3_1"]
+        letters, block = sys_.blocks["n3_1", 1]
         delta = sys_.word_delta(rotation)
         before = dict(delta)
         assert before.keys() - block.keys()

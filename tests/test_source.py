@@ -195,8 +195,8 @@ def test_only_the_cable_p1_builder_fills_expansions():
 
 def test_only_the_cable_p1_builder_fills_blocks():
     # the oracle applies a block's stored delta in place of its letters on
-    # the strength of `monodromy._nodule_block`, which evaluates layout 1's
-    # Garside block once per genus; nothing else may store one
+    # the strength of `monodromy._nodule_block`, which checks the closed form
+    # of layout 1's Garside block once per genus; nothing else may store one
     assert _writers("blocks") == {("monodromy", "cable_p1_system")}
 
 
