@@ -9,9 +9,11 @@ surface it is nonseparating exactly when its class is nonzero, since a dual
 curve meets a nonseparating curve once and a separating one bounds a
 subsurface (Farb-Margalit 1.3).  The recorded table is curated data about
 the geometric model and the only source of intersection answers; a pair it
-leaves out reads None.  Only ``record_intersection`` fills it; ``check()``
-confirms each entry against the absolute symplectic pairing of the stored
-classes, catching figure slips.  The `monodromy` cable pages record none.
+leaves out reads None.  Only ``record_intersection`` fills it, and only
+`library`'s script pages, whose tables `replay` reads, call it; their
+``check()`` confirms each entry against the absolute symplectic pairing of
+the stored classes, catching figure slips.  The `monodromy` cable pages
+record none and pair their model classes in place, once per genus.
 
 Words evaluate to integer symplectic matrices: a right-handed twist about c
 acts on column vectors by x -> x + <x, [c]> [c], boundary-parallel and
@@ -265,7 +267,7 @@ class CurveSystem:
         return tuple(map(tuple, rows))
 
 
-# -- algebraic length and the mod-10 class ----------------------------------
+# -- algebraic length --------------------------------------------------------
 
 
 class NonExpandableGeneratorError(CurveSystemError):
@@ -287,20 +289,6 @@ def algebraic_length(word: TwistWord, sys: CurveSystem) -> int:
                 f"{gen} is not a nonseparating twist and has no registered factorization"
             )
     return total
-
-
-def mod10_class(word: TwistWord, sys: CurveSystem) -> int:
-    """Image of the word in the order-10 abelianization; genus 2, one boundary.
-
-    Twists about nonseparating curves are all conjugate, so their signed
-    count is well defined modulo 10 there.  Other surface types would need a
-    different abelianization, so they are rejected rather than guessed at.
-    """
-    if sys.genus != 2 or len(sys.boundary_labels) != 1:
-        raise CurveSystemError(
-            "the mod-10 length is defined for genus-2 pages with one boundary"
-        )
-    return algebraic_length(word, sys) % 10
 
 
 # -- standard models ---------------------------------------------------------

@@ -313,7 +313,8 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     A nodule boundary separates, so partial{i} has zero class.  At g = 0 the
     page is an annulus: the one chain curve and the one rotation curve are
     its core, of zero class, and nodules have no chain.  The page records no
-    intersection, so every pair reads None and a `commute` step refuses."""
+    intersection, so every pair reads None and a `commute` step refuses;
+    each call is a fresh system holding :func:`_cover22_model`'s CurveInfos."""
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
     curves, rho_names = _cover22_model(g)
@@ -324,12 +325,12 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
 
 @lru_cache(maxsize=None)
 def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...]]:
-    """The page of :func:`sigma22_cover_system`, checked once per genus, as
-    its curves' item pairs and rotation names; chain-end entries stay here."""
-    sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
-    chain = chain_classes(4 * g + 1, 2 * g)
-    for k, cls in enumerate(chain, 1):
-        sys.add_curve(f"e{k}", cls)
+    """The page of :func:`sigma22_cover_system`, built and checked once per
+    genus, as its (name, CurveInfo) pairs, entries nonzero and ascending, and
+    rotation names.  Each chain end is paired with its nodule's covered curves
+    in place: +-1 with e{2g} or e{2g+2}, 0 with the rest."""
+    n, chain = 4 * g, chain_classes(4 * g + 1, 2 * g)
+    curves = {f"e{k}": CurveInfo(cls, n) for k, cls in enumerate(chain, 1)}
     rho_names = tuple(f"rho22_{i}" for i in range(1, 2 * g + 2))
     for i, name in enumerate(rho_names, 1):
         sign = (-1) ** max(0, (2 * g - i) // 2)
@@ -338,17 +339,19 @@ def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...]]:
             eps = sign * (-1) ** max(0, k - 2 * g - 1)
             for t, x in chain[k - 1].items():
                 cls[t] = cls.get(t, 0) + eps * x
-        sys.add_curve(name, cls)
+        curves[name] = CurveInfo({t: cls[t] for t in sorted(cls) if cls[t]}, n)
     for i, a in ((1, 2 * g - 2), (2, 2 * g)):  # the coordinates of a_g and a_{g+1}
-        sys.add_curve(f"partial{i}", {})
+        curves[f"partial{i}"] = CurveInfo({}, n)
         if g:
             *covered, end = _e_chain(g, i)
-            sys.add_curve(end, {a: 1})
+            curves[end] = CurveInfo({a: 1}, n)
             for k, name in enumerate(covered, 1):
-                sys.record_intersection(name, end, int(k == 2 * g))
-    sys.add_boundary_curves()
-    sys.check()
-    return tuple(sys.curves.items()), rho_names
+                got, value = symplectic_pairing(curves[name].support, {a: 1}), int(k == 2 * g)
+                if abs(got) != value:
+                    raise CurveSystemError(f"chain end {end} pairs to {got} with {name}, "
+                                           f"not {value} up to sign")
+    curves["bdry_1"] = curves["bdry_2"] = CurveInfo({}, n)
+    return tuple(curves.items()), rho_names
 
 
 def _e_chain(g: int, i: int) -> list[str]:
@@ -433,18 +436,18 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
 
 
 class ObstructionReport:
-    __slots__ = ("p", "algebraic_length", "mod10_length", "required_mod10",
-                 "filling_euler_characteristic", "positive_factorization_length", "obstructed",
-                 "word_length")
+    """The three values the obstruction cannot derive; the rest follow."""
 
-    def __init__(self, p: int, algebraic_length: int, mod10_length: int, required_mod10: int,
-                 filling_euler_characteristic: int, positive_factorization_length: int,
-                 obstructed: bool, word_length: int):
-        self.p, self.algebraic_length, self.mod10_length = p, algebraic_length, mod10_length
-        self.required_mod10 = required_mod10
-        self.filling_euler_characteristic = filling_euler_characteristic
-        self.positive_factorization_length = positive_factorization_length
-        self.obstructed, self.word_length = obstructed, word_length
+    __slots__ = ("p", "algebraic_length", "word_length")
+
+    def __init__(self, p: int, algebraic_length: int, word_length: int):
+        self.p, self.algebraic_length, self.word_length = p, algebraic_length, word_length
+
+    mod10_length = property(lambda self: self.algebraic_length % 10)
+    filling_euler_characteristic = property(lambda self: self.p)
+    positive_factorization_length = property(lambda self: self.p + 3)
+    required_mod10 = property(lambda self: (self.p + 3) % 10)
+    obstructed = property(lambda self: self.mod10_length != self.required_mod10)
 
     def __repr__(self):
         return f"ObstructionReport{tuple(getattr(self, f) for f in ObstructionReport.__slots__)}"
@@ -481,6 +484,11 @@ def stein_obstruction_Lppm1(p: int) -> ObstructionReport:
     (T^2-page, D_1^p o D_2) supporting the standard tight structure on
     L(p, p-1).
 
+    The cable page, of two genus-1 nodules on a connected binding, has genus
+    2 and one boundary.  Its mapping class group's abelianization has order
+    10 (Farb-Margalit, ch. 5), and the nonseparating twists, all conjugate,
+    map to one generator: a word's image is its algebraic length mod 10.
+
     The cable word's algebraic length is 15 - 24 + p + 1 = p - 8 after the
     nodule boundary twists are expanded through the one-holed-torus chain
     factorization.  The unique minimal symplectic filling has Euler
@@ -489,30 +497,15 @@ def stein_obstruction_Lppm1(p: int) -> ObstructionReport:
     p - 8 and p + 3 differ mod 10 for every p, so no positive factorization
     exists.
     """
-    from .curves import algebraic_length, mod10_class
+    from .curves import algebraic_length
 
     if p < 1:
         raise MonodromyError("need p >= 1")
-    base = RationalOpenBook(
-        genus=1,
-        components=(BindingComponent(order=1, seifert_numerator=0),),
-        monodromy=TwistWord.twists(*(["c1"] * p + ["c2"])),
-    )
+    word = TwistWord.twists("c1").power(p).compose(TwistWord.twists("c2"))
+    base = RationalOpenBook(genus=1, components=(BindingComponent(order=1, seifert_numerator=0),),
+                            monodromy=word)
     cable = monodromy_p1_connected(base, 2)
-    length = algebraic_length(cable.word, cable.system)
-    mod10 = mod10_class(cable.word, cable.system)
-    chi_filling = p
-    needed = chi_filling + 3
-    return ObstructionReport(
-        p=p,
-        algebraic_length=length,
-        mod10_length=mod10,
-        required_mod10=needed % 10,
-        filling_euler_characteristic=chi_filling,
-        positive_factorization_length=needed,
-        obstructed=mod10 != needed % 10,
-        word_length=len(cable.word),
-    )
+    return ObstructionReport(p, algebraic_length(cable.word, cable.system), len(cable.word))
 
 
 # -- cobordism words ----------------------------------------------------------
@@ -544,9 +537,10 @@ def compose_cobordism_word(
     lift2 = lift_to_nodule(phi2, _e_chain(g, 2), "partial2")
     # a word's matrix is the product of its letters' from left to right,
     # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1
-    conj = sys.word_delta(base.word.compose(lift2).compose(base.word.inverse()))
+    rot_lift2 = base.word.compose(lift2)
+    conj = sys.word_delta(rot_lift2.compose(base.word.inverse()))
     if conj != sys.word_delta(lift_to_nodule(phi2, near, "partial1")):
         raise MonodromyError("destabilization certificate failed the oracle")
     certificate = {"conjugation_lands_on_nodule_1": True,
                    "rotation_positive": base.word.is_positive()}
-    return CableWord(base.word.compose(lift2).compose(lift1), sys, base.book, certificate)
+    return CableWord(rot_lift2.compose(lift1), sys, base.book, certificate)

@@ -18,7 +18,6 @@ from cablekit.curves import (
     _delta_product,
     algebraic_length,
     chain_classes,
-    mod10_class,
     symplectic_pairing,
 )
 from cablekit.monodromy import (
@@ -198,6 +197,40 @@ class TestConnected22:
         monodromy_22_connected(connected_book(2, TwistWord.twists("c1")))
         compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2"), connected_book(2))
         assert _cover22_model.cache_info().misses == 1
+
+    def test_chain_end_pairings_are_made_once_per_genus(self, monkeypatch):
+        # each chain end pairs with its nodule's 2g covered curves when the
+        # genus is cold, and a warm build pairs nothing
+        import cablekit.monodromy
+
+        calls = [0]
+
+        def counting(u, v):
+            calls[0] += 1
+            return symplectic_pairing(u, v)
+
+        monkeypatch.setattr(cablekit.monodromy, "symplectic_pairing", counting)
+        _cover22_model.cache_clear()
+        for g in range(4):
+            counts = []
+            for _ in range(2):
+                calls[0] = 0
+                sigma22_cover_system(g)
+                counts.append(calls[0])
+            assert counts == [2 * 2 * g, 0], g
+
+    @pytest.mark.parametrize("pairing, message", [
+        (lambda u, v: 0, "^chain end n1_5 pairs to 0 with e4, not 1 up to sign$"),
+        (lambda u, v: -1, "^chain end n1_5 pairs to -1 with e1, not 0 up to sign$"),
+    ], ids=["zero", "minus_one"])
+    def test_a_chain_end_that_fails_its_pairing_is_refused(self, pairing, message,
+                                                            monkeypatch):
+        import cablekit.monodromy
+
+        monkeypatch.setattr(cablekit.monodromy, "symplectic_pairing", pairing)
+        _cover22_model.cache_clear()  # a call that raises is not cached
+        with pytest.raises(CurveSystemError, match=message):
+            sigma22_cover_system(2)
 
     def test_lifts_refuse_names_outside_the_system(self):
         # a name like "cusp" or "c²" is no curve of the page model and is
@@ -947,14 +980,22 @@ class TestResolutionWord:
         assert validate(resolved) == []
 
 
+def assert_closed_forms(report, p):
+    """Every field of the report, stored or derived, is its closed form in p."""
+    assert report.to_json() == {
+        "p": p, "algebraic_length": p - 8, "mod10_length": (p - 8) % 10,
+        "required_mod10": (p + 3) % 10, "filling_euler_characteristic": p,
+        "positive_factorization_length": p + 3, "obstructed": True, "verdict": "OBSTRUCTED"}, p
+    assert report.word_length == p + 18, p
+
+
 class TestObstruction:
     def test_universal_for_p_up_to_100(self):
         for p in range(1, 101):
-            report = stein_obstruction_Lppm1(p)
-            assert report.algebraic_length == p - 8
-            assert report.mod10_length == (p - 8) % 10
-            assert report.required_mod10 == (p + 3) % 10
-            assert report.obstructed
+            assert_closed_forms(stein_obstruction_Lppm1(p), p)
+
+    def test_closed_forms_hold_at_large_p(self):
+        assert_closed_forms(stein_obstruction_Lppm1(10 ** 5), 10 ** 5)
 
     def test_word_expands_via_chain_relations(self):
         report = stein_obstruction_Lppm1(1)
@@ -964,11 +1005,31 @@ class TestObstruction:
 
     def test_summary_of_agreeing_residues_claims_no_obstruction(self):
         # every p obstructs, so only a report built by hand has agreeing residues
-        report = ObstructionReport(p=5, algebraic_length=-1, mod10_length=9, required_mod10=9,
-                                   filling_euler_characteristic=6,
-                                   positive_factorization_length=9, obstructed=False,
-                                   word_length=20)
+        report = ObstructionReport(5, algebraic_length=8, word_length=20)
+        assert (report.mod10_length, report.required_mod10) == (8, 8)
         assert report.summary() == "L(5,4): residues agree; no obstruction"
+
+    def test_a_report_keeps_only_what_it_cannot_derive(self):
+        # the residues, the filling and the verdict are functions of p and
+        # the algebraic length, so no report can contradict itself
+        assert ObstructionReport.__slots__ == ("p", "algebraic_length", "word_length")
+        report = stein_obstruction_Lppm1(13)
+        assert repr(report) == "ObstructionReport(13, 5, 31)"
+        with pytest.raises(TypeError):
+            ObstructionReport(5, 8, 20, 8)
+
+    def test_the_cable_word_is_walked_once(self, monkeypatch):
+        import cablekit.curves
+
+        calls = []
+
+        def counting(word, sys_):
+            calls.append(len(word))
+            return algebraic_length(word, sys_)
+
+        monkeypatch.setattr(cablekit.curves, "algebraic_length", counting)
+        report = stein_obstruction_Lppm1(7)
+        assert calls == [report.word_length]
 
 
 class TestCobordism:

@@ -206,6 +206,16 @@ def test_only_record_intersection_fills_intersections():
     assert _writers("intersections") == {("curves", "record_intersection")}
 
 
+def test_only_library_records_and_checks_tables():
+    # the script pages, whose tables `replay` reads, record intersections
+    # and close with check(); the cable pages pair their classes in place
+    callers = {path.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr in {"record_intersection", "check"}}
+    assert callers == {"library.py"}
+
+
 def _is_cache(decorator):
     """Whether a decorator is functools' lru_cache or cache, called or not."""
     target = decorator.func if isinstance(decorator, ast.Call) else decorator

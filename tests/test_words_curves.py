@@ -17,7 +17,6 @@ from cablekit.curves import (
     _delta_power,
     algebraic_length,
     chain_classes,
-    mod10_class,
     symplectic_pairing,
 )
 from cablekit.library import lantern_genus3_model
@@ -61,6 +60,20 @@ def chain_model(genus: int, extra_boundaries: int = 1) -> CurveSystem:
                 sys_.record_intersection(f"bdry_{label}", f"c{i}", 0)
     sys_.check()
     return sys_
+
+
+def mod10_class(word: TwistWord, sys: CurveSystem) -> int:
+    """Image of the word in the order-10 abelianization; genus 2, one boundary.
+
+    Twists about nonseparating curves are all conjugate, so their signed
+    count is well defined modulo 10 there.  Other surface types would need a
+    different abelianization, so they are rejected rather than guessed at.
+    """
+    if sys.genus != 2 or len(sys.boundary_labels) != 1:
+        raise CurveSystemError(
+            "the mod-10 length is defined for genus-2 pages with one boundary"
+        )
+    return algebraic_length(word, sys) % 10
 
 
 class TestWordAlgebra:
