@@ -26,7 +26,7 @@ from . import _Frozen
 from .openbook import (BindingComponent, OpenBookError, RationalOpenBook, normalize_to_window,
                        reframe, window_shift)
 from .slopes import Slope, ext_gcd, is_exceptional_slope
-from .words import Generator, TwistWord
+from .words import FRACTIONAL, Generator, TwistWord
 
 
 class CableError(ValueError):
@@ -312,7 +312,7 @@ def resolve(book: RationalOpenBook, l_coeffs: list[int]) -> RationalOpenBook:
         new_curves += [f"rb{idx}_{j}" for j in range(1, gcd(r, l) + 1)]
     word = book.monodromy
     if word is not None and rational:
-        kept = tuple(g for g in word if g.kind != "fractional")
+        kept = tuple(g for g in word if g.kind != FRACTIONAL)
         added = tuple(Generator.dehn_twist(c, +1) for c in new_curves)
         word = TwistWord(kept + added) if multitwist_ok else None
     components = [c for c in book.components if c.order == 1]

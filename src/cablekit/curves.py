@@ -62,12 +62,6 @@ def symplectic_pairing(u: Mapping[int, int], v: Mapping[int, int]) -> int:
     return sum(x * v.get(t ^ 1, 0) * (-1 if t & 1 else 1) for t, x in u.items())
 
 
-def _pairing_row(support: Mapping[int, int]) -> dict[int, int]:
-    """The nonzero entries of the row rho(u) with rho(u) . x = <x, u>, for
-    the class u with nonzero coordinates `support`."""
-    return {t ^ 1: x if t & 1 else -x for t, x in support.items()}
-
-
 def _delta_product(a: Delta, b: Delta) -> Delta:
     """The delta of (I + a)(I + b), that is a + b + ab, written into `a`: the
     columns of b's support are computed from the old `a`, then stored as new
@@ -183,9 +177,7 @@ class CurveSystem:
         recorded intersection must equal the symplectic pairing of the stored
         classes up to sign (curve orientations are not tracked)."""
         for (a, b), value in self.intersections.items():
-            if a not in self.curves or b not in self.curves:
-                self.curve(a), self.curve(b)  # raises UnresolvedCurveError
-            got = symplectic_pairing(self.curves[a].support, self.curves[b].support)
+            got = symplectic_pairing(self.curve(a).support, self.curve(b).support)
             if got != value and got != -value:
                 raise CurveSystemError(
                     f"recorded intersection {a},{b} = {value} but classes pair to {got}"
@@ -202,18 +194,18 @@ class CurveSystem:
         twist) as {column: {row: entry}}, holding only nonzero entries.
 
         Right-multiplying by the twist about c with sign s adds
-        s * (M c) * rho(c) to M, rho(c) the pairing row of c: M c is read
-        from the columns in the support of c (a column without a delta is
-        e_t) and only the columns in the support of rho(c) change.  A run
-        of `blocks` the word spells out, every letter and sign compared,
-        costs one product with its delta, so fewer than len(word) letters
-        may be evaluated.  Zero classes, fractional twists and markers act
+        s * (M c) * rho(c) to M, rho(c) . x = <x, c>.  Both are read from
+        c's stored class: M c from the columns in its support (a column
+        without a delta is e_t), rho(c) as the entry x at t ^ 1 for odd t
+        and -x for even t, so only the columns t ^ 1 change.  A run of `blocks`
+        the word spells out, every letter and sign compared, costs one
+        product with its delta, so fewer than len(word) letters may be
+        evaluated.  Zero classes, fractional twists and markers act
         trivially.  The first unknown curve, or fractional letter about no
         boundary of the system, raises; markers name no curve, so they are
         not resolved.
         """
         delta: Delta = {}
-        plans: dict[str, tuple] = {}  # curve -> (support of c, of rho(c))
         gens, blocks, skip = word.generators, self.blocks, 0
         for i, gen in enumerate(gens):
             if i < skip:
@@ -223,24 +215,19 @@ class CurveSystem:
                 if block and _spells(gens, i, block[0], gen.sign):
                     delta, skip = _delta_product(delta, block[1]), i + len(block[0])
                     continue
-                plan = plans.get(gen.curve)
-                if plan is None:
-                    support = self.curve(gen.curve).support
-                    plan = plans[gen.curve] = (tuple(support.items()),
-                                               tuple(_pairing_row(support).items()))
-                support, row = plan
+                support = self.curve(gen.curve).support
                 mc: dict[int, int] = {}  # becomes M c
-                for t, x in support:
+                for t, x in support.items():
                     mc[t] = mc.get(t, 0) + x
                     col = delta.get(t)
                     if col:
                         for r, y in col.items():
                             mc[r] = mc.get(r, 0) + x * y
-                for t, y in row:
-                    y *= gen.sign
-                    col = delta.get(t)
+                for t, x in support.items():
+                    j, y = t ^ 1, (x if t & 1 else -x) * gen.sign
+                    col = delta.get(j)
                     if col is None:
-                        delta[t] = {r: y * v for r, v in mc.items() if v}
+                        delta[j] = {r: y * v for r, v in mc.items() if v}
                         continue
                     for r, v in mc.items():
                         if v:
@@ -250,7 +237,7 @@ class CurveSystem:
                             else:
                                 del col[r]
                     if not col:
-                        del delta[t]
+                        del delta[j]
             elif gen.kind == FRACTIONAL and gen.curve not in self.boundary_labels:
                 raise UnresolvedCurveError(f"boundary {gen.curve!r} not in system {self.name!r}")
         return delta

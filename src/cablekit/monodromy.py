@@ -42,7 +42,7 @@ from .classify import CableCoefficients, cabled_page, stabilization_count_pq_fro
 from .curves import (CurveInfo, CurveSystem, CurveSystemError, _delta_power, chain_classes,
                      symplectic_pairing)
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
-from .words import DEHN, FRACTIONAL, Generator, TwistWord
+from .words import DEHN, FRACTIONAL, Generator, TwistWord, each_letter_once
 
 
 class MonodromyError(ValueError):
@@ -214,23 +214,24 @@ def rho_p1_rotation(g: int, p: int) -> TwistWord:
 
 def lift_to_nodule(word: TwistWord, chain: Sequence[str],
                    boundary: Optional[str] = None) -> TwistWord:
-    """The lift of a page word onto one nodule, one rename per letter: the
-    chain curve c_k becomes chain[k-1] and the boundary twist bdry_1 becomes
-    `boundary`.  Any other letter raises MonodromyError: it is no Dehn
-    twist, no curve of the page, or a curve with no image on this nodule."""
+    """The lift of a page word onto one nodule, one rename per distinct
+    letter (`each_letter_once`): the chain curve c_k becomes chain[k-1] and
+    bdry_1 becomes `boundary`.  Any other letter raises MonodromyError: a
+    letter that is no Dehn twist (any in the word, first), then a curve
+    with no image on this nodule."""
     images = {f"c{k}": name for k, name in enumerate(chain, 1)}
     if boundary is not None:
         images["bdry_1"] = boundary
     for letter in word:
         if letter.kind != DEHN:
             raise MonodromyError(f"only Dehn twists lift to a nodule, got {letter}")
-    keys = [(letter.curve, letter.sign) for letter in word]
-    lifts = {}
-    for curve, sign in dict.fromkeys(keys):
-        if curve not in images:
-            raise MonodromyError(f"curve {curve} has no nodule model")
-        lifts[curve, sign] = Generator.dehn_twist(images[curve], sign)
-    return TwistWord(tuple(map(lifts.__getitem__, keys)))
+
+    def lift(letter: Generator) -> Generator:
+        if letter.curve not in images:
+            raise MonodromyError(f"curve {letter.curve} has no nodule model")
+        return Generator.dehn_twist(images[letter.curve], letter.sign)
+
+    return TwistWord(each_letter_once(word.generators, lift))
 
 
 def _p1_chain(g: int, i: int) -> list[str]:

@@ -10,7 +10,7 @@ implicitly).  Braids reach a word only through their lift to Dehn twists.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import _Frozen
 
@@ -107,6 +107,19 @@ class Generator(_Frozen):
         return Generator(obj["kind"], obj["curve"], sign, amount)
 
 
+def each_letter_once(gens: tuple[Generator, ...],
+                     image: Callable[[Generator], Generator]) -> tuple[Generator, ...]:
+    """The image of every letter of `gens`, `image` called once per distinct
+    letter in order of first appearance.  Letters are told apart by object,
+    then by (kind, curve, sign, amount), so equal letters share one image
+    even when, as in a word loaded from JSON, each is an object of its own."""
+    objects = dict(zip(map(id, gens), gens))
+    keys = [(g.kind, g.curve, g.sign, g.amount) for g in objects.values()]
+    made = {key: image(g) for key, g in dict(zip(keys, objects.values())).items()}
+    images = dict(zip(objects, map(made.__getitem__, keys)))
+    return tuple(map(images.__getitem__, map(id, gens)))
+
+
 class TwistWord(_Frozen):
     """An ordered product of generators; the rightmost acts first."""
 
@@ -150,13 +163,8 @@ class TwistWord(_Frozen):
         return TwistWord(self.generators * n)
 
     def inverse(self) -> "TwistWord":
-        """The inverted letters in reverse order, one Generator per distinct letter."""
-        gens = self.generators[::-1]
-        objects = dict(zip(map(id, gens), gens))
-        keys = [(g.kind, g.curve, g.sign, g.amount) for g in objects.values()]
-        made = {key: g.inverse() for key, g in dict(zip(keys, objects.values())).items()}
-        inverse = dict(zip(objects, map(made.__getitem__, keys)))
-        return TwistWord(tuple(map(inverse.__getitem__, map(id, gens))))
+        """The inverted letters in reverse order, shared by `each_letter_once`."""
+        return TwistWord(each_letter_once(self.generators[::-1], Generator.inverse))
 
     def is_positive(self) -> bool:
         """True when every generator is positive."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from cablekit.curves import CurveSystemError, Delta, _pairing_row
+from cablekit.curves import CurveSystemError, Delta
 from cablekit.words import Generator, TwistWord
 
 
@@ -201,6 +201,11 @@ def positive_destabilization_certificate(braid: BraidWord) -> list[int]:
         removal.append(s)
         letters = [(i, j) for (i, j) in letters if s not in (i, j)]
     return removal
+
+
+def _pairing_row(support: dict[int, int]) -> dict[int, int]:
+    """The row rho(u) with rho(u) . x = <x, u>, for the class u = `support`."""
+    return {t ^ 1: x if t & 1 else -x for t, x in support.items()}
 
 
 def extract_transvection_class(delta: Delta) -> tuple[dict[int, int], int]:

@@ -1,6 +1,7 @@
 """Cable monodromy words: counts, positivity, oracle coherence, obstruction."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -1319,6 +1320,29 @@ class TestLiftModel:
                     image = {f"c{2 * g + 1}": f"n{i}_{2 * g + 1}", "bdry_1": f"partial{i}"}
                     if curve in image:
                         assert cw.word[-1].curve == image[curve], name
+
+    def test_lift_memory_follows_the_lifted_word(self):
+        # one image per distinct letter and one tuple of the word's length,
+        # 8 bytes a letter: no per-letter key
+        chain = [f"n1_{k}" for k in range(1, 4)]
+        word = TwistWord.twists("c1").power(10 ** 5)
+        tracemalloc.start()
+        try:
+            lifted = lift_to_nodule(word, chain, "partial1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lifted) == 10 ** 5 and lifted[0] is lifted[-1]
+        assert lifted[0] == Generator.dehn_twist("n1_1")
+        assert peak <= 3 * 8 * 10 ** 5, peak
+        # a word loaded from JSON holds one object per letter, and its lift
+        # still holds one per distinct letter
+        shared = TwistWord.twists("c1", ("c2", -1), "bdry_1", "c1").power(25)
+        loaded = TwistWord.from_json(shared.to_json())
+        assert len({id(x) for x in loaded}) == len(loaded) == 100
+        lifted = lift_to_nodule(loaded, chain, "partial1")
+        assert lifted == lift_to_nodule(shared, chain, "partial1")
+        assert len({id(x) for x in lifted}) == 3
 
 
 def reference_garside_block(chain):

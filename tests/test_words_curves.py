@@ -29,7 +29,7 @@ from cablekit.rewrite import (
     Step,
     replay,
 )
-from cablekit.words import DEHN, FRACTIONAL, Generator, TwistWord
+from cablekit.words import DEHN, FRACTIONAL, Generator, TwistWord, each_letter_once
 from braid_reference import extract_transvection_class
 from fractions import Fraction
 
@@ -111,6 +111,21 @@ class TestWordAlgebra:
                 if g not in distinct:
                     distinct.append(g)
             assert len({id(g) for g in inv}) == len(distinct), seed
+
+    def test_each_letter_once_tells_letters_apart_by_every_field(self):
+        # fresh objects throughout; the last two differ only in their amount
+        made = [Generator.dehn_twist("a"), Generator.dehn_twist("a", -1),
+                Generator.stabilization_marker("a"),
+                Generator.fractional_boundary("a", Fraction(1, 2)),
+                Generator.fractional_boundary("a", Fraction(1, 3))]
+        gens = tuple(Generator.from_json(made[i].to_json()) for i in (4, 0, 3, 1, 0, 4, 2, 3))
+        calls = []
+        images = each_letter_once(gens, lambda g: calls.append(g) or g.inverse())
+        assert calls == [made[i] for i in (4, 0, 3, 1, 2)]
+        assert images == tuple(g.inverse() for g in gens)
+        assert images[0] is images[5] and images[1] is images[4] and images[2] is images[7]
+        assert len({id(g) for g in images}) == 5
+        assert TwistWord(gens).inverse().generators == images[::-1]
 
     def test_fractional(self):
         g = Generator.fractional_boundary("1", Fraction(-2, 5))
