@@ -33,7 +33,7 @@ m curves, m even, whose power 2m + 2 is its twist (the chain relation); only
 relation `monodromy._nodule_block` checks once per genus.  Its ``blocks``
 map (curve, sign) to the run of names the curve starts and their twists'
 delta, applied in one in-place product where a word spells the run out with
-that sign; only the same builder fills them, with `_nodule_block`'s blocks.
+that sign; only the two cable builders fill them (see :meth:`word_delta`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,10 @@ class UnresolvedCurveError(CurveSystemError):
 def symplectic_pairing(u: Mapping[int, int], v: Mapping[int, int]) -> int:
     """<u, v> in the basis a_1, b_1, a_2, b_2, ... with <a_i, b_i> = 1, for
     classes given as {coordinate: entry} maps."""
-    return sum(x * v.get(t ^ 1, 0) * (-1 if t & 1 else 1) for t, x in u.items())
+    total = 0
+    for t, x in u.items():
+        total += x * v.get(t ^ 1, 0) * (-1 if t & 1 else 1)
+    return total
 
 
 def _delta_product(a: Delta, b: Delta) -> Delta:
@@ -200,10 +203,13 @@ class CurveSystem:
         and -x for even t, so only the columns t ^ 1 change.  A run of `blocks`
         the word spells out, every letter and sign compared, costs one
         product with its delta, so fewer than len(word) letters may be
-        evaluated.  Zero classes, fractional twists and markers act
-        trivially.  The first unknown curve, or fractional letter about no
-        boundary of the system, raises; markers name no curve, so they are
-        not resolved.
+        evaluated.  Two `monodromy` builders fill `blocks`, each with a closed
+        form checked once per genus by `_checked_turn`: `cable_p1_system`
+        each layout's Garside block, minus the swap of its two nodules, and
+        `sigma22_cover_system` the rotation, minus the reversal of the 2g
+        handles.  Zero classes, fractional twists and markers act trivially.
+        The first unknown curve, or fractional letter about no boundary of
+        the system, raises; markers name no curve, so they are not resolved.
         """
         delta: Delta = {}
         gens, blocks, skip = word.generators, self.blocks, 0

@@ -35,13 +35,12 @@ only, and every other name is refused.  The crossing curve between (p,
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
 from .curves import (CurveInfo, CurveSystem, CurveSystemError, _delta_power, chain_classes,
                      symplectic_pairing)
-from .openbook import BindingComponent, RationalOpenBook, normalize_to_window
+from .openbook import BindingComponent, RationalOpenBook, normalize_to_window, window_shift
 from .words import DEHN, FRACTIONAL, Generator, TwistWord, each_letter_once
 
 
@@ -90,44 +89,61 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     The block's delta is :func:`_half_twist`, none of its letters evaluated.
     The block is the half twist of the chain c_1..c_m of layout 1, m = 4g+1:
     the lift of the braid half twist, which turns the disk by pi, so it
-    carries c_i to c_{m+1-i} (Farb-Margalit, ch. 9) and their classes u_i
-    to e_i u_{m+1-i}, e_i = +-1.  It keeps <u_i, u_{i+1}> = s_i, so e_{i+1} =
-    -e_i s_i s_{m-i}, and x1 = u_{2g+1} is fixed, e_{2g+1} = 1: the lift
-    turns c_{2g+1} by pi, keeping its orientation.  Here s_i = 1 for i <=
-    2g+1 and -1 beyond, so every other e_i is -1: on homology the block is
-    minus the swap of the two nodules, an involution.  The check that it
-    sends each u_i to +-u_{m+1-i} costs O(g)."""
+    carries c_i to c_{m+1-i} (Farb-Margalit, ch. 9), as :func:`_checked_turn`
+    checks, and turns x1 = c_{2g+1} by pi, keeping its orientation.  On
+    homology it is minus the swap of the two nodules, an involution."""
     block = chain_classes(2 * g + 1, g)
     nodule = CurveSystem(genus=g, boundary_labels=(), name=f"nodule_g{g}")
     nodule.curves.update((f"c{k}", CurveInfo(v, 2 * g)) for k, v in enumerate(block[:-1], 1))
     if _delta_power(nodule.word_delta(TwistWord.twists(*nodule.curves)), 4 * g + 2):
         raise CurveSystemError(f"the genus-{g} chain relation fails the homology oracle")
-    # the crossing curve pairs once with the last even-chain curve of each
-    # nodule, zero with all other nodule curves.  The blocks are orthogonal
-    # and w = -v_{2g+1} is the one class pairing to zero with v_1..v_{2g-1}
-    # and to one with v_{2g}; x1 is -w on block 1, +w on block 2.
+    # x1 pairs once with the last even-chain curve of each nodule, 0 with the
+    # rest: w = -v_{2g+1} alone pairs 0 with v_1..v_{2g-1} and 1 with v_{2g}; x1 = -w, +w.
     x1 = {**block[-1], **{2 * g + t: -x for t, x in block[-1].items()}}
     layout = (*block[:-1], x1, *({2 * g + t: x for t, x in v.items()} for v in block[-2::-1]))
-    for a, b in combinations(range(4 * g + 1), 2):
-        value = int(b == a + 1)
-        if abs(symplectic_pairing(layout[a], layout[b])) != value:
-            raise CurveSystemError(f"layout 1 records {a},{b} = {value}, but the classes differ")
-    turn = _half_twist(g)
-    for i, (u, mirror) in enumerate(zip(layout, reversed(layout)), 1):
-        image = dict(u)
-        for t, x in u.items():
-            for r, y in turn[t].items():
-                image[r] = image.get(r, 0) + x * y
-        image = {t: x for t, x in image.items() if x}
-        if image != mirror and image != {t: -x for t, x in mirror.items()}:
-            raise CurveSystemError(f"the half twist sends class {i} to no +-class {4 * g + 2 - i}")
+    partners: dict[int, set[int]] = {}  # t: the classes holding t ^ 1; the rest pair to 0
+    for b, v in enumerate(layout):
+        for t in v:
+            partners.setdefault(t ^ 1, set()).add(b)
+    for a, u in enumerate(layout):
+        for b in sorted({a + 1}.union(*(partners.get(t, ()) for t in u)) - {4 * g + 1}):
+            want = int(b == a + 1)
+            if b > a and abs(symplectic_pairing(u, layout[b])) != want:
+                raise CurveSystemError(f"layout 1 records {a},{b} = {want}, but the classes differ")
     return (tuple(tuple(v.items()) for v in block), tuple(tuple(v.items()) for v in layout),
-            tuple((j, tuple(col.items())) for j, col in turn.items()))
+            _checked_turn("the half twist", layout, _half_twist(g)))
+
+
+def _minus_permutation(image: Sequence[int]) -> dict[int, dict[int, int]]:
+    """The delta of minus a coordinate permutation with no fixed point, e_t -> -e_{image[t]}."""
+    return {t: {t: -1, s: -1} for t, s in enumerate(image)}
 
 
 def _half_twist(g: int) -> dict[int, dict[int, int]]:
-    """Layout 1's Garside block delta in closed form (see :func:`_nodule_block`)."""
-    return {t: {t: -1, (t + 2 * g) % (4 * g): -1} for t in range(4 * g)}
+    """Layout 1's Garside block delta, minus the nodule swap (see :func:`_nodule_block`)."""
+    return _minus_permutation([(t + 2 * g) % (4 * g) for t in range(4 * g)])
+
+
+def _checked_turn(what: str, chain: Sequence[dict[int, int]], turn: dict) -> tuple:
+    """The delta `turn` as (column, ((row, entry), ...)) pairs, refused unless
+    I + turn sends each class u_i of the chain u_1..u_m to +-u_{m+1-i} and
+    keeps each neighbour pairing, as a half twist's lift does (Farb-Margalit,
+    ch. 9), which on a spanning chain fixes the map up to sign; O(m) pairings."""
+    cols = dict(frozen := tuple((t, tuple(col.items())) for t, col in turn.items()))
+    m, last, pairs = len(chain), 0, [symplectic_pairing(u, v) for u, v in zip(chain, chain[1:])]
+    for i, (u, mirror) in enumerate(zip(chain, reversed(chain)), 1):
+        image = dict(u)
+        for t, x in u.items():
+            for r, y in cols.get(t, ()):
+                image[r] = image.get(r, 0) + x * y
+        image = {t: x for t, x in image.items() if x}
+        sign = 1 if image == mirror else -1 if image == {t: -x for t, x in mirror.items()} else 0
+        if not sign:
+            raise CurveSystemError(f"{what} sends class {i} to no +-class {m + 1 - i}")
+        if i > 1 and -last * sign * pairs[m - i] != pairs[i - 2]:
+            raise CurveSystemError(f"{what} sends class {i} to the wrong sign of class {m + 1 - i}")
+        last = sign
+    return frozen
 
 
 def cable_p1_system(g: int, p: int) -> CurveSystem:
@@ -194,22 +210,22 @@ def garside_block(chain: Sequence[str]) -> TwistWord:
     return TwistWord(tuple(map(letters.__getitem__, _garside_pattern(len(chain)))))
 
 
-def rho_p1_rotation(g: int, p: int) -> TwistWord:
-    """The rotation word of the connected-binding (p,1)-cable: leading
-    negative nodule boundary twists, then one block per adjacent nodule
-    pair, each a negative boundary twist followed by the positive Garside
-    block of its layout chain, laid out from the Garside pattern over one
-    shared Generator per distinct (curve, sign)."""
+def rho_p1_rotation(g: int, p: int, sign: int = 1) -> TwistWord:
+    """The rotation word of the connected-binding (p,1)-cable (for sign -1,
+    its inverse, spelled directly): leading negative nodule boundary twists,
+    then one block per adjacent nodule pair, each a negative boundary twist
+    followed by the positive Garside block of its layout chain, laid out from
+    the Garside pattern over one shared Generator per distinct (curve, sign)."""
     layouts = [p1_layout(g, j) for j in range(1, p)]
     names = dict.fromkeys(name for layout in layouts for name in layout)
-    twist = {name: Generator.dehn_twist(name) for name in names}
-    bdry = [Generator.dehn_twist(f"partial{j}", -1) for j in range(1, p + 1)]
+    twist = {name: Generator.dehn_twist(name, sign) for name in names}
+    bdry = [Generator.dehn_twist(f"partial{j}", -sign) for j in range(1, p + 1)]
     gens, pattern = bdry[:0:-1], _garside_pattern(4 * g + 1)
     for j, layout in enumerate(layouts, 1):
         letters = [twist[name] for name in layout]
         gens.append(bdry[j - 1])
         gens.extend(map(letters.__getitem__, pattern))
-    return TwistWord(tuple(gens))
+    return TwistWord(tuple(gens[::sign]))
 
 
 def lift_to_nodule(word: TwistWord, chain: Sequence[str],
@@ -250,9 +266,10 @@ class CableWord:
 
 
 def _page(book: RationalOpenBook, p: int, q: int) -> RationalOpenBook:
-    """The page of the (p, q)-cable of every component, (p, q) in the window."""
-    coeffs = CableCoefficients(((p, q),) * len(book.components))
-    return cabled_page(coeffs.in_window(book)[0], coeffs)
+    """The page of the (p, q)-cable of every component, (p, q) in the window,
+    read as (p, q - k p), k the window shift, so `cabled_page` reframes once."""
+    return cabled_page(book, CableCoefficients(
+        tuple((p, q - window_shift(c) * p) for c in book.components)))
 
 
 def _require_integral_connected(book: RationalOpenBook) -> None:
@@ -267,8 +284,7 @@ def monodromy_p1_connected(book: RationalOpenBook, p: int) -> CableWord:
     _require_integral_connected(book)
     g = book.genus
     phi = lift_to_nodule(book.monodromy or TwistWord(()), _p1_chain(g, 1), "partial1")
-    system = cable_p1_system(g, p)
-    return CableWord(rho_p1_rotation(g, p).compose(phi), system, _page(book, p, 1))
+    return CableWord(rho_p1_rotation(g, p).compose(phi), cable_p1_system(g, p), _page(book, p, 1))
 
 
 def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
@@ -315,32 +331,40 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     page is an annulus: the one chain curve and the one rotation curve are
     its core, of zero class, and nodules have no chain.  The page records no
     intersection, so every pair reads None and a `commute` step refuses;
-    each call is a fresh system holding :func:`_cover22_model`'s CurveInfos."""
+    each call is a fresh system holding :func:`_cover22_model`'s CurveInfos and blocks."""
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
-    curves, rho_names = _cover22_model(g)
+    curves, rho_names, turn = _cover22_model(g)
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
     sys.curves.update(curves)
+    delta = {t: dict(col) for t, col in turn}
+    sys.blocks[rho_names[-1], 1] = rho_names[::-1], delta
+    sys.blocks[rho_names[0], -1] = rho_names, delta
     return sys, rho_names
 
 
 @lru_cache(maxsize=None)
-def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...]]:
+def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...], tuple]:
     """The page of :func:`sigma22_cover_system`, built and checked once per
-    genus, as its (name, CurveInfo) pairs, entries nonzero and ascending, and
-    rotation names.  Each chain end is paired with its nodule's covered curves
-    in place: +-1 with e{2g} or e{2g+2}, 0 with the rest."""
+    genus: its (name, CurveInfo) pairs, entries nonzero and ascending, its
+    rotation names and the delta :func:`_rotation22` of the rotation run and
+    of its inverse, the blocks of a system: it is an involution.  Each chain
+    end is paired with its nodule's covered curves in place: +-1 with e{2g}
+    or e{2g+2}, 0 with the rest.  The rotation braid (`r22_braid` in the
+    tests) is the half twist of the 4g+2 strands, whose lift carries e_k to
+    +-e_{4g+2-k}, times inverse full twists of 2g+1 strands, whose lifts are
+    -1 on a nodule's homology (Farb-Margalit, ch. 9): :func:`_checked_turn`."""
     n, chain = 4 * g, chain_classes(4 * g + 1, 2 * g)
     curves = {f"e{k}": CurveInfo(cls, n) for k, cls in enumerate(chain, 1)}
     rho_names = tuple(f"rho22_{i}" for i in range(1, 2 * g + 2))
+    window: dict[int, int] = {}  # sum of eps_k e_k over the arc's window, grown at both ends
     for i, name in enumerate(rho_names, 1):
-        sign = (-1) ** max(0, (2 * g - i) // 2)
-        cls: dict[int, int] = {}
-        for k in range(2 * g + 2 - i, 2 * g + 1 + i):
-            eps = sign * (-1) ** max(0, k - 2 * g - 1)
+        for k in {2 * g + 2 - i, 2 * g + i}:
+            eps = (-1) ** max(0, k - 2 * g - 1)
             for t, x in chain[k - 1].items():
-                cls[t] = cls.get(t, 0) + eps * x
-        curves[name] = CurveInfo({t: cls[t] for t in sorted(cls) if cls[t]}, n)
+                window[t] = window.get(t, 0) + eps * x
+        sign = (-1) ** max(0, (2 * g - i) // 2)
+        curves[name] = CurveInfo({t: sign * window[t] for t in sorted(window) if window[t]}, n)
     for i, a in ((1, 2 * g - 2), (2, 2 * g)):  # the coordinates of a_g and a_{g+1}
         curves[f"partial{i}"] = CurveInfo({}, n)
         if g:
@@ -352,7 +376,13 @@ def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...]]:
                     raise CurveSystemError(f"chain end {end} pairs to {got} with {name}, "
                                            f"not {value} up to sign")
     curves["bdry_1"] = curves["bdry_2"] = CurveInfo({}, n)
-    return tuple(curves.items()), rho_names
+    turn = _checked_turn("the (2,2) rotation", chain, _rotation22(g))
+    return tuple(curves.items()), rho_names, turn
+
+
+def _rotation22(g: int) -> dict[int, dict[int, int]]:
+    """The (2,2) rotation's delta, minus the handle reversal (see :func:`_cover22_model`)."""
+    return _minus_permutation([(4 * g - 1 - t) ^ 1 for t in range(4 * g)])
 
 
 def _e_chain(g: int, i: int) -> list[str]:
@@ -422,18 +452,16 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
     if r < 2 or comp.seifert_numerator != -1:
         raise MonodromyError("book must be in (r, -1) form with r >= 2")
     g, p = book.genus, r - 1
-    word_in = book.monodromy or TwistWord(())
     # boundary twists of the pattern page lift to nodule-1 boundary twists
-    phi = lift_to_nodule(TwistWord(tuple(g_ for g_ in word_in if g_.kind != FRACTIONAL)),
+    phi = lift_to_nodule(TwistWord(tuple(x for x in book.monodromy or () if x.kind != FRACTIONAL)),
                          _p1_chain(g, 1), "partial1")
-    system = cable_p1_system(g, p)
     from fractions import Fraction
     word = TwistWord((Generator.fractional_boundary("outer", Fraction(1, r)),
-                      *rho_p1_rotation(g, p).inverse(),
+                      *rho_p1_rotation(g, p, -1),
                       *TwistWord.twists(("partial1", -1)).power(r - 2), *phi))
     page = RationalOpenBook(genus=p * g, monodromy=word,
                             components=(BindingComponent(order=r, seifert_numerator=-1),))
-    return CableWord(word, system, page)
+    return CableWord(word, cable_p1_system(g, p), page)
 
 
 class ObstructionReport:

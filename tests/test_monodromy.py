@@ -27,6 +27,8 @@ from cablekit.monodromy import (
     _cover22_model,
     _half_twist,
     _nodule_block,
+    _page,
+    _rotation22,
     branch_point_count,
     cable_p1_system,
     compose_cobordism_word,
@@ -42,7 +44,7 @@ from cablekit.monodromy import (
     sigma22_cover_system,
     stein_obstruction_Lppm1,
 )
-from cablekit.classify import resolve
+from cablekit.classify import CableCoefficients, cabled_page, resolve
 from cablekit.library import shipped_scripts, sigma22_script_system
 from cablekit.openbook import BindingComponent, RationalOpenBook, validate
 from cablekit.rewrite import RelationRegistry, RewriteError, RewriteScript, Step, replay
@@ -200,8 +202,9 @@ class TestConnected22:
         assert _cover22_model.cache_info().misses == 1
 
     def test_chain_end_pairings_are_made_once_per_genus(self, monkeypatch):
-        # each chain end pairs with its nodule's 2g covered curves when the
-        # genus is cold, and a warm build pairs nothing
+        # each chain end pairs with its nodule's 2g covered curves, and the
+        # check of the rotation's closed form pairs the 4g neighbours of
+        # e1..e{4g+1}, when the genus is cold; a warm build pairs nothing
         import cablekit.monodromy
 
         calls = [0]
@@ -218,7 +221,7 @@ class TestConnected22:
                 calls[0] = 0
                 sigma22_cover_system(g)
                 counts.append(calls[0])
-            assert counts == [2 * 2 * g, 0], g
+            assert counts == [2 * 2 * g + 4 * g, 0], g
 
     @pytest.mark.parametrize("pairing, message", [
         (lambda u, v: 0, "^chain end n1_5 pairs to 0 with e4, not 1 up to sign$"),
@@ -364,6 +367,19 @@ def reference_cable_p1_system(g, p):
     return sys_
 
 
+def corrupt_crossing_class(corrupt, monkeypatch):
+    """Make the model read v_{2g+1}, the class x1 is built from, as
+    corrupt(v_{2g+1}); no other class of the (p,1) model changes."""
+    import cablekit.monodromy
+
+    def corrupted(count, genus):
+        classes = chain_classes(count, genus)
+        classes[-1] = corrupt(classes[-1])
+        return classes
+
+    monkeypatch.setattr(cablekit.monodromy, "chain_classes", corrupted)
+
+
 class TestNoduleBlock:
     """The chain relation and layout 1 are checked once per genus on the
     block, and each build installs translates of it; the reference checks
@@ -401,6 +417,24 @@ class TestNoduleBlock:
             _nodule_block.cache_clear()  # a call that raises is not cached
             with pytest.raises(CurveSystemError, match=r"^the half twist sends class \d+ to no"):
                 cable_p1_system(g, 3)
+
+    @pytest.mark.parametrize("g", range(1, 4))
+    def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch):
+        # e_t -> +e_{t'} in place of -e_{t'} (or a diagonal -1 made +1) still
+        # sends a b-class to +- its mirror; the neighbour pairing refuses it
+        import cablekit.monodromy
+
+        for t, r in ((t, r) for t, col in _half_twist(g).items() for r in col):
+            def flipped(g, t=t, r=r):
+                turn = _half_twist(g)
+                turn[t][r] = -turn[t][r]
+                return turn
+
+            monkeypatch.setattr(cablekit.monodromy, "_half_twist", flipped)
+            _nodule_block.cache_clear()  # a call that raises is not cached
+            with pytest.raises(CurveSystemError, match=r"^the half twist sends class \d+ to "
+                                                       r"(no \+-class|the wrong sign of class) \d+$"):
+                cable_p1_system(g, 2)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_system_equals_the_reference_that_checks_every_nodule(self, g):
@@ -508,36 +542,31 @@ class TestNoduleBlock:
             sys_.check()
 
     def test_pairings_are_made_once_per_genus(self, monkeypatch):
-        # once the genus is cached, a build pairs no classes, whatever p
-        import cablekit.curves
-        import cablekit.monodromy
-
-        calls = [0]
-
-        def counting(u, v):
-            calls[0] += 1
-            return symplectic_pairing(u, v)
-
-        for module in (cablekit.curves, cablekit.monodromy):
-            monkeypatch.setattr(module, "symplectic_pairing", counting)
+        # a cold genus pairs layout 1's classes; once the genus is cached a
+        # build pairs nothing, whatever p: with x1's class corrupted after
+        # the genus is cached, every build still installs the checked model
         _nodule_block.cache_clear()
         cable_p1_system(2, 2)
-        # the cold genus pairs every pair of layout 1's 4g + 1 = 9 curves
-        assert calls[0] >= 9 * 8 // 2
-        counts = []
+        corrupt_crossing_class(self.MISSING[0], monkeypatch)
         for p in (2, 50):
-            calls[0] = 0
-            cable_p1_system(2, p)
-            counts.append(calls[0])
-        assert counts == [0, 0]
+            assert cable_p1_system(2, p).curves == reference_cable_p1_system(2, p).curves, p
+        assert _nodule_block.cache_info().misses == 1
+        _nodule_block.cache_clear()
+        with pytest.raises(CurveSystemError, match="^layout 1 records "):
+            cable_p1_system(2, 2)
+
+    # x1 is layout 1's class 2g (from 0), v_{2g+1} on nodule 1: at g = 2 it
+    # loses its class, so it misses its neighbour pairing, or it gains b_1,
+    # so it pairs with a_1, layout 1's class 0, no neighbour of it
+    MISSING = (lambda v: {}, "^layout 1 records 3,4 = 1, but the classes differ$")
+    WRONG = (lambda v: {1: 1, **v}, "^layout 1 records 0,4 = 0, but the classes differ$")
 
     def test_a_layout_template_that_fails_the_pairing_is_refused(self, monkeypatch):
-        import cablekit.monodromy
-
-        monkeypatch.setattr(cablekit.monodromy, "symplectic_pairing", lambda u, v: 0)
-        _nodule_block.cache_clear()  # a call that raises is not cached
-        with pytest.raises(CurveSystemError, match="layout 1 records 0,1 = 1"):
-            cable_p1_system(2, 3)
+        for corrupt, message in (self.MISSING, self.WRONG):
+            corrupt_crossing_class(corrupt, monkeypatch)
+            _nodule_block.cache_clear()  # a call that raises is not cached
+            with pytest.raises(CurveSystemError, match=message):
+                cable_p1_system(2, 3)
 
     @pytest.mark.parametrize("g", range(1, 5))
     @pytest.mark.parametrize("miss", [-1, 1])
@@ -670,6 +699,75 @@ class TestBlockFastPath:
         word = rho_p1_rotation(2, 3).compose(TwistWord.twists("zzz", "yyy"))
         with pytest.raises(UnresolvedCurveError, match="curve 'zzz' not in system"):
             sys_.word_delta(word)
+
+
+class TestRotation22Block:
+    """word_delta applies the (2,2) rotation run, or its inverse run, as the
+    closed form stored in `blocks`; the slow reference is the same system
+    with `blocks` emptied, which evaluates every letter."""
+
+    @pytest.mark.parametrize("g", range(5))
+    def test_the_closed_form_is_the_letter_by_letter_rotation(self, g):
+        # minus the reversal of the 2g handles, an involution, so the run
+        # and its inverse share one delta
+        sys_, rho_names = sigma22_cover_system(g)
+        slow = sigma22_cover_system(g)[0]
+        slow.blocks = {}
+        rotation = TwistWord.twists(*reversed(rho_names))
+        turn = _rotation22(g)
+        assert turn == {t: {t: -1, 2 * (2 * g - 1 - t // 2) + t % 2: -1} for t in range(4 * g)}
+        assert slow.word_delta(rotation) == slow.word_delta(rotation.inverse()) == turn
+        assert sys_.blocks == {(rho_names[-1], 1): (rho_names[::-1], turn),
+                               (rho_names[0], -1): (rho_names, turn)}
+
+    @pytest.mark.parametrize("g", range(5))
+    def test_matches_the_letter_by_letter_oracle(self, g, monkeypatch):
+        # random words of rotations, inverses and letters about every curve
+        # of the page, single rotation letters of either sign included
+        import cablekit.curves
+
+        applied = [0]
+
+        def counting(a, b):
+            applied[0] += 1
+            return _delta_product(a, b)
+
+        monkeypatch.setattr(cablekit.curves, "_delta_product", counting)
+        rng = random.Random(22 + g)
+        sys_, rho_names = sigma22_cover_system(g)
+        slow = sigma22_cover_system(g)[0]
+        slow.blocks = {}
+        rotation = TwistWord.twists(*reversed(rho_names))
+        names = sorted(sys_.curves)
+        for _ in range(40):
+            pieces = [rng.choice([rotation, rotation.inverse(), TwistWord.twists(
+                *((rng.choice(names), rng.choice([1, -1])) for _ in range(rng.randrange(1, 6))))])
+                for _ in range(rng.randrange(1, 7))]
+            word = TwistWord(tuple(x for piece in pieces for x in piece))
+            runs = sum(piece in (rotation, rotation.inverse()) for piece in pieces)
+            applied[0] = 0
+            want = slow.word_delta(word)
+            assert applied[0] == 0
+            assert sys_.word_delta(word) == want, (g, word)
+            assert applied[0] >= runs, (g, word)
+            if g <= 2:
+                assert sys_.word_matrix(word) == dense_word_matrix(sys_, word), (g, word)
+
+    @pytest.mark.parametrize("g", range(1, 4))
+    def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch):
+        import cablekit.monodromy
+
+        for t, r in ((t, r) for t, col in _rotation22(g).items() for r in col):
+            def flipped(g, t=t, r=r):
+                turn = _rotation22(g)
+                turn[t][r] = -turn[t][r]
+                return turn
+
+            monkeypatch.setattr(cablekit.monodromy, "_rotation22", flipped)
+            _cover22_model.cache_clear()  # a call that raises is not cached
+            with pytest.raises(CurveSystemError, match=r"^the \(2,2\) rotation sends class \d+ to "
+                                                       r"(no \+-class|the wrong sign of class) \d+$"):
+                sigma22_cover_system(g)
 
 
 def band_lifts(g):
@@ -826,15 +924,33 @@ class TestPq:
         assert answer(framed, q + k * p) == answer(window, q)
 
     def test_fixed_pair_builders_read_the_window(self):
-        # the (2,2) builder takes its pair in the page framing, whatever
-        # framing the book is written in
+        # the fixed-pair builders take their pair in the page framing,
+        # whatever framing the book is written in: the page is `cabled_page`
+        # of the window book, for (p,1), (2,2) and (p,q), each component
+        # read in its own framing
         word = TwistWord.twists("c1", ("c2", -1))
         window = connected_book(1, word)
+        apart = disconnected_book(1, 2).with_monodromy(word)
+
+        def page(book, p, q):
+            return cabled_page(book, CableCoefficients(((p, q),) * len(book.components)))
+
         for k in (-4, 3):
             framed = RationalOpenBook(genus=1, components=(BindingComponent(1, k),),
                                       monodromy=word)
             a, b = monodromy_22_connected(framed), monodromy_22_connected(window)
             assert (a.word, a.book) == (b.word, b.book), k
+            assert a.book == page(window, 2, 2), k
+            for p in (2, 3):
+                assert monodromy_p1_connected(framed, p).book == page(window, p, 1), (k, p)
+            for p, q in ((2, 3), (3, 4), (3, 1)):
+                assert _page(framed, p, q) == page(window, p, q), (k, p, q)
+            two = RationalOpenBook(genus=1, components=(BindingComponent(1, k),
+                                                        BindingComponent(1, -k - 1)),
+                                   monodromy=word)
+            for p in (2, 3):
+                assert monodromy_p1_disconnected(two, p).book == page(apart, p, 1), (k, p)
+                assert _page(two, p, 2) == page(apart, p, 2), (k, p)
 
 
 class TestOracleCoherence:
@@ -1378,6 +1494,15 @@ class TestRotationStructure:
         # its letters, yet every (curve, sign) is one object
         for p in range(1, 7):
             word = rho_p1_rotation(g, p)
+            assert len({id(x) for x in word}) == len({(x.curve, x.sign) for x in word}), (g, p)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_the_inverse_rotation_is_spelled_directly(self, g):
+        # sign -1 spells the inverse letter for letter, over one Generator
+        # per distinct letter, as inverse() gives it
+        for p in range(1, 7):
+            word = rho_p1_rotation(g, p, -1)
+            assert word == rho_p1_rotation(g, p).inverse(), (g, p)
             assert len({id(x) for x in word}) == len({(x.curve, x.sign) for x in word}), (g, p)
 
     def test_garside_block_equals_the_letter_by_letter_reference(self):

@@ -193,11 +193,13 @@ def test_only_the_cable_p1_builder_fills_expansions():
     assert _writers("expansions") == {("monodromy", "cable_p1_system")}
 
 
-def test_only_the_cable_p1_builder_fills_blocks():
+def test_only_the_cable_builders_fill_blocks():
     # the oracle applies a block's stored delta in place of its letters on
-    # the strength of `monodromy._nodule_block`, which checks the closed form
-    # of layout 1's Garside block once per genus; nothing else may store one
-    assert _writers("blocks") == {("monodromy", "cable_p1_system")}
+    # the strength of `monodromy._nodule_block` and `_cover22_model`, which
+    # check the closed forms of layout 1's Garside block and of the (2,2)
+    # rotation once per genus; nothing else may store one
+    assert _writers("blocks") == {("monodromy", "cable_p1_system"),
+                                  ("monodromy", "sigma22_cover_system")}
 
 
 def test_only_record_intersection_fills_intersections():
