@@ -313,8 +313,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except Exception as exc:  # pragma: no cover - internal failure
-        sys.stderr.write(f"internal error: {exc}\n")
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {str(exc) or type(exc).__name__}\n")
         return 1
 
 

@@ -206,8 +206,8 @@ class CurveSystem:
         evaluated.  Two `monodromy` builders fill `blocks`, each with a closed
         form checked once per genus by `_checked_turn`: `cable_p1_system`
         each layout's Garside block, minus the swap of its two nodules, and
-        `sigma22_cover_system` the rotation, minus the reversal of the 2g
-        handles.  Zero classes, fractional twists and markers act trivially.
+        `sigma22_cover_system` the rotation, plus the swap of the two
+        nodules.  Zero classes, fractional twists and markers act trivially.
         The first unknown curve, or fractional letter about no boundary of
         the system, raises; markers name no curve, so they are not resolved.
         """

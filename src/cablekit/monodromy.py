@@ -76,22 +76,23 @@ def p1_layout(g: int, j: int) -> list[str]:
 
 @lru_cache(maxsize=None)
 def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
-    """The (p,1) page model of genus g, checked here once per genus and
-    nowhere else: the classes v_1..v_{2g+1} of `chain_classes(2g+1, g)` and
-    those of layout 1 (:func:`p1_layout`), each as its (coordinate, entry)
-    pairs, and the delta of layout 1's Garside block as (column, ((row,
-    entry), ...)) pairs.  The chain relation (T_c1 ... T_c2g)^(4g+2) =
-    T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold on homology, where bdry_1
-    has zero class, so the power's delta must be empty.  Every pair of
-    layout 1 is checked, not recorded: neighbours pair to +-1, others to 0
+    """The one page model of genus g, for the (p,1) and the (2,2) page,
+    checked here once per genus and nowhere else: the classes v_1..v_{2g+1}
+    of `chain_classes(2g+1, g)` and those of layout 1 (:func:`p1_layout`),
+    each as its (coordinate, entry) pairs, and the delta of layout 1's
+    Garside block as (column, ((row, entry), ...)) pairs.  The chain relation
+    (T_c1 ... T_c2g)^(4g+2) = T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold
+    on homology, where bdry_1 has zero class, so the power's delta must be
+    empty.  Nodule 2's mirrored classes are signed alternately, and every
+    pair of layout 1 is checked exactly: neighbours pair to +1, others to 0
     (a chain); so is every pair of c1..c{2g+1}, as x1 is v_{2g+1} on nodule 1.
 
-    The block's delta is :func:`_half_twist`, none of its letters evaluated.
-    The block is the half twist of the chain c_1..c_m of layout 1, m = 4g+1:
-    the lift of the braid half twist, which turns the disk by pi, so it
-    carries c_i to c_{m+1-i} (Farb-Margalit, ch. 9), as :func:`_checked_turn`
-    checks, and turns x1 = c_{2g+1} by pi, keeping its orientation.  On
-    homology it is minus the swap of the two nodules, an involution."""
+    The block's delta, none of its letters evaluated, is :func:`_nodule_swap`
+    of sign -1, minus the swap of the two nodules.  The block is the half
+    twist of the chain c_1..c_m of layout 1, m = 4g+1: the lift of the braid
+    half twist, which turns the disk by pi, so it carries c_i to +-c_{m+1-i}
+    (Farb-Margalit, ch. 9), as :func:`_checked_turn` checks, and x1 = c_{2g+1}
+    to itself."""
     block = chain_classes(2 * g + 1, g)
     nodule = CurveSystem(genus=g, boundary_labels=(), name=f"nodule_g{g}")
     nodule.curves.update((f"c{k}", CurveInfo(v, 2 * g)) for k, v in enumerate(block[:-1], 1))
@@ -100,7 +101,8 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     # x1 pairs once with the last even-chain curve of each nodule, 0 with the
     # rest: w = -v_{2g+1} alone pairs 0 with v_1..v_{2g-1} and 1 with v_{2g}; x1 = -w, +w.
     x1 = {**block[-1], **{2 * g + t: -x for t, x in block[-1].items()}}
-    layout = (*block[:-1], x1, *({2 * g + t: x for t, x in v.items()} for v in block[-2::-1]))
+    layout = (*block[:-1], x1, *({2 * g + t: (-1) ** k * x for t, x in v.items()}
+                                 for k, v in enumerate(block[-2::-1])))
     partners: dict[int, set[int]] = {}  # t: the classes holding t ^ 1; the rest pair to 0
     for b, v in enumerate(layout):
         for t in v:
@@ -108,41 +110,37 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     for a, u in enumerate(layout):
         for b in sorted({a + 1}.union(*(partners.get(t, ()) for t in u)) - {4 * g + 1}):
             want = int(b == a + 1)
-            if b > a and abs(symplectic_pairing(u, layout[b])) != want:
+            if b > a and symplectic_pairing(u, layout[b]) != want:
                 raise CurveSystemError(f"layout 1 records {a},{b} = {want}, but the classes differ")
     return (tuple(tuple(v.items()) for v in block), tuple(tuple(v.items()) for v in layout),
-            _checked_turn("the half twist", layout, _half_twist(g)))
+            _checked_turn("the half twist", layout, _nodule_swap(g, -1), 1))
 
 
-def _minus_permutation(image: Sequence[int]) -> dict[int, dict[int, int]]:
-    """The delta of minus a coordinate permutation with no fixed point, e_t -> -e_{image[t]}."""
-    return {t: {t: -1, s: -1} for t, s in enumerate(image)}
+def _nodule_swap(g: int, sign: int) -> dict[int, dict[int, int]]:
+    """The delta of e_t -> sign e_{t+-2g}, `sign` times the swap of layout 1's nodules."""
+    return {t: {t: -1, (t + 2 * g) % (4 * g): sign} for t in range(4 * g)}
 
 
-def _half_twist(g: int) -> dict[int, dict[int, int]]:
-    """Layout 1's Garside block delta, minus the nodule swap (see :func:`_nodule_block`)."""
-    return _minus_permutation([(t + 2 * g) % (4 * g) for t in range(4 * g)])
-
-
-def _checked_turn(what: str, chain: Sequence[dict[int, int]], turn: dict) -> tuple:
+def _checked_turn(what: str, chain: Sequence[dict[int, int]], turn: dict, middle: int) -> tuple:
     """The delta `turn` as (column, ((row, entry), ...)) pairs, refused unless
-    I + turn sends each class u_i of the chain u_1..u_m to +-u_{m+1-i} and
-    keeps each neighbour pairing, as a half twist's lift does (Farb-Margalit,
-    ch. 9), which on a spanning chain fixes the map up to sign; O(m) pairings."""
+    I + turn sends each class u_i of the chain u_1..u_m, m odd, whose
+    neighbours pair to +1, to s_i u_{m+1-i}, the signs s_i alternating from
+    s_1 = `middle`, the middle class's sign: so it keeps each neighbour
+    pairing, as a half twist's lift does (Farb-Margalit, ch. 9), and on a
+    spanning chain this fixes the map.  No pairing is made."""
     cols = dict(frozen := tuple((t, tuple(col.items())) for t, col in turn.items()))
-    m, last, pairs = len(chain), 0, [symplectic_pairing(u, v) for u, v in zip(chain, chain[1:])]
+    m, sign = len(chain), middle
     for i, (u, mirror) in enumerate(zip(chain, reversed(chain)), 1):
         image = dict(u)
         for t, x in u.items():
             for r, y in cols.get(t, ()):
                 image[r] = image.get(r, 0) + x * y
         image = {t: x for t, x in image.items() if x}
-        sign = 1 if image == mirror else -1 if image == {t: -x for t, x in mirror.items()} else 0
-        if not sign:
-            raise CurveSystemError(f"{what} sends class {i} to no +-class {m + 1 - i}")
-        if i > 1 and -last * sign * pairs[m - i] != pairs[i - 2]:
-            raise CurveSystemError(f"{what} sends class {i} to the wrong sign of class {m + 1 - i}")
-        last = sign
+        if image != {t: sign * x for t, x in mirror.items()}:
+            wrong = image == {t: -sign * x for t, x in mirror.items()}
+            raise CurveSystemError(f"{what} sends class {i} to " + (
+                f"the wrong sign of class {m + 1 - i}" if wrong else f"no +-class {m + 1 - i}"))
+        sign = -sign
     return frozen
 
 
@@ -321,12 +319,10 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     signed chain sum rho22_i = s_i * sum_{k=2g+2-i}^{2g+i} eps_k e_k, with
     eps_k = (-1)^max(0, k-2g-1) and s_i = (-1)^max(0, floor((2g-i)/2)).
 
-    The chain ends are fixed by unimodularity.  The lifts e1..e{2g} of
-    c1..c{2g} to nodule 1 are a unitriangular change of the basis a_1, b_1,
-    ..., a_g, b_g, so a class of their span is fixed by its pairings with
-    them.  The lift of c{2g+1} lies there and pairs +-1 with e{2g} only
-    (the chain argument of Farb-Margalit ch. 4): n1_{2g+1} = a_g, as in
-    `cable_p1_system`.  Mirrored on e{4g+1}..e{2g+2}, n2_{2g+1} = a_{g+1}.
+    The chain is :func:`_nodule_block`'s checked layout 1: e1..e{2g} are
+    nodule 1's chain, e{2g+1} is x1 = n1_{2g+1} - n2_{2g+1}, e{4g+1}..e{2g+2}
+    are nodule 2's, and each chain end n{i}_{2g+1} is v_{2g+1} moved to
+    nodule i, as in `cable_p1_system`, so layout 1's check pairs it.
     A nodule boundary separates, so partial{i} has zero class.  At g = 0 the
     page is an annulus: the one chain curve and the one rotation curve are
     its core, of zero class, and nodules have no chain.  The page records no
@@ -345,16 +341,17 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
 
 @lru_cache(maxsize=None)
 def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...], tuple]:
-    """The page of :func:`sigma22_cover_system`, built and checked once per
-    genus: its (name, CurveInfo) pairs, entries nonzero and ascending, its
-    rotation names and the delta :func:`_rotation22` of the rotation run and
-    of its inverse, the blocks of a system: it is an involution.  Each chain
-    end is paired with its nodule's covered curves in place: +-1 with e{2g}
-    or e{2g+2}, 0 with the rest.  The rotation braid (`r22_braid` in the
-    tests) is the half twist of the 4g+2 strands, whose lift carries e_k to
-    +-e_{4g+2-k}, times inverse full twists of 2g+1 strands, whose lifts are
-    -1 on a nodule's homology (Farb-Margalit, ch. 9): :func:`_checked_turn`."""
-    n, chain = 4 * g, chain_classes(4 * g + 1, 2 * g)
+    """The page of :func:`sigma22_cover_system`, built once per genus on
+    :func:`_nodule_block`'s checked model: its (name, CurveInfo) pairs,
+    entries nonzero and ascending, its rotation names and the delta of the
+    rotation run and of its inverse, the blocks of a system: :func:`_nodule_swap`
+    of sign +1, an involution.  The rotation braid (`r22_braid` in the
+    tests) is the half twist of the 4g+2 strands, whose lift is layout 1's
+    block, times inverse full twists of 2g+1 strands, whose lifts are -1 on
+    a nodule's homology (Farb-Margalit, ch. 9): minus the block, as
+    :func:`_checked_turn` checks."""
+    block, layout, _ = _nodule_block(g)
+    n, chain = 4 * g, [dict(v) for v in layout]
     curves = {f"e{k}": CurveInfo(cls, n) for k, cls in enumerate(chain, 1)}
     rho_names = tuple(f"rho22_{i}" for i in range(1, 2 * g + 2))
     window: dict[int, int] = {}  # sum of eps_k e_k over the arc's window, grown at both ends
@@ -365,24 +362,13 @@ def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...], tuple]:
                 window[t] = window.get(t, 0) + eps * x
         sign = (-1) ** max(0, (2 * g - i) // 2)
         curves[name] = CurveInfo({t: sign * window[t] for t in sorted(window) if window[t]}, n)
-    for i, a in ((1, 2 * g - 2), (2, 2 * g)):  # the coordinates of a_g and a_{g+1}
+    for i, s in ((1, 0), (2, 2 * g)):  # v_{2g+1}, moved to nodule i
         curves[f"partial{i}"] = CurveInfo({}, n)
         if g:
-            *covered, end = _e_chain(g, i)
-            curves[end] = CurveInfo({a: 1}, n)
-            for k, name in enumerate(covered, 1):
-                got, value = symplectic_pairing(curves[name].support, {a: 1}), int(k == 2 * g)
-                if abs(got) != value:
-                    raise CurveSystemError(f"chain end {end} pairs to {got} with {name}, "
-                                           f"not {value} up to sign")
+            curves[f"n{i}_{2 * g + 1}"] = CurveInfo({s + t: x for t, x in block[-1]}, n)
     curves["bdry_1"] = curves["bdry_2"] = CurveInfo({}, n)
-    turn = _checked_turn("the (2,2) rotation", chain, _rotation22(g))
+    turn = _checked_turn("the (2,2) rotation", chain, _nodule_swap(g, 1), -1)
     return tuple(curves.items()), rho_names, turn
-
-
-def _rotation22(g: int) -> dict[int, dict[int, int]]:
-    """The (2,2) rotation's delta, minus the handle reversal (see :func:`_cover22_model`)."""
-    return _minus_permutation([(4 * g - 1 - t) ^ 1 for t in range(4 * g)])
 
 
 def _e_chain(g: int, i: int) -> list[str]:

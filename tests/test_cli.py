@@ -88,6 +88,23 @@ class TestSlopes:
         assert run_cli(argv, capsys)[0] == 0
 
 
+class TestInternalErrorNet:
+    @pytest.mark.parametrize("exc, message", [(MemoryError(), "MemoryError"),
+                                              (RuntimeError("boom"), "boom")],
+                             ids=["empty", "message"])
+    def test_an_unexpected_exception_is_exit_1_and_named(self, exc, message, monkeypatch,
+                                                         capsys):
+        # the net names an exception by its message, or by its type when the
+        # message is empty, as a MemoryError's usually is
+        import cablekit.cli
+
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cablekit.cli, "cmd_slopes", failing)
+        assert run_cli(["slopes", "ncf", "-3/7"], capsys) == (1, "", f"internal error: {message}\n")
+
+
 class TestTorusKnot:
     def test_json(self, capsys):
         code, out, _ = run_cli(

@@ -25,10 +25,9 @@ from cablekit.monodromy import (
     MonodromyError,
     ObstructionReport,
     _cover22_model,
-    _half_twist,
     _nodule_block,
+    _nodule_swap,
     _page,
-    _rotation22,
     branch_point_count,
     cable_p1_system,
     compose_cobordism_word,
@@ -201,10 +200,24 @@ class TestConnected22:
         compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2"), connected_book(2))
         assert _cover22_model.cache_info().misses == 1
 
-    def test_chain_end_pairings_are_made_once_per_genus(self, monkeypatch):
-        # each chain end pairs with its nodule's 2g covered curves, and the
-        # check of the rotation's closed form pairs the 4g neighbours of
-        # e1..e{4g+1}, when the genus is cold; a warm build pairs nothing
+    @pytest.mark.parametrize("g", range(7))
+    def test_the_page_is_built_on_the_p1_model(self, g):
+        # the covering chain e1..e{4g+1} is layout 1 of the (p,1) page, each
+        # chain end is the (2,1) page's, and the rotation's closed form is
+        # minus layout 1's Garside block: I + R22 = -(I + H)
+        sys_ = sigma22_cover_system(g)[0]
+        _, layout, half = _nodule_block(g)
+        assert [sys_.curve(f"e{k}").support for k in range(1, 4 * g + 2)] == list(map(dict, layout))
+        if g:
+            p1 = cable_p1_system(g, 2)
+            for i in (1, 2):
+                assert sys_.curve(f"n{i}_{2 * g + 1}") == p1.curve(f"n{i}_{2 * g + 1}"), (g, i)
+        assert {t: dict(col) for t, col in _cover22_model(g)[2]} == {
+            t: {r: -x - 2 * (r == t) for r, x in col} for t, col in half}
+
+    def test_a_cold_page_on_a_warm_genus_makes_no_pairing(self, monkeypatch):
+        # _nodule_block pairs layout 1 once per genus; the (2,2) page reads
+        # its checked classes and pairs nothing of its own, cold or warm
         import cablekit.monodromy
 
         calls = [0]
@@ -214,27 +227,12 @@ class TestConnected22:
             return symplectic_pairing(u, v)
 
         monkeypatch.setattr(cablekit.monodromy, "symplectic_pairing", counting)
-        _cover22_model.cache_clear()
-        for g in range(4):
-            counts = []
-            for _ in range(2):
-                calls[0] = 0
-                sigma22_cover_system(g)
-                counts.append(calls[0])
-            assert counts == [2 * 2 * g + 4 * g, 0], g
-
-    @pytest.mark.parametrize("pairing, message", [
-        (lambda u, v: 0, "^chain end n1_5 pairs to 0 with e4, not 1 up to sign$"),
-        (lambda u, v: -1, "^chain end n1_5 pairs to -1 with e1, not 0 up to sign$"),
-    ], ids=["zero", "minus_one"])
-    def test_a_chain_end_that_fails_its_pairing_is_refused(self, pairing, message,
-                                                            monkeypatch):
-        import cablekit.monodromy
-
-        monkeypatch.setattr(cablekit.monodromy, "symplectic_pairing", pairing)
-        _cover22_model.cache_clear()  # a call that raises is not cached
-        with pytest.raises(CurveSystemError, match=message):
-            sigma22_cover_system(2)
+        for g in range(5):
+            _nodule_block(g)
+            _cover22_model.cache_clear()
+            calls[0] = 0
+            sigma22_cover_system(g)
+            assert (calls[0], _cover22_model.cache_info().misses) == (0, 1), g
 
     def test_lifts_refuse_names_outside_the_system(self):
         # a name like "cusp" or "c²" is no curve of the page model and is
@@ -380,6 +378,17 @@ def corrupt_crossing_class(corrupt, monkeypatch):
     monkeypatch.setattr(cablekit.monodromy, "chain_classes", corrupted)
 
 
+def corrupt_swap(sign, corrupt, monkeypatch):
+    """Make the model read _nodule_swap(g, sign) as corrupt(it); the other
+    sign's closed form does not change."""
+    import cablekit.monodromy
+
+    def corrupted(g, s):
+        return corrupt(_nodule_swap(g, s)) if s == sign else _nodule_swap(g, s)
+
+    monkeypatch.setattr(cablekit.monodromy, "_nodule_swap", corrupted)
+
+
 class TestNoduleBlock:
     """The chain relation and layout 1 are checked once per genus on the
     block, and each build installs translates of it; the reference checks
@@ -408,12 +417,11 @@ class TestNoduleBlock:
 
         n = 2 * g
         for t in range(2 * n):
-            def moved(g, t=t):
-                turn = _half_twist(g)
+            def moved(turn, t=t):
                 turn[t] = {t: -1, (t + n + 1) % (2 * n): -1}
                 return turn
 
-            monkeypatch.setattr(cablekit.monodromy, "_half_twist", moved)
+            corrupt_swap(-1, moved, monkeypatch)
             _nodule_block.cache_clear()  # a call that raises is not cached
             with pytest.raises(CurveSystemError, match=r"^the half twist sends class \d+ to no"):
                 cable_p1_system(g, 3)
@@ -424,17 +432,32 @@ class TestNoduleBlock:
         # sends a b-class to +- its mirror; the neighbour pairing refuses it
         import cablekit.monodromy
 
-        for t, r in ((t, r) for t, col in _half_twist(g).items() for r in col):
-            def flipped(g, t=t, r=r):
-                turn = _half_twist(g)
+        for t, r in ((t, r) for t, col in _nodule_swap(g, -1).items() for r in col):
+            def flipped(turn, t=t, r=r):
                 turn[t][r] = -turn[t][r]
                 return turn
 
-            monkeypatch.setattr(cablekit.monodromy, "_half_twist", flipped)
+            corrupt_swap(-1, flipped, monkeypatch)
             _nodule_block.cache_clear()  # a call that raises is not cached
             with pytest.raises(CurveSystemError, match=r"^the half twist sends class \d+ to "
                                                        r"(no \+-class|the wrong sign of class) \d+$"):
                 cable_p1_system(g, 2)
+
+    @pytest.mark.parametrize("sign, build, what", [
+        (-1, lambda g: cable_p1_system(g, 2), "the half twist"),
+        (1, sigma22_cover_system, r"the \(2,2\) rotation"),
+    ], ids=["half_twist", "rotation22"])
+    @pytest.mark.parametrize("g", range(1, 4))
+    def test_a_closed_form_of_the_other_sign_is_refused(self, g, sign, build, what,
+                                                         monkeypatch):
+        # the half twist keeps x1 and the (2,2) rotation reverses it; the
+        # other sign's swap alternates its image signs too, from the wrong one
+        corrupt_swap(sign, lambda turn: _nodule_swap(g, -sign), monkeypatch)
+        _nodule_block.cache_clear()  # a call that raises is not cached
+        _cover22_model.cache_clear()
+        with pytest.raises(CurveSystemError,
+                           match=f"^{what} sends class 1 to the wrong sign of class {4 * g + 1}$"):
+            build(g)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_system_equals_the_reference_that_checks_every_nodule(self, g):
@@ -706,16 +729,16 @@ class TestRotation22Block:
     closed form stored in `blocks`; the slow reference is the same system
     with `blocks` emptied, which evaluates every letter."""
 
-    @pytest.mark.parametrize("g", range(5))
+    @pytest.mark.parametrize("g", range(7))
     def test_the_closed_form_is_the_letter_by_letter_rotation(self, g):
-        # minus the reversal of the 2g handles, an involution, so the run
-        # and its inverse share one delta
+        # plus the swap of the two nodules, an involution, so the run and its
+        # inverse share one delta
         sys_, rho_names = sigma22_cover_system(g)
         slow = sigma22_cover_system(g)[0]
         slow.blocks = {}
         rotation = TwistWord.twists(*reversed(rho_names))
-        turn = _rotation22(g)
-        assert turn == {t: {t: -1, 2 * (2 * g - 1 - t // 2) + t % 2: -1} for t in range(4 * g)}
+        turn = _nodule_swap(g, 1)
+        assert turn == {t: {t: -1, (t + 2 * g) % (4 * g): 1} for t in range(4 * g)}
         assert slow.word_delta(rotation) == slow.word_delta(rotation.inverse()) == turn
         assert sys_.blocks == {(rho_names[-1], 1): (rho_names[::-1], turn),
                                (rho_names[0], -1): (rho_names, turn)}
@@ -755,18 +778,29 @@ class TestRotation22Block:
 
     @pytest.mark.parametrize("g", range(1, 4))
     def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch):
-        import cablekit.monodromy
-
-        for t, r in ((t, r) for t, col in _rotation22(g).items() for r in col):
-            def flipped(g, t=t, r=r):
-                turn = _rotation22(g)
+        for t, r in ((t, r) for t, col in _nodule_swap(g, 1).items() for r in col):
+            def flipped(turn, t=t, r=r):
                 turn[t][r] = -turn[t][r]
                 return turn
 
-            monkeypatch.setattr(cablekit.monodromy, "_rotation22", flipped)
+            corrupt_swap(1, flipped, monkeypatch)
             _cover22_model.cache_clear()  # a call that raises is not cached
             with pytest.raises(CurveSystemError, match=r"^the \(2,2\) rotation sends class \d+ to "
                                                        r"(no \+-class|the wrong sign of class) \d+$"):
+                sigma22_cover_system(g)
+
+    @pytest.mark.parametrize("g", range(1, 4))
+    def test_a_closed_form_with_a_moved_mirror_is_refused(self, g, monkeypatch):
+        n = 2 * g
+        for t in range(2 * n):
+            def moved(turn, t=t):
+                turn[t] = {t: -1, (t + n + 1) % (2 * n): 1}
+                return turn
+
+            corrupt_swap(1, moved, monkeypatch)
+            _cover22_model.cache_clear()  # a call that raises is not cached
+            with pytest.raises(CurveSystemError,
+                               match=r"^the \(2,2\) rotation sends class \d+ to no"):
                 sigma22_cover_system(g)
 
 
@@ -957,8 +991,8 @@ class TestOracleCoherence:
     def test_22_equals_21_plus_script_after_destabilization_basis_change(self):
         # route A: the (2,2)-cable word on the cover system; route B: the
         # stabilized (2,1)-cable word pushed through the shipped script.
-        # The two identifications differ by the destabilization change of
-        # basis, which is -identity on the second nodule block.
+        # The (2,2) page is built on the (2,1) page's layout, so the
+        # destabilization change of basis is the identity.
         book = connected_book(1, TwistWord.twists("c1", "c2"))
         route_a = monodromy_22_connected(book)
         assert route_a.system is not None
@@ -969,8 +1003,7 @@ class TestOracleCoherence:
         sys_b = bundle.registry.system
         m_b = sys_b.word_matrix(result.word)
 
-        d = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
-        assert m_a == mat_mul(mat_mul(d, m_b), symplectic_inverse(d))
+        assert m_a == m_b
 
     def test_start_and_final_words_agree_on_homology(self):
         bundle = shipped_scripts()["stabilize_21_to_22"]
@@ -1202,18 +1235,18 @@ class TestCobordism:
 
 class TestChainEndReference:
     """Dense references for the nodule chain ends n{i}_{2g+1} and boundaries
-    partial{i} of the (2,2) system: the classes are the unique solutions the
-    docstring of `sigma22_cover_system` names, and with c{2g+1} and bdry_1
+    partial{i} of the (2,2) system: the classes are the unique solutions of
+    their pairings with the nodule's covered chain, and with c{2g+1} and bdry_1
     in the monodromy the rotation has order exactly 2 and the cobordism
     certificate holds, the nodule images built by hand."""
 
     @staticmethod
     def nodule_class(g, i, curve):
         """The class of the lift of page curve `curve` to nodule i, by hand:
-        e_k (mirrored on nodule 2), a_g or a_{g+1} for c{2g+1}, 0 for bdry_1."""
+        e_k (mirrored on nodule 2), a_g or a_{2g} for c{2g+1}, 0 for bdry_1."""
         cls = [0] * (4 * g)
         if curve == f"c{2 * g + 1}":
-            cls[2 * g - 2 if i == 1 else 2 * g] = 1
+            cls[2 * g - 2 if i == 1 else 4 * g - 2] = 1
             return tuple(cls)
         if curve == "bdry_1":
             return tuple(cls)

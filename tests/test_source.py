@@ -202,6 +202,16 @@ def test_only_the_cable_builders_fill_blocks():
                                   ("monodromy", "sigma22_cover_system")}
 
 
+def test_only_the_nodule_block_builds_chain_classes():
+    # both cable pages read the one genus model that `monodromy._nodule_block`
+    # builds and checks; a second basis for either page would be a second model
+    callers = {(path.stem, scope) for path in SOURCES
+               for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), None)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "chain_classes"}
+    assert callers == {("monodromy", "_nodule_block")}
+
+
 def test_only_record_intersection_fills_intersections():
     # a recorded 0 lets a `commute` step fire; one method writes entries, and
     # the cable pages, which install data checked once per genus, call none
