@@ -25,15 +25,13 @@ module never claims more than that.
 The oracle, :meth:`CurveSystem.word_delta`, keeps M - I by its nonzero
 sparse columns; a twist is a rank-one update costing the sizes of the
 columns it touches, never the dimension.  ``word_matrix`` is its dense view.
-``_delta_power`` raises a delta to a power by squaring, (I + a)(I + b) - I
-= a + b + ab: the same exact matrix as the power spelled letter by letter.
 A system's ``expansions`` map a zero-class curve to the names of a chain of
 m curves, m even, whose power 2m + 2 is its twist (the chain relation); only
 `monodromy.cable_p1_system` fills them, with the nodule chains whose
 relation `monodromy._nodule_block` checks once per genus.  Its ``blocks``
-map (curve, sign) to the run of names the curve starts and their twists'
-delta, applied in one in-place product where a word spells the run out with
-that sign; only the two cable builders fill them (see :meth:`word_delta`).
+map (curve, sign) to the run of names the curve starts and the signed
+permutation its twists make, a ``turn`` {t: (u, s)} for P e_t = s e_u, applied
+where a word spells the run out with that sign (see :meth:`word_delta`).
 """
 
 from __future__ import annotations
@@ -65,24 +63,6 @@ def symplectic_pairing(u: Mapping[int, int], v: Mapping[int, int]) -> int:
     return total
 
 
-def _delta_product(a: Delta, b: Delta) -> Delta:
-    """The delta of (I + a)(I + b), that is a + b + ab, written into `a`: the
-    columns of b's support are computed from the old `a`, then stored as new
-    columns; the others stay the same objects, so the cost follows b."""
-    new = {}
-    for j, bcol in b.items():
-        col = dict(a.get(j, ()))
-        for r, y in bcol.items():
-            col[r] = col.get(r, 0) + y
-            for i, x in a.get(r, {}).items():
-                col[i] = col.get(i, 0) + x * y
-        new[j] = {i: x for i, x in col.items() if x}
-    a.update(new)
-    for j in [j for j, col in new.items() if not col]:
-        del a[j]
-    return a
-
-
 def _spells(gens: tuple, i: int, names: tuple[str, ...], sign: int) -> bool:
     """Whether gens[i:] begins with the Dehn twists of `sign` about `names`."""
     part = gens[i:i + len(names)]
@@ -90,12 +70,20 @@ def _spells(gens: tuple, i: int, names: tuple[str, ...], sign: int) -> bool:
         x.kind == DEHN and x.sign == sign and x.curve == c for x, c in zip(part, names))
 
 
-def _delta_power(delta: Delta, k: int) -> Delta:
-    """The delta of (I + delta)^k for k >= 1, by repeated squaring."""
-    if k == 1:
-        return delta
-    even = _delta_power(_delta_product(dict(delta), delta), k // 2)
-    return _delta_product(even, delta) if k & 1 else even
+def _apply_turn(delta: Delta, turn: Mapping[int, tuple[int, int]]) -> None:
+    """Write into `delta` the delta of (I + delta) P, P e_t = s e_u for each
+    (t, (u, s)) of `turn` and the identity elsewhere: column t becomes s (e_u
+    + a_u) - e_t, a_u the old column u, so only rows u and t can cancel.  Only
+    the columns of `turn` are rewritten; the others stay the same objects."""
+    new = {}
+    for t, (u, s) in turn.items():
+        col = {r: s * x for r, x in delta.get(u, {}).items()}
+        col[u] = col.get(u, 0) + s
+        col[t] = col.get(t, 0) - 1
+        new[t] = col if col[u] and col[t] else {r: x for r, x in col.items() if x}
+    delta.update(new)
+    for t in [t for t, col in new.items() if not col]:
+        del delta[t]
 
 
 # -- curve systems -----------------------------------------------------------
@@ -200,14 +188,14 @@ class CurveSystem:
         s * (M c) * rho(c) to M, rho(c) . x = <x, c>.  Both are read from
         c's stored class: M c from the columns in its support (a column
         without a delta is e_t), rho(c) as the entry x at t ^ 1 for odd t
-        and -x for even t, so only the columns t ^ 1 change.  A run of `blocks`
-        the word spells out, every letter and sign compared, costs one
-        product with its delta, so fewer than len(word) letters may be
-        evaluated.  Two `monodromy` builders fill `blocks`, each with a closed
-        form checked once per genus by `_checked_turn`: `cable_p1_system`
-        each layout's Garside block, minus the swap of its two nodules, and
-        `sigma22_cover_system` the rotation, plus the swap of the two
-        nodules.  Zero classes, fractional twists and markers act trivially.
+        and -x for even t, so only the columns t ^ 1 change.  A run of
+        `blocks` the word spells out, every letter and sign compared, is
+        applied as its signed permutation (:func:`_apply_turn`), so fewer than
+        len(word) letters may be evaluated.  Two `monodromy` builders fill
+        `blocks`, each with a closed form checked once per genus by
+        `_checked_turn`: `cable_p1_system` each layout's Garside block, minus
+        the swap of its two nodules, and `sigma22_cover_system` the rotation,
+        plus the swap.  Zero classes, fractional twists and markers act trivially.
         The first unknown curve, or fractional letter about no boundary of
         the system, raises; markers name no curve, so they are not resolved.
         """
@@ -219,7 +207,8 @@ class CurveSystem:
             if gen.kind == DEHN:
                 block = blocks.get((gen.curve, gen.sign))
                 if block and _spells(gens, i, block[0], gen.sign):
-                    delta, skip = _delta_product(delta, block[1]), i + len(block[0])
+                    _apply_turn(delta, block[1])
+                    skip = i + len(block[0])
                     continue
                 support = self.curve(gen.curve).support
                 mc: dict[int, int] = {}  # becomes M c

@@ -38,8 +38,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .classify import CableCoefficients, cabled_page, stabilization_count_pq_from_p1
-from .curves import (CurveInfo, CurveSystem, CurveSystemError, _delta_power, chain_classes,
-                     symplectic_pairing)
+from .curves import CurveInfo, CurveSystem, CurveSystemError, chain_classes, symplectic_pairing
 from .openbook import BindingComponent, RationalOpenBook, normalize_to_window, window_shift
 from .words import DEHN, FRACTIONAL, Generator, TwistWord, each_letter_once
 
@@ -79,15 +78,16 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     """The one page model of genus g, for the (p,1) and the (2,2) page,
     checked here once per genus and nowhere else: the classes v_1..v_{2g+1}
     of `chain_classes(2g+1, g)` and those of layout 1 (:func:`p1_layout`),
-    each as its (coordinate, entry) pairs, and the delta of layout 1's
-    Garside block as (column, ((row, entry), ...)) pairs.  The chain relation
-    (T_c1 ... T_c2g)^(4g+2) = T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold
-    on homology, where bdry_1 has zero class, so the power's delta must be
-    empty.  Nodule 2's mirrored classes are signed alternately, and every
-    pair of layout 1 is checked exactly: neighbours pair to +1, others to 0
-    (a chain); so is every pair of c1..c{2g+1}, as x1 is v_{2g+1} on nodule 1.
+    each as its (coordinate, entry) pairs, and the turn of layout 1's Garside
+    block as (t, (u, s)) pairs.  The chain relation (T_c1 ... T_c2g)^(4g+2) =
+    T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold on homology, where bdry_1
+    has zero class: the chain word's matrix M sends the Z-basis v_1..v_2g as
+    :func:`_companion_images` says, so M^(2g+1) = -I.  Nodule 2's mirrored
+    classes are signed alternately, and every pair of layout 1 is checked
+    exactly: neighbours pair to +1, others to 0 (a chain); so is every pair
+    of c1..c{2g+1}, as x1 is v_{2g+1} on nodule 1.
 
-    The block's delta, none of its letters evaluated, is :func:`_nodule_swap`
+    The block's turn, none of its letters evaluated, is :func:`_nodule_swap`
     of sign -1, minus the swap of the two nodules.  The block is the half
     twist of the chain c_1..c_m of layout 1, m = 4g+1: the lift of the braid
     half twist, which turns the disk by pi, so it carries c_i to +-c_{m+1-i}
@@ -96,8 +96,14 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     block = chain_classes(2 * g + 1, g)
     nodule = CurveSystem(genus=g, boundary_labels=(), name=f"nodule_g{g}")
     nodule.curves.update((f"c{k}", CurveInfo(v, 2 * g)) for k, v in enumerate(block[:-1], 1))
-    if _delta_power(nodule.word_delta(TwistWord.twists(*nodule.curves)), 4 * g + 2):
-        raise CurveSystemError(f"the genus-{g} chain relation fails the homology oracle")
+    chain = nodule.word_delta(TwistWord.twists(*nodule.curves))
+    for v, want in zip(block[:-1], _companion_images(block[:-1])):
+        image = dict(v)
+        for t, x in v.items():
+            for r, y in chain.get(t, {}).items():
+                image[r] = image.get(r, 0) + x * y
+        if {t: x for t, x in image.items() if x} != want:
+            raise CurveSystemError(f"the genus-{g} chain relation fails the homology oracle")
     # x1 pairs once with the last even-chain curve of each nodule, 0 with the
     # rest: w = -v_{2g+1} alone pairs 0 with v_1..v_{2g-1} and 1 with v_{2g}; x1 = -w, +w.
     x1 = {**block[-1], **{2 * g + t: -x for t, x in block[-1].items()}}
@@ -116,32 +122,41 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
             _checked_turn("the half twist", layout, _nodule_swap(g, -1), 1))
 
 
-def _nodule_swap(g: int, sign: int) -> dict[int, dict[int, int]]:
-    """The delta of e_t -> sign e_{t+-2g}, `sign` times the swap of layout 1's nodules."""
-    return {t: {t: -1, (t + 2 * g) % (4 * g): sign} for t in range(4 * g)}
+def _companion_images(chain: Sequence[dict[int, int]]) -> list[dict[int, int]]:
+    """The images of v_1..v_2g under the companion matrix of (t^(2g+1) + 1)/(t + 1),
+    a divisor of t^(2g+1) + 1: v_k -> v_{k+1} for k < 2g, v_2g -> sum (-1)^k v_k."""
+    last: dict[int, int] = {}
+    for k, v in enumerate(chain, 1):
+        for t, x in v.items():
+            last[t] = last.get(t, 0) + (-1) ** k * x
+    return [*chain[1:], {t: x for t, x in last.items() if x}]
+
+
+def _nodule_swap(g: int, sign: int) -> dict[int, tuple[int, int]]:
+    """The turn e_t -> sign e_{t+-2g}, `sign` times the swap of layout 1's nodules."""
+    return {t: ((t + 2 * g) % (4 * g), sign) for t in range(4 * g)}
 
 
 def _checked_turn(what: str, chain: Sequence[dict[int, int]], turn: dict, middle: int) -> tuple:
-    """The delta `turn` as (column, ((row, entry), ...)) pairs, refused unless
-    I + turn sends each class u_i of the chain u_1..u_m, m odd, whose
+    """`turn` as (t, (u, s)) pairs, refused unless its signed permutation,
+    P e_t = s e_u, sends each class u_i of the chain u_1..u_m, m odd, whose
     neighbours pair to +1, to s_i u_{m+1-i}, the signs s_i alternating from
     s_1 = `middle`, the middle class's sign: so it keeps each neighbour
     pairing, as a half twist's lift does (Farb-Margalit, ch. 9), and on a
     spanning chain this fixes the map.  No pairing is made."""
-    cols = dict(frozen := tuple((t, tuple(col.items())) for t, col in turn.items()))
     m, sign = len(chain), middle
     for i, (u, mirror) in enumerate(zip(chain, reversed(chain)), 1):
-        image = dict(u)
+        image: dict[int, int] = {}
         for t, x in u.items():
-            for r, y in cols.get(t, ()):
-                image[r] = image.get(r, 0) + x * y
+            r, s = turn.get(t, (t, 1))
+            image[r] = image.get(r, 0) + s * x
         image = {t: x for t, x in image.items() if x}
         if image != {t: sign * x for t, x in mirror.items()}:
             wrong = image == {t: -sign * x for t, x in mirror.items()}
             raise CurveSystemError(f"{what} sends class {i} to " + (
                 f"the wrong sign of class {m + 1 - i}" if wrong else f"no +-class {m + 1 - i}"))
         sign = -sign
-    return frozen
+    return tuple(turn.items())
 
 
 def cable_p1_system(g: int, p: int) -> CurveSystem:
@@ -164,7 +179,7 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     curve.  Twists about layout j's classes change and read only the 4g
     coordinates from 2g(j-1) on, so `blocks` holds layout j's Garside block
     under (its first curve, 1) and its inverse under (that curve, -1), with
-    one dict, layout 1's block delta moved by 2g(j-1): it is an involution.
+    one turn, layout 1's moved by 2g(j-1): it is an involution.
     Neither refusal of `add_curve` can fire: every name differs by prefix or
     index, and the moved classes keep the template's nonzero, ascending
     entries, nodule i's below 2gi and x_i's below 2g(i+1) <= dim.  The tests
@@ -190,9 +205,9 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     for j in range(1, p):
         names, s = p1_layout(g, j), 2 * g * (j - 1)
         letters = tuple(map(names.__getitem__, _garside_pattern(4 * g + 1)))
-        delta = {c + s: {r + s: x for r, x in col} for c, col in turn}
-        sys.blocks[names[-1], 1] = letters, delta
-        sys.blocks[names[-1], -1] = letters[::-1], delta
+        moved = {t + s: (u + s, sign) for t, (u, sign) in turn}
+        sys.blocks[names[-1], 1] = letters, moved
+        sys.blocks[names[-1], -1] = letters[::-1], moved
     return sys
 
 
@@ -333,9 +348,9 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     curves, rho_names, turn = _cover22_model(g)
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
     sys.curves.update(curves)
-    delta = {t: dict(col) for t, col in turn}
-    sys.blocks[rho_names[-1], 1] = rho_names[::-1], delta
-    sys.blocks[rho_names[0], -1] = rho_names, delta
+    turn = dict(turn)
+    sys.blocks[rho_names[-1], 1] = rho_names[::-1], turn
+    sys.blocks[rho_names[0], -1] = rho_names, turn
     return sys, rho_names
 
 
@@ -343,7 +358,7 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
 def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...], tuple]:
     """The page of :func:`sigma22_cover_system`, built once per genus on
     :func:`_nodule_block`'s checked model: its (name, CurveInfo) pairs,
-    entries nonzero and ascending, its rotation names and the delta of the
+    entries nonzero and ascending, its rotation names and the turn of the
     rotation run and of its inverse, the blocks of a system: :func:`_nodule_swap`
     of sign +1, an involution.  The rotation braid (`r22_braid` in the
     tests) is the half twist of the 4g+2 strands, whose lift is layout 1's
@@ -551,11 +566,17 @@ def compose_cobordism_word(
     sys, lift1 = base.system, lift_to_nodule(phi1, near, "partial1")
     lift2 = lift_to_nodule(phi2, _e_chain(g, 2), "partial2")
     # a word's matrix is the product of its letters' from left to right,
-    # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1
-    rot_lift2 = base.word.compose(lift2)
-    conj = sys.word_delta(rot_lift2.compose(base.word.inverse()))
+    # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1, R the stored turn
+    conj = _conjugate(sys.word_delta(lift2), dict(_cover22_model(g)[2]))
     if conj != sys.word_delta(lift_to_nodule(phi2, near, "partial1")):
         raise MonodromyError("destabilization certificate failed the oracle")
     certificate = {"conjugation_lands_on_nodule_1": True,
                    "rotation_positive": base.word.is_positive()}
-    return CableWord(rot_lift2.compose(lift1), sys, base.book, certificate)
+    return CableWord(base.word.compose(lift2).compose(lift1), sys, base.book, certificate)
+
+
+def _conjugate(delta: dict[int, dict[int, int]], turn: dict[int, tuple[int, int]]) -> dict:
+    """The delta of R (I + delta) R^-1 for the turn R e_j = s_j e_pi(j): the
+    entry s_i s_j delta[i][j] moved to (pi(i), pi(j)), with no product."""
+    return {turn[j][0]: {turn[i][0]: turn[i][1] * turn[j][1] * x for i, x in col.items()}
+            for j, col in delta.items()}

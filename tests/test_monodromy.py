@@ -1,5 +1,6 @@
 """Cable monodromy words: counts, positivity, oracle coherence, obstruction."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,8 +16,7 @@ from cablekit.curves import (
     CurveSystemError,
     NonExpandableGeneratorError,
     UnresolvedCurveError,
-    _delta_power,
-    _delta_product,
+    _apply_turn,
     algebraic_length,
     chain_classes,
     symplectic_pairing,
@@ -24,7 +24,10 @@ from cablekit.curves import (
 from cablekit.monodromy import (
     MonodromyError,
     ObstructionReport,
+    _companion_images,
+    _conjugate,
     _cover22_model,
+    _e_chain,
     _nodule_block,
     _nodule_swap,
     _page,
@@ -56,8 +59,12 @@ from braid_reference import (
     lift_through_double_cover,
     r22_braid,
 )
+from cli_runner import run_main
 from test_classify import lens_model_resolve
 from test_words_curves import (
+    _delta_power,
+    _delta_product,
+    _random_delta,
     chain_model,
     dense_extract_transvection_class,
     dense_word_matrix,
@@ -68,6 +75,7 @@ from test_words_curves import (
     solve_integer_system,
     symplectic_inverse,
     transvection,
+    turn_delta,
 )
 
 
@@ -212,8 +220,7 @@ class TestConnected22:
             p1 = cable_p1_system(g, 2)
             for i in (1, 2):
                 assert sys_.curve(f"n{i}_{2 * g + 1}") == p1.curve(f"n{i}_{2 * g + 1}"), (g, i)
-        assert {t: dict(col) for t, col in _cover22_model(g)[2]} == {
-            t: {r: -x - 2 * (r == t) for r, x in col} for t, col in half}
+        assert dict(_cover22_model(g)[2]) == {t: (u, -s) for t, (u, s) in half}
 
     def test_a_cold_page_on_a_warm_genus_makes_no_pairing(self, monkeypatch):
         # _nodule_block pairs layout 1 once per genus; the (2,2) page reads
@@ -400,14 +407,14 @@ class TestNoduleBlock:
         # layout 1's Garside block and its inverse, evaluated letter by
         # letter on the genus-2g page of layout 1's classes, are both the
         # closed form, minus the swap of the two nodules: an involution
-        turn = {j: dict(col) for j, col in _nodule_block(g)[2]}
+        turn = dict(_nodule_block(g)[2])
         n = 2 * g
-        assert turn == {t: {t: -1, (t + n) % (2 * n): -1} for t in range(2 * n)}
+        assert turn == {t: ((t + n) % (2 * n), -1) for t in range(2 * n)}
         ref = reference_cable_p1_system(g, 2)
         assert ref.blocks.keys() == {("n2_1", 1), ("n2_1", -1)}
         for sign in (1, -1):
-            assert ref.blocks["n2_1", sign][1] == turn, (g, sign)
-        assert _delta_product(dict(turn), turn) == {}
+            assert ref.blocks["n2_1", sign][1] == turn_delta(turn), (g, sign)
+        assert _delta_product(turn_delta(turn), turn_delta(turn)) == {}
 
     @pytest.mark.parametrize("g", range(1, 4))
     def test_a_closed_form_with_a_moved_mirror_is_refused(self, g, monkeypatch):
@@ -418,7 +425,7 @@ class TestNoduleBlock:
         n = 2 * g
         for t in range(2 * n):
             def moved(turn, t=t):
-                turn[t] = {t: -1, (t + n + 1) % (2 * n): -1}
+                turn[t] = ((t + n + 1) % (2 * n), -1)
                 return turn
 
             corrupt_swap(-1, moved, monkeypatch)
@@ -428,13 +435,11 @@ class TestNoduleBlock:
 
     @pytest.mark.parametrize("g", range(1, 4))
     def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch):
-        # e_t -> +e_{t'} in place of -e_{t'} (or a diagonal -1 made +1) still
-        # sends a b-class to +- its mirror; the neighbour pairing refuses it
-        import cablekit.monodromy
-
-        for t, r in ((t, r) for t, col in _nodule_swap(g, -1).items() for r in col):
-            def flipped(turn, t=t, r=r):
-                turn[t][r] = -turn[t][r]
+        # e_t -> +e_{t'} in place of -e_{t'} still sends a b-class to +- its
+        # mirror; the neighbour pairing refuses it
+        for t in range(4 * g):
+            def flipped(turn, t=t):
+                turn[t] = (turn[t][0], -turn[t][1])
                 return turn
 
             corrupt_swap(-1, flipped, monkeypatch)
@@ -465,7 +470,8 @@ class TestNoduleBlock:
             sys_, ref = cable_p1_system(g, p), reference_cable_p1_system(g, p)
             assert sys_.curves == ref.curves, (g, p)
             assert sys_.expansions == ref.expansions, (g, p)
-            assert sys_.blocks == ref.blocks, (g, p)
+            assert {key: (letters, turn_delta(turn)) for key, (letters, turn)
+                    in sys_.blocks.items()} == ref.blocks, (g, p)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_every_factorization_has_zero_delta_letter_by_letter(self, g):
@@ -541,19 +547,20 @@ class TestNoduleBlock:
                 assert built == [], (g, p)
 
     def test_one_chain_relation_per_genus(self, monkeypatch):
-        import cablekit.monodromy
-
+        # the chain word c1..c2g is the one word a cold build evaluates, once
+        # per genus
         calls = []
+        word_delta = CurveSystem.word_delta
 
-        def counting(delta, k):
-            calls.append(k)
-            return _delta_power(delta, k)
+        def counting(self, word):
+            calls.append((self.name, len(word)))
+            return word_delta(self, word)
 
-        monkeypatch.setattr(cablekit.monodromy, "_delta_power", counting)
+        monkeypatch.setattr(CurveSystem, "word_delta", counting)
         _nodule_block.cache_clear()
         for g, p in [(2, 3), (2, 5), (2, 1), (3, 2), (3, 4)]:
             cable_p1_system(g, p)
-        assert calls == [4 * 2 + 2, 4 * 3 + 2]
+        assert calls == [("nodule_g2", 2 * 2), ("nodule_g3", 2 * 3)]
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_every_system_passes_the_whole_table_check(self, g):
@@ -591,17 +598,84 @@ class TestNoduleBlock:
             with pytest.raises(CurveSystemError, match=message):
                 cable_p1_system(2, 3)
 
+    @staticmethod
+    def refuse_each(g, mutations, monkeypatch):
+        """Each mutation of the companion images must fail the chain check."""
+        import cablekit.monodromy
+
+        for mutate in mutations:
+            monkeypatch.setattr(cablekit.monodromy, "_companion_images",
+                                lambda chain, mutate=mutate: mutate(_companion_images(chain)))
+            _nodule_block.cache_clear()  # a call that raises is not cached
+            with pytest.raises(CurveSystemError,
+                               match=f"^the genus-{g} chain relation fails the homology oracle$"):
+                cable_p1_system(g, 3)
+
     @pytest.mark.parametrize("g", range(1, 5))
     @pytest.mark.parametrize("miss", [-1, 1])
     def test_a_chain_relation_that_fails_the_oracle_is_refused(self, g, miss, monkeypatch):
-        import cablekit.monodromy
+        # the near misses v_k -> v_{k+1+miss} of the closed form's v_k ->
+        # v_{k+1}: v_k fixed (k <= 2g), or v_k sent to v_{k+2} (k < 2g, v_{2g+1}
+        # the crossing class), as the powers 4g+1 and 4g+3 miss 4g+2
+        block = chain_classes(2 * g + 1, g)
 
-        # the near miss 4g+1 or 4g+3 in place of the power 4g+2
-        monkeypatch.setattr(cablekit.monodromy, "_delta_power",
-                            lambda delta, k: _delta_power(delta, k + miss))
-        _nodule_block.cache_clear()  # a call that raises is not cached
-        with pytest.raises(CurveSystemError, match=f"genus-{g} chain relation fails"):
-            cable_p1_system(g, 3)
+        def near_miss(k):
+            def mutate(images):
+                images[k - 1] = block[k + miss]
+                return images
+            return mutate
+
+        self.refuse_each(g, map(near_miss, range(1, 2 * g + (miss < 0))), monkeypatch)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_a_sign_flipped_in_the_last_image_is_refused(self, g, monkeypatch):
+        # v_2g -> sum (-1)^k v_k with the sign of one entry flipped
+        last = _companion_images(chain_classes(2 * g + 1, g)[:-1])[-1]
+        assert len(last) == g + 1
+
+        def flipped(t):
+            def mutate(images):
+                images[-1] = {**images[-1], t: -images[-1][t]}
+                return images
+            return mutate
+
+        self.refuse_each(g, map(flipped, last), monkeypatch)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_every_single_entry_mutation_that_breaks_the_chain_is_refused(self, g, monkeypatch):
+        # each entry of v_1..v_{2g+1}, over all 2g coordinates, moved by +1
+        # and by -1: the genus model refuses exactly the mutations after which
+        # some pair of classes no longer pairs as a chain (neighbours to +1,
+        # others to 0), by the chain relation or by layout 1's pairings.  The
+        # 2g it accepts send b_i to b_i +- a_i, a symplectic change of basis
+        # that keeps every pairing: a chain model of its own
+        refused, kept = [], []
+        for k in range(2 * g + 1):
+            for t in range(2 * g):
+                for step in (1, -1):
+                    v = {**chain_classes(2 * g + 1, g)[k]}
+                    v[t] = v.get(t, 0) + step
+                    v = {r: x for r, x in sorted(v.items()) if x}
+
+                    def corrupted(count, genus, k=k, v=v):
+                        classes = chain_classes(count, genus)
+                        classes[k] = v
+                        return classes
+
+                    classes = corrupted(2 * g + 1, g)
+                    chain = all(symplectic_pairing(a, classes[j]) == (j == i + 1)
+                                for i, a in enumerate(classes) for j in range(i + 1, len(classes)))
+                    monkeypatch.setattr("cablekit.monodromy.chain_classes", corrupted)
+                    _nodule_block.cache_clear()  # a call that raises is not cached
+                    try:
+                        _nodule_block(g)
+                    except CurveSystemError:
+                        refused.append(chain)
+                    else:
+                        kept.append((k + 1, t, step, chain))
+        assert len(refused) == 2 * (2 * g + 1) * 2 * g - 2 * g and not any(refused)
+        assert kept == [(2 * i, 2 * i - 2, step, True)
+                        for i in range(1, g + 1) for step in (1, -1)]
 
 
 class TestBlockFastPath:
@@ -657,13 +731,13 @@ class TestBlockFastPath:
     def test_matches_the_letter_by_letter_oracle(self, g, monkeypatch):
         import cablekit.curves
 
-        applied = [0]
+        applied, kernel = [0], cablekit.curves._apply_turn
 
-        def counting(a, b):
+        def counting(delta, turn):
             applied[0] += 1
-            return _delta_product(a, b)
+            return kernel(delta, turn)
 
-        monkeypatch.setattr(cablekit.curves, "_delta_product", counting)
+        monkeypatch.setattr(cablekit.curves, "_apply_turn", counting)
         rng = random.Random(g)
         for p in range(1, 7):
             sys_, slow = cable_p1_system(g, p), cable_p1_system(g, p)
@@ -685,28 +759,29 @@ class TestBlockFastPath:
         # their letters
         sys_ = cable_p1_system(g, 2)
         assert sys_.blocks.keys() == {("n2_1", 1), ("n2_1", -1)}
-        for (_, sign), (letters, delta) in sys_.blocks.items():
+        for (_, sign), (letters, turn) in sys_.blocks.items():
             want = {}
             word = TwistWord.twists(*((c, sign) for c in letters))
             for i, row in enumerate(dense_word_matrix(sys_, word)):
                 for j, x in enumerate(row):
                     if x != (i == j):
                         want.setdefault(j, {})[i] = x - (i == j)
-            assert delta == want, (g, sign)
-            assert sum(map(len, delta.values())) == 8 * g
+            assert turn_delta(turn) == want, (g, sign)
+            assert len(turn) == 4 * g and sum(map(len, want.values())) == 8 * g
 
     def test_a_block_product_rewrites_only_the_block_columns(self):
         # the size rule: a block costs its own columns, not the running
-        # delta's; the product is written into the running delta itself
+        # delta's; the kernel writes into the running delta itself, and the
+        # columns outside the turn stay the same objects
         sys_, slow = cable_p1_system(2, 5), cable_p1_system(2, 5)
         slow.blocks = {}
         rotation = rho_p1_rotation(2, 5)
-        letters, block = sys_.blocks["n3_1", 1]
+        letters, turn = sys_.blocks["n3_1", 1]
         delta = sys_.word_delta(rotation)
         before = dict(delta)
-        assert before.keys() - block.keys()
-        assert _delta_product(delta, block) is delta
-        assert all(delta[j] is col for j, col in before.items() if j not in block)
+        assert before.keys() - turn.keys()
+        assert _apply_turn(delta, turn) is None
+        assert all(delta[j] is col for j, col in before.items() if j not in turn)
         # the same exact value as the block's letters evaluated after the rotation's
         assert delta == slow.word_delta(TwistWord(rotation.generators + tuple(
             Generator.dehn_twist(c) for c in letters)))
@@ -738,8 +813,8 @@ class TestRotation22Block:
         slow.blocks = {}
         rotation = TwistWord.twists(*reversed(rho_names))
         turn = _nodule_swap(g, 1)
-        assert turn == {t: {t: -1, (t + 2 * g) % (4 * g): 1} for t in range(4 * g)}
-        assert slow.word_delta(rotation) == slow.word_delta(rotation.inverse()) == turn
+        assert turn == {t: ((t + 2 * g) % (4 * g), 1) for t in range(4 * g)}
+        assert slow.word_delta(rotation) == slow.word_delta(rotation.inverse()) == turn_delta(turn)
         assert sys_.blocks == {(rho_names[-1], 1): (rho_names[::-1], turn),
                                (rho_names[0], -1): (rho_names, turn)}
 
@@ -749,13 +824,13 @@ class TestRotation22Block:
         # of the page, single rotation letters of either sign included
         import cablekit.curves
 
-        applied = [0]
+        applied, kernel = [0], cablekit.curves._apply_turn
 
-        def counting(a, b):
+        def counting(delta, turn):
             applied[0] += 1
-            return _delta_product(a, b)
+            return kernel(delta, turn)
 
-        monkeypatch.setattr(cablekit.curves, "_delta_product", counting)
+        monkeypatch.setattr(cablekit.curves, "_apply_turn", counting)
         rng = random.Random(22 + g)
         sys_, rho_names = sigma22_cover_system(g)
         slow = sigma22_cover_system(g)[0]
@@ -778,9 +853,9 @@ class TestRotation22Block:
 
     @pytest.mark.parametrize("g", range(1, 4))
     def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch):
-        for t, r in ((t, r) for t, col in _nodule_swap(g, 1).items() for r in col):
-            def flipped(turn, t=t, r=r):
-                turn[t][r] = -turn[t][r]
+        for t in range(4 * g):
+            def flipped(turn, t=t):
+                turn[t] = (turn[t][0], -turn[t][1])
                 return turn
 
             corrupt_swap(1, flipped, monkeypatch)
@@ -794,7 +869,7 @@ class TestRotation22Block:
         n = 2 * g
         for t in range(2 * n):
             def moved(turn, t=t):
-                turn[t] = {t: -1, (t + n + 1) % (2 * n): 1}
+                turn[t] = ((t + n + 1) % (2 * n), 1)
                 return turn
 
             corrupt_swap(1, moved, monkeypatch)
@@ -1233,6 +1308,92 @@ class TestCobordism:
                                    connected_book(1))
 
 
+    @pytest.mark.parametrize("g", range(5))
+    def test_the_relabelled_conjugate_is_the_letter_by_letter_conjugate(self, g):
+        # R22 Phi_2 R22^-1 by relabelling Phi_2's delta through the stored
+        # turn, against rot . lift2 . rot^-1 evaluated letter by letter on
+        # the page with `blocks` emptied, on random page words
+        rng = random.Random(38 + g)
+        sys_, rho_names = sigma22_cover_system(g)
+        slow = sigma22_cover_system(g)[0]
+        slow.blocks = {}
+        rotation, turn = TwistWord.twists(*reversed(rho_names)), dict(_cover22_model(g)[2])
+        names = [f"c{k}" for k in range(1, 2 * g + 2) if g] + ["bdry_1"]
+        for _ in range(30):
+            phi1, phi2 = (TwistWord.twists(*((rng.choice(names), rng.choice([1, -1]))
+                                             for _ in range(rng.randrange(9)))) for _ in range(2))
+            lift2 = lift_to_nodule(phi2, _e_chain(g, 2), "partial2")
+            want = slow.word_delta(rotation.compose(lift2).compose(rotation.inverse()))
+            assert _conjugate(sys_.word_delta(lift2), turn) == want, (g, phi2)
+            cw = compose_cobordism_word(phi1, phi2, connected_book(g))
+            assert cw.notes["conjugation_lands_on_nodule_1"], (g, phi2)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_relabelling_is_the_product_with_the_turn_and_its_inverse(self, seed):
+        # the (2,2) turn has every sign +1, so random signed permutations
+        # test the signs s_i s_j: R (I + delta) R^-1 by the slow product
+        rng = random.Random(seed)
+        for _ in range(50):
+            n = rng.randrange(1, 9)
+            delta, images = _random_delta(rng, n, 2 * n), rng.sample(range(n), n)
+            turn = {t: (u, rng.choice([1, -1])) for t, u in enumerate(images)}
+            inverse = {u: (t, s) for t, (u, s) in turn.items()}
+            want = _delta_product(_delta_product(turn_delta(turn), delta), turn_delta(inverse))
+            assert _conjugate(delta, turn) == want, (seed, turn)
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_phi2_lifted_to_the_wrong_nodule_is_refused(self, g, monkeypatch):
+        import cablekit.monodromy
+
+        def wrong_nodule(word, chain, boundary=None):
+            if boundary == "partial2":
+                chain, boundary = _e_chain(g, 1), "partial1"
+            return lift_to_nodule(word, chain, boundary)
+
+        monkeypatch.setattr(cablekit.monodromy, "lift_to_nodule", wrong_nodule)
+        with pytest.raises(MonodromyError,
+                           match="^destabilization certificate failed the oracle$"):
+            compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2", "c1"),
+                                   connected_book(g))
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_a_sign_flipped_in_the_cached_turn_is_refused(self, g, monkeypatch):
+        # _checked_turn passes the turn, then one sign of it flips in the
+        # cache: the conjugate of phi2 = c1 ... c2g, whose lift moves every
+        # coordinate of nodule 2, reads the flipped sign.  The conjugate reads
+        # only the columns where the lift lives; _checked_turn checks the
+        # whole turn once per genus
+        import cablekit.monodromy
+
+        _cover22_model.cache_clear()
+        curves, rho_names, turn = _cover22_model(g)
+        phi2 = TwistWord.twists(*(f"c{k}" for k in range(1, 2 * g + 1)))
+        compose_cobordism_word(TwistWord(()), phi2, connected_book(g))
+        for t in range(2 * g, 4 * g):
+            flipped = tuple((j, (u, -s if j == t else s)) for j, (u, s) in turn)
+            monkeypatch.setattr(cablekit.monodromy, "_cover22_model",
+                                lambda g, flipped=flipped: (curves, rho_names, flipped))
+            with pytest.raises(MonodromyError,
+                               match="^destabilization certificate failed the oracle$"):
+                compose_cobordism_word(TwistWord(()), phi2, connected_book(g))
+
+    def test_a_failed_certificate_keeps_its_exit_code_and_message(self, tmp_path, monkeypatch):
+        import cablekit.monodromy
+
+        def short_lift(word, chain, boundary=None):
+            lift = lift_to_nodule(word, chain, boundary)
+            return TwistWord(lift.generators[:-1]) if boundary == "partial2" else lift
+
+        page, w1, w2 = (tmp_path / name for name in ("page.json", "w1.json", "w2.json"))
+        page.write_text(json.dumps(connected_book(1).to_json()))
+        w1.write_text(json.dumps(TwistWord.twists("c1").to_json()))
+        w2.write_text(json.dumps(TwistWord.twists("c2", "c1").to_json()))
+        argv = ["compose-cobordism", "--page", str(page), str(w1), str(w2)]
+        assert run_main(argv)[0] == 0
+        monkeypatch.setattr(cablekit.monodromy, "lift_to_nodule", short_lift)
+        assert run_main(argv) == (2, "", "error: destabilization certificate failed the oracle\n")
+
+
 class TestChainEndReference:
     """Dense references for the nodule chain ends n{i}_{2g+1} and boundaries
     partial{i} of the (2,2) system: the classes are the unique solutions of
@@ -1558,6 +1719,35 @@ class TestRotationStructure:
             rho = rho_p1_rotation(g, 2)
             m = sys_.word_matrix(rho.compose(rho))
             assert m == identity_matrix(4 * g)
+
+
+def signed_cycle(g, p):
+    """The (p,1) rotation's closed form on homology as a delta: R e_t =
+    -e_{t+2g} for a coordinate t of nodule i < p, and R e_t = (-1)^(p-1)
+    e_{t-2g(p-1)} for one of nodule p (the identity at p = 1)."""
+    n, last = 2 * g, 2 * g * (p - 1)
+    if p == 1:
+        return {}
+    return {**{t: {t: -1, t + n: -1} for t in range(last)},
+            **{t: {t: -1, t - last: (-1) ** (p - 1)} for t in range(last, last + n)}}
+
+
+class TestRotationClosedForm:
+    """The (p,1) rotation, its blocks applied one by one as signed
+    permutations, is the signed cycle of the nodules; so is the rotation
+    evaluated letter by letter with `blocks` emptied."""
+
+    @pytest.mark.parametrize("g", range(1, 4))
+    def test_the_rotation_is_the_signed_cycle_of_the_nodules(self, g):
+        for p in range(1, 7):
+            sys_, slow = cable_p1_system(g, p), cable_p1_system(g, p)
+            slow.blocks = {}
+            rotation = rho_p1_rotation(g, p)
+            assert sys_.word_delta(rotation) == signed_cycle(g, p), (g, p)
+            assert slow.word_delta(rotation) == signed_cycle(g, p), (g, p)
+
+    def test_the_fast_path_at_p_500_is_the_signed_cycle(self):
+        assert cable_p1_system(1, 500).word_delta(rho_p1_rotation(1, 500)) == signed_cycle(1, 500)
 
 
 class TestExpandedCableWordShape:

@@ -202,6 +202,15 @@ def test_only_the_cable_builders_fill_blocks():
                                   ("monodromy", "sigma22_cover_system")}
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_general_delta_product(path):
+    # blocks apply as signed permutations, the (2,2) conjugate is a
+    # relabelling and the chain relation is checked in closed form; the
+    # general product and power of deltas are the tests' slow references
+    defined = _defined(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not defined & {"_delta_product", "_delta_power"}, path.name
+
+
 def test_only_the_nodule_block_builds_chain_classes():
     # both cable pages read the one genus model that `monodromy._nodule_block`
     # builds and checks; a second basis for either page would be a second model

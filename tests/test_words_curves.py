@@ -14,13 +14,14 @@ from cablekit.curves import (
     CurveSystemError,
     NonExpandableGeneratorError,
     UnresolvedCurveError,
-    _delta_power,
+    _apply_turn,
     algebraic_length,
     chain_classes,
     symplectic_pairing,
 )
 from cablekit.library import lantern_genus3_model
-from cablekit.monodromy import _nodule_block, cable_p1_system, sigma22_cover_system
+from cablekit.monodromy import (_companion_images, _nodule_block, cable_p1_system,
+                                sigma22_cover_system)
 from cablekit.rewrite import (
     RelationOracleError,
     RelationRegistry,
@@ -338,6 +339,45 @@ def delta_to_matrix(delta, n):
     )
 
 
+def _delta_product(a, b):
+    """Slow reference: the delta of (I + a)(I + b), that is a + b + ab,
+    written into `a`: the columns of b's support are computed from the old
+    `a`, then stored as new columns; the others stay the same objects."""
+    new = {}
+    for j, bcol in b.items():
+        col = dict(a.get(j, ()))
+        for r, y in bcol.items():
+            col[r] = col.get(r, 0) + y
+            for i, x in a.get(r, {}).items():
+                col[i] = col.get(i, 0) + x * y
+        new[j] = {i: x for i, x in col.items() if x}
+    a.update(new)
+    for j in [j for j, col in new.items() if not col]:
+        del a[j]
+    return a
+
+
+def _delta_power(delta, k):
+    """Slow reference: the delta of (I + delta)^k for k >= 1, by repeated
+    squaring; the same exact matrix as the power spelled letter by letter."""
+    if k == 1:
+        return delta
+    even = _delta_power(_delta_product(dict(delta), delta), k // 2)
+    return _delta_product(even, delta) if k & 1 else even
+
+
+def turn_delta(turn):
+    """P - I as a delta, for the signed permutation P e_t = s e_u of each
+    (t, (u, s)) in `turn`, the identity elsewhere."""
+    out = {}
+    for t, (u, s) in turn.items():
+        col = {t: -1}
+        col[u] = col.get(u, 0) + s
+        if col := {r: x for r, x in col.items() if x}:
+            out[t] = col
+    return out
+
+
 def dense_word_matrix(sys_: CurveSystem, word: TwistWord):
     """Reference oracle: the letter-by-letter dense product of one
     transvection per Dehn twist, O(n^3) per letter, raising as the oracle
@@ -491,6 +531,53 @@ class TestWordDelta:
             dense_extract_transvection_class(dense_word_matrix(cm, word))
 
 
+def _random_turn(rng, n):
+    """A random signed permutation of a random subset of 0..n-1, fixed
+    points (sign +1 or -1) included."""
+    cols = rng.sample(range(n), rng.randrange(0, n + 1))
+    return {t: (u, rng.choice([1, -1])) for t, u in zip(cols, rng.sample(cols, len(cols)))}
+
+
+def _random_delta(rng, n, fill):
+    """A random sparse delta of dimension n with small entries, nonzero only."""
+    out = {}
+    for _ in range(rng.randrange(0, fill + 1)):
+        out.setdefault(rng.randrange(n), {})[rng.randrange(n)] = rng.choice([-2, -1, 1, 2])
+    return out
+
+
+class TestApplyTurn:
+    """_apply_turn, the block kernel, right-multiplies by a signed
+    permutation P; the slow reference is the general product with P - I."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_product_with_p_minus_i(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            n = rng.randrange(1, 9)
+            delta, turn = _random_delta(rng, n, 2 * n), _random_turn(rng, n)
+            want = _delta_product({j: dict(col) for j, col in delta.items()}, turn_delta(turn))
+            _apply_turn(delta, turn)
+            assert delta == want, (seed, turn)
+            assert all(col and all(col.values()) for col in delta.values())  # nonzero only
+
+    @pytest.mark.parametrize("delta, turn, want", [
+        # P e_0 = -e_1 on a_1 = -e_0 - e_1: column 0 is -(e_1 + a_1) - e_0, whose
+        # entries at row u = 1 and row t = 0 both cancel; the old column 0 goes
+        ({0: {1: 5}, 1: {0: -1, 1: -1}}, {0: (1, -1)}, {1: {0: -1, 1: -1}}),
+        # a fixed point, P e_0 = e_0: the delta is unchanged
+        ({0: {0: 3, 1: 1}}, {0: (0, 1)}, {0: {0: 3, 1: 1}}),
+        # P e_0 = -e_0 on a_0 = 2 e_0: column 0 is -(e_0 + 2 e_0) - e_0
+        ({0: {0: 2}}, {0: (0, -1)}, {0: {0: -4}}),
+        # I + delta = P^-1 for the swap with signs: the product is I, every column empties
+        ({0: {0: -1, 1: 1}, 1: {1: -1, 0: -1}}, {0: (1, -1), 1: (0, 1)}, {}),
+    ])
+    def test_a_cancelling_entry_leaves_no_zero(self, delta, turn, want):
+        slow = _delta_product({j: dict(col) for j, col in delta.items()}, turn_delta(turn))
+        _apply_turn(delta, turn)
+        assert delta == slow == want
+
+
 def _count_word_delta_letters(monkeypatch) -> list[int]:
     """Patch CurveSystem.word_delta to add the length of every word it
     evaluates to the one-entry list returned."""
@@ -506,9 +593,10 @@ def _count_word_delta_letters(monkeypatch) -> list[int]:
 
 
 class TestChainRelation:
-    """_delta_power squares a delta up to a power, against the letter-by-letter
-    word_delta of the power, and _nodule_block checks the chain relation of
-    c1..c2g through it, once per genus, on the oracle."""
+    """_nodule_block checks the chain relation of c1..c2g once per genus, in
+    closed form: the chain word sends v_1..v_2g as the companion matrix of
+    (t^(2g+1) + 1)/(t + 1) does.  The slow reference _delta_power squares a
+    delta up to a power, against the letter-by-letter word_delta of the power."""
 
     @settings(max_examples=150, deadline=None)
     @given(_system_and_word([key for key in _SYSTEM_KEYS if key[0] != "sigma22"]),
@@ -547,13 +635,40 @@ class TestChainRelation:
         sys_ = cable_p1_system(g, 1)
         assert algebraic_length(TwistWord.twists("partial1"), sys_) == 2 * g * (4 * g + 2)
 
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_the_closed_form_powers_to_the_chain_relation(self, g):
+        # the companion matrix C of (t^(2g+1) + 1)/(t + 1), on v_1..v_2g as
+        # coordinates 0..2g-1: C^(2g+1) = -I and C^(4g+2) = I; the chain word's
+        # delta, which _nodule_block found to act as C, powers the same way
+        n = 2 * g
+        companion = {k: {k: -1, k + 1: 1} for k in range(n - 1)}
+        companion[n - 1] = {k - 1: (-1) ** k for k in range(1, n)}
+        minus_two = {t: {t: -2} for t in range(n)}
+        _nodule_block(g)
+        chain = chain_model(g).word_delta(TwistWord.twists(*(f"c{k}" for k in range(1, n + 1))))
+        for delta in (companion, chain):
+            assert _delta_power(dict(delta), 2 * g + 1) == minus_two, g
+            assert _delta_power(dict(delta), 4 * g + 2) == {}, g
+            assert all(_delta_power(dict(delta), k) for k in range(1, 2 * g + 1)), g
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_the_closed_form_is_the_letter_by_letter_image(self, g):
+        # the images _companion_images gives are those of the chain word,
+        # evaluated letter by letter, on the dense reference
+        classes = chain_classes(2 * g + 1, g)[:-1]
+        cm = chain_model(g)
+        m = dense_word_matrix(cm, TwistWord.twists(*(f"c{k}" for k in range(1, 2 * g + 1))))
+        for v, want in zip(classes, _companion_images(classes), strict=True):
+            image = mat_vec(m, tuple(v.get(t, 0) for t in range(2 * g)))
+            assert image == tuple(want.get(t, 0) for t in range(2 * g)), g
+
     @pytest.mark.parametrize("g, p", [(4, 4), (1, 1000)])
     def test_cold_cable_system_evaluates_the_block_chain_once(self, g, p, monkeypatch):
         # the chain relation is checked once per genus, on the block: the 2g
-        # letters of the chain, whose delta is squared up to the power 4g+2;
-        # layout 1's Garside block has a closed form, so none of its
-        # (4g+1)(2g+1) letters is evaluated; a build at a cached genus
-        # evaluates nothing
+        # letters of the chain, whose images of v_1..v_2g are compared with
+        # the companion closed form; layout 1's Garside block has a closed
+        # form, so none of its (4g+1)(2g+1) letters is evaluated; a build at
+        # a cached genus evaluates nothing
         _nodule_block.cache_clear()
         counted = _count_word_delta_letters(monkeypatch)
         cable_p1_system(g, p)
