@@ -28,10 +28,10 @@ columns it touches, never the dimension.  ``word_matrix`` is its dense view.
 A system's ``expansions`` map a zero-class curve to the names of a chain of
 m curves, m even, whose power 2m + 2 is its twist (the chain relation); only
 `monodromy.cable_p1_system` fills them, with the nodule chains whose
-relation `monodromy._nodule_block` checks once per genus.  Its ``blocks``
-map (curve, sign) to the run of names the curve starts and the signed
-permutation its twists make, a ``turn`` {t: (u, s)} for P e_t = s e_u, applied
-where a word spells the run out with that sign (see :meth:`word_delta`).
+relation `monodromy._nodule_block` checks once per genus.  A cable page's
+``rotation`` is the run of `Generator`s its word starts with and the signed
+permutation the run makes, a ``turn`` {t: (u, s)} for P e_t = s e_u (see
+:meth:`word_delta`); it is None on every other page.
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ def symplectic_pairing(u: Mapping[int, int], v: Mapping[int, int]) -> int:
     for t, x in u.items():
         total += x * v.get(t ^ 1, 0) * (-1 if t & 1 else 1)
     return total
-
-
-def _spells(gens: tuple, i: int, names: tuple[str, ...], sign: int) -> bool:
-    """Whether gens[i:] begins with the Dehn twists of `sign` about `names`."""
-    part = gens[i:i + len(names)]
-    return len(part) == len(names) and all(
-        x.kind == DEHN and x.sign == sign and x.curve == c for x, c in zip(part, names))
 
 
 def _apply_turn(delta: Delta, turn: Mapping[int, tuple[int, int]]) -> None:
@@ -123,12 +116,12 @@ class CurveSystem:
     `monodromy` cable page records none and installs data checked per genus.
     """
 
-    __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions", "blocks",
-                 "name")
+    __slots__ = ("genus", "boundary_labels", "curves", "intersections", "expansions",
+                 "rotation", "name")
 
     def __init__(self, genus: int, boundary_labels: tuple[str, ...], name: str = ""):
         self.genus, self.boundary_labels, self.name = genus, boundary_labels, name
-        self.curves, self.intersections, self.expansions, self.blocks = {}, {}, {}, {}
+        self.curves, self.intersections, self.expansions, self.rotation = {}, {}, {}, None
 
     # -- construction helpers ---------------------------------------------
 
@@ -188,27 +181,28 @@ class CurveSystem:
         s * (M c) * rho(c) to M, rho(c) . x = <x, c>.  Both are read from
         c's stored class: M c from the columns in its support (a column
         without a delta is e_t), rho(c) as the entry x at t ^ 1 for odd t
-        and -x for even t, so only the columns t ^ 1 change.  A run of
-        `blocks` the word spells out, every letter and sign compared, is
-        applied as its signed permutation (:func:`_apply_turn`), so fewer than
-        len(word) letters may be evaluated.  Two `monodromy` builders fill
-        `blocks`, each with a closed form checked once per genus by
-        `_checked_turn`: `cable_p1_system` each layout's Garside block, minus
-        the swap of its two nodules, and `sigma22_cover_system` the rotation,
-        plus the swap.  Zero classes, fractional twists and markers act trivially.
+        and -x for even t, so only the columns t ^ 1 change.  Where the word
+        spells out the page's `rotation` run, compared as gens[i:i + n] ==
+        run from a letter about its first curve (each letter by identity,
+        then by every field), the run is applied as its turn
+        (:func:`_apply_turn`).  Two `monodromy` builders set it from closed
+        forms `_checked_turn` checks once per genus: `cable_p1_system` the
+        product of its layouts' Garside blocks, each minus the swap of its
+        two nodules, and `sigma22_cover_system` plus the swap.  Zero classes,
+        fractional twists and markers act trivially.
         The first unknown curve, or fractional letter about no boundary of
         the system, raises; markers name no curve, so they are not resolved.
         """
         delta: Delta = {}
-        gens, blocks, skip = word.generators, self.blocks, 0
+        (run, turn), gens, skip = self.rotation or ((), {}), word.generators, 0
+        head, n = run[0].curve if run else None, len(run)
         for i, gen in enumerate(gens):
             if i < skip:
                 continue
             if gen.kind == DEHN:
-                block = blocks.get((gen.curve, gen.sign))
-                if block and _spells(gens, i, block[0], gen.sign):
-                    _apply_turn(delta, block[1])
-                    skip = i + len(block[0])
+                if gen.curve == head and gens[i:i + n] == run:
+                    _apply_turn(delta, turn)
+                    skip = i + n
                     continue
                 support = self.curve(gen.curve).support
                 mc: dict[int, int] = {}  # becomes M c

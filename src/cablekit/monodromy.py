@@ -159,7 +159,7 @@ def _checked_turn(what: str, chain: Sequence[dict[int, int]], turn: dict, middle
     return tuple(turn.items())
 
 
-def cable_p1_system(g: int, p: int) -> CurveSystem:
+def cable_p1_system(g: int, p: int, sign: int = 1) -> CurveSystem:
     """Curve system on the (p,1)-cable page of a genus-g one-boundary page.
 
     The page has genus p*g and one boundary.  Nodule chains carry block
@@ -176,22 +176,24 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
     to a_{k+g(i-1)}, b_{k+g(i-1)}, an isometry of the form, so layout i is a
     chain as layout 1 is, nodule i's chain word has the block's delta
     moved, empty as the block's is, and a zero class pairs to 0 with every
-    curve.  Twists about layout j's classes change and read only the 4g
-    coordinates from 2g(j-1) on, so `blocks` holds layout j's Garside block
-    under (its first curve, 1) and its inverse under (that curve, -1), with
-    one turn, layout 1's moved by 2g(j-1): it is an involution.
+    curve.  The `rotation` run is :func:`rho_p1_rotation`'s word for `sign`
+    (-1, the inverse, for :func:`negative_cable_word` only).  Its turn is
+    composed once, in the word's order, from layout 1's checked turn moved
+    by 2g(j-1) for each layout j, as twists about layout j's classes read
+    and change only the 4g coordinates from 2g(j-1) on; that turn is an
+    involution, and the boundary twists of the run have zero class.
     Neither refusal of `add_curve` can fire: every name differs by prefix or
     index, and the moved classes keep the template's nonzero, ascending
     entries, nodule i's below 2gi and x_i's below 2g(i+1) <= dim.  The tests
     compare the build with a reference that runs check() on a recorded table
-    and every nodule's relation and layout's blocks letter by letter.
+    and every nodule's relation, and the turn with the run letter by letter.
     """
     if p < 1:
         raise MonodromyError("need p >= 1")
     if g < 1:
         raise MonodromyError("disk and annulus pages have no chain model here")
     sys = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
-    block, layout, turn = _nodule_block(g)
+    block, layout, half = _nodule_block(g)
     n, curves = sys.dim, sys.curves
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
@@ -202,12 +204,11 @@ def cable_p1_system(g: int, p: int) -> CurveSystem:
         curves[f"partial{i}"] = CurveInfo({}, n)
         sys.expansions[f"partial{i}"] = tuple(_p1_chain(g, i)[:-1])
     sys.add_boundary_curves()
-    for j in range(1, p):
-        names, s = p1_layout(g, j), 2 * g * (j - 1)
-        letters = tuple(map(names.__getitem__, _garside_pattern(4 * g + 1)))
-        moved = {t + s: (u + s, sign) for t, (u, sign) in turn}
-        sys.blocks[names[-1], 1] = letters, moved
-        sys.blocks[names[-1], -1] = letters[::-1], moved
+    turn: dict[int, tuple[int, int]] = {}  # P e_t = y e_v, the identity where unset
+    for s in range(0, 2 * g * (p - 1), 2 * g)[::sign]:  # P <- P B, B e_t = x e_u
+        turn.update([(t + s, (v, x * y)) for t, (u, x) in half
+                     for v, y in [turn.get(u + s, (u + s, 1))]])
+    sys.rotation = rho_p1_rotation(g, p, sign).generators, turn
     return sys
 
 
@@ -292,12 +293,13 @@ def _require_integral_connected(book: RationalOpenBook) -> None:
 
 def monodromy_p1_connected(book: RationalOpenBook, p: int) -> CableWord:
     """The (p,1)-cable monodromy of an integral open book with connected
-    binding: rotation word (negative twists exactly at the nodule
+    binding: the page's rotation run (negative twists exactly at the nodule
     boundaries) composed with the lift of the monodromy on nodule 1."""
     _require_integral_connected(book)
     g = book.genus
     phi = lift_to_nodule(book.monodromy or TwistWord(()), _p1_chain(g, 1), "partial1")
-    return CableWord(rho_p1_rotation(g, p).compose(phi), cable_p1_system(g, p), _page(book, p, 1))
+    sys = cable_p1_system(g, p)
+    return CableWord(TwistWord(sys.rotation[0] + phi.generators), sys, _page(book, p, 1))
 
 
 def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
@@ -322,7 +324,7 @@ def monodromy_p1_disconnected(book: RationalOpenBook, p: int) -> CableWord:
     return CableWord(rotation.compose(phi), None, _page(book, p, 1))
 
 
-def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
+def sigma22_cover_system(g: int) -> CurveSystem:
     """Curve system of the (2,2)-cable page (genus 2g, two boundaries) as
     the double cover of the disk branched over 4g+2 points: the covering
     chain e1..e{4g+1}, the rotation curves rho22_1..rho22_{2g+1}, and on
@@ -341,17 +343,16 @@ def sigma22_cover_system(g: int) -> tuple[CurveSystem, tuple[str, ...]]:
     A nodule boundary separates, so partial{i} has zero class.  At g = 0 the
     page is an annulus: the one chain curve and the one rotation curve are
     its core, of zero class, and nodules have no chain.  The page records no
-    intersection, so every pair reads None and a `commute` step refuses;
-    each call is a fresh system holding :func:`_cover22_model`'s CurveInfos and blocks."""
+    intersection, so every pair reads None and a `commute` step refuses.
+    Each call is a fresh system of :func:`_cover22_model`'s CurveInfos; its
+    `rotation` is the twists about rho22_{2g+1}, ..., rho22_1 and the model's turn."""
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
     curves, rho_names, turn = _cover22_model(g)
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
     sys.curves.update(curves)
-    turn = dict(turn)
-    sys.blocks[rho_names[-1], 1] = rho_names[::-1], turn
-    sys.blocks[rho_names[0], -1] = rho_names, turn
-    return sys, rho_names
+    sys.rotation = TwistWord.twists(*reversed(rho_names)).generators, dict(turn)
+    return sys
 
 
 @lru_cache(maxsize=None)
@@ -359,8 +360,8 @@ def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...], tuple]:
     """The page of :func:`sigma22_cover_system`, built once per genus on
     :func:`_nodule_block`'s checked model: its (name, CurveInfo) pairs,
     entries nonzero and ascending, its rotation names and the turn of the
-    rotation run and of its inverse, the blocks of a system: :func:`_nodule_swap`
-    of sign +1, an involution.  The rotation braid (`r22_braid` in the
+    rotation run, :func:`_nodule_swap` of sign +1, which each system stores
+    in its `rotation`.  The rotation braid (`r22_braid` in the
     tests) is the half twist of the 4g+2 strands, whose lift is layout 1's
     block, times inverse full twists of 2g+1 strands, whose lifts are -1 on
     a nodule's homology (Farb-Margalit, ch. 9): minus the block, as
@@ -395,16 +396,15 @@ def _e_chain(g: int, i: int) -> list[str]:
 
 
 def monodromy_22_connected(book: RationalOpenBook) -> CableWord:
-    """The (2,2)-cable monodromy: 2g+1 positive twists about the rotation
-    curves of :func:`sigma22_cover_system`, then the lift of the monodromy
-    on nodule 1 (the chain of :func:`_e_chain` and partial1).
+    """The (2,2)-cable monodromy: the 2g+1 positive twists of the rotation
+    run of :func:`sigma22_cover_system`, then the lift of the monodromy on
+    nodule 1 (the chain of :func:`_e_chain` and partial1).
     """
     _require_integral_connected(book)
     g = book.genus
-    sys, rho_names = sigma22_cover_system(g)
+    sys = sigma22_cover_system(g)
     phi = lift_to_nodule(book.monodromy or TwistWord(()), _e_chain(g, 1), "partial1")
-    word = TwistWord.twists(*reversed(rho_names)).compose(phi)
-    return CableWord(word, sys, _page(book, 2, 2))
+    return CableWord(TwistWord(sys.rotation[0] + phi.generators), sys, _page(book, 2, 2))
 
 
 def monodromy_pq(book: RationalOpenBook, p: int, q: int) -> CableWord:
@@ -457,12 +457,12 @@ def negative_cable_word(book: RationalOpenBook) -> CableWord:
     phi = lift_to_nodule(TwistWord(tuple(x for x in book.monodromy or () if x.kind != FRACTIONAL)),
                          _p1_chain(g, 1), "partial1")
     from fractions import Fraction
-    word = TwistWord((Generator.fractional_boundary("outer", Fraction(1, r)),
-                      *rho_p1_rotation(g, p, -1),
+    sys = cable_p1_system(g, p, -1)
+    word = TwistWord((Generator.fractional_boundary("outer", Fraction(1, r)), *sys.rotation[0],
                       *TwistWord.twists(("partial1", -1)).power(r - 2), *phi))
     page = RationalOpenBook(genus=p * g, monodromy=word,
                             components=(BindingComponent(order=r, seifert_numerator=-1),))
-    return CableWord(word, cable_p1_system(g, p), page)
+    return CableWord(word, sys, page)
 
 
 class ObstructionReport:
@@ -566,8 +566,8 @@ def compose_cobordism_word(
     sys, lift1 = base.system, lift_to_nodule(phi1, near, "partial1")
     lift2 = lift_to_nodule(phi2, _e_chain(g, 2), "partial2")
     # a word's matrix is the product of its letters' from left to right,
-    # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1, R the stored turn
-    conj = _conjugate(sys.word_delta(lift2), dict(_cover22_model(g)[2]))
+    # so rot . lift2 . rot^-1 evaluates to R M_2 R^-1, R the page's turn
+    conj = _conjugate(sys.word_delta(lift2), sys.rotation[1])
     if conj != sys.word_delta(lift_to_nodule(phi2, near, "partial1")):
         raise MonodromyError("destabilization certificate failed the oracle")
     certificate = {"conjugation_lands_on_nodule_1": True,

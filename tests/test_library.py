@@ -62,7 +62,7 @@ class TestSystems:
     def test_every_system_has_its_own_name(self):
         # an error names its system, and verify-word picks one by name
         names = [chain_model(1).name, cable_p1_system(1, 2).name,
-                 sigma22_cover_system(1)[0].name, sigma22_script_system().name,
+                 sigma22_cover_system(1).name, sigma22_script_system().name,
                  resolved_system().name, lantern_genus3_model()[0].name]
         assert names == ["chain_g1", "cable_p1_g1_p2", "cover22_g1", "sigma22_g1_script",
                          "resolved_neg_cable_g1", "lantern_genus3"]

@@ -113,7 +113,12 @@ def _expand_to_nonseparating(word, sys_):
 def system_value(sys_):
     """A curve system by value: what two builds of one page must share."""
     return (sys_.genus, sys_.boundary_labels, sys_.name, sys_.curves, sys_.intersections,
-            sys_.expansions)
+            sys_.expansions, sys_.rotation)
+
+
+def rho22_names(g):
+    """The rotation curves rho22_1..rho22_{2g+1} of the genus-g (2,2) page."""
+    return tuple(f"rho22_{i}" for i in range(1, 2 * g + 2))
 
 
 def disconnected_book(genus, n):
@@ -186,7 +191,7 @@ class TestConnected22:
         # rotation curve are the core, of zero class, and the nodules are
         # disks with a boundary but no chain; the disk page's (2,2) and
         # cobordism words are built on that one system
-        sys_, rho_names = sigma22_cover_system(0)
+        sys_, rho_names = sigma22_cover_system(0), rho22_names(0)
         assert (sys_.genus, sys_.boundary_labels, rho_names) == (0, ("1", "2"), ("rho22_1",))
         assert sorted(sys_.curves) == ["bdry_1", "bdry_2", "e1", "partial1", "partial2",
                                        "rho22_1"]
@@ -213,7 +218,7 @@ class TestConnected22:
         # the covering chain e1..e{4g+1} is layout 1 of the (p,1) page, each
         # chain end is the (2,1) page's, and the rotation's closed form is
         # minus layout 1's Garside block: I + R22 = -(I + H)
-        sys_ = sigma22_cover_system(g)[0]
+        sys_ = sigma22_cover_system(g)
         _, layout, half = _nodule_block(g)
         assert [sys_.curve(f"e{k}").support for k in range(1, 4 * g + 2)] == list(map(dict, layout))
         if g:
@@ -321,7 +326,7 @@ class TestP1RecordedTable:
         # the cable pages install checked model data and record nothing
         assert all(cable_p1_system(g, p).intersections == {}
                    for g in range(1, 4) for p in range(1, 6))
-        assert all(sigma22_cover_system(g)[0].intersections == {} for g in range(4))
+        assert all(sigma22_cover_system(g).intersections == {} for g in range(4))
 
     @pytest.mark.parametrize("g, p", [(1, 1000), (3, 100)])
     def test_table_and_classes_grow_linearly_in_p(self, g, p):
@@ -335,7 +340,8 @@ class TestP1RecordedTable:
 
 def reference_cable_p1_system(g, p):
     """Reference: the (p,1) system with the whole-table check() and each
-    nodule's chain relation checked on the oracle letter by letter."""
+    nodule's chain relation checked on the oracle letter by letter; it holds
+    no rotation, so it evaluates every letter."""
     sys_ = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
     block = chain_classes(2 * g + 1, g)
     for i in range(1, p + 1):
@@ -362,13 +368,6 @@ def reference_cable_p1_system(g, p):
         chain = tuple(f"n{i}_{k}" for k in range(1, 2 * g + 1))
         assert sys_.word_delta(TwistWord.twists(*chain).power(4 * g + 2)) == {}, (g, p, i)
         sys_.expansions[f"partial{i}"] = chain
-    # each layout's Garside block and its inverse, evaluated letter by letter
-    # on this system before any block is installed
-    words = [garside_block(p1_layout(g, j)) for j in range(1, p)]
-    words += [word.inverse() for word in words]
-    blocks = [(word[0], tuple(x.curve for x in word), sys_.word_delta(word)) for word in words]
-    sys_.blocks.update(((first.curve, first.sign), (letters, delta))
-                       for first, letters, delta in blocks)
     return sys_
 
 
@@ -410,10 +409,9 @@ class TestNoduleBlock:
         turn = dict(_nodule_block(g)[2])
         n = 2 * g
         assert turn == {t: ((t + n) % (2 * n), -1) for t in range(2 * n)}
-        ref = reference_cable_p1_system(g, 2)
-        assert ref.blocks.keys() == {("n2_1", 1), ("n2_1", -1)}
-        for sign in (1, -1):
-            assert ref.blocks["n2_1", sign][1] == turn_delta(turn), (g, sign)
+        ref, block = reference_cable_p1_system(g, 2), garside_block(p1_layout(g, 1))
+        for word in (block, block.inverse()):
+            assert ref.word_delta(word) == turn_delta(turn), (g, word[0])
         assert _delta_product(turn_delta(turn), turn_delta(turn)) == {}
 
     @pytest.mark.parametrize("g", range(1, 4))
@@ -466,12 +464,16 @@ class TestNoduleBlock:
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_system_equals_the_reference_that_checks_every_nodule(self, g):
+        # the rotation run, and its inverse for sign -1, is the reference
+        # rotation word, and its turn that word evaluated letter by letter
         for p in range(1, 7):
-            sys_, ref = cable_p1_system(g, p), reference_cable_p1_system(g, p)
-            assert sys_.curves == ref.curves, (g, p)
-            assert sys_.expansions == ref.expansions, (g, p)
-            assert {key: (letters, turn_delta(turn)) for key, (letters, turn)
-                    in sys_.blocks.items()} == ref.blocks, (g, p)
+            ref, rotation = reference_cable_p1_system(g, p), reference_rho_p1_rotation(g, p)
+            for sign, run in ((1, rotation), (-1, rotation.inverse())):
+                sys_ = cable_p1_system(g, p, sign)
+                assert sys_.curves == ref.curves, (g, p)
+                assert sys_.expansions == ref.expansions, (g, p)
+                assert sys_.rotation[0] == run.generators, (g, p, sign)
+                assert turn_delta(sys_.rotation[1]) == ref.word_delta(run), (g, p, sign)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_every_factorization_has_zero_delta_letter_by_letter(self, g):
@@ -517,34 +519,27 @@ class TestNoduleBlock:
             assert (sys_.name, sys_.genus, sys_.boundary_labels) == (
                 ref.name, ref.genus, ref.boundary_labels), (g, p)
 
-    def test_a_cold_build_makes_no_word_outside_the_chain_check(self, monkeypatch):
-        # an expansion is stored as its chain's curve names, so the build
-        # makes no TwistWord and no Generator; only _nodule_block's chain
-        # relation, checked once per genus, evaluates a word
+    def test_a_p1_request_spells_its_rotation_once(self, monkeypatch):
+        # the page spells its rotation run, and the request's word is built
+        # on that run: one rotation word per (p,1) or negative cable request
         import cablekit.monodromy
 
-        built, checking = [], [False]
-        for cls in (Generator, TwistWord):
-            def counting(self, *args, init=cls.__init__, **kwargs):
-                if not checking[0]:
-                    built.append(type(self).__name__)
-                init(self, *args, **kwargs)
+        calls = []
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        def counting(g, p, sign=1):
+            calls.append((g, p, sign))
+            return rho_p1_rotation(g, p, sign)
 
-        def chain_check(g):
-            checking[0] = True
-            try:
-                return _nodule_block(g)
-            finally:
-                checking[0] = False
-
-        monkeypatch.setattr(cablekit.monodromy, "_nodule_block", chain_check)
+        monkeypatch.setattr(cablekit.monodromy, "rho_p1_rotation", counting)
         for g in range(1, 4):
             for p in range(1, 6):
-                _nodule_block.cache_clear()
-                cable_p1_system(g, p)
-                assert built == [], (g, p)
+                calls.clear()
+                monodromy_p1_connected(connected_book(g, TwistWord.twists("c1")), p)
+                assert calls == [(g, p, 1)], (g, p)
+                calls.clear()
+                negative_cable_word(RationalOpenBook(
+                    genus=g, components=(BindingComponent(p + 1, -1),)))
+                assert calls == [(g, p, -1)], (g, p)
 
     def test_one_chain_relation_per_genus(self, monkeypatch):
         # the chain word c1..c2g is the one word a cold build evaluates, once
@@ -678,119 +673,197 @@ class TestNoduleBlock:
                         for i in range(1, g + 1) for step in (1, -1)]
 
 
-class TestBlockFastPath:
-    """word_delta applies a (p,1) layout's Garside block, or its inverse, as
-    its stored delta wherever a word spells the block out; the slow reference
-    is the same system with `blocks` emptied, which evaluates every letter,
-    and the dense letter-by-letter product."""
+def counting_turns(monkeypatch):
+    """Patch the oracle's turn kernel to count its calls in the one-entry
+    list returned."""
+    import cablekit.curves
+
+    applied, kernel = [0], cablekit.curves._apply_turn
+
+    def counting(delta, turn):
+        applied[0] += 1
+        return kernel(delta, turn)
+
+    monkeypatch.setattr(cablekit.curves, "_apply_turn", counting)
+    return applied
+
+
+def without_rotation(sys_):
+    """The slow reference: `sys_`'s curves on a system of its own whose
+    `rotation` is None, so word_delta evaluates every letter."""
+    slow = CurveSystem(sys_.genus, sys_.boundary_labels, sys_.name)
+    slow.curves.update(sys_.curves)
+    return slow
+
+
+PHI = TwistWord.twists("c1", ("c2", -1), "c1", ("bdry_1", -1))
+# (builder, where the page's run starts in its word): the negative cable word
+# opens with its fractional boundary twist
+CABLE_BUILDERS = {
+    "(p,1)": (lambda g, p: monodromy_p1_connected(connected_book(g, PHI), p), 0),
+    "negative cable": (lambda g, p: negative_cable_word(RationalOpenBook(
+        genus=g, components=(BindingComponent(p + 1, -1),), monodromy=PHI)), 1),
+    "(2,2)": (lambda g, p: monodromy_22_connected(connected_book(g, PHI)), 0),
+    "cobordism": (lambda g, p: compose_cobordism_word(PHI, PHI, connected_book(g)), 0),
+}
+CABLE_CELLS = [(1, 2), (2, 3), (3, 5), (1, 6)]
+
+
+class TestRotationFastPath:
+    """word_delta applies a cable page's rotation run as its stored turn
+    wherever a word spells the run out; the slow reference is the same page
+    with `rotation` None, which evaluates every letter, and the dense
+    letter-by-letter product."""
 
     @staticmethod
     def words(g, p, rng):
-        """(name, word, blocks the fast path applies) for the rotation, its
-        compositions with a lift of a random page word, its powers and
-        inverse, the negative cable word, rotations whose last block is cut
-        short, holds a foreign letter or has one letter's sign flipped, and
-        inverses whose last inverse block is cut short or has one letter's
-        sign flipped."""
+        """(name, sign of the page, word, turns the fast path applies) for
+        the rotation, its compositions with a lift of a random page word, its
+        powers, the inverse on either page, the negative cable word, and runs
+        cut short, holding a foreign letter, one curve changed or one
+        letter's sign flipped, which are evaluated letter by letter."""
         rotation = rho_p1_rotation(g, p)
         page = TwistWord.twists(*((f"c{rng.randrange(1, 2 * g + 2)}", rng.choice([1, -1]))
                                   for _ in range(8)), ("bdry_1", -1))
         phi = lift_to_nodule(page, [f"n1_{k}" for k in range(1, 2 * g + 2)], "partial1")
         book = RationalOpenBook(genus=g, components=(BindingComponent(p + 1, -1),),
                                 monodromy=page)
-        n, gens, inverse = p - 1, rotation.generators, rotation.inverse().generators
-        out = [("rotation", rotation, n), ("rotation o phi", rotation.compose(phi), n),
-               ("phi o rotation", phi.compose(rotation), n),
-               ("rotation^2", rotation.power(2), 2 * n), ("rotation^3", rotation.power(3), 3 * n),
-               ("inverse", rotation.inverse(), n),
-               ("rotation o inverse", rotation.compose(rotation.inverse()), 2 * n),
-               ("negative cable word", negative_cable_word(book).word, n)]
-        if p > 1:
-            size = (4 * g + 1) * (2 * g + 1)
-            start = len(gens) - size  # the last block's first letter
-            inside = start + rng.randrange(1, size)
-            foreign = Generator.dehn_twist(rng.choice(["n1_1", "x1", f"n{p}_1"]))
-            flipped = gens[inside].inverse()
-            out += [("cut short", TwistWord(gens[:-rng.randrange(1, size)]), n - 1),
-                    ("last letter only", TwistWord(gens[:start + 1]), n - 1),
-                    ("foreign letter", TwistWord(gens[:inside] + (foreign,) + gens[inside:]),
-                     n - 1),
-                    ("sign flipped", TwistWord(gens[:inside] + (flipped,) + gens[inside + 1:]),
-                     n - 1)]
-            # the inverse ends in layout 1's inverse block, then p boundary twists
-            start = len(inverse) - p - size
-            inside = start + rng.randrange(size)
-            flipped = inverse[inside].inverse()
-            out += [("inverse cut short",
-                     TwistWord(inverse[:start + rng.randrange(1, size)] + inverse[-p:]), n - 1),
-                    ("inverse sign flipped",
-                     TwistWord(inverse[:inside] + (flipped,) + inverse[inside + 1:]), n - 1)]
+        n, inverse = int(p > 1), rotation.inverse()  # the run is empty at p = 1
+        out = [("rotation", 1, rotation, n), ("rotation o phi", 1, rotation.compose(phi), n),
+               ("phi o rotation", 1, phi.compose(rotation), n),
+               ("rotation^2", 1, rotation.power(2), 2 * n),
+               ("rotation^3", 1, rotation.power(3), 3 * n),
+               ("inverse", 1, inverse, 0), ("inverse", -1, inverse, n),
+               ("inverse^2", -1, inverse.power(2), 2 * n),
+               ("rotation o inverse", 1, rotation.compose(inverse), n),
+               ("rotation o inverse", -1, rotation.compose(inverse), n),
+               ("negative cable word", -1, negative_cable_word(book).word, n)]
+        for sign, run in ((1, rotation.generators), (-1, inverse.generators)) if n else ():
+            inside = rng.randrange(1, len(run))
+            foreign = Generator.dehn_twist(rng.choice(["n1_1", "x1", f"n{p}_1"]), sign)
+            other = "x1" if run[inside].curve != "x1" else "n1_1"
+            out += [("cut short", sign, TwistWord(run[:-rng.randrange(1, len(run))]), 0),
+                    ("first letter only", sign, TwistWord(run[:1]), 0),
+                    ("foreign letter", sign,
+                     TwistWord(run[:inside] + (foreign,) + run[inside:]), 0),
+                    ("curve changed", sign, TwistWord(
+                        run[:inside] + (Generator.dehn_twist(other, run[inside].sign),)
+                        + run[inside + 1:]), 0),
+                    ("sign flipped", sign,
+                     TwistWord(run[:inside] + (run[inside].inverse(),) + run[inside + 1:]), 0)]
         return out
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_matches_the_letter_by_letter_oracle(self, g, monkeypatch):
-        import cablekit.curves
-
-        applied, kernel = [0], cablekit.curves._apply_turn
-
-        def counting(delta, turn):
-            applied[0] += 1
-            return kernel(delta, turn)
-
-        monkeypatch.setattr(cablekit.curves, "_apply_turn", counting)
+        applied = counting_turns(monkeypatch)
         rng = random.Random(g)
         for p in range(1, 7):
-            sys_, slow = cable_p1_system(g, p), cable_p1_system(g, p)
-            slow.blocks = {}
-            assert len(sys_.blocks) == 2 * (p - 1)
-            for name, word, blocks in self.words(g, p, rng):
+            pages = {sign: cable_p1_system(g, p, sign) for sign in (1, -1)}
+            slow = without_rotation(pages[1])
+            for name, sign, word, turns in self.words(g, p, rng):
                 applied[0] = 0
                 want = slow.word_delta(word)
                 assert applied[0] == 0
-                assert sys_.word_delta(word) == want, (g, p, name)
-                assert applied[0] == blocks, (g, p, name)
+                assert pages[sign].word_delta(word) == want, (g, p, sign, name)
+                assert applied[0] == turns, (g, p, sign, name)
                 if g * p <= 4:
-                    assert sys_.word_matrix(word) == dense_word_matrix(sys_, word), (g, p, name)
+                    assert pages[sign].word_matrix(word) == dense_word_matrix(slow, word), (
+                        g, p, sign, name)
+
+    @pytest.mark.parametrize("build", CABLE_BUILDERS.values(), ids=CABLE_BUILDERS.keys())
+    def test_each_word_starts_with_its_page_run_and_takes_one_turn(self, build, monkeypatch):
+        # the word's leading letters are the run's very objects, and a JSON
+        # round trip, whose letters are objects of their own, takes the same
+        # single turn, compared field by field
+        make, start = build
+        applied = counting_turns(monkeypatch)
+        for g, p in CABLE_CELLS:
+            cw = make(g, p)
+            run = cw.system.rotation[0]
+            assert run and all(x is y for x, y in zip(cw.word[start:start + len(run)], run,
+                                                      strict=True)), (g, p)
+            loaded = TwistWord.from_json(json.loads(json.dumps(cw.word.to_json())))
+            assert loaded == cw.word and loaded[start] is not run[0]
+            want = without_rotation(cw.system).word_delta(cw.word)
+            for word in (cw.word, loaded):
+                applied[0] = 0
+                assert cw.system.word_delta(word) == want, (g, p)
+                assert applied[0] == 1, (g, p)
+
+    @pytest.mark.parametrize("build", CABLE_BUILDERS.values(), ids=CABLE_BUILDERS.keys())
+    def test_a_spoiled_run_is_evaluated_letter_by_letter(self, build, monkeypatch):
+        # one letter's sign flipped, one curve changed or the run cut short:
+        # no turn applies, and the delta is the reference's
+        make, start = build
+        applied = counting_turns(monkeypatch)
+        rng = random.Random(39)
+        for g, p in CABLE_CELLS:
+            cw = make(g, p)
+            sys_, gens = cw.system, cw.word.generators
+            end = start + len(sys_.rotation[0])
+            for i in (start, rng.randrange(start, end), end - 1):
+                other = next(c for c, info in sys_.curves.items()
+                             if info.support and c != gens[i].curve)
+                spoiled = {
+                    "sign flipped": gens[:i] + (gens[i].inverse(),) + gens[i + 1:],
+                    "curve changed":
+                        gens[:i] + (Generator.dehn_twist(other, gens[i].sign),) + gens[i + 1:],
+                    "cut short": gens[:i] + gens[end:],
+                }
+                for name, letters in spoiled.items():
+                    word = TwistWord(letters)
+                    applied[0] = 0
+                    assert sys_.word_delta(word) == without_rotation(sys_).word_delta(word), (
+                        g, p, i, name)
+                    assert applied[0] == 0, (g, p, i, name)
+
+    def test_a_p1_page_holds_the_empty_run(self, monkeypatch):
+        applied = counting_turns(monkeypatch)
+        for g in range(1, 4):
+            assert cable_p1_system(g, 1).rotation == cable_p1_system(g, 1, -1).rotation == ((), {})
+            cw = monodromy_p1_connected(connected_book(g, PHI), 1)
+            assert cw.system.rotation == ((), {})
+            assert cw.system.word_delta(cw.word) == without_rotation(cw.system).word_delta(cw.word)
+        assert applied[0] == 0
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_the_block_delta_is_the_dense_product(self, g):
-        # layout j's stored deltas are layout 1's moved; layout 1's block and
-        # its inverse on the genus-2g page against the dense product of
-        # their letters
-        sys_ = cable_p1_system(g, 2)
-        assert sys_.blocks.keys() == {("n2_1", 1), ("n2_1", -1)}
-        for (_, sign), (letters, turn) in sys_.blocks.items():
+        # layout 1's checked turn, the whole rotation turn of a (2,1) page,
+        # against the dense product of the Garside block's letters and of its
+        # inverse's on that page
+        sys_, turn = cable_p1_system(g, 2), dict(_nodule_block(g)[2])
+        assert sys_.rotation[1] == turn
+        block = garside_block(p1_layout(g, 1))
+        for word in (block, block.inverse()):
             want = {}
-            word = TwistWord.twists(*((c, sign) for c in letters))
             for i, row in enumerate(dense_word_matrix(sys_, word)):
                 for j, x in enumerate(row):
                     if x != (i == j):
                         want.setdefault(j, {})[i] = x - (i == j)
-            assert turn_delta(turn) == want, (g, sign)
+            assert turn_delta(turn) == want, (g, word[0])
             assert len(turn) == 4 * g and sum(map(len, want.values())) == 8 * g
 
-    def test_a_block_product_rewrites_only_the_block_columns(self):
-        # the size rule: a block costs its own columns, not the running
+    def test_a_turn_rewrites_only_its_own_columns(self):
+        # the size rule: a turn costs its own columns, not the running
         # delta's; the kernel writes into the running delta itself, and the
-        # columns outside the turn stay the same objects
-        sys_, slow = cable_p1_system(2, 5), cable_p1_system(2, 5)
-        slow.blocks = {}
-        rotation = rho_p1_rotation(2, 5)
-        letters, turn = sys_.blocks["n3_1", 1]
+        # columns outside the turn stay the same objects.  Layout 3's block,
+        # layout 1's turn moved by 2g(3-1), after the rotation of a (5,1) page
+        sys_ = cable_p1_system(2, 5)
+        rotation = TwistWord(sys_.rotation[0])
+        turn = {t + 8: (u + 8, s) for t, (u, s) in _nodule_block(2)[2]}
         delta = sys_.word_delta(rotation)
         before = dict(delta)
         assert before.keys() - turn.keys()
         assert _apply_turn(delta, turn) is None
         assert all(delta[j] is col for j, col in before.items() if j not in turn)
         # the same exact value as the block's letters evaluated after the rotation's
-        assert delta == slow.word_delta(TwistWord(rotation.generators + tuple(
-            Generator.dehn_twist(c) for c in letters)))
+        block = garside_block(p1_layout(2, 3))
+        assert delta == without_rotation(sys_).word_delta(rotation.compose(block))
 
     def test_the_rotation_at_p_1000_matches_the_letter_by_letter_oracle(self):
-        sys_, slow = cable_p1_system(1, 1000), cable_p1_system(1, 1000)
-        slow.blocks = {}
-        rotation = rho_p1_rotation(1, 1000)
-        assert sys_.word_delta(rotation) == slow.word_delta(rotation)
+        sys_ = cable_p1_system(1, 1000)
+        rotation = TwistWord(sys_.rotation[0])
+        assert sys_.word_delta(rotation) == without_rotation(sys_).word_delta(rotation)
 
     def test_an_unknown_curve_after_a_block_raises_in_letter_order(self):
         sys_ = cable_p1_system(2, 3)
@@ -800,49 +873,38 @@ class TestBlockFastPath:
 
 
 class TestRotation22Block:
-    """word_delta applies the (2,2) rotation run, or its inverse run, as the
-    closed form stored in `blocks`; the slow reference is the same system
-    with `blocks` emptied, which evaluates every letter."""
+    """word_delta applies the (2,2) rotation run as the closed form stored in
+    the page's `rotation`; the slow reference is the same page with
+    `rotation` None, which evaluates every letter."""
 
     @pytest.mark.parametrize("g", range(7))
     def test_the_closed_form_is_the_letter_by_letter_rotation(self, g):
         # plus the swap of the two nodules, an involution, so the run and its
         # inverse share one delta
-        sys_, rho_names = sigma22_cover_system(g)
-        slow = sigma22_cover_system(g)[0]
-        slow.blocks = {}
-        rotation = TwistWord.twists(*reversed(rho_names))
+        sys_ = sigma22_cover_system(g)
+        slow = without_rotation(sys_)
+        rotation = TwistWord.twists(*reversed(rho22_names(g)))
         turn = _nodule_swap(g, 1)
         assert turn == {t: ((t + 2 * g) % (4 * g), 1) for t in range(4 * g)}
         assert slow.word_delta(rotation) == slow.word_delta(rotation.inverse()) == turn_delta(turn)
-        assert sys_.blocks == {(rho_names[-1], 1): (rho_names[::-1], turn),
-                               (rho_names[0], -1): (rho_names, turn)}
+        assert sys_.rotation == (rotation.generators, turn)
 
     @pytest.mark.parametrize("g", range(5))
     def test_matches_the_letter_by_letter_oracle(self, g, monkeypatch):
         # random words of rotations, inverses and letters about every curve
         # of the page, single rotation letters of either sign included
-        import cablekit.curves
-
-        applied, kernel = [0], cablekit.curves._apply_turn
-
-        def counting(delta, turn):
-            applied[0] += 1
-            return kernel(delta, turn)
-
-        monkeypatch.setattr(cablekit.curves, "_apply_turn", counting)
+        applied = counting_turns(monkeypatch)
         rng = random.Random(22 + g)
-        sys_, rho_names = sigma22_cover_system(g)
-        slow = sigma22_cover_system(g)[0]
-        slow.blocks = {}
-        rotation = TwistWord.twists(*reversed(rho_names))
+        sys_ = sigma22_cover_system(g)
+        slow = without_rotation(sys_)
+        rotation = TwistWord(sys_.rotation[0])
         names = sorted(sys_.curves)
         for _ in range(40):
             pieces = [rng.choice([rotation, rotation.inverse(), TwistWord.twists(
                 *((rng.choice(names), rng.choice([1, -1])) for _ in range(rng.randrange(1, 6))))])
                 for _ in range(rng.randrange(1, 7))]
             word = TwistWord(tuple(x for piece in pieces for x in piece))
-            runs = sum(piece in (rotation, rotation.inverse()) for piece in pieces)
+            runs = sum(piece == rotation for piece in pieces)
             applied[0] = 0
             want = slow.word_delta(word)
             assert applied[0] == 0
@@ -899,7 +961,7 @@ class TestBandLiftExtraction:
 
     @pytest.mark.parametrize("g", range(1, 4))
     def test_delta_extraction_matches_dense_extraction(self, g):
-        sys_, _ = sigma22_cover_system(g)
+        sys_ = sigma22_cover_system(g)
         for lift in band_lifts(g):
             support, sign = extract_transvection_class(sys_.word_delta(lift))
             cls = tuple(support.get(t, 0) for t in range(sys_.dim))
@@ -907,7 +969,7 @@ class TestBandLiftExtraction:
 
     @pytest.mark.parametrize("g", range(11))
     def test_closed_form_classes_match_band_lifts(self, g):
-        sys_, rho_names = sigma22_cover_system(g)
+        sys_, rho_names = sigma22_cover_system(g), rho22_names(g)
         for name, lift in zip(rho_names, band_lifts(g), strict=True):
             delta = sys_.word_delta(lift)
             # at g = 0 the band lifts to a twist about the annulus core
@@ -916,7 +978,7 @@ class TestBandLiftExtraction:
 
     @pytest.mark.parametrize("g", range(11))
     def test_rotation_word_is_the_lift_of_both_factorizations(self, g):
-        sys_, rho_names = sigma22_cover_system(g)
+        sys_, rho_names = sigma22_cover_system(g), rho22_names(g)
         chain = [f"e{k}" for k in range(1, 4 * g + 2)]
         rotation = sys_.word_delta(TwistWord.twists(*reversed(rho_names)))
         # the half-twist form and the conjugated band form of the rotation braid
@@ -960,7 +1022,7 @@ class TestConnectedP1:
 
 FRESH_BUILDS = {
     "cable_p1_system": lambda: cable_p1_system(2, 3),
-    "sigma22_cover_system": lambda: sigma22_cover_system(2)[0],
+    "sigma22_cover_system": lambda: sigma22_cover_system(2),
     "(3,1)": lambda: monodromy_pq(connected_book(1, TwistWord.twists("c1")), 3, 1).system,
     "(2,2)": lambda: monodromy_pq(connected_book(1, TwistWord.twists("c1")), 2, 2).system,
     "(3,4)": lambda: monodromy_pq(connected_book(1, TwistWord.twists("c1")), 3, 4).system,
@@ -1137,10 +1199,10 @@ class TestNegativeCable:
         with pytest.raises(MonodromyError):
             negative_cable_word(book)
 
-    def test_every_r_carries_the_p1_system(self):
+    def test_every_r_carries_the_p1_system_of_the_inverse_rotation(self):
         for r in (2, 3, 4):
             cw = negative_cable_word(self.make_pattern(r))
-            assert system_value(cw.system) == system_value(cable_p1_system(1, r - 1))
+            assert system_value(cw.system) == system_value(cable_p1_system(1, r - 1, -1))
             cw.system.word_delta(cw.word)
 
     def test_genus_0_is_refused_for_every_r(self):
@@ -1310,14 +1372,13 @@ class TestCobordism:
 
     @pytest.mark.parametrize("g", range(5))
     def test_the_relabelled_conjugate_is_the_letter_by_letter_conjugate(self, g):
-        # R22 Phi_2 R22^-1 by relabelling Phi_2's delta through the stored
+        # R22 Phi_2 R22^-1 by relabelling Phi_2's delta through the page's
         # turn, against rot . lift2 . rot^-1 evaluated letter by letter on
-        # the page with `blocks` emptied, on random page words
+        # the page with `rotation` None, on random page words
         rng = random.Random(38 + g)
-        sys_, rho_names = sigma22_cover_system(g)
-        slow = sigma22_cover_system(g)[0]
-        slow.blocks = {}
-        rotation, turn = TwistWord.twists(*reversed(rho_names)), dict(_cover22_model(g)[2])
+        sys_ = sigma22_cover_system(g)
+        slow = without_rotation(sys_)
+        rotation, turn = TwistWord(sys_.rotation[0]), sys_.rotation[1]
         names = [f"c{k}" for k in range(1, 2 * g + 2) if g] + ["bdry_1"]
         for _ in range(30):
             phi1, phi2 = (TwistWord.twists(*((rng.choice(names), rng.choice([1, -1]))
@@ -1412,7 +1473,7 @@ class TestChainEndReference:
         if curve == "bdry_1":
             return tuple(cls)
         k = int(curve[1:])
-        return sigma22_cover_system(g)[0].curve(f"e{k if i == 1 else 4 * g + 2 - k}").homology
+        return sigma22_cover_system(g).curve(f"e{k if i == 1 else 4 * g + 2 - k}").homology
 
     def dense_nodule_matrix(self, g, i, letters):
         out = identity_matrix(4 * g)
@@ -1430,7 +1491,7 @@ class TestChainEndReference:
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_chain_ends_are_the_unique_solutions(self, g):
-        sys_, _ = sigma22_cover_system(g)
+        sys_ = sigma22_cover_system(g)
         for i in (1, 2):
             covered = [f"e{k if i == 1 else 4 * g + 2 - k}" for k in range(1, 2 * g + 1)]
             end = sys_.curve(f"n{i}_{2 * g + 1}").homology
@@ -1733,20 +1794,28 @@ def signed_cycle(g, p):
 
 
 class TestRotationClosedForm:
-    """The (p,1) rotation, its blocks applied one by one as signed
-    permutations, is the signed cycle of the nodules; so is the rotation
-    evaluated letter by letter with `blocks` emptied."""
+    """The (p,1) rotation, its stored turn composed from the Garside blocks'
+    signed permutations, is the signed cycle of the nodules, and the turn of
+    the inverse run is its inverse; so is the rotation evaluated letter by
+    letter with `rotation` None."""
+
+    @staticmethod
+    def assert_turns(g, p):
+        turn, inverse = (cable_p1_system(g, p, sign).rotation[1] for sign in (1, -1))
+        assert turn_delta(turn) == signed_cycle(g, p), (g, p)
+        assert inverse == {u: (t, s) for t, (u, s) in turn.items()}, (g, p)
 
     @pytest.mark.parametrize("g", range(1, 4))
     def test_the_rotation_is_the_signed_cycle_of_the_nodules(self, g):
         for p in range(1, 7):
-            sys_, slow = cable_p1_system(g, p), cable_p1_system(g, p)
-            slow.blocks = {}
+            self.assert_turns(g, p)
+            sys_ = cable_p1_system(g, p)
             rotation = rho_p1_rotation(g, p)
             assert sys_.word_delta(rotation) == signed_cycle(g, p), (g, p)
-            assert slow.word_delta(rotation) == signed_cycle(g, p), (g, p)
+            assert without_rotation(sys_).word_delta(rotation) == signed_cycle(g, p), (g, p)
 
     def test_the_fast_path_at_p_500_is_the_signed_cycle(self):
+        self.assert_turns(1, 500)
         assert cable_p1_system(1, 500).word_delta(rho_p1_rotation(1, 500)) == signed_cycle(1, 500)
 
 

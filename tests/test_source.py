@@ -165,15 +165,19 @@ def _scoped(node, scope):
 
 
 def _fills(node, attr):
-    """Whether `node` stores an item into some `.<attr>`, or calls one of
-    its mutating methods."""
+    """Whether `node` assigns some `.<attr>` (alone or in a tuple of
+    targets), stores an item into one, or calls one of its mutating methods."""
     def is_attr(target):
         return isinstance(target, ast.Attribute) and target.attr == attr
 
     if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
         return is_attr(node.value)
-    if isinstance(node, ast.AugAssign):
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         return is_attr(node.target)
+    if isinstance(node, ast.Assign):
+        return any(is_attr(elt) for target in node.targets
+                   for elt in (target.elts if isinstance(target, (ast.Tuple, ast.List))
+                               else (target,)))
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in {"update", "setdefault", "pop", "popitem", "clear"}
             and is_attr(node.func.value))
@@ -189,17 +193,38 @@ def _writers(attr):
 def test_only_the_cable_p1_builder_fills_expansions():
     # an expansion counts m(2m + 2) letters in the algebraic length on the
     # strength of a chain relation that `monodromy._nodule_block` checks once
-    # per genus for the (p,1) nodule chains; nothing else may store one
-    assert _writers("expansions") == {("monodromy", "cable_p1_system")}
+    # per genus for the (p,1) nodule chains; nothing else may store one, and
+    # `CurveSystem.__init__` starts each system with none
+    assert _writers("expansions") == {("curves", "__init__"), ("monodromy", "cable_p1_system")}
 
 
-def test_only_the_cable_builders_fill_blocks():
-    # the oracle applies a block's stored delta in place of its letters on
-    # the strength of `monodromy._nodule_block` and `_cover22_model`, which
-    # check the closed forms of layout 1's Garside block and of the (2,2)
-    # rotation once per genus; nothing else may store one
-    assert _writers("blocks") == {("monodromy", "cable_p1_system"),
-                                  ("monodromy", "sigma22_cover_system")}
+def test_only_the_cable_builders_set_the_rotation():
+    # the oracle applies a rotation's stored turn in place of its run on the
+    # strength of `monodromy._nodule_block` and `_cover22_model`, which check
+    # the closed forms of layout 1's Garside block and of the (2,2) rotation
+    # once per genus; `CurveSystem.__init__` sets None, and nothing else may
+    # store one
+    assert _writers("rotation") == {("curves", "__init__"), ("monodromy", "cable_p1_system"),
+                                    ("monodromy", "sigma22_cover_system")}
+
+
+def test_writers_sees_plain_and_tuple_assignment():
+    tree = ast.parse("def f(s):\n    s.rotation = 1\n"
+                     "def g(s):\n    s.a, s.rotation = 1, 2\n"
+                     "def h(s):\n    s.rotation: int = 1\n"
+                     "def k(s):\n    rotation = s.rotation\n")
+    assert {scope for scope, node in _scoped(tree, None) if _fills(node, "rotation")} == {
+        "f", "g", "h"}
+
+
+def test_only_the_negative_cable_word_asks_for_the_inverse_rotation():
+    # `cable_p1_system`'s sign picks the inverse run; one caller sets it
+    callers = {(path.stem, scope) for path in SOURCES
+               for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), None)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cable_p1_system"
+               and (len(node.args) > 2 or node.keywords)}
+    assert callers == {("monodromy", "negative_cable_word")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -224,7 +249,8 @@ def test_only_the_nodule_block_builds_chain_classes():
 def test_only_record_intersection_fills_intersections():
     # a recorded 0 lets a `commute` step fire; one method writes entries, and
     # the cable pages, which install data checked once per genus, call none
-    assert _writers("intersections") == {("curves", "record_intersection")}
+    assert _writers("intersections") == {("curves", "__init__"),
+                                         ("curves", "record_intersection")}
 
 
 def test_only_library_records_and_checks_tables():

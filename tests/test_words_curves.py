@@ -405,7 +405,7 @@ def _system(key) -> CurveSystem:
         return chain_model(key[1], 2)
     if key[0] == "p1":
         return cable_p1_system(key[1], key[2])
-    return sigma22_cover_system(key[1])[0]
+    return sigma22_cover_system(key[1])
 
 
 @st.composite
