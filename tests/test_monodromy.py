@@ -191,8 +191,9 @@ class TestConnected22:
         # rotation curve are the core, of zero class, and the nodules are
         # disks with a boundary but no chain; the disk page's (2,2) and
         # cobordism words are built on that one system
-        sys_, rho_names = sigma22_cover_system(0), rho22_names(0)
-        assert (sys_.genus, sys_.boundary_labels, rho_names) == (0, ("1", "2"), ("rho22_1",))
+        sys_ = sigma22_cover_system(0)
+        assert (sys_.genus, sys_.boundary_labels) == (0, ("1", "2"))
+        assert sys_.rotation == ((Generator.dehn_twist("rho22_1"),), {})
         assert sorted(sys_.curves) == ["bdry_1", "bdry_2", "e1", "partial1", "partial2",
                                        "rho22_1"]
         assert not any(info.support or info.nonseparating for info in sys_.curves.values())
