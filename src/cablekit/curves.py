@@ -185,11 +185,12 @@ class CurveSystem:
         spells out the page's `rotation` run, compared as gens[i:i + n] ==
         run from a letter about its first curve (each letter by identity,
         then by every field), the run is applied as its turn
-        (:func:`_apply_turn`).  Two `monodromy` builders set it from closed
-        forms `_checked_turn` checks once per genus: `cable_p1_system` the
-        product of its layouts' Garside blocks, each minus the swap of its
-        two nodules, and `sigma22_cover_system` plus the swap.  Zero classes,
-        fractional twists and markers act trivially.
+        (:func:`_apply_turn`).  Two `monodromy` builders set it from the one
+        half twist `_nodule_block` checks once per genus, minus the swap of
+        layout 1's nodules: `cable_p1_system` the product of its layouts'
+        Garside blocks, each that turn moved into place, and
+        `sigma22_cover_system` that turn with every sign negated, plus the
+        swap.  Zero classes, fractional twists and markers act trivially.
         The first unknown curve, or fractional letter about no boundary of
         the system, raises; markers name no curve, so they are not resolved.
         """
@@ -270,27 +271,22 @@ def algebraic_length(word: TwistWord, sys: CurveSystem) -> int:
 # -- standard models ---------------------------------------------------------
 
 
-def chain_classes(count: int, genus: int) -> list[dict[int, int]]:
-    """Classes v_1..v_count, as {coordinate: entry} maps, with
-    <v_i, v_{i+1}> = 1 and others 0.
+def chain_classes(genus: int) -> list[dict[int, int]]:
+    """Classes v_1..v_{2g+1} of the chain on a genus-g page, as
+    {coordinate: entry} maps, with <v_i, v_{i+1}> = 1 and others 0.
 
     The pattern v_{2i} = +-b_i, v_{2i+1} = +-(a_i + a_{i+1}) realizes the
     homology of a chain of simple closed curves; signs alternate so that
     consecutive pairings all come out +1.  Twists do not see the sign of a
-    class, so any consistent choice serves.
+    class, so any consistent choice serves.  No pairing is made: the one
+    caller, `monodromy._nodule_block`, checks every pair exactly.
     """
     out = []
-    for idx in range(1, count + 1):
+    for idx in range(1, 2 * genus + 2):
         if idx % 2 == 0:
             i = idx // 2  # b_i slot, 1-based
             out.append({2 * i - 1: (-1) ** (i + 1)})
         else:
             i = (idx - 1) // 2  # a_i + a_{i+1}, with a_0 = a_{genus+1} = 0
             out.append({t: (-1) ** i for t in (2 * i - 2, 2 * i) if 0 <= t < 2 * genus})
-    # verify the chain pattern: v_2i lies on b_i alone and v_2i+1 on a_i and
-    # a_i+1, so a pair that is no neighbour pairs to zero
-    for i in range(1, len(out)):
-        got = symplectic_pairing(out[i - 1], out[i])
-        if abs(got) != 1:
-            raise CurveSystemError(f"chain solver failed at ({i},{i+1}): {got}")
     return out

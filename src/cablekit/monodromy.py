@@ -24,7 +24,7 @@ nodule 1.  This module builds those words:
 fixed-pair builders take the window pair, whatever the book's framing.
 
 Curve naming: a page word names the chain c1..c{2g+1}, of the classes
-`curves.chain_classes(2g+1, g)` (none on a disk page), and bdry_1.  On
+`curves.chain_classes(g)` (none on a disk page), and bdry_1.  On
 nodule i of a connected-binding cable, :func:`lift_to_nodule` maps c_k to
 the k-th curve of the nodule chain, which ends in "n{i}_{2g+1}", and bdry_1
 to the nodule boundary "partial{i}"; a disconnected binding lifts the chain
@@ -77,9 +77,9 @@ def p1_layout(g: int, j: int) -> list[str]:
 def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     """The one page model of genus g, for the (p,1) and the (2,2) page,
     checked here once per genus and nowhere else: the classes v_1..v_{2g+1}
-    of `chain_classes(2g+1, g)` and those of layout 1 (:func:`p1_layout`),
-    each as its (coordinate, entry) pairs, and the turn of layout 1's Garside
-    block as (t, (u, s)) pairs.  The chain relation (T_c1 ... T_c2g)^(4g+2) =
+    of `chain_classes(g)` and those of layout 1 (:func:`p1_layout`), each as
+    its (coordinate, entry) pairs, and the turn of layout 1's Garside block
+    as (t, (u, s)) pairs.  The chain relation (T_c1 ... T_c2g)^(4g+2) =
     T_bdry_1 (Farb-Margalit, Prop. 4.12) must hold on homology, where bdry_1
     has zero class: the chain word's matrix M sends the Z-basis v_1..v_2g as
     :func:`_companion_images` says, so M^(2g+1) = -I.  Nodule 2's mirrored
@@ -87,13 +87,14 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
     exactly: neighbours pair to +1, others to 0 (a chain); so is every pair
     of c1..c{2g+1}, as x1 is v_{2g+1} on nodule 1.
 
-    The block's turn, none of its letters evaluated, is :func:`_nodule_swap`
-    of sign -1, minus the swap of the two nodules.  The block is the half
-    twist of the chain c_1..c_m of layout 1, m = 4g+1: the lift of the braid
-    half twist, which turns the disk by pi, so it carries c_i to +-c_{m+1-i}
+    The block's turn, none of its letters evaluated, is :func:`_nodule_swap`,
+    minus the swap of the two nodules: the one closed-form turn, which both
+    cable pages' rotations derive from.  The block is the half twist of the
+    chain c_1..c_m of layout 1, m = 4g+1: the lift of the braid half twist,
+    which turns the disk by pi, so it carries c_i to +-c_{m+1-i}
     (Farb-Margalit, ch. 9), as :func:`_checked_turn` checks, and x1 = c_{2g+1}
     to itself."""
-    block = chain_classes(2 * g + 1, g)
+    block = chain_classes(g)
     nodule = CurveSystem(genus=g, boundary_labels=(), name=f"nodule_g{g}")
     nodule.curves.update((f"c{k}", CurveInfo(v, 2 * g)) for k, v in enumerate(block[:-1], 1))
     chain = nodule.word_delta(TwistWord.twists(*nodule.curves))
@@ -119,7 +120,7 @@ def _nodule_block(g: int) -> tuple[tuple, tuple, tuple]:
             if b > a and symplectic_pairing(u, layout[b]) != want:
                 raise CurveSystemError(f"layout 1 records {a},{b} = {want}, but the classes differ")
     return (tuple(tuple(v.items()) for v in block), tuple(tuple(v.items()) for v in layout),
-            _checked_turn("the half twist", layout, _nodule_swap(g, -1), 1))
+            _checked_turn(layout, _nodule_swap(g)))
 
 
 def _companion_images(chain: Sequence[dict[int, int]]) -> list[dict[int, int]]:
@@ -132,19 +133,19 @@ def _companion_images(chain: Sequence[dict[int, int]]) -> list[dict[int, int]]:
     return [*chain[1:], {t: x for t, x in last.items() if x}]
 
 
-def _nodule_swap(g: int, sign: int) -> dict[int, tuple[int, int]]:
-    """The turn e_t -> sign e_{t+-2g}, `sign` times the swap of layout 1's nodules."""
-    return {t: ((t + 2 * g) % (4 * g), sign) for t in range(4 * g)}
+def _nodule_swap(g: int) -> dict[int, tuple[int, int]]:
+    """The turn e_t -> -e_{t+-2g}, minus the swap of layout 1's nodules."""
+    return {t: ((t + 2 * g) % (4 * g), -1) for t in range(4 * g)}
 
 
-def _checked_turn(what: str, chain: Sequence[dict[int, int]], turn: dict, middle: int) -> tuple:
+def _checked_turn(chain: Sequence[dict[int, int]], turn: dict) -> tuple:
     """`turn` as (t, (u, s)) pairs, refused unless its signed permutation,
     P e_t = s e_u, sends each class u_i of the chain u_1..u_m, m odd, whose
     neighbours pair to +1, to s_i u_{m+1-i}, the signs s_i alternating from
-    s_1 = `middle`, the middle class's sign: so it keeps each neighbour
-    pairing, as a half twist's lift does (Farb-Margalit, ch. 9), and on a
-    spanning chain this fixes the map.  No pairing is made."""
-    m, sign = len(chain), middle
+    s_1 = +1, so the middle class is fixed: it keeps each neighbour pairing,
+    as a half twist's lift does (Farb-Margalit, ch. 9), and on a spanning
+    chain this fixes the map.  No pairing is made."""
+    m, sign = len(chain), 1
     for i, (u, mirror) in enumerate(zip(chain, reversed(chain)), 1):
         image: dict[int, int] = {}
         for t, x in u.items():
@@ -153,7 +154,7 @@ def _checked_turn(what: str, chain: Sequence[dict[int, int]], turn: dict, middle
         image = {t: x for t, x in image.items() if x}
         if image != {t: sign * x for t, x in mirror.items()}:
             wrong = image == {t: -sign * x for t, x in mirror.items()}
-            raise CurveSystemError(f"{what} sends class {i} to " + (
+            raise CurveSystemError(f"the half twist sends class {i} to " + (
                 f"the wrong sign of class {m + 1 - i}" if wrong else f"no +-class {m + 1 - i}"))
         sign = -sign
     return tuple(turn.items())
@@ -344,29 +345,28 @@ def sigma22_cover_system(g: int) -> CurveSystem:
     page is an annulus: the one chain curve and the one rotation curve are
     its core, of zero class, and nodules have no chain.  The page records no
     intersection, so every pair reads None and a `commute` step refuses.
-    Each call is a fresh system of :func:`_cover22_model`'s CurveInfos; its
-    `rotation` is the twists about rho22_{2g+1}, ..., rho22_1 and the model's turn."""
+    Each call is a fresh system of :func:`_cover22_model`'s CurveInfos, and
+    its `rotation` the model's very run and a copy of its turn."""
     if g < 0:
         raise MonodromyError(f"sigma22_cover_system needs genus g >= 0, got {g}")
-    curves, rho_names, turn = _cover22_model(g)
+    curves, run, turn = _cover22_model(g)
     sys = CurveSystem(genus=2 * g, boundary_labels=("1", "2"), name=f"cover22_g{g}")
     sys.curves.update(curves)
-    sys.rotation = TwistWord.twists(*reversed(rho_names)).generators, dict(turn)
+    sys.rotation = run, dict(turn)
     return sys
 
 
 @lru_cache(maxsize=None)
-def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...], tuple]:
+def _cover22_model(g: int) -> tuple[tuple, tuple[Generator, ...], tuple]:
     """The page of :func:`sigma22_cover_system`, built once per genus on
     :func:`_nodule_block`'s checked model: its (name, CurveInfo) pairs,
-    entries nonzero and ascending, its rotation names and the turn of the
-    rotation run, :func:`_nodule_swap` of sign +1, which each system stores
-    in its `rotation`.  The rotation braid (`r22_braid` in the
-    tests) is the half twist of the 4g+2 strands, whose lift is layout 1's
-    block, times inverse full twists of 2g+1 strands, whose lifts are -1 on
-    a nodule's homology (Farb-Margalit, ch. 9): minus the block, as
-    :func:`_checked_turn` checks."""
-    block, layout, _ = _nodule_block(g)
+    entries nonzero and ascending, and its `rotation`: the run of twists
+    about rho22_{2g+1}, ..., rho22_1 and the run's turn.  The rotation braid
+    (`r22_braid` in the tests) is the half twist of the 4g+2 strands, whose
+    lift is layout 1's block, times inverse full twists of 2g+1 strands,
+    whose lifts are -1 on a nodule's homology (Farb-Margalit, ch. 9): minus
+    the block, so the turn is the block's checked turn, every sign negated."""
+    block, layout, half = _nodule_block(g)
     n, chain = 4 * g, [dict(v) for v in layout]
     curves = {f"e{k}": CurveInfo(cls, n) for k, cls in enumerate(chain, 1)}
     rho_names = tuple(f"rho22_{i}" for i in range(1, 2 * g + 2))
@@ -383,8 +383,8 @@ def _cover22_model(g: int) -> tuple[tuple, tuple[str, ...], tuple]:
         if g:
             curves[f"n{i}_{2 * g + 1}"] = CurveInfo({s + t: x for t, x in block[-1]}, n)
     curves["bdry_1"] = curves["bdry_2"] = CurveInfo({}, n)
-    turn = _checked_turn("the (2,2) rotation", chain, _nodule_swap(g, 1), -1)
-    return tuple(curves.items()), rho_names, turn
+    turn = tuple((t, (u, -s)) for t, (u, s) in half)
+    return tuple(curves.items()), TwistWord.twists(*reversed(rho_names)).generators, turn
 
 
 def _e_chain(g: int, i: int) -> list[str]:

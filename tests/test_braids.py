@@ -32,7 +32,7 @@ def cover_system(g2, boundary=2):
     n = 2 * g2 + 1 + 1
     sys = CurveSystem(genus=g2, boundary_labels=tuple(str(i + 1) for i in range(boundary)))
     chain = [f"e{k}" for k in range(1, 2 * g2 + 2)]
-    for name, cls in zip(chain, chain_classes(2 * g2 + 1, g2)):
+    for name, cls in zip(chain, chain_classes(g2)):
         sys.add_curve(name, cls)
     return sys, chain
 

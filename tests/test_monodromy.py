@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -210,15 +211,18 @@ class TestConnected22:
         # each call builds a system of its own from the model, which is
         # built and checked once per genus
         _cover22_model.cache_clear()
-        monodromy_22_connected(connected_book(2, TwistWord.twists("c1")))
-        compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2"), connected_book(2))
+        first = monodromy_22_connected(connected_book(2, TwistWord.twists("c1"))).system
+        second = compose_cobordism_word(TwistWord.twists("c1"), TwistWord.twists("c2"),
+                                        connected_book(2)).system
         assert _cover22_model.cache_info().misses == 1
+        # the run is the model's, spelled once per genus: the same objects
+        assert first is not second and first.rotation[0] is second.rotation[0]
 
     @pytest.mark.parametrize("g", range(7))
     def test_the_page_is_built_on_the_p1_model(self, g):
         # the covering chain e1..e{4g+1} is layout 1 of the (p,1) page, each
-        # chain end is the (2,1) page's, and the rotation's closed form is
-        # minus layout 1's Garside block: I + R22 = -(I + H)
+        # chain end is the (2,1) page's, and the rotation's turn is minus
+        # layout 1's checked Garside block: I + R22 = -(I + H)
         sys_ = sigma22_cover_system(g)
         _, layout, half = _nodule_block(g)
         assert [sys_.curve(f"e{k}").support for k in range(1, 4 * g + 2)] == list(map(dict, layout))
@@ -344,7 +348,7 @@ def reference_cable_p1_system(g, p):
     nodule's chain relation checked on the oracle letter by letter; it holds
     no rotation, so it evaluates every letter."""
     sys_ = CurveSystem(genus=p * g, boundary_labels=("outer",), name=f"cable_p1_g{g}_p{p}")
-    block = chain_classes(2 * g + 1, g)
+    block = chain_classes(g)
     for i in range(1, p + 1):
         for k, v in enumerate(block, 1):
             sys_.add_curve(f"n{i}_{k}", {2 * g * (i - 1) + t: x for t, x in v.items()})
@@ -377,23 +381,40 @@ def corrupt_crossing_class(corrupt, monkeypatch):
     corrupt(v_{2g+1}); no other class of the (p,1) model changes."""
     import cablekit.monodromy
 
-    def corrupted(count, genus):
-        classes = chain_classes(count, genus)
+    def corrupted(g):
+        classes = chain_classes(g)
         classes[-1] = corrupt(classes[-1])
         return classes
 
     monkeypatch.setattr(cablekit.monodromy, "chain_classes", corrupted)
 
 
-def corrupt_swap(sign, corrupt, monkeypatch):
-    """Make the model read _nodule_swap(g, sign) as corrupt(it); the other
-    sign's closed form does not change."""
+def corrupt_swap(corrupt, monkeypatch):
+    """Make the model read the half twist's closed form _nodule_swap(g) as
+    corrupt(it)."""
     import cablekit.monodromy
 
-    def corrupted(g, s):
-        return corrupt(_nodule_swap(g, s)) if s == sign else _nodule_swap(g, s)
+    monkeypatch.setattr(cablekit.monodromy, "_nodule_swap", lambda g: corrupt(_nodule_swap(g)))
 
-    monkeypatch.setattr(cablekit.monodromy, "_nodule_swap", corrupted)
+
+def refused_on_both_pages(g, message, tmp_path):
+    """Both cable pages stand on the one half-twist check: a cold genus-g
+    (p,1) page, (2,2) page and `compose-cobordism` call (exit 2) each refuse
+    the corrupted turn with `message`, a pattern for the whole message."""
+    book = tmp_path / "page.json"
+    book.write_text(json.dumps(connected_book(g, TwistWord.twists("c1")).to_json()))
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps(TwistWord.twists("c1").to_json()))
+    for build in (lambda: cable_p1_system(g, 3), lambda: sigma22_cover_system(g)):
+        _nodule_block.cache_clear()  # a call that raises is not cached
+        _cover22_model.cache_clear()
+        with pytest.raises(CurveSystemError, match=f"^{message}$"):
+            build()
+    _nodule_block.cache_clear()
+    _cover22_model.cache_clear()
+    code, out, err = run_main(["compose-cobordism", "--page", str(book), str(word), str(word)])
+    assert (code, out) == (2, ""), g
+    assert re.fullmatch(f"error: {message}\n", err), (g, err)
 
 
 class TestNoduleBlock:
@@ -416,24 +437,21 @@ class TestNoduleBlock:
         assert _delta_product(turn_delta(turn), turn_delta(turn)) == {}
 
     @pytest.mark.parametrize("g", range(1, 4))
-    def test_a_closed_form_with_a_moved_mirror_is_refused(self, g, monkeypatch):
+    def test_a_closed_form_with_a_moved_mirror_is_refused(self, g, monkeypatch, tmp_path):
         # the runtime check: the closed form must send each layout class to
         # +- its mirror; moving one column's mirror entry by one row breaks it
-        import cablekit.monodromy
-
         n = 2 * g
         for t in range(2 * n):
             def moved(turn, t=t):
                 turn[t] = ((t + n + 1) % (2 * n), -1)
                 return turn
 
-            corrupt_swap(-1, moved, monkeypatch)
-            _nodule_block.cache_clear()  # a call that raises is not cached
-            with pytest.raises(CurveSystemError, match=r"^the half twist sends class \d+ to no"):
-                cable_p1_system(g, 3)
+            corrupt_swap(moved, monkeypatch)
+            refused_on_both_pages(g, r"the half twist sends class \d+ to no \+-class \d+",
+                                  tmp_path)
 
     @pytest.mark.parametrize("g", range(1, 4))
-    def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch):
+    def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch, tmp_path):
         # e_t -> +e_{t'} in place of -e_{t'} still sends a b-class to +- its
         # mirror; the neighbour pairing refuses it
         for t in range(4 * g):
@@ -441,27 +459,17 @@ class TestNoduleBlock:
                 turn[t] = (turn[t][0], -turn[t][1])
                 return turn
 
-            corrupt_swap(-1, flipped, monkeypatch)
-            _nodule_block.cache_clear()  # a call that raises is not cached
-            with pytest.raises(CurveSystemError, match=r"^the half twist sends class \d+ to "
-                                                       r"(no \+-class|the wrong sign of class) \d+$"):
-                cable_p1_system(g, 2)
+            corrupt_swap(flipped, monkeypatch)
+            refused_on_both_pages(g, r"the half twist sends class \d+ to "
+                                     r"(no \+-class|the wrong sign of class) \d+", tmp_path)
 
-    @pytest.mark.parametrize("sign, build, what", [
-        (-1, lambda g: cable_p1_system(g, 2), "the half twist"),
-        (1, sigma22_cover_system, r"the \(2,2\) rotation"),
-    ], ids=["half_twist", "rotation22"])
     @pytest.mark.parametrize("g", range(1, 4))
-    def test_a_closed_form_of_the_other_sign_is_refused(self, g, sign, build, what,
-                                                         monkeypatch):
-        # the half twist keeps x1 and the (2,2) rotation reverses it; the
-        # other sign's swap alternates its image signs too, from the wrong one
-        corrupt_swap(sign, lambda turn: _nodule_swap(g, -sign), monkeypatch)
-        _nodule_block.cache_clear()  # a call that raises is not cached
-        _cover22_model.cache_clear()
-        with pytest.raises(CurveSystemError,
-                           match=f"^{what} sends class 1 to the wrong sign of class {4 * g + 1}$"):
-            build(g)
+    def test_a_closed_form_of_the_other_sign_is_refused(self, g, monkeypatch, tmp_path):
+        # the half twist keeps x1, and the swap of the other sign, which
+        # reverses it, alternates its image signs from the wrong one
+        corrupt_swap(lambda turn: {t: (u, -s) for t, (u, s) in turn.items()}, monkeypatch)
+        refused_on_both_pages(
+            g, f"the half twist sends class 1 to the wrong sign of class {4 * g + 1}", tmp_path)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_system_equals_the_reference_that_checks_every_nodule(self, g):
@@ -613,7 +621,7 @@ class TestNoduleBlock:
         # the near misses v_k -> v_{k+1+miss} of the closed form's v_k ->
         # v_{k+1}: v_k fixed (k <= 2g), or v_k sent to v_{k+2} (k < 2g, v_{2g+1}
         # the crossing class), as the powers 4g+1 and 4g+3 miss 4g+2
-        block = chain_classes(2 * g + 1, g)
+        block = chain_classes(g)
 
         def near_miss(k):
             def mutate(images):
@@ -626,7 +634,7 @@ class TestNoduleBlock:
     @pytest.mark.parametrize("g", range(1, 5))
     def test_a_sign_flipped_in_the_last_image_is_refused(self, g, monkeypatch):
         # v_2g -> sum (-1)^k v_k with the sign of one entry flipped
-        last = _companion_images(chain_classes(2 * g + 1, g)[:-1])[-1]
+        last = _companion_images(chain_classes(g)[:-1])[-1]
         assert len(last) == g + 1
 
         def flipped(t):
@@ -649,16 +657,16 @@ class TestNoduleBlock:
         for k in range(2 * g + 1):
             for t in range(2 * g):
                 for step in (1, -1):
-                    v = {**chain_classes(2 * g + 1, g)[k]}
+                    v = {**chain_classes(g)[k]}
                     v[t] = v.get(t, 0) + step
                     v = {r: x for r, x in sorted(v.items()) if x}
 
-                    def corrupted(count, genus, k=k, v=v):
-                        classes = chain_classes(count, genus)
+                    def corrupted(g, k=k, v=v):
+                        classes = chain_classes(g)
                         classes[k] = v
                         return classes
 
-                    classes = corrupted(2 * g + 1, g)
+                    classes = corrupted(g)
                     chain = all(symplectic_pairing(a, classes[j]) == (j == i + 1)
                                 for i, a in enumerate(classes) for j in range(i + 1, len(classes)))
                     monkeypatch.setattr("cablekit.monodromy.chain_classes", corrupted)
@@ -874,9 +882,10 @@ class TestRotationFastPath:
 
 
 class TestRotation22Block:
-    """word_delta applies the (2,2) rotation run as the closed form stored in
-    the page's `rotation`; the slow reference is the same page with
-    `rotation` None, which evaluates every letter."""
+    """word_delta applies the (2,2) rotation run as the turn stored in the
+    page's `rotation`, the checked half twist with every sign negated; the
+    slow reference is the same page with `rotation` None, which evaluates
+    every letter."""
 
     @pytest.mark.parametrize("g", range(7))
     def test_the_closed_form_is_the_letter_by_letter_rotation(self, g):
@@ -885,10 +894,10 @@ class TestRotation22Block:
         sys_ = sigma22_cover_system(g)
         slow = without_rotation(sys_)
         rotation = TwistWord.twists(*reversed(rho22_names(g)))
-        turn = _nodule_swap(g, 1)
+        run, turn = sys_.rotation
         assert turn == {t: ((t + 2 * g) % (4 * g), 1) for t in range(4 * g)}
         assert slow.word_delta(rotation) == slow.word_delta(rotation.inverse()) == turn_delta(turn)
-        assert sys_.rotation == (rotation.generators, turn)
+        assert run == rotation.generators
 
     @pytest.mark.parametrize("g", range(5))
     def test_matches_the_letter_by_letter_oracle(self, g, monkeypatch):
@@ -914,32 +923,68 @@ class TestRotation22Block:
             if g <= 2:
                 assert sys_.word_matrix(word) == dense_word_matrix(sys_, word), (g, word)
 
-    @pytest.mark.parametrize("g", range(1, 4))
-    def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch):
-        for t in range(4 * g):
-            def flipped(turn, t=t):
-                turn[t] = (turn[t][0], -turn[t][1])
-                return turn
 
-            corrupt_swap(1, flipped, monkeypatch)
-            _cover22_model.cache_clear()  # a call that raises is not cached
-            with pytest.raises(CurveSystemError, match=r"^the \(2,2\) rotation sends class \d+ to "
-                                                       r"(no \+-class|the wrong sign of class) \d+$"):
-                sigma22_cover_system(g)
+def charpoly(a):
+    """det(tI - a), leading coefficient first, by Faddeev-LeVerrier in
+    integers: M_1 = I, c_k = -tr(a M_k)/k, M_{k+1} = a M_k + c_k I, and each
+    division is exact, as the c_k are integers."""
+    n, coeffs, mk = len(a), [1], identity_matrix(len(a))
+    for k in range(1, n + 1):
+        am = mat_mul(a, mk)
+        c, rest = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert rest == 0, (k, rest)
+        coeffs.append(c)
+        mk = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
+    return coeffs
 
-    @pytest.mark.parametrize("g", range(1, 4))
-    def test_a_closed_form_with_a_moved_mirror_is_refused(self, g, monkeypatch):
-        n = 2 * g
-        for t in range(2 * n):
-            def moved(turn, t=t):
-                turn[t] = ((t + n + 1) % (2 * n), 1)
-                return turn
 
-            corrupt_swap(1, moved, monkeypatch)
-            _cover22_model.cache_clear()  # a call that raises is not cached
-            with pytest.raises(CurveSystemError,
-                               match=r"^the \(2,2\) rotation sends class \d+ to no"):
-                sigma22_cover_system(g)
+def at_power(coeffs, p):
+    """The polynomial f(t^p), for f's coefficients, leading first."""
+    out = [0] * ((len(coeffs) - 1) * p + 1)
+    out[::p] = coeffs
+    return out
+
+
+class TestCablingCharpoly:
+    """The slow reference of the cabling formula on homology: the cable
+    word's matrix M has charpoly(M)(t) = charpoly(M_phi)(t^p), the rotation
+    permuting p nodules with phi on one of them, for (p,1) words; t^2 for
+    (2,2) words, and for cobordism words with M_phi1 M_phi2 in place of M_phi
+    (either order has that charpoly).  Each word is evaluated through the
+    page's turn and with `rotation` None, and the two must agree.  The charpoly
+    is invariant under conjugation, so it is blind to where the lift sits: in
+    30 random (p,1) books with p >= 2 it caught a dropped Garside letter in
+    23, but a lift onto nodule 2 or placed before the rotation in none."""
+
+    @staticmethod
+    def page_word(rng, g):
+        names = [f"c{k}" for k in range(1, 2 * g + 2)] + ["bdry_1"] if g else ["bdry_1"]
+        return TwistWord.twists(*((rng.choice(names), rng.choice([1, -1])) for _ in range(6)))
+
+    @staticmethod
+    def holds(cw, m_phi, p):
+        fast = cw.system.word_matrix(cw.word)
+        assert fast == without_rotation(cw.system).word_matrix(cw.word)
+        return charpoly(fast) == at_power(charpoly(m_phi), p)
+
+    def test_p1_words(self):
+        rng = random.Random(40)
+        for _ in range(40):
+            g, p = rng.choice([(g, p) for g in (1, 2) for p in (1, 2, 3)])
+            phi = self.page_word(rng, g)
+            cw = monodromy_p1_connected(connected_book(g, phi), p)
+            assert self.holds(cw, chain_model(g).word_matrix(phi), p), (g, p, phi)
+
+    def test_22_and_cobordism_words(self):
+        rng = random.Random(22)
+        for _ in range(40):
+            g = rng.randrange(3)
+            phi1, phi2 = self.page_word(rng, g), self.page_word(rng, g)
+            cw = monodromy_22_connected(connected_book(g, phi1))
+            assert self.holds(cw, chain_model(g).word_matrix(phi1), 2), (g, phi1)
+            cw = compose_cobordism_word(phi1, phi2, connected_book(g))
+            assert self.holds(cw, chain_model(g).word_matrix(phi1.compose(phi2)), 2), (
+                g, phi1, phi2)
 
 
 def band_lifts(g):
@@ -1048,7 +1093,7 @@ class TestFreshSystems:
 
     def test_the_caches_hold_tuples_and_frozen_values(self):
         def frozen(x):
-            return (isinstance(x, (int, str, CurveInfo))
+            return (isinstance(x, (int, str, CurveInfo, Generator))
                     or isinstance(x, tuple) and all(map(frozen, x)))
 
         for g in range(4):

@@ -200,9 +200,9 @@ def test_only_the_cable_p1_builder_fills_expansions():
 
 def test_only_the_cable_builders_set_the_rotation():
     # the oracle applies a rotation's stored turn in place of its run on the
-    # strength of `monodromy._nodule_block` and `_cover22_model`, which check
-    # the closed forms of layout 1's Garside block and of the (2,2) rotation
-    # once per genus; `CurveSystem.__init__` sets None, and nothing else may
+    # strength of `monodromy._nodule_block`, which checks the closed form of
+    # layout 1's Garside block once per genus; both cable pages derive their
+    # turns from it, `CurveSystem.__init__` sets None, and nothing else may
     # store one
     assert _writers("rotation") == {("curves", "__init__"), ("monodromy", "cable_p1_system"),
                                     ("monodromy", "sigma22_cover_system")}
@@ -236,13 +236,15 @@ def test_no_general_delta_product(path):
     assert not defined & {"_delta_product", "_delta_power"}, path.name
 
 
-def test_only_the_nodule_block_builds_chain_classes():
+@pytest.mark.parametrize("name", ["chain_classes", "_nodule_swap", "_checked_turn"])
+def test_only_the_nodule_block_builds_and_checks_the_model(name):
     # both cable pages read the one genus model that `monodromy._nodule_block`
-    # builds and checks; a second basis for either page would be a second model
+    # builds and checks, with the one closed-form turn, the half twist; a
+    # second basis, closed form or check would be a second model
     callers = {(path.stem, scope) for path in SOURCES
                for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")), None)
                if isinstance(node, ast.Call)
-               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "chain_classes"}
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
     assert callers == {("monodromy", "_nodule_block")}
 
 

@@ -47,7 +47,7 @@ def chain_model(genus: int, extra_boundaries: int = 1) -> CurveSystem:
     labels = tuple(str(i + 1) for i in range(extra_boundaries))
     sys_ = CurveSystem(genus=genus, boundary_labels=labels, name=f"chain_g{genus}")
     if genus > 0:
-        classes = chain_classes(2 * genus + 1, genus)
+        classes = chain_classes(genus)
         names = [f"c{i}" for i in range(1, 2 * genus + 2)]
         for name, cls in zip(names, classes):
             sys_.add_curve(name, cls)
@@ -655,7 +655,7 @@ class TestChainRelation:
     def test_the_closed_form_is_the_letter_by_letter_image(self, g):
         # the images _companion_images gives are those of the chain word,
         # evaluated letter by letter, on the dense reference
-        classes = chain_classes(2 * g + 1, g)[:-1]
+        classes = chain_classes(g)[:-1]
         cm = chain_model(g)
         m = dense_word_matrix(cm, TwistWord.twists(*(f"c{k}" for k in range(1, 2 * g + 1))))
         for v, want in zip(classes, _companion_images(classes), strict=True):
@@ -691,17 +691,10 @@ def reference_chain_classes(count, genus):
 
 
 class TestChainClasses:
-    def test_neighbour_check_agrees_with_the_all_pairs_reference(self):
-        # chains longer than 2 genus + 1 leave the surface and are refused
+    def test_agrees_with_the_all_pairs_reference(self):
+        # chain_classes pairs nothing itself; the reference pairs every pair
         for genus in range(21):
-            for count in range(1, 42):
-                try:
-                    expected = reference_chain_classes(count, genus)
-                except CurveSystemError as exc:
-                    with pytest.raises(CurveSystemError, match=re.escape(str(exc))):
-                        chain_classes(count, genus)
-                else:
-                    assert chain_classes(count, genus) == expected, (count, genus)
+            assert chain_classes(genus) == reference_chain_classes(2 * genus + 1, genus), genus
 
 
 class TestSparseClasses:
