@@ -397,24 +397,54 @@ def corrupt_swap(corrupt, monkeypatch):
     monkeypatch.setattr(cablekit.monodromy, "_nodule_swap", lambda g: corrupt(_nodule_swap(g)))
 
 
-def refused_on_both_pages(g, message, tmp_path):
+PAGES = {"half_twist": lambda g: cable_p1_system(g, 3), "rotation22": sigma22_cover_system}
+
+MOVED_MIRROR = r"the half twist sends class \d+ to no \+-class \d+"
+FLIPPED_SIGN = r"the half twist sends class \d+ to (no \+-class|the wrong sign of class) \d+"
+
+
+def moved_mirrors(g):
+    """The corruptions of the half twist's closed form that move one
+    column's mirror entry by one row, one for each column."""
+    n = 2 * g
+    for t in range(2 * n):
+        def moved(turn, t=t):
+            turn[t] = ((t + n + 1) % (2 * n), -1)
+            return turn
+
+        yield moved
+
+
+def flipped_signs(g):
+    """The corruptions of the half twist's closed form that flip one
+    column's sign, one for each column."""
+    for t in range(4 * g):
+        def flipped(turn, t=t):
+            turn[t] = (turn[t][0], -turn[t][1])
+            return turn
+
+        yield flipped
+
+
+def refused_on_page(g, page, message, tmp_path):
     """Both cable pages stand on the one half-twist check: a cold genus-g
-    (p,1) page, (2,2) page and `compose-cobordism` call (exit 2) each refuse
-    the corrupted turn with `message`, a pattern for the whole message."""
-    book = tmp_path / "page.json"
-    book.write_text(json.dumps(connected_book(g, TwistWord.twists("c1")).to_json()))
-    word = tmp_path / "word.json"
-    word.write_text(json.dumps(TwistWord.twists("c1").to_json()))
-    for build in (lambda: cable_p1_system(g, 3), lambda: sigma22_cover_system(g)):
-        _nodule_block.cache_clear()  # a call that raises is not cached
-        _cover22_model.cache_clear()
-        with pytest.raises(CurveSystemError, match=f"^{message}$"):
-            build()
+    `page` of PAGES refuses the corrupted turn with `message`, a pattern for
+    the whole message; on the (2,2) page, so does `compose-cobordism` (exit
+    2, no stdout)."""
+    _nodule_block.cache_clear()  # a call that raises is not cached
+    _cover22_model.cache_clear()
+    with pytest.raises(CurveSystemError, match=f"^{message}$"):
+        PAGES[page](g)
     _nodule_block.cache_clear()
     _cover22_model.cache_clear()
-    code, out, err = run_main(["compose-cobordism", "--page", str(book), str(word), str(word)])
-    assert (code, out) == (2, ""), g
-    assert re.fullmatch(f"error: {message}\n", err), (g, err)
+    if page == "rotation22":
+        book = tmp_path / "page.json"
+        book.write_text(json.dumps(connected_book(g, TwistWord.twists("c1")).to_json()))
+        word = tmp_path / "word.json"
+        word.write_text(json.dumps(TwistWord.twists("c1").to_json()))
+        code, out, err = run_main(["compose-cobordism", "--page", str(book), str(word), str(word)])
+        assert (code, out) == (2, ""), g
+        assert re.fullmatch(f"error: {message}\n", err), (g, err)
 
 
 class TestNoduleBlock:
@@ -440,36 +470,28 @@ class TestNoduleBlock:
     def test_a_closed_form_with_a_moved_mirror_is_refused(self, g, monkeypatch, tmp_path):
         # the runtime check: the closed form must send each layout class to
         # +- its mirror; moving one column's mirror entry by one row breaks it
-        n = 2 * g
-        for t in range(2 * n):
-            def moved(turn, t=t):
-                turn[t] = ((t + n + 1) % (2 * n), -1)
-                return turn
-
+        for moved in moved_mirrors(g):
             corrupt_swap(moved, monkeypatch)
-            refused_on_both_pages(g, r"the half twist sends class \d+ to no \+-class \d+",
-                                  tmp_path)
+            refused_on_page(g, "half_twist", MOVED_MIRROR, tmp_path)
 
     @pytest.mark.parametrize("g", range(1, 4))
     def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch, tmp_path):
         # e_t -> +e_{t'} in place of -e_{t'} still sends a b-class to +- its
         # mirror; the neighbour pairing refuses it
-        for t in range(4 * g):
-            def flipped(turn, t=t):
-                turn[t] = (turn[t][0], -turn[t][1])
-                return turn
-
+        for flipped in flipped_signs(g):
             corrupt_swap(flipped, monkeypatch)
-            refused_on_both_pages(g, r"the half twist sends class \d+ to "
-                                     r"(no \+-class|the wrong sign of class) \d+", tmp_path)
+            refused_on_page(g, "half_twist", FLIPPED_SIGN, tmp_path)
 
+    @pytest.mark.parametrize("page", ["half_twist", "rotation22"])
     @pytest.mark.parametrize("g", range(1, 4))
-    def test_a_closed_form_of_the_other_sign_is_refused(self, g, monkeypatch, tmp_path):
+    def test_a_closed_form_of_the_other_sign_is_refused(self, g, page, monkeypatch, tmp_path):
         # the half twist keeps x1, and the swap of the other sign, which
-        # reverses it, alternates its image signs from the wrong one
+        # reverses it, alternates its image signs from the wrong one; the
+        # (2,2) page, built on the half twist, refuses it by the same check
         corrupt_swap(lambda turn: {t: (u, -s) for t, (u, s) in turn.items()}, monkeypatch)
-        refused_on_both_pages(
-            g, f"the half twist sends class 1 to the wrong sign of class {4 * g + 1}", tmp_path)
+        refused_on_page(
+            g, page, f"the half twist sends class 1 to the wrong sign of class {4 * g + 1}",
+            tmp_path)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_system_equals_the_reference_that_checks_every_nodule(self, g):
@@ -898,6 +920,22 @@ class TestRotation22Block:
         assert turn == {t: ((t + 2 * g) % (4 * g), 1) for t in range(4 * g)}
         assert slow.word_delta(rotation) == slow.word_delta(rotation.inverse()) == turn_delta(turn)
         assert run == rotation.generators
+
+    @pytest.mark.parametrize("g", range(1, 4))
+    def test_a_closed_form_with_one_sign_flipped_is_refused(self, g, monkeypatch, tmp_path):
+        # the (2,2) turn is derived from the half twist's closed form, so a
+        # flipped sign there is refused on this page, and by
+        # compose-cobordism, with the half twist's message
+        for flipped in flipped_signs(g):
+            corrupt_swap(flipped, monkeypatch)
+            refused_on_page(g, "rotation22", FLIPPED_SIGN, tmp_path)
+
+    @pytest.mark.parametrize("g", range(1, 4))
+    def test_a_closed_form_with_a_moved_mirror_is_refused(self, g, monkeypatch, tmp_path):
+        # as above, for a mirror entry moved by one row
+        for moved in moved_mirrors(g):
+            corrupt_swap(moved, monkeypatch)
+            refused_on_page(g, "rotation22", MOVED_MIRROR, tmp_path)
 
     @pytest.mark.parametrize("g", range(5))
     def test_matches_the_letter_by_letter_oracle(self, g, monkeypatch):
